@@ -7,16 +7,18 @@ the body in an envelope that carries the timestamp outside of it.
 
 Exit codes:
   0  success (classify: the distribution is unimodal)
-  1  unreadable / unparseable input, unknown law id
+  1  unreadable / unparseable input (bad JSON shapes included), unknown law id
   2  invalid specification (overlapping pieces, nonpositive mass, zero
      measure, bad anchor, too few samples)
   3  classify: not unimodal
   4  qdensity: no quantile density exists (inverse not absolutely continuous)
   5  verify: at least one law failed
+  6  an internal consistency check failed: a bug in monoinv, not in the input
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import json
 import os
@@ -25,13 +27,12 @@ import sys
 import click
 
 from monoinv.errors import (
-    AnchorOutsideCarrier,
     CarrierMismatch,
     ConstantFunction,
+    InternalInconsistency,
     MonoinvError,
     QfNotAbsolutelyContinuous,
     UnknownLaw,
-    ZeroMeasure,
 )
 from monoinv.exactnum import fmt_ratio, parse_ratio, rat
 from monoinv.intervals import Interval, REAL_LINE, fin
@@ -78,6 +79,17 @@ def _fail(code, message):
     sys.exit(code)
 
 
+@contextlib.contextmanager
+def _analysis_errors():
+    """Exit 6 on a failed internal consistency check, 2 on any other library error."""
+    try:
+        yield
+    except InternalInconsistency as e:
+        _fail(6, f"internal consistency check failed (a bug in monoinv): {e}")
+    except MonoinvError as e:
+        _fail(2, str(e))
+
+
 # ---------------------------------------------------------------------------
 # input handling
 
@@ -112,6 +124,13 @@ def _endpoint(raw, what):
     return fin(_number(raw, what))
 
 
+def _list_field(doc, key):
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise _ParseError(f"{key} must be a list")
+    return value
+
+
 def spec_to_measure(doc) -> PiecewiseMeasure:
     """Build the measure described by a DistributionSpec document."""
     if not isinstance(doc, dict):
@@ -130,7 +149,7 @@ def spec_to_measure(doc) -> PiecewiseMeasure:
             raise _SpecError("carrier is empty")
 
     atoms = []
-    for i, a in enumerate(doc.get("atoms", [])):
+    for i, a in enumerate(_list_field(doc, "atoms")):
         if not isinstance(a, dict) or "x" not in a or "mass" not in a:
             raise _ParseError(f"atom #{i} needs fields x and mass")
         x = _number(a["x"], f"atom #{i} x")
@@ -140,7 +159,7 @@ def spec_to_measure(doc) -> PiecewiseMeasure:
         atoms.append((x, mass))
 
     pieces = []
-    for i, p in enumerate(doc.get("uniform_pieces", [])):
+    for i, p in enumerate(_list_field(doc, "uniform_pieces")):
         if not isinstance(p, dict) or "a" not in p or "b" not in p:
             raise _ParseError(f"piece #{i} needs fields a and b")
         has_mass = "mass" in p
@@ -401,10 +420,8 @@ def main():
 def cmd_classify(spec_path, samples_path, header, allow_degenerate, anchor_str, out, stamp):
     """Classify unimodality; exit 0 when unimodal, 3 when not."""
     m, anchor = _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str)
-    try:
+    with _analysis_errors():
         report, unimodal = _build_report(m, anchor)
-    except (ZeroMeasure, AnchorOutsideCarrier, MonoinvError) as e:
-        _fail(2, str(e))
     _emit(report, out, stamp)
     sys.exit(0 if unimodal else 3)
 
@@ -417,20 +434,18 @@ def cmd_invert(spec_path, samples_path, header, allow_degenerate, anchor_str, ou
                plot_points):
     """Compute the generalized inverse of the distribution function."""
     m, anchor = _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str)
-    try:
+    with _analysis_errors():
         f = distribution_function(m, anchor)
         q = generalized_inverse(f)
-    except (ZeroMeasure, AnchorOutsideCarrier, ConstantFunction, MonoinvError) as e:
-        _fail(2, str(e))
-    report = {
-        "echo": measure_to_spec_json(m),
-        "anchor": fmt_ratio(anchor),
-        "inverse": monotone_to_json(q),
-        "intervals": {
-            "F": _interval_block(f, inverse_side=False),
-            "Q": _interval_block(f, inverse_side=True),
-        },
-    }
+        report = {
+            "echo": measure_to_spec_json(m),
+            "anchor": fmt_ratio(anchor),
+            "inverse": monotone_to_json(q),
+            "intervals": {
+                "F": _interval_block(f, inverse_side=False),
+                "Q": _interval_block(f, inverse_side=True),
+            },
+        }
     if plot_points is not None:
         if plot_points < 1:
             _fail(1, "--plot-points must be at least 1")
@@ -468,13 +483,12 @@ def cmd_qdensity(spec_path, samples_path, header, allow_degenerate, anchor_str, 
                  plot_points):
     """Emit the quantile density; exit 4 when it does not exist."""
     m, anchor = _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str)
-    try:
+    with _analysis_errors():
         f = distribution_function(m, anchor)
-        q = quantile_density(f)
-    except QfNotAbsolutelyContinuous as e:
-        _fail(4, str(e))
-    except (ZeroMeasure, AnchorOutsideCarrier, MonoinvError) as e:
-        _fail(2, str(e))
+        try:
+            q = quantile_density(f)
+        except QfNotAbsolutelyContinuous as e:
+            _fail(4, str(e))
     report = {
         "echo": measure_to_spec_json(m),
         "anchor": fmt_ratio(anchor),

@@ -8,7 +8,7 @@ All core arithmetic runs on one of two interchangeable number types:
 The backend is chosen once at import time.  Set ``MONOINV_BACKEND`` to
 ``compiled`` or ``pure`` to force one; ``auto`` (the default) prefers the
 compiled kernel when present.  Results are bit-identical either way; only
-speed differs (see benchmarks/bench_backends.py).
+speed differs (perfbench/run.py times both).
 """
 
 import os

@@ -10,6 +10,7 @@ comparison of canonical forms.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from monoinv import monotone as mono
@@ -170,11 +171,9 @@ class StepFunction:
         t = _q(t)
         if not self.carrier.contains(t):
             raise ValueError(f"{t} outside carrier")
-        if t in self.knots:
+        i = bisect_left(self.knots, t)
+        if i < len(self.knots) and self.knots[i] == t:
             raise ValueError(f"{t} is a knot; the class has no value there")
-        i = 0
-        while i < len(self.knots) and self.knots[i] < t:
-            i += 1
         return self.values[i]
 
 
@@ -381,13 +380,13 @@ def pushforward(m: PiecewiseMeasure, t: PiecewiseMonotone) -> PiecewiseMeasure:
                 f"atom at {a.x} sits on a jump of the map; the image depends on the version")
         add_atom(evaluate(t, a.x, RIGHT).finite, a.mass)
 
+    segs = segments(t)
     out_pieces = []
     for p in m.pieces:
-        for seg in segments(t):
+        i, j = mono._between(t.knot_xs, p.interval.lo, p.interval.hi)
+        for seg in segs[i:j + 1]:
             lo = max(p.interval.lo, seg.a)
             hi = min(p.interval.hi, seg.b)
-            if not lo < hi:
-                continue
             if seg.slope == 0:
                 length = hi - lo
                 if not length.is_finite:

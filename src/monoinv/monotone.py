@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from monoinv.errors import (
@@ -117,17 +117,18 @@ class PiecewiseMonotone:
                 if b.left != a.right + s * (b.x - a.x):
                     raise NonMonotone("segment limits inconsistent with slope")
 
-        # canonical form: remove knots that change nothing
+        # canonical form: remove knots that change nothing.  Whether a knot is
+        # removable depends only on its own jump and its two slopes, which a
+        # removal elsewhere leaves as they are, so one pass finds them all.
         removed = None
-        while True:
-            for j, b in enumerate(breaks):
-                if not b.is_jump and slopes[j] == slopes[j + 1]:
-                    removed = b
-                    breaks = breaks[:j] + breaks[j + 1:]
-                    slopes = slopes[:j] + slopes[j + 1:]
-                    break
+        kept, kept_slopes = [], [slopes[0]]
+        for b, left, right in zip(breaks, slopes, slopes[1:]):
+            if not b.is_jump and left == right:
+                removed = b
             else:
-                break
+                kept.append(b)
+                kept_slopes.append(right)
+        breaks, slopes = tuple(kept), tuple(kept_slopes)
 
         if breaks:
             anchor = None
@@ -148,7 +149,32 @@ class PiecewiseMonotone:
 
     @property
     def knot_xs(self):
-        return tuple(b.x for b in self.breaks)
+        return _cached(self, "_knot_xs", _build_knot_xs)
+
+
+def _cached(g: PiecewiseMonotone, name: str, build):
+    """The derived table `name` of g, built on first use and kept on the instance.
+
+    Instances are immutable, so a table never goes stale; it lives outside
+    the dataclass fields and takes no part in equality, hashing or repr.
+    """
+    table = g.__dict__.get(name)
+    if table is None:
+        table = g.__dict__[name] = build(g)
+    return table
+
+
+def _build_knot_xs(g: PiecewiseMonotone) -> tuple:
+    return tuple(b.x for b in g.breaks)
+
+
+def _between(xs, lo: ExtendedReal, hi: ExtendedReal) -> tuple[int, int]:
+    """(i, j) such that xs[i:j] are the points of the sorted rationals xs
+    strictly between lo and hi.  For xs = g.knot_xs, segments(g)[i:j + 1]
+    are then the segments of g that meet the open interval (lo, hi)."""
+    i = bisect_right(xs, lo.finite) if lo.is_finite else 0
+    j = bisect_left(xs, hi.finite) if hi.is_finite else len(xs)
+    return i, j
 
 
 def validate(g: PiecewiseMonotone) -> None:
@@ -171,8 +197,12 @@ class Segment:
     slope: object
 
 
-def segments(g: PiecewiseMonotone) -> list[Segment]:
-    """The open affine pieces of g, left to right."""
+def segments(g: PiecewiseMonotone) -> tuple[Segment, ...]:
+    """The open affine pieces of g, left to right (built once per instance)."""
+    return _cached(g, "_segments", _build_segments)
+
+
+def _build_segments(g: PiecewiseMonotone) -> tuple[Segment, ...]:
     lo, hi = g.domain.lo, g.domain.hi
     if not g.breaks:
         ax, av = g.anchor
@@ -185,7 +215,7 @@ def segments(g: PiecewiseMonotone) -> list[Segment]:
             v = fin(av + s * (hi.finite - ax))
         else:
             v = fin(av) if s == 0 else POS_INF
-        return [Segment(lo, hi, u, v, s)]
+        return (Segment(lo, hi, u, v, s),)
 
     out = []
     first = g.breaks[0]
@@ -204,7 +234,7 @@ def segments(g: PiecewiseMonotone) -> list[Segment]:
     else:
         v = fin(last.right) if s == 0 else POS_INF
     out.append(Segment(fin(last.x), hi, fin(last.right), v, s))
-    return out
+    return tuple(out)
 
 
 def value_bounds(g: PiecewiseMonotone) -> tuple[ExtendedReal, ExtendedReal]:
@@ -437,10 +467,10 @@ def _inverse_tokens(g: PiecewiseMonotone):
                 anchor_x, anchor_t = g.anchor
             segs.append((seg.u, seg.v, inv_slope, anchor_t, anchor_x))
         if i < len(gsegs) - 1:
-            x = seg.b.finite
-            l, r = limits_at(g, x)
-            if l < r:
-                segs.append((l, r, ZERO, l.finite, x))
+            # segment i ends at knot i; a jump there is a flat of the inverse
+            b = g.breaks[i]
+            if b.is_jump:
+                segs.append((fin(b.left), fin(b.right), ZERO, b.left, b.x))
 
     if hi.is_finite:
         segs.append((M, POS_INF, ZERO, M.finite, hi.finite))
@@ -509,22 +539,12 @@ def restrict(g: PiecewiseMonotone, iv: Interval) -> PiecewiseMonotone:
     if not g.domain.contains_interval(iv):
         raise EmptyInterval("restriction interval must lie inside the regular domain")
 
-    inner = [b for b in g.breaks if iv.contains(b.x)]
-    segs = segments(g)
-    first_idx = 0
-    for i, seg in enumerate(segs):
-        if seg.a <= iv.lo and iv.lo < seg.b:
-            first_idx = i
-            break
-    slopes = [g.slopes[first_idx]]
-    for b in inner:
-        j = g.breaks.index(b)
-        slopes.append(g.slopes[j + 1])
+    i, j = _between(g.knot_xs, iv.lo, iv.hi)
     anchor = None
-    if not inner:
+    if i == j:
         probe = _probe_point(iv)
         anchor = (probe, evaluate(g, probe, RIGHT).finite)
-    return PiecewiseMonotone(iv, tuple(inner), tuple(slopes), anchor)
+    return PiecewiseMonotone(iv, g.breaks[i:j], g.slopes[i:j + 1], anchor)
 
 
 def versions_equal(g1: PiecewiseMonotone, g2: PiecewiseMonotone) -> bool:

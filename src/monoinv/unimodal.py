@@ -10,6 +10,7 @@ equivalences exhaustively.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from monoinv import monotone as mono
@@ -273,11 +274,12 @@ def step_compose(f: StepFunction, g: PiecewiseMonotone) -> StepFunction:
     if target.is_empty:
         raise CarrierMismatch("g never enters the carrier of f")
 
+    segs = segments(g)
     cut = set()
     for b in mono.jumps(g):
         if target.contains(b.x):
             cut.add(b.x)
-    for seg in segments(g):
+    for seg in segs:
         lo = max(seg.a, target.lo)
         hi = min(seg.b, target.hi)
         if not lo < hi:
@@ -287,29 +289,24 @@ def step_compose(f: StepFunction, g: PiecewiseMonotone) -> StepFunction:
                 cut.add(end.finite)
         if seg.slope == 0:
             continue
-        for k in f.knots:
-            kk = fin(k)
-            if seg.u < kk < seg.v:
-                if seg.a.is_finite:
-                    x = seg.a.finite + (k - seg.u.finite) / seg.slope
-                elif seg.b.is_finite:
-                    x = seg.b.finite - (seg.v.finite - k) / seg.slope
-                else:
-                    ax, av = g.anchor  # single segment spanning the line
-                    x = ax + (k - av) / seg.slope
-                if target.contains(x):
-                    cut.add(x)
+        i, j = mono._between(f.knots, seg.u, seg.v)
+        for k in f.knots[i:j]:
+            if seg.a.is_finite:
+                x = seg.a.finite + (k - seg.u.finite) / seg.slope
+            elif seg.b.is_finite:
+                x = seg.b.finite - (seg.v.finite - k) / seg.slope
+            else:
+                ax, av = g.anchor  # single segment spanning the line
+                x = ax + (k - av) / seg.slope
+            if target.contains(x):
+                cut.add(x)
 
     knots = sorted(cut)
     bounds = [target.lo] + [fin(x) for x in knots] + [target.hi]
     values = []
     for a, b in zip(bounds, bounds[1:]):
         probe = mono._probe_point(Interval(a, b))
-        gseg = None
-        for seg in segments(g):
-            if seg.a <= fin(probe) < seg.b:
-                gseg = seg
-                break
+        gseg = segs[bisect_right(g.knot_xs, probe)]
         if gseg.slope == 0:
             c = gseg.u.finite
             if c in f.knots:

@@ -5,6 +5,11 @@ import sys
 
 import pytest
 
+from click.testing import CliRunner
+
+from monoinv import cli, unimodal
+from monoinv.errors import InternalInconsistency
+
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
@@ -78,6 +83,37 @@ def test_classify_overlapping_pieces_exit2(spec_file):
         {"a": "1", "b": "3", "density": "1"},
     ]}
     assert run_cli("classify", "--spec", spec_file(doc)).returncode == 2
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"atoms": 5}, "atoms"),
+    ({"atoms": None}, "atoms"),
+    ({"uniform_pieces": "x"}, "uniform_pieces"),
+    ({"uniform_pieces": {"a": "0", "b": "1", "density": "1"}}, "uniform_pieces"),
+])
+def test_non_list_spec_field_exit1(spec_file, doc, key):
+    r = run_cli("classify", "--spec", spec_file(doc))
+    assert r.returncode == 1
+    assert r.stderr == f"error: {key} must be a list\n"
+
+
+def _broken_check(*args):
+    raise InternalInconsistency("absolute-continuity characterizations disagree")
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("classify", unimodal, "gen_inverse_abs_cont"),
+    ("qdensity", unimodal, "gen_inverse_abs_cont"),
+    ("invert", cli, "generalized_inverse"),
+])
+def test_internal_inconsistency_exit6(spec_file, monkeypatch, command, module, name):
+    # a failed consistency check is a bug, never reported as an invalid spec
+    monkeypatch.setattr(module, name, _broken_check)
+    r = CliRunner().invoke(cli.main, [command, "--spec", spec_file(FIXD_SPEC)])
+    assert r.exit_code == 6
+    assert r.stdout == ""
+    assert r.stderr == ("error: internal consistency check failed (a bug in monoinv): "
+                        "absolute-continuity characterizations disagree\n")
 
 
 def test_classify_nonpositive_mass_exit2(spec_file):

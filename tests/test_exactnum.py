@@ -1,108 +1,16 @@
-"""The compiled rational kernel must agree with fractions.Fraction
-operation-for-operation; Fraction is the oracle."""
+"""Exact parsing and formatting, and the tracked kernel sources.
+
+These need no compiled kernel; its operation-level tests are in
+test_ratcore.py."""
+
+import os
+import re
 
 import pytest
 
-from fractions import Fraction
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from monoinv.exactnum import fmt_ratio, parse_ratio, rat
 
-ratcore = pytest.importorskip("monoinv._ratcore")
-Rat = ratcore.Rat
-
-ints = st.integers(min_value=-10**30, max_value=10**30)
-nonzero = ints.filter(lambda n: n != 0)
-
-
-@st.composite
-def pairs(draw):
-    return draw(ints), draw(nonzero)
-
-
-@given(pairs())
-def test_normalization_matches_fraction(p):
-    n, d = p
-    r, f = Rat(n, d), Fraction(n, d)
-    assert (r.numerator, r.denominator) == (f.numerator, f.denominator)
-
-
-@given(pairs(), pairs())
-@settings(max_examples=300)
-def test_field_ops_match_fraction(p, q):
-    a, b = Rat(*p), Rat(*q)
-    fa, fb = Fraction(*p), Fraction(*q)
-    for op in ("__add__", "__sub__", "__mul__"):
-        got = getattr(a, op)(b)
-        want = getattr(fa, op)(fb)
-        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
-    if fb != 0:
-        got = a / b
-        want = fa / fb
-        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
-
-
-@given(pairs(), pairs())
-def test_order_matches_fraction(p, q):
-    a, b = Rat(*p), Rat(*q)
-    fa, fb = Fraction(*p), Fraction(*q)
-    assert (a < b) == (fa < fb)
-    assert (a <= b) == (fa <= fb)
-    assert (a == b) == (fa == fb)
-    assert (a > b) == (fa > fb)
-    assert (a >= b) == (fa >= fb)
-
-
-@given(pairs(), ints)
-def test_int_interop(p, k):
-    a, fa = Rat(*p), Fraction(*p)
-    assert (a + k).numerator == (fa + k).numerator
-    assert (k + a).denominator == (k + fa).denominator
-    assert ((a - k).numerator, (k - a).numerator) == ((fa - k).numerator, (k - fa).numerator)
-    assert (a * k).denominator == (fa * k).denominator
-    assert (a < k) == (fa < k)
-    assert (a == k) == (fa == k)
-
-
-@given(pairs())
-def test_hash_matches_int_and_fraction(p):
-    a = Rat(*p)
-    f = Fraction(*p)
-    assert hash(a) == hash(f)
-    if a.denominator == 1:
-        assert hash(a) == hash(a.numerator)
-
-
-@given(pairs())
-def test_neg_abs_float(p):
-    a, fa = Rat(*p), Fraction(*p)
-    assert (-a).numerator == (-fa).numerator
-    assert abs(a).numerator == abs(fa).numerator
-    assert float(a) == float(fa)
-    assert bool(a) == bool(fa)
-    assert int(a) == int(fa)
-
-
-def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        Rat(1, 0)
-    with pytest.raises(ZeroDivisionError):
-        Rat(1) / Rat(0)
-
-
-def test_mixed_rational_interop():
-    # other Rational implementations coerce on the miss path, both directions
-    assert Fraction(3, 4) + Rat(1, 4) == 1
-    assert Rat(1, 4) + Fraction(3, 4) == 1
-    assert Fraction(1, 2) - Rat(1, 4) == Rat(1, 4)
-    assert Rat(1, 2) * Fraction(2, 3) == Fraction(1, 3)
-    assert Fraction(1, 2) / Rat(2) == Rat(1, 4)
-    assert Rat(1, 3) < Fraction(1, 2) < Rat(2, 3)
-    assert not (Rat(1, 2) == "x")
-    with pytest.raises(TypeError):
-        Rat(1, 2) + "x"
+KERNEL_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "monoinv")
 
 
 def test_parse_ratio_exact_decimals():
@@ -121,3 +29,35 @@ def test_parse_ratio_exact_decimals():
 def test_fmt_ratio_round_trip():
     for s in ("3/4", "-7", "0", "22/7"):
         assert fmt_ratio(parse_ratio(s)) == s
+
+
+def _quoted_pyx_lines(c_text):
+    """(line number, text) for every .pyx line that Cython quotes in its C
+    output.  Each quote block is headed `"monoinv/_ratcore.pyx":N` and marks
+    line N with a trailing `# <<<<<<<<<<<<<<`; the lines around it are
+    consecutive source lines."""
+    block = re.compile(r'/\* "monoinv/_ratcore\.pyx":(\d+)\n(.*?)\n\s*\*/', re.S)
+    for m in block.finditer(c_text):
+        n = int(m.group(1))
+        lines = [line[3:] if line.startswith(" * ") else line[2:]
+                 for line in m.group(2).split("\n")]
+        marked = [i for i, line in enumerate(lines) if line.endswith("# <<<<<<<<<<<<<<")]
+        assert len(marked) == 1, m.group(0)
+        lines[marked[0]] = lines[marked[0]][:-len("# <<<<<<<<<<<<<<")]
+        for i, line in enumerate(lines):
+            yield n + i - marked[0], line.rstrip()
+
+
+def test_tracked_c_kernel_matches_pyx():
+    """The tracked _ratcore.c was generated from the tracked _ratcore.pyx:
+    every source line it quotes is the .pyx line of that number.  A stale .c
+    builds a kernel that differs from the source the tests read."""
+    with open(os.path.join(KERNEL_DIR, "_ratcore.c"), encoding="utf-8") as fh:
+        c_text = fh.read()
+    with open(os.path.join(KERNEL_DIR, "_ratcore.pyx"), encoding="utf-8") as fh:
+        pyx = [line.rstrip() for line in fh.read().split("\n")]
+    quotes = list(_quoted_pyx_lines(c_text))
+    assert len({n for n, _ in quotes}) > 100
+    stale = [(n, text, pyx[n - 1] if n <= len(pyx) else None)
+             for n, text in quotes if n > len(pyx) or pyx[n - 1] != text]
+    assert not stale, stale[:5]

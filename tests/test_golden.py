@@ -1,0 +1,44 @@
+"""Byte-exact CLI reports on a fixed corpus.
+
+The reports and exit codes under data/golden/ were produced by the CLI
+before the segment-table caches and the linear-time scans replaced the
+quadratic ones; any change to them is a change of behaviour.  Inputs: the
+1000-point uniform grid sample and three small specs (an atom at the mode,
+a bimodal density, and an interior gap, which has no quantile density).
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN = os.path.join(DATA, "golden")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+with open(os.path.join(GOLDEN, "cases.json"), encoding="utf-8") as _fh:
+    CASES = json.load(_fh)
+
+
+def _input_args(name):
+    spec = os.path.join(GOLDEN, f"{name}.json")
+    if os.path.exists(spec):
+        return ["--spec", spec]
+    return ["--samples", os.path.join(DATA, f"{name}.csv")]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[f"{c['input']}-{c['command']}" for c in CASES])
+def test_golden_report(case):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    r = subprocess.run(
+        [sys.executable, "-m", "monoinv", case["command"], *_input_args(case["input"])],
+        capture_output=True, env=env,
+    )
+    with open(os.path.join(GOLDEN, f"{case['input']}.{case['command']}.out"), "rb") as fh:
+        want = fh.read()
+    assert r.returncode == case["exit"]
+    assert r.stderr.decode() == case["stderr"]
+    assert r.stdout == want

@@ -1,23 +1,32 @@
 import pytest
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from monoinv import monotone as mono
 from monoinv.errors import (
+    AmbiguousComposition,
     AnchorOutsideCarrier,
     CarrierMismatch,
+    MonoinvError,
     NotAbsolutelyContinuous,
+    NotLocallyFinite,
     PreconditionFailed,
     VersionAmbiguous,
     ZeroMeasure,
 )
-from monoinv.exactnum import rat
-from monoinv.intervals import REAL_LINE, fin, open_iv
+from monoinv.exactnum import ZERO, rat
+from monoinv.intervals import REAL_LINE, Interval, fin, open_iv
 from monoinv.laws import GenConfig, gen_monotone
 from monoinv.measure import (
     PiecewiseMeasure,
+    StepFunction,
     associated_measure,
     density,
     distribution_function,
     gen_inverse_abs_cont,
     inverse_rule_check,
+    inverse_slope_step,
     is_abs_cont_wrt,
     lebesgue_decompose,
     lebesgue_on,
@@ -35,11 +44,14 @@ from monoinv.monotone import (
     from_knot_data,
     generalized_inverse,
     inverse_domain,
+    inverse_mass_interval,
     mass_interval,
     refine_grid,
+    segments,
     structural_values,
     structural_xs,
 )
+from monoinv.unimodal import step_compose
 
 
 def probe_points(g):
@@ -411,3 +423,156 @@ def test_inverse_rule_random():
         assert inverse_rule_check(g).passed
         done += 1
     assert done >= 10
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the code they replaced
+#
+# Each function below is the earlier, slower implementation, kept here only
+# as an oracle for the index-range pushforward and the bisecting step lookups.
+
+oracle_settings = settings(max_examples=60, deadline=None,
+                           suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def instances(draw):
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    max_knots = draw(st.integers(min_value=1, max_value=12))
+    return gen_monotone(GenConfig(seed=seed, max_knots=max_knots))
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (MonoinvError, ValueError) as e:
+        return "error", type(e), str(e)
+
+
+def _pushforward_by_pairs(m, t):
+    """Every piece against every segment of the map."""
+    if not t.domain.contains_interval(m.carrier):
+        raise CarrierMismatch("carrier of the measure must lie inside the domain of the map")
+    jump_xs = {b.x for b in mono.jumps(t)}
+    out_atoms = {}
+
+    def add_atom(x, mass):
+        out_atoms[x] = out_atoms.get(x, ZERO) + mass
+
+    for a in m.atoms:
+        if a.x in jump_xs:
+            raise VersionAmbiguous(
+                f"atom at {a.x} sits on a jump of the map; the image depends on the version")
+        add_atom(evaluate(t, a.x, RIGHT).finite, a.mass)
+    out_pieces = []
+    for p in m.pieces:
+        for seg in segments(t):
+            lo = max(p.interval.lo, seg.a)
+            hi = min(p.interval.hi, seg.b)
+            if not lo < hi:
+                continue
+            if seg.slope == 0:
+                length = hi - lo
+                if not length.is_finite:
+                    raise NotLocallyFinite(
+                        "a flat of infinite length carries infinite mass to one point")
+                add_atom(seg.u.finite, p.density * length.finite)
+            else:
+                u = evaluate(t, lo.finite, RIGHT) if lo.is_finite else seg.u
+                v = evaluate(t, hi.finite, LEFT) if hi.is_finite else seg.v
+                out_pieces.append((open_iv(u, v), p.density / seg.slope))
+    atoms = tuple(sorted(out_atoms.items()))
+    return PiecewiseMeasure(inverse_domain(t), atoms, tuple(out_pieces))
+
+
+def _value_at_by_scan(f, t):
+    if not f.carrier.contains(t):
+        raise ValueError(f"{t} outside carrier")
+    if t in f.knots:
+        raise ValueError(f"{t} is a knot; the class has no value there")
+    i = 0
+    while i < len(f.knots) and f.knots[i] < t:
+        i += 1
+    return f.values[i]
+
+
+def _step_compose_by_scan(f, g):
+    target = mono.preimage_interior(g, f.carrier)
+    if target.is_empty:
+        raise CarrierMismatch("g never enters the carrier of f")
+    cut = set()
+    for b in mono.jumps(g):
+        if target.contains(b.x):
+            cut.add(b.x)
+    for seg in segments(g):
+        lo = max(seg.a, target.lo)
+        hi = min(seg.b, target.hi)
+        if not lo < hi:
+            continue
+        for end in (lo, hi):
+            if end.is_finite and target.contains(end.finite):
+                cut.add(end.finite)
+        if seg.slope == 0:
+            continue
+        for k in f.knots:
+            if seg.u < fin(k) < seg.v:
+                if seg.a.is_finite:
+                    x = seg.a.finite + (k - seg.u.finite) / seg.slope
+                elif seg.b.is_finite:
+                    x = seg.b.finite - (seg.v.finite - k) / seg.slope
+                else:
+                    ax, av = g.anchor
+                    x = ax + (k - av) / seg.slope
+                if target.contains(x):
+                    cut.add(x)
+    knots = sorted(cut)
+    bounds = [target.lo] + [fin(x) for x in knots] + [target.hi]
+    values = []
+    for a, b in zip(bounds, bounds[1:]):
+        probe = mono._probe_point(Interval(a, b))
+        gseg = next(seg for seg in segments(g) if seg.a <= fin(probe) < seg.b)
+        if gseg.slope == 0:
+            c = gseg.u.finite
+            if c in f.knots:
+                raise AmbiguousComposition(
+                    f"g is constant at the knot value {c} of f on a set of positive length")
+            values.append(_value_at_by_scan(f, c))
+        else:
+            values.append(_value_at_by_scan(f, evaluate(g, probe, RIGHT).finite))
+    return StepFunction(target, tuple(knots), tuple(values))
+
+
+@oracle_settings
+@given(instances())
+def test_pushforward_by_ranges_equals_all_pairs(t):
+    # Lebesgue measure crosses many segments (on the whole domain it may put
+    # infinite mass on a flat); the abs. cont. part of t's own measure has
+    # one piece per rising segment; the whole measure may put atoms on jumps
+    mu = associated_measure(t)
+    for m in (lebesgue_on(mass_interval(t), t.domain), lebesgue_on(t.domain, t.domain),
+              lebesgue_decompose(mu)[0], mu):
+        assert _outcome(pushforward, m, t) == _outcome(_pushforward_by_pairs, m, t)
+
+
+@oracle_settings
+@given(instances())
+def test_bisecting_value_at_equals_scan(g):
+    for f in (step_of_slopes(g), inverse_slope_step(g)):
+        for t in refine_grid(list(f.knots) + structural_xs(g)):
+            assert _outcome(f.value_at, t) == _outcome(_value_at_by_scan, f, t)
+
+
+@oracle_settings
+@given(instances(), st.data())
+def test_bisecting_step_compose_equals_scan(g, data):
+    # a step class on the hull of g's values, cut at some of g's levels
+    carrier = inverse_mass_interval(g)
+    if carrier.is_empty:
+        return
+    levels = [v for v in refine_grid(structural_values(g)) if carrier.contains(v)]
+    knots = sorted(data.draw(st.sets(st.sampled_from(levels))) if levels else [])
+    values = data.draw(st.lists(st.integers(min_value=0, max_value=3),
+                                min_size=len(knots) + 1, max_size=len(knots) + 1))
+    f = StepFunction(carrier, tuple(knots), tuple(rat(v) for v in values))
+    assert _outcome(step_compose, f, g) == _outcome(_step_compose_by_scan, f, g)
+

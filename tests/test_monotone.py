@@ -1,6 +1,16 @@
 import pytest
 
-from monoinv.errors import ConstantFunction, EmptyInterval, NonMonotone, UnorderedBreakpoints
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from monoinv import monotone as mono
+from monoinv.errors import (
+    ConstantFunction,
+    EmptyInterval,
+    MonoinvError,
+    NonMonotone,
+    UnorderedBreakpoints,
+)
 from monoinv.exactnum import rat
 from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, fin, open_iv
 from monoinv.laws import GenConfig, gen_monotone
@@ -9,6 +19,7 @@ from monoinv.monotone import (
     RIGHT,
     Breakpoint,
     PiecewiseMonotone,
+    _probe_point,
     constancy_set,
     equal_up_to_shift,
     evaluate,
@@ -17,10 +28,12 @@ from monoinv.monotone import (
     generalized_inverse,
     inverse_domain,
     jump_count_extended,
+    limits_at,
     mass_interval,
     refine_grid,
     regular_domain,
     restrict,
+    segments,
     structural_values,
     structural_xs,
     supporting_interval,
@@ -372,3 +385,155 @@ def test_from_knot_data_anchor_walks_both_ways():
     assert evaluate(g, 0, LEFT) == fin(rat(19, 2))
     assert evaluate(g, -1, LEFT) == fin(rat(17, 2))
     assert evaluate(g, 2, RIGHT) == fin(rat(12))
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the code they replaced
+#
+# Each function below is the earlier, slower implementation, kept here only
+# as an oracle: the cached tables, the single-pass canonicalisation, the
+# jump rows of the inverse walk and the index-range restriction must agree
+# with it on generated instances.
+
+oracle_settings = settings(max_examples=60, deadline=None,
+                           suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def instances(draw):
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    max_knots = draw(st.integers(min_value=1, max_value=12))
+    return gen_monotone(GenConfig(seed=seed, max_knots=max_knots))
+
+
+def _segments_from_scratch(g):
+    lo, hi = g.domain.lo, g.domain.hi
+    if not g.breaks:
+        ax, av = g.anchor
+        s = g.slopes[0]
+        u = fin(av - s * (ax - lo.finite)) if lo.is_finite else (
+            fin(av) if s == 0 else NEG_INF)
+        v = fin(av + s * (hi.finite - ax)) if hi.is_finite else (
+            fin(av) if s == 0 else POS_INF)
+        return [mono.Segment(lo, hi, u, v, s)]
+    out = []
+    first, s = g.breaks[0], g.slopes[0]
+    u = fin(first.left - s * (first.x - lo.finite)) if lo.is_finite else (
+        fin(first.left) if s == 0 else NEG_INF)
+    out.append(mono.Segment(lo, fin(first.x), u, fin(first.left), s))
+    for bp, nxt, s in zip(g.breaks, g.breaks[1:], g.slopes[1:]):
+        out.append(mono.Segment(fin(bp.x), fin(nxt.x), fin(bp.right), fin(nxt.left), s))
+    last, s = g.breaks[-1], g.slopes[-1]
+    v = fin(last.right + s * (hi.finite - last.x)) if hi.is_finite else (
+        fin(last.right) if s == 0 else POS_INF)
+    out.append(mono.Segment(fin(last.x), hi, fin(last.right), v, s))
+    return out
+
+
+def _inverse_jump_rows_by_limits(g):
+    """The inverse's flat rows from g's jumps, reading each jump by limits_at."""
+    rows = []
+    for seg in segments(g)[:-1]:
+        x = seg.b.finite
+        l, r = limits_at(g, x)
+        if l < r:
+            rows.append((l, r, rat(0), l.finite, x))
+    return rows
+
+
+def _canonical_by_restarts(breaks, slopes):
+    """Remove one removable knot at a time, rescanning from the left."""
+    removed = None
+    while True:
+        for j, b in enumerate(breaks):
+            if not b.is_jump and slopes[j] == slopes[j + 1]:
+                removed = b
+                breaks = breaks[:j] + breaks[j + 1:]
+                slopes = slopes[:j] + slopes[j + 1:]
+                break
+        else:
+            return breaks, slopes, removed
+
+
+def _restrict_by_scan(g, iv):
+    inner = [b for b in g.breaks if iv.contains(b.x)]
+    first_idx = 0
+    for i, seg in enumerate(segments(g)):
+        if seg.a <= iv.lo and iv.lo < seg.b:
+            first_idx = i
+            break
+    slopes = [g.slopes[first_idx]]
+    for b in inner:
+        slopes.append(g.slopes[g.breaks.index(b) + 1])
+    anchor = None
+    if not inner:
+        probe = _probe_point(iv)
+        anchor = (probe, evaluate(g, probe, RIGHT).finite)
+    return PiecewiseMonotone(iv, tuple(inner), tuple(slopes), anchor)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except MonoinvError as e:
+        return "error", type(e), str(e)
+
+
+@oracle_settings
+@given(instances())
+def test_cached_tables_equal_tables_built_from_scratch(g):
+    assert segments(g) == tuple(_segments_from_scratch(g))
+    assert segments(g) is segments(g)
+    assert g.knot_xs == tuple(b.x for b in g.breaks)
+    assert g.knot_xs is g.knot_xs
+    # the caches are not part of the value
+    rebuilt = PiecewiseMonotone(g.domain, g.breaks, g.slopes, g.anchor)
+    assert rebuilt == g and hash(rebuilt) == hash(g) and repr(rebuilt) == repr(g)
+
+
+@oracle_settings
+@given(instances())
+def test_inverse_jump_rows_equal_limits_at(g):
+    # flat rows with two finite ends come from jumps; the others are the
+    # clamps beyond finite domain ends
+    _, rows, _ = mono._inverse_tokens(g)
+    jump_rows = [row for row in rows if row[2] == 0 and row[0].is_finite and row[1].is_finite]
+    assert jump_rows == _inverse_jump_rows_by_limits(g)
+
+
+@oracle_settings
+@given(instances(), st.data())
+def test_single_pass_canonicalisation_equals_restarts(g, data):
+    # split segments at up to two interior continuity points each: knots
+    # that change nothing
+    breaks, slopes = [], [g.slopes[0]]
+    for i, seg in enumerate(segments(g)):
+        a = seg.a
+        for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+            x = _probe_point(open_iv(a, seg.b))
+            v = evaluate(g, x, RIGHT).finite
+            breaks.append(mono.Breakpoint(x, v, v))
+            slopes.append(seg.slope)
+            a = fin(x)
+        if i < len(g.breaks):
+            breaks.append(g.breaks[i])
+            slopes.append(g.slopes[i + 1])
+    anchor = None if breaks else g.anchor
+    got = PiecewiseMonotone(g.domain, tuple(breaks), tuple(slopes), anchor)
+    want_breaks, want_slopes, removed = _canonical_by_restarts(tuple(breaks), tuple(slopes))
+    assert got.breaks == want_breaks
+    assert got.slopes == want_slopes
+    if not want_breaks and anchor is None:
+        assert got.anchor == (removed.x, removed.left)
+    assert versions_equal(got, g)
+
+
+@oracle_settings
+@given(instances(), st.data())
+def test_restrict_by_index_range_equals_scan(g, data):
+    pts = [fin(x) for x in refine_grid(structural_xs(g)) if g.domain.contains(x)]
+    ends = sorted(set(pts + [g.domain.lo, g.domain.hi]))
+    i = data.draw(st.integers(min_value=0, max_value=len(ends) - 2))
+    j = data.draw(st.integers(min_value=i + 1, max_value=len(ends) - 1))
+    iv = open_iv(ends[i], ends[j])
+    assert _outcome(restrict, g, iv) == _outcome(_restrict_by_scan, g, iv)

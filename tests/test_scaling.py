@@ -1,0 +1,50 @@
+"""Derived tables are built a fixed number of times per command.
+
+Every PiecewiseMonotone builds its knot tuple and its segment table at most
+once, so the number of builds per classify / invert / qdensity depends on
+how many classes the command makes, not on how many points its input has.
+Counting builds is the deterministic stand-in for a wall-clock scaling
+bound, which would flake on a host whose speed drifts.
+"""
+
+import random
+
+import pytest
+
+from click.testing import CliRunner
+
+from monoinv import cli, monotone
+
+BUILDERS = ("_build_knot_xs", "_build_segments")
+
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    counts = dict.fromkeys(BUILDERS, 0)
+    for name in BUILDERS:
+        def counting(g, build=getattr(monotone, name), name=name):
+            counts[name] += 1
+            return build(g)
+
+        monkeypatch.setattr(monotone, name, counting)
+    return counts
+
+
+def _gaussian_samples(path, n, seed):
+    rng = random.Random(seed)
+    path.write_text("\n".join(f"{rng.gauss(0.0, 1.0):.6f}" for _ in range(n)) + "\n")
+
+
+@pytest.mark.parametrize("command", ["classify", "invert", "qdensity"])
+def test_table_builds_do_not_grow_with_points(tmp_path, build_counts, command):
+    per_size = {}
+    for n in (1000, 4000):
+        path = tmp_path / f"{n}.txt"
+        _gaussian_samples(path, n, seed=n)
+        for name in BUILDERS:
+            build_counts[name] = 0
+        result = CliRunner().invoke(cli.main, [command, "--samples", str(path)])
+        assert result.exit_code in (0, 3), result.output
+        per_size[n] = dict(build_counts)
+    assert per_size[1000] == per_size[4000]
+    assert 0 < per_size[1000]["_build_segments"] <= 10
