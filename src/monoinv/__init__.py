@@ -11,12 +11,10 @@ from monoinv.intervals import (
     NEG_INF,
     POS_INF,
     REAL_LINE,
-    ExtendedReal,
     Interval,
     closed_iv,
-    fin,
+    is_finite,
     open_iv,
-    point_iv,
 )
 from monoinv.monotone import (
     LEFT,
@@ -68,6 +66,6 @@ from monoinv.unimodal import (
     quantile_density,
     step_compose,
 )
-from monoinv.laws import CheckReport, GenConfig, LAW_IDS, gen_monotone, run_all, run_law
+from monoinv.laws import CheckReport, GenConfig, LAW_IDS, gen_monotone, run_law
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ from monoinv.errors import (
     UnknownLaw,
 )
 from monoinv.exactnum import fmt_ratio, parse_ratio, rat
-from monoinv.intervals import Interval, REAL_LINE, fin
+from monoinv.intervals import POS_INF, REAL_LINE, Interval, is_finite
 from monoinv.laws import GenConfig, LAW_IDS, run_law
 from monoinv.measure import (
     PiecewiseMeasure,
@@ -62,6 +62,7 @@ from monoinv.serialize import (
     modal_to_json,
     monotone_to_json,
     step_to_json,
+    str_to_er,
 )
 from monoinv.unimodal import classify, quantile_density
 
@@ -116,12 +117,10 @@ def _number(raw, what):
 def _endpoint(raw, what):
     if not isinstance(raw, str):
         raise _ParseError(f"{what} must be a string, got {raw!r}")
-    t = raw.strip().lower()
-    if t in ("-inf", "-infinity"):
-        return REAL_LINE.lo
-    if t in ("inf", "+inf", "infinity"):
-        return REAL_LINE.hi
-    return fin(_number(raw, what))
+    try:
+        return str_to_er(raw)
+    except ValueError as e:
+        raise _ParseError(f"bad {what}: {e}") from e
 
 
 def _list_field(doc, key):
@@ -179,9 +178,9 @@ def spec_to_measure(doc) -> PiecewiseMeasure:
             mass = _number(p["mass"], f"piece #{i} mass")
             if mass <= 0:
                 raise _SpecError(f"piece #{i} has nonpositive mass")
-            if not (lo.is_finite and hi.is_finite):
+            if not (is_finite(lo) and is_finite(hi)):
                 raise _SpecError(f"piece #{i}: mass on an infinite piece; give a density")
-            d = mass / (hi.finite - lo.finite)
+            d = mass / (hi - lo)
         pieces.append((iv, d))
 
     if not atoms and not pieces:
@@ -248,11 +247,11 @@ def _default_anchor(carrier: Interval):
     if carrier.contains(rat(0)):
         return rat(0)
     lo, hi = carrier.lo, carrier.hi
-    if lo.is_finite and hi.is_finite:
-        return (lo.finite + hi.finite) / 2
-    if lo.is_finite:
-        return lo.finite + 1
-    return hi.finite - 1
+    if is_finite(lo) and is_finite(hi):
+        return (lo + hi) / 2
+    if is_finite(lo):
+        return lo + 1
+    return hi - 1
 
 
 def _load_measure(spec_path, samples_path, header, allow_degenerate):
@@ -279,17 +278,17 @@ def _emit(body, out, stamp):
 def _plot_window(g: PiecewiseMonotone) -> tuple:
     lo, hi = g.domain.lo, g.domain.hi
     pts = structural_xs(g)
-    if not lo.is_finite:
-        lo = fin((pts[0] if pts else rat(0)) - 1)
-    if not hi.is_finite:
-        hi = fin((pts[-1] if pts else rat(0)) + 1)
-    return lo.finite, hi.finite
+    if not is_finite(lo):
+        lo = (pts[0] if pts else rat(0)) - 1
+    if not is_finite(hi):
+        hi = (pts[-1] if pts else rat(0)) + 1
+    return lo, hi
 
 
 def _csv_value(v):
-    if v.is_finite:
-        return repr(float(v.finite))
-    return "inf" if v > fin(rat(0)) else "-inf"
+    if is_finite(v):
+        return repr(float(v))
+    return "inf" if v is POS_INF else "-inf"
 
 
 def _plot_rows(g: PiecewiseMonotone, npoints: int):
@@ -307,26 +306,25 @@ def _plot_rows(g: PiecewiseMonotone, npoints: int):
 # report assembly
 
 
-def _interval_block(g: PiecewiseMonotone, inverse_side: bool) -> dict:
-    if not inverse_side:
+def _interval_block(g: PiecewiseMonotone) -> dict:
+    """Regular domain I, mass interval M and supporting interval S of g."""
+    return {
+        "I": interval_to_json(regular_domain(g)),
+        "M": interval_to_json(mass_interval(g)),
+        "S": interval_to_json(supporting_interval(g)),
+    }
+
+
+def _inverse_interval_block(f: PiecewiseMonotone, q: PiecewiseMonotone | None) -> dict:
+    """_interval_block of q, the generalized inverse of f; q is None where
+    that inverse is constant, which has no supporting interval."""
+    if q is None:
         return {
-            "I": interval_to_json(regular_domain(g)),
-            "M": interval_to_json(mass_interval(g)),
-            "S": interval_to_json(supporting_interval(g)),
-        }
-    try:
-        q = generalized_inverse(g)
-    except ConstantFunction:
-        return {
-            "I": interval_to_json(inverse_domain(g)),
-            "M": interval_to_json(inverse_mass_interval(g)),
+            "I": interval_to_json(inverse_domain(f)),
+            "M": interval_to_json(inverse_mass_interval(f)),
             "S": {"empty": True},
         }
-    return {
-        "I": interval_to_json(regular_domain(q)),
-        "M": interval_to_json(mass_interval(q)),
-        "S": interval_to_json(supporting_interval(q)),
-    }
+    return _interval_block(q)
 
 
 def _classification_block(c) -> dict:
@@ -351,18 +349,22 @@ def _build_report(m: PiecewiseMeasure, anchor) -> tuple[dict, bool]:
     if m.carrier != REAL_LINE:
         warnings.append("classification applies to the measure extended by zero to the whole line")
     abs_part, _sing = lebesgue_decompose(m)
-    try:
-        qdens = step_to_json(quantile_density(f))
-    except QfNotAbsolutelyContinuous:
+    if c.quantile_density is None:
         qdens = None
         warnings.append("the generalized inverse has an interior jump; no quantile density exists")
+    else:
+        qdens = step_to_json(c.quantile_density)
+    try:
+        q = generalized_inverse(f)
+    except ConstantFunction:
+        q = None
     report = {
         "echo": measure_to_spec_json(m),
         "anchor": fmt_ratio(anchor),
         "classification": _classification_block(c),
         "intervals": {
-            "F": _interval_block(f, inverse_side=False),
-            "Q": _interval_block(f, inverse_side=True),
+            "F": _interval_block(f),
+            "Q": _inverse_interval_block(f, q),
         },
         "decomposition": {
             "atoms": [{"x": fmt_ratio(a.x), "mass": fmt_ratio(a.mass)} for a in m.atoms],
@@ -413,6 +415,10 @@ def _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str):
 def main():
     """Exact classification of piecewise-affine distributions and replay of
     the monotone-inverse calculus."""
+    # reports print every digit of their exact values, and sums of inputs
+    # with long coprime denominators pass Python's default int-to-str limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 @main.command("classify")
@@ -442,8 +448,8 @@ def cmd_invert(spec_path, samples_path, header, allow_degenerate, anchor_str, ou
             "anchor": fmt_ratio(anchor),
             "inverse": monotone_to_json(q),
             "intervals": {
-                "F": _interval_block(f, inverse_side=False),
-                "Q": _interval_block(f, inverse_side=True),
+                "F": _interval_block(f),
+                "Q": _interval_block(q),
             },
         }
     if plot_points is not None:

@@ -39,6 +39,11 @@ def rat(num, den=1):
     return Q(num, den)
 
 
+def as_q(x):
+    """x as a rational when it is an int; any other value unchanged."""
+    return Q(x) if isinstance(x, int) else x
+
+
 ZERO = rat(0)
 ONE = rat(1)
 

@@ -1,116 +1,85 @@
-"""Extended reals and intervals with exact endpoints."""
+"""Points of the extended real line and intervals with exact endpoints.
+
+A point of the extended real line is a bare rational or one of the two
+sentinels NEG_INF and POS_INF, which order below and above every rational.
+Comparisons between finite points go straight to the rationals; a rational
+meeting a sentinel defers to it, because both backends' number types
+return NotImplemented for an operand they do not know.
+"""
 
 from __future__ import annotations
+
+import sys
 
 from dataclasses import dataclass
 
 from monoinv.errors import EmptyInterval
-from monoinv.exactnum import fmt_ratio, rat
+from monoinv.exactnum import ZERO, as_q
 
 
-class ExtendedReal:
-    """A point of the extended real line: -inf, a rational, or +inf.
+class _Infinity:
+    """-inf (sign -1) or +inf (sign 1).  Immutable; equal only to itself.
 
-    Total order: NEG_INF < any finite < POS_INF; finite values compare as
-    rationals.  Instances are immutable.
+    Ordering against anything that is not a sentinel treats it as finite.
+    Adding or subtracting a finite value leaves the sentinel unchanged;
+    inf - inf is undefined and raises ValueError.
     """
 
-    __slots__ = ("kind", "value")
+    __slots__ = ("_sign",)
 
-    def __init__(self, kind, value=None):
-        if kind not in (-1, 0, 1):
-            raise ValueError("kind must be -1, 0 or 1")
-        if (kind == 0) != (value is not None):
-            raise ValueError("finite iff a value is given")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
+    def __init__(self, sign):
+        object.__setattr__(self, "_sign", sign)
 
     def __setattr__(self, name, v):
-        raise AttributeError("ExtendedReal is immutable")
-
-    @property
-    def is_finite(self):
-        return self.kind == 0
-
-    @property
-    def finite(self):
-        if self.kind != 0:
-            raise ValueError("not a finite value")
-        return self.value
-
-    def _key(self, other):
-        if not isinstance(other, ExtendedReal):
-            other = fin(other)
-        return other
+        raise AttributeError("infinities are immutable")
 
     def __eq__(self, other):
-        if not isinstance(other, ExtendedReal):
-            return NotImplemented
-        if self.kind != other.kind:
-            return False
-        return self.kind != 0 or self.value == other.value
+        return self is other
 
     def __hash__(self):
-        return hash((self.kind, self.value))
+        return self._sign * sys.hash_info.inf
 
     def __lt__(self, other):
-        other = self._key(other)
-        if self.kind != other.kind:
-            return self.kind < other.kind
-        return self.kind == 0 and self.value < other.value
+        return self._sign < (other._sign if other.__class__ is _Infinity else 0)
 
     def __le__(self, other):
-        other = self._key(other)
-        if self.kind != other.kind:
-            return self.kind < other.kind
-        return self.kind != 0 or self.value <= other.value
+        return self._sign <= (other._sign if other.__class__ is _Infinity else 0)
 
     def __gt__(self, other):
-        return not self.__le__(other)
+        return self._sign > (other._sign if other.__class__ is _Infinity else 0)
 
     def __ge__(self, other):
-        return not self.__lt__(other)
+        return self._sign >= (other._sign if other.__class__ is _Infinity else 0)
 
     def __neg__(self):
-        if self.kind == 0:
-            return fin(-self.value)
-        return NEG_INF if self.kind == 1 else POS_INF
+        return POS_INF if self is NEG_INF else NEG_INF
 
     def __add__(self, other):
-        """Extended addition; inf + (-inf) is rejected."""
-        other = self._key(other)
-        if self.kind == 0 and other.kind == 0:
-            return fin(self.value + other.value)
-        if self.kind == 0:
-            return other
-        if other.kind == 0 or other.kind == self.kind:
-            return self
-        raise ValueError("inf - inf is undefined")
+        if other.__class__ is _Infinity and other is not self:
+            raise ValueError("inf - inf is undefined")
+        return self
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return self.__add__(-self._key(other))
+        if other is self:
+            raise ValueError("inf - inf is undefined")
+        return self
+
+    def __rsub__(self, other):
+        return -self
 
     def __repr__(self):
-        if self.kind == -1:
-            return "-inf"
-        if self.kind == 1:
-            return "inf"
-        return fmt_ratio(self.value)
+        return "inf" if self._sign > 0 else "-inf"
 
 
-NEG_INF = ExtendedReal(-1)
-POS_INF = ExtendedReal(1)
+NEG_INF = _Infinity(-1)
+POS_INF = _Infinity(1)
 
 
-def fin(q):
-    """Finite extended real from a rational (or int)."""
-    if isinstance(q, int):
-        q = rat(q)
-    return ExtendedReal(0, q)
-
-
-def as_er(x):
-    return x if isinstance(x, ExtendedReal) else fin(x)
+def is_finite(x) -> bool:
+    """True for a rational, False for NEG_INF and POS_INF."""
+    return x.__class__ is not _Infinity
 
 
 @dataclass(frozen=True)
@@ -121,52 +90,62 @@ class Interval:
     to the open (0, 0), so equality on intervals is structural.
     """
 
-    lo: ExtendedReal
-    hi: ExtendedReal
+    lo: object
+    hi: object
     lo_closed: bool = False
     hi_closed: bool = False
 
+    # A rational compared with a sentinel takes the number type's slow
+    # NotImplemented path, so the methods below skip the comparisons whose
+    # outcome an infinite end already decides.
+
     def __post_init__(self):
-        if not self.lo.is_finite and self.lo_closed:
+        lo, hi = self.lo, self.hi
+        if self.lo_closed and not is_finite(lo):
             raise ValueError("infinite endpoint cannot be closed")
-        if not self.hi.is_finite and self.hi_closed:
+        if self.hi_closed and not is_finite(hi):
             raise ValueError("infinite endpoint cannot be closed")
-        if self.lo > self.hi:
+        if (lo is NEG_INF and hi is not NEG_INF) or (hi is POS_INF and lo is not POS_INF):
+            return  # in order and nonempty
+        if lo > hi:
             raise ValueError("interval endpoints out of order")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
-            object.__setattr__(self, "lo", fin(0))
-            object.__setattr__(self, "hi", fin(0))
+        if lo == hi and not (self.lo_closed and self.hi_closed):
+            object.__setattr__(self, "lo", ZERO)
+            object.__setattr__(self, "hi", ZERO)
             object.__setattr__(self, "lo_closed", False)
             object.__setattr__(self, "hi_closed", False)
 
     @property
     def is_empty(self):
-        return self.lo == self.hi and not self.lo_closed
+        return not self.lo_closed and self.lo == ZERO and self.hi == ZERO
 
     def contains(self, x) -> bool:
-        x = as_er(x)
-        if self.is_empty:
+        # infinite ends are never closed, so no interval holds an infinity
+        if self.is_empty or not is_finite(x):
             return False
-        if x < self.lo or (x == self.lo and not self.lo_closed):
+        lo, hi = self.lo, self.hi
+        if lo is not NEG_INF and (x < lo or (x == lo and not self.lo_closed)):
             return False
-        if x > self.hi or (x == self.hi and not self.hi_closed):
+        if hi is not POS_INF and (x > hi or (x == hi and not self.hi_closed)):
             return False
         return True
 
     def contains_interval(self, other: "Interval") -> bool:
         if other.is_empty:
             return True
-        if other.lo < self.lo or (other.lo == self.lo and other.lo_closed and not self.lo_closed):
+        lo, hi = self.lo, self.hi
+        if lo is not NEG_INF and (
+                other.lo < lo or (other.lo == lo and other.lo_closed and not self.lo_closed)):
             return False
-        if other.hi > self.hi or (other.hi == self.hi and other.hi_closed and not self.hi_closed):
+        if hi is not POS_INF and (
+                other.hi > hi or (other.hi == hi and other.hi_closed and not self.hi_closed)):
             return False
         return True
 
     def closure(self) -> "Interval":
         if self.is_empty:
             return self
-        return Interval(self.lo, self.hi,
-                        self.lo.is_finite, self.hi.is_finite)
+        return Interval(self.lo, self.hi, is_finite(self.lo), is_finite(self.hi))
 
     def __repr__(self):
         if self.is_empty:
@@ -177,21 +156,16 @@ class Interval:
 
 
 REAL_LINE = Interval(NEG_INF, POS_INF)
-EMPTY = Interval(fin(0), fin(0))
+EMPTY = Interval(ZERO, ZERO)
 
 
 def open_iv(lo, hi) -> Interval:
-    return Interval(as_er(lo), as_er(hi))
+    return Interval(as_q(lo), as_q(hi))
 
 
 def closed_iv(lo, hi) -> Interval:
-    lo, hi = as_er(lo), as_er(hi)
-    return Interval(lo, hi, lo.is_finite, hi.is_finite)
-
-
-def point_iv(x) -> Interval:
-    x = as_er(x)
-    return Interval(x, x, True, True)
+    lo, hi = as_q(lo), as_q(hi)
+    return Interval(lo, hi, is_finite(lo), is_finite(hi))
 
 
 def require_open_nonempty(iv: Interval, what: str = "interval") -> Interval:

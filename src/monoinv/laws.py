@@ -22,7 +22,7 @@ from monoinv import monotone as mono
 from monoinv import serialize
 from monoinv.errors import ConstantFunction, QfNotAbsolutelyContinuous, UnknownLaw
 from monoinv.exactnum import ZERO, rat
-from monoinv.intervals import REAL_LINE, Interval, fin, open_iv
+from monoinv.intervals import REAL_LINE, Interval, open_iv
 from monoinv.measure import (
     PiecewiseMeasure,
     associated_measure,
@@ -154,8 +154,8 @@ def _rand_domain(rng, xs, kind):
     pick = rng.randrange(4) if kind == "any" else 3
     lo_ref = xs[0] if xs else rat(0)
     hi_ref = xs[-1] if xs else rat(0)
-    lo = fin(lo_ref - rng.randint(1, 3))
-    hi = fin(hi_ref + rng.randint(1, 3))
+    lo = lo_ref - rng.randint(1, 3)
+    hi = hi_ref + rng.randint(1, 3)
     if pick == 0:
         return REAL_LINE
     if pick == 1:
@@ -175,7 +175,7 @@ def _rand_xs(rng, cfg, k):
 
 def _assemble(rng, cfg, domain, xs, jump_sizes, slopes):
     if xs:
-        anchor_x = mono._probe_point(open_iv(domain.lo, fin(xs[0])))
+        anchor_x = mono._probe_point(open_iv(domain.lo, xs[0]))
     else:
         anchor_x = mono._probe_point(domain)
     anchor_value = _rand_rat(rng, min(cfg.value_bound, 50))
@@ -298,22 +298,22 @@ def _check_galois(g):
         raise _Skip
     xs = refine_grid(structural_xs(g) + structural_values(h))
     ts = refine_grid(structural_values(g) + structural_xs(h))
-    gl = [(fin(x), evaluate(g, x, LEFT)) for x in xs]
-    hr = [(fin(t), evaluate(h, t, RIGHT)) for t in ts]
-    for x_er, glx in gl:
-        for t_er, hrt in hr:
-            above = glx > t_er
-            right = x_er > hrt
+    gl = [(x, evaluate(g, x, LEFT)) for x in xs]
+    hr = [(t, evaluate(h, t, RIGHT)) for t in ts]
+    for x, glx in gl:
+        for t, hrt in hr:
+            above = glx > t
+            right = x > hrt
             if above != right:
                 raise LawFailure(
-                    f"G_l({x_er}) > {t_er} <=> {x_er} > H_r({t_er})",
-                    f"{glx} > {t_er} is {above} but {x_er} > {hrt} is {right}",
+                    f"G_l({x}) > {t} <=> {x} > H_r({t})",
+                    f"{glx} > {t} is {above} but {x} > {hrt} is {right}",
                     "strict form")
-            at_most = glx <= t_er
-            left_of = x_er <= hrt
+            at_most = glx <= t
+            left_of = x <= hrt
             if at_most != left_of:
                 raise LawFailure(
-                    f"G_l({x_er}) <= {t_er} <=> {x_er} <= H_r({t_er})",
+                    f"G_l({x}) <= {t} <=> {x} <= H_r({t})",
                     f"{at_most} vs {left_of}", "weak form")
 
 
@@ -390,10 +390,10 @@ def _check_cont_equiv(g):
         # partition of the mass interval by all structure points inside it;
         # every cell of a strictly increasing g carries positive mass
         cuts = ([m_int.lo]
-                + [fin(p) for p in structural_xs(g) if m_int.contains(p)]
+                + [p for p in structural_xs(g) if m_int.contains(p)]
                 + [m_int.hi])
         for a, b in zip(cuts, cuts[1:]):
-            if a < b and measure_of_open(mu, a, b) == fin(ZERO):
+            if a < b and measure_of_open(mu, a, b) == ZERO:
                 cont3 = False
                 break
     if not (cont1 == cont2 == cont3):
@@ -407,8 +407,8 @@ def _check_cont_equiv(g):
         for v1 in (LEFT, RIGHT):
             t = evaluate(g, x, v1)
             for v2 in (LEFT, RIGHT):
-                back = evaluate(h, t.finite, v2)
-                if back != fin(x):
+                back = evaluate(h, t, v2)
+                if back != x:
                     raise LawFailure(x, back, f"inverse of g({x}) at t={t}")
     image = open_iv(*value_bounds(h))
     if image != m_int:
@@ -443,7 +443,7 @@ def _check_rn_lemma(g):
         # m << rho: predicate vs probe of rho's null gaps
         route_a = is_abs_cont_wrt(m, rho)
         route_b = not m.atoms and all(
-            measure_of_open(m, lo, hi) == fin(ZERO)
+            measure_of_open(m, lo, hi) == ZERO
             for lo, hi in _gaps_of(rho.pieces, g.domain)
         )
         if route_a != route_b:
@@ -451,7 +451,7 @@ def _check_rn_lemma(g):
         # rho << m: predicate vs positivity of the density of the abs part
         route_c = is_abs_cont_wrt(rho, m)
         route_d = all(
-            measure_of_open(rho, a, b) == fin(ZERO)
+            measure_of_open(rho, a, b) == ZERO
             for a, b, v in dens.cells()
             if v == 0
         )
@@ -568,8 +568,8 @@ def _decompose(g):
     if g.anchor is not None:
         ax, av = g.anchor
     else:
-        ax = mono._probe_point(open_iv(g.domain.lo, fin(xs[0])))
-        av = evaluate(g, ax, RIGHT).finite
+        ax = mono._probe_point(open_iv(g.domain.lo, xs[0]))
+        av = evaluate(g, ax, RIGHT)
     return g.domain, xs, jsizes, slopes, ax, av
 
 
@@ -692,7 +692,3 @@ def run_law(law_id: str, n: int, cfg: GenConfig, negate: bool = False) -> CheckR
         small = shrink(first_witness, violates)
         report.shrunk = serialize.monotone_to_json(small)
     return report
-
-
-def run_all(n: int, cfg: GenConfig):
-    return [run_law(law, n, cfg) for law in LAW_IDS]

@@ -24,12 +24,11 @@ from monoinv.errors import (
     VersionAmbiguous,
     ZeroMeasure,
 )
-from monoinv.exactnum import ONE, ZERO, rat
+from monoinv.exactnum import ONE, ZERO, as_q
 from monoinv.intervals import (
     POS_INF,
-    ExtendedReal,
     Interval,
-    fin,
+    is_finite,
     open_iv,
     require_open_nonempty,
 )
@@ -46,18 +45,14 @@ from monoinv.monotone import (
 )
 
 
-def _q(x):
-    return rat(x) if isinstance(x, int) else x
-
-
 @dataclass(frozen=True)
 class Atom:
     x: object
     mass: object
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _q(self.x))
-        object.__setattr__(self, "mass", _q(self.mass))
+        object.__setattr__(self, "x", as_q(self.x))
+        object.__setattr__(self, "mass", as_q(self.mass))
         if self.mass <= 0:
             raise ValueError("atom mass must be positive")
 
@@ -68,14 +63,10 @@ class UniformPiece:
     density: object
 
     def __post_init__(self):
-        object.__setattr__(self, "density", _q(self.density))
+        object.__setattr__(self, "density", as_q(self.density))
         require_open_nonempty(self.interval, "uniform piece")
         if self.density <= 0:
             raise ValueError("piece density must be positive")
-
-    @property
-    def length(self) -> ExtendedReal:
-        return self.interval.hi - self.interval.lo
 
 
 @dataclass(frozen=True)
@@ -140,8 +131,8 @@ class StepFunction:
 
     def __post_init__(self):
         require_open_nonempty(self.carrier, "carrier")
-        knots = tuple(_q(k) for k in self.knots)
-        values = tuple(_q(v) for v in self.values)
+        knots = tuple(as_q(k) for k in self.knots)
+        values = tuple(as_q(v) for v in self.values)
         if len(values) != len(knots) + 1:
             raise ValueError("need one value per cell")
         for v in values:
@@ -163,12 +154,12 @@ class StepFunction:
 
     def cells(self):
         """(lo, hi, value) triples covering the carrier."""
-        bounds = [self.carrier.lo] + [fin(k) for k in self.knots] + [self.carrier.hi]
+        bounds = [self.carrier.lo, *self.knots, self.carrier.hi]
         return [(a, b, v) for a, b, v in zip(bounds, bounds[1:], self.values)]
 
     def value_at(self, t):
         """Value of the cell containing t; t must not sit on a knot."""
-        t = _q(t)
+        t = as_q(t)
         if not self.carrier.contains(t):
             raise ValueError(f"{t} outside carrier")
         i = bisect_left(self.knots, t)
@@ -188,24 +179,22 @@ def associated_measure(g: PiecewiseMonotone) -> PiecewiseMeasure:
     return PiecewiseMeasure(g.domain, tuple(atoms), tuple(pieces))
 
 
-def measure_of_open(m: PiecewiseMeasure, lo, hi) -> ExtendedReal:
-    """Exact mass of an open interval (lo, hi)."""
-    iv = open_iv(lo if isinstance(lo, ExtendedReal) else fin(_q(lo)),
-                 hi if isinstance(hi, ExtendedReal) else fin(_q(hi)))
+def measure_of_open(m: PiecewiseMeasure, lo, hi):
+    """Exact mass of an open interval (lo, hi); POS_INF when infinite."""
+    iv = open_iv(lo, hi)
     if iv.is_empty:
-        return fin(ZERO)
-    total = fin(ZERO)
+        return ZERO
+    total = ZERO
     for a in m.atoms:
-        x = fin(a.x)
-        if iv.lo < x < iv.hi:
-            total = total + fin(a.mass)
+        if iv.lo < a.x < iv.hi:
+            total = total + a.mass
     for p in m.pieces:
         lo2 = max(iv.lo, p.interval.lo)
         hi2 = min(iv.hi, p.interval.hi)
         if lo2 < hi2:
             length = hi2 - lo2
-            if length.is_finite:
-                total = total + fin(p.density * length.finite)
+            if is_finite(length):
+                total = total + p.density * length
             else:
                 return POS_INF
     return total
@@ -217,7 +206,7 @@ def distribution_function(m: PiecewiseMeasure, z) -> PiecewiseMonotone:
     Changing z shifts the result by a constant; the associated measure of
     the result is m again.
     """
-    z = _q(z)
+    z = as_q(z)
     if m.is_zero:
         raise ZeroMeasure("the zero measure corresponds to the excluded constant class")
     if not m.carrier.contains(z):
@@ -226,8 +215,8 @@ def distribution_function(m: PiecewiseMeasure, z) -> PiecewiseMonotone:
     pts = set(a.x for a in m.atoms)
     for p in m.pieces:
         for end in (p.interval.lo, p.interval.hi):
-            if end.is_finite and m.carrier.contains(end.finite):
-                pts.add(end.finite)
+            if is_finite(end) and m.carrier.contains(end):
+                pts.add(end)
     pts = sorted(pts)
     mass_at = {a.x: a.mass for a in m.atoms}
 
@@ -238,7 +227,7 @@ def distribution_function(m: PiecewiseMeasure, z) -> PiecewiseMonotone:
 
     # every finite interior piece endpoint is in pts, so a piece meeting a
     # cell covers it; cells and pieces are both sorted, walk them in lockstep
-    bounds = [m.carrier.lo] + [fin(x) for x in pts] + [m.carrier.hi]
+    bounds = [m.carrier.lo, *pts, m.carrier.hi]
     slopes = []
     pi = 0
     for a, b in zip(bounds, bounds[1:]):
@@ -291,16 +280,16 @@ def density(m: PiecewiseMeasure) -> StepFunction:
     knots, values = [], [ZERO]
     for p in m.pieces:
         lo, hi = p.interval.lo, p.interval.hi
-        if lo.is_finite and m.carrier.contains(lo.finite):
-            if knots and knots[-1] == lo.finite:
+        if is_finite(lo) and m.carrier.contains(lo):
+            if knots and knots[-1] == lo:
                 values[-1] = p.density  # piece starts where the previous one ended
             else:
-                knots.append(lo.finite)
+                knots.append(lo)
                 values.append(p.density)
         else:
             values[-1] = p.density
-        if hi.is_finite and m.carrier.contains(hi.finite):
-            knots.append(hi.finite)
+        if is_finite(hi) and m.carrier.contains(hi):
+            knots.append(hi)
             values.append(ZERO)
     return StepFunction(m.carrier, tuple(knots), tuple(values))
 
@@ -378,7 +367,7 @@ def pushforward(m: PiecewiseMeasure, t: PiecewiseMonotone) -> PiecewiseMeasure:
         if a.x in jump_xs:
             raise VersionAmbiguous(
                 f"atom at {a.x} sits on a jump of the map; the image depends on the version")
-        add_atom(evaluate(t, a.x, RIGHT).finite, a.mass)
+        add_atom(evaluate(t, a.x, RIGHT), a.mass)
 
     segs = segments(t)
     out_pieces = []
@@ -389,13 +378,13 @@ def pushforward(m: PiecewiseMeasure, t: PiecewiseMonotone) -> PiecewiseMeasure:
             hi = min(p.interval.hi, seg.b)
             if seg.slope == 0:
                 length = hi - lo
-                if not length.is_finite:
+                if not is_finite(length):
                     raise NotLocallyFinite(
                         "a flat of infinite length carries infinite mass to one point")
-                add_atom(seg.u.finite, p.density * length.finite)
+                add_atom(seg.u, p.density * length)
             else:
-                u = evaluate(t, lo.finite, RIGHT) if lo.is_finite else seg.u
-                v = evaluate(t, hi.finite, LEFT) if hi.is_finite else seg.v
+                u = evaluate(t, lo, RIGHT) if is_finite(lo) else seg.u
+                v = evaluate(t, hi, LEFT) if is_finite(hi) else seg.v
                 out_pieces.append((open_iv(u, v), p.density / seg.slope))
 
     atoms = tuple(sorted(out_atoms.items()))
@@ -419,7 +408,7 @@ def inverse_slope_step(g: PiecewiseMonotone) -> StepFunction:
     knots = []
     values = [segs[0][2]]
     for prev, cur in zip(segs, segs[1:]):
-        knots.append(prev[1].finite)
+        knots.append(prev[1])
         values.append(cur[2])
     return StepFunction(dom, tuple(knots), tuple(values))
 

@@ -9,7 +9,9 @@ below is a class operation.
 
 The representation is closed under generalized inversion, restriction and
 the measure correspondence, so the identities of the underlying theory can
-be checked segment by segment in exact rational arithmetic.
+be checked segment by segment in exact rational arithmetic.  Values of the
+extended line are bare rationals or the sentinels NEG_INF / POS_INF of
+`intervals`; knots, limits and slopes are always finite.
 """
 
 from __future__ import annotations
@@ -25,23 +27,18 @@ from monoinv.errors import (
     NonMonotone,
     UnorderedBreakpoints,
 )
-from monoinv.exactnum import ONE, ZERO, rat
+from monoinv.exactnum import ONE, ZERO, as_q, rat
 from monoinv.intervals import (
     EMPTY,
     NEG_INF,
     POS_INF,
-    ExtendedReal,
+    REAL_LINE,
     Interval,
-    as_er,
     closed_iv,
-    fin,
+    is_finite,
     open_iv,
     require_open_nonempty,
 )
-
-
-def _q(x):
-    return rat(x) if isinstance(x, int) else x
 
 
 class Version(enum.Enum):
@@ -64,9 +61,9 @@ class Breakpoint:
     right: object
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _q(self.x))
-        object.__setattr__(self, "left", _q(self.left))
-        object.__setattr__(self, "right", _q(self.right))
+        object.__setattr__(self, "x", as_q(self.x))
+        object.__setattr__(self, "left", as_q(self.left))
+        object.__setattr__(self, "right", as_q(self.right))
 
     @property
     def is_jump(self):
@@ -94,10 +91,10 @@ class PiecewiseMonotone:
     def __post_init__(self):
         require_open_nonempty(self.domain, "regular domain")
         breaks = tuple(b if isinstance(b, Breakpoint) else Breakpoint(*b) for b in self.breaks)
-        slopes = tuple(_q(s) for s in self.slopes)
+        slopes = tuple(as_q(s) for s in self.slopes)
         anchor = self.anchor
         if anchor is not None:
-            anchor = (_q(anchor[0]), _q(anchor[1]))
+            anchor = (as_q(anchor[0]), as_q(anchor[1]))
 
         if len(slopes) != len(breaks) + 1:
             raise ValueError("need exactly one slope per segment")
@@ -111,7 +108,7 @@ class PiecewiseMonotone:
             if not a.x < b.x:
                 raise UnorderedBreakpoints("breakpoints must be strictly increasing")
         if breaks:
-            if not (self.domain.lo < fin(breaks[0].x) and fin(breaks[-1].x) < self.domain.hi):
+            if not (self.domain.lo < breaks[0].x and breaks[-1].x < self.domain.hi):
                 raise UnorderedBreakpoints("breakpoints must be interior to the domain")
             for a, b, s in zip(breaks, breaks[1:], slopes[1:]):
                 if b.left != a.right + s * (b.x - a.x):
@@ -168,12 +165,13 @@ def _build_knot_xs(g: PiecewiseMonotone) -> tuple:
     return tuple(b.x for b in g.breaks)
 
 
-def _between(xs, lo: ExtendedReal, hi: ExtendedReal) -> tuple[int, int]:
+def _between(xs, lo, hi) -> tuple[int, int]:
     """(i, j) such that xs[i:j] are the points of the sorted rationals xs
-    strictly between lo and hi.  For xs = g.knot_xs, segments(g)[i:j + 1]
-    are then the segments of g that meet the open interval (lo, hi)."""
-    i = bisect_right(xs, lo.finite) if lo.is_finite else 0
-    j = bisect_left(xs, hi.finite) if hi.is_finite else len(xs)
+    strictly between the extended reals lo and hi.  For xs = g.knot_xs,
+    segments(g)[i:j + 1] are then the segments of g that meet the open
+    interval (lo, hi)."""
+    i = bisect_right(xs, lo) if is_finite(lo) else 0
+    j = bisect_left(xs, hi) if is_finite(hi) else len(xs)
     return i, j
 
 
@@ -188,12 +186,13 @@ def validate(g: PiecewiseMonotone) -> None:
 
 @dataclass(frozen=True)
 class Segment:
-    """One open affine piece: x-interval (a, b), limits u = g(a+), v = g(b-)."""
+    """One open affine piece: x-interval (a, b), limits u = g(a+), v = g(b-),
+    each an extended real."""
 
-    a: ExtendedReal
-    b: ExtendedReal
-    u: ExtendedReal
-    v: ExtendedReal
+    a: object
+    b: object
+    u: object
+    v: object
     slope: object
 
 
@@ -207,37 +206,37 @@ def _build_segments(g: PiecewiseMonotone) -> tuple[Segment, ...]:
     if not g.breaks:
         ax, av = g.anchor
         s = g.slopes[0]
-        if lo.is_finite:
-            u = fin(av - s * (ax - lo.finite))
+        if is_finite(lo):
+            u = av - s * (ax - lo)
         else:
-            u = fin(av) if s == 0 else NEG_INF
-        if hi.is_finite:
-            v = fin(av + s * (hi.finite - ax))
+            u = av if s == 0 else NEG_INF
+        if is_finite(hi):
+            v = av + s * (hi - ax)
         else:
-            v = fin(av) if s == 0 else POS_INF
+            v = av if s == 0 else POS_INF
         return (Segment(lo, hi, u, v, s),)
 
     out = []
     first = g.breaks[0]
     s = g.slopes[0]
-    if lo.is_finite:
-        u = fin(first.left - s * (first.x - lo.finite))
+    if is_finite(lo):
+        u = first.left - s * (first.x - lo)
     else:
-        u = fin(first.left) if s == 0 else NEG_INF
-    out.append(Segment(lo, fin(first.x), u, fin(first.left), s))
+        u = first.left if s == 0 else NEG_INF
+    out.append(Segment(lo, first.x, u, first.left, s))
     for bp, nxt, s in zip(g.breaks, g.breaks[1:], g.slopes[1:]):
-        out.append(Segment(fin(bp.x), fin(nxt.x), fin(bp.right), fin(nxt.left), s))
+        out.append(Segment(bp.x, nxt.x, bp.right, nxt.left, s))
     last = g.breaks[-1]
     s = g.slopes[-1]
-    if hi.is_finite:
-        v = fin(last.right + s * (hi.finite - last.x))
+    if is_finite(hi):
+        v = last.right + s * (hi - last.x)
     else:
-        v = fin(last.right) if s == 0 else POS_INF
-    out.append(Segment(fin(last.x), hi, fin(last.right), v, s))
+        v = last.right if s == 0 else POS_INF
+    out.append(Segment(last.x, hi, last.right, v, s))
     return tuple(out)
 
 
-def value_bounds(g: PiecewiseMonotone) -> tuple[ExtendedReal, ExtendedReal]:
+def value_bounds(g: PiecewiseMonotone) -> tuple:
     """(inf, sup) of g over its regular domain."""
     segs = segments(g)
     return segs[0].u, segs[-1].v
@@ -247,37 +246,38 @@ def value_bounds(g: PiecewiseMonotone) -> tuple[ExtendedReal, ExtendedReal]:
 # evaluation
 
 
-def evaluate(g: PiecewiseMonotone, x, version: Version = RIGHT) -> ExtendedReal:
-    """G_l(x) or G_r(x), exactly; outside the domain per the embedding."""
-    x = _q(x)
+def evaluate(g: PiecewiseMonotone, x, version: Version = RIGHT):
+    """G_l(x) or G_r(x), exactly, at a rational x; outside the domain per
+    the embedding (an infinite value there)."""
+    x = as_q(x)
     lo, hi = g.domain.lo, g.domain.hi
-    if lo.is_finite:
-        if x < lo.finite:
+    if is_finite(lo):
+        if x < lo:
             return NEG_INF
-        if x == lo.finite:
+        if x == lo:
             return NEG_INF if version is LEFT else segments(g)[0].u
-    if hi.is_finite:
-        if x > hi.finite:
+    if is_finite(hi):
+        if x > hi:
             return POS_INF
-        if x == hi.finite:
+        if x == hi:
             return POS_INF if version is RIGHT else segments(g)[-1].v
 
     if not g.breaks:
         ax, av = g.anchor
-        return fin(av + g.slopes[0] * (x - ax))
+        return av + g.slopes[0] * (x - ax)
     xs = g.knot_xs
     i = bisect_left(xs, x)
     if i < len(xs) and xs[i] == x:
         b = g.breaks[i]
-        return fin(b.left if version is LEFT else b.right)
+        return b.left if version is LEFT else b.right
     if i == 0:
         b = g.breaks[0]
-        return fin(b.left - g.slopes[0] * (b.x - x))
+        return b.left - g.slopes[0] * (b.x - x)
     b = g.breaks[i - 1]
-    return fin(b.right + g.slopes[i] * (x - b.x))
+    return b.right + g.slopes[i] * (x - b.x)
 
 
-def limits_at(g: PiecewiseMonotone, x) -> tuple[ExtendedReal, ExtendedReal]:
+def limits_at(g: PiecewiseMonotone, x) -> tuple:
     return evaluate(g, x, LEFT), evaluate(g, x, RIGHT)
 
 
@@ -285,12 +285,11 @@ def limits_at(g: PiecewiseMonotone, x) -> tuple[ExtendedReal, ExtendedReal]:
 # threshold scans (exact sup / inf of version level sets)
 
 
-def last_x_with_right_le(g: PiecewiseMonotone, c: ExtendedReal) -> ExtendedReal:
+def last_x_with_right_le(g: PiecewiseMonotone, c):
     """sup{x : G_r(x) <= c} over the extended line."""
-    c = as_er(c)
-    if c == NEG_INF:
+    if c is NEG_INF:
         return g.domain.lo
-    if c == POS_INF:
+    if c is POS_INF:
         return POS_INF
     e = g.domain.lo
     for seg in segments(g):
@@ -300,20 +299,19 @@ def last_x_with_right_le(g: PiecewiseMonotone, c: ExtendedReal) -> ExtendedReal:
             e = seg.b
             continue
         # strictly rising segment crossing level c
-        if seg.a.is_finite:
-            e = fin(seg.a.finite + (c.finite - seg.u.finite) / seg.slope)
+        if is_finite(seg.a):
+            e = seg.a + (c - seg.u) / seg.slope
         else:
-            e = fin(seg.b.finite - (seg.v.finite - c.finite) / seg.slope)
+            e = seg.b - (seg.v - c) / seg.slope
         break
     return e
 
 
-def first_x_with_left_ge(g: PiecewiseMonotone, c: ExtendedReal) -> ExtendedReal:
+def first_x_with_left_ge(g: PiecewiseMonotone, c):
     """inf{x : G_l(x) >= c} over the extended line."""
-    c = as_er(c)
-    if c == POS_INF:
+    if c is POS_INF:
         return g.domain.hi
-    if c == NEG_INF:
+    if c is NEG_INF:
         return NEG_INF
     e = g.domain.hi
     for seg in reversed(segments(g)):
@@ -322,10 +320,10 @@ def first_x_with_left_ge(g: PiecewiseMonotone, c: ExtendedReal) -> ExtendedReal:
         if seg.slope == 0 or seg.u >= c:
             e = seg.a
             continue
-        if seg.b.is_finite:
-            e = fin(seg.b.finite - (seg.v.finite - c.finite) / seg.slope)
+        if is_finite(seg.b):
+            e = seg.b - (seg.v - c) / seg.slope
         else:
-            e = fin(seg.a.finite + (c.finite - seg.u.finite) / seg.slope)
+            e = seg.a + (c - seg.u) / seg.slope
         break
     return e
 
@@ -347,8 +345,8 @@ def inverse_domain(g: PiecewiseMonotone) -> Interval:
     inverse's domain stops at the value bound.
     """
     m, M = value_bounds(g)
-    lo = NEG_INF if g.domain.lo.is_finite else m
-    hi = POS_INF if g.domain.hi.is_finite else M
+    lo = NEG_INF if is_finite(g.domain.lo) else m
+    hi = POS_INF if is_finite(g.domain.hi) else M
     return open_iv(lo, hi)
 
 
@@ -391,7 +389,7 @@ def flats(g: PiecewiseMonotone) -> list[tuple[Interval, object]]:
     out = []
     for seg in segments(g):
         if seg.slope == 0:
-            out.append((open_iv(seg.a, seg.b), seg.u.finite))
+            out.append((open_iv(seg.a, seg.b), seg.u))
     return out
 
 
@@ -417,9 +415,9 @@ def jumps(g: PiecewiseMonotone) -> list[Breakpoint]:
 def jump_count_extended(g: PiecewiseMonotone) -> int:
     """Jumps of the embedded function, counting the +-inf jumps at finite domain ends."""
     n = len(jumps(g))
-    if g.domain.lo.is_finite:
+    if is_finite(g.domain.lo):
         n += 1
-    if g.domain.hi.is_finite:
+    if is_finite(g.domain.hi):
         n += 1
     return n
 
@@ -436,8 +434,9 @@ def _inverse_tokens(g: PiecewiseMonotone):
     """Walk g and emit the inverse's profile.
 
     Returns (domain, segs, knots) where segs are
-    (t_lo: ER, t_hi: ER, slope, anchor_t, anchor_x) in value order and
-    knots are (t, left_x, right_x) for the interior jumps of the inverse.
+    (t_lo, t_hi, slope, anchor_t, anchor_x) in value order, with t_lo and
+    t_hi extended reals, and knots are (t, left_x, right_x) for the
+    interior jumps of the inverse.
     Flats of g whose value falls on the boundary of the inverse's domain
     become boundary behaviour rather than knots.
     """
@@ -447,22 +446,22 @@ def _inverse_tokens(g: PiecewiseMonotone):
     segs = []
     knots = []
 
-    if lo.is_finite:
+    if is_finite(lo):
         # below every value of g the inverse sticks at the left domain edge
-        segs.append((NEG_INF, m, ZERO, m.finite, lo.finite))
+        segs.append((NEG_INF, m, ZERO, m, lo))
 
     gsegs = segments(g)
     for i, seg in enumerate(gsegs):
         if seg.slope == 0:
             # a flat reaching an infinite domain end only shapes the boundary of dom
-            if seg.a != NEG_INF and seg.b != POS_INF:
-                knots.append((seg.u.finite, seg.a.finite, seg.b.finite))
+            if seg.a is not NEG_INF and seg.b is not POS_INF:
+                knots.append((seg.u, seg.a, seg.b))
         else:
             inv_slope = 1 / seg.slope
-            if seg.a.is_finite:
-                anchor_t, anchor_x = seg.u.finite, seg.a.finite
-            elif seg.b.is_finite:
-                anchor_t, anchor_x = seg.v.finite, seg.b.finite
+            if is_finite(seg.a):
+                anchor_t, anchor_x = seg.u, seg.a
+            elif is_finite(seg.b):
+                anchor_t, anchor_x = seg.v, seg.b
             else:
                 anchor_x, anchor_t = g.anchor
             segs.append((seg.u, seg.v, inv_slope, anchor_t, anchor_x))
@@ -470,10 +469,10 @@ def _inverse_tokens(g: PiecewiseMonotone):
             # segment i ends at knot i; a jump there is a flat of the inverse
             b = g.breaks[i]
             if b.is_jump:
-                segs.append((fin(b.left), fin(b.right), ZERO, b.left, b.x))
+                segs.append((b.left, b.right, ZERO, b.left, b.x))
 
-    if hi.is_finite:
-        segs.append((M, POS_INF, ZERO, M.finite, hi.finite))
+    if is_finite(hi):
+        segs.append((M, POS_INF, ZERO, M, hi))
 
     return dom, segs, knots
 
@@ -498,13 +497,12 @@ def generalized_inverse(g: PiecewiseMonotone) -> PiecewiseMonotone:
     jump_at = {t: (lx, rx) for t, lx, rx in knots}
     for prev, cur in zip(segs, segs[1:]):
         t = prev[1]
-        assert t == cur[0] and t.is_finite
-        tq = t.finite
-        if tq in jump_at:
-            lx, rx = jump_at[tq]
+        assert t == cur[0] and is_finite(t)
+        if t in jump_at:
+            lx, rx = jump_at[t]
         else:
-            lx = rx = x_at(prev, tq)
-        breaks.append(Breakpoint(tq, lx, rx))
+            lx = rx = x_at(prev, t)
+        breaks.append(Breakpoint(t, lx, rx))
         slopes.append(cur[2])
 
     anchor = None
@@ -518,12 +516,12 @@ def generalized_inverse(g: PiecewiseMonotone) -> PiecewiseMonotone:
 def _probe_point(iv: Interval):
     """A canonical rational strictly inside a nonempty open interval."""
     lo, hi = iv.lo, iv.hi
-    if lo.is_finite and hi.is_finite:
-        return (lo.finite + hi.finite) / 2
-    if lo.is_finite:
-        return lo.finite + 1
-    if hi.is_finite:
-        return hi.finite - 1
+    if is_finite(lo) and is_finite(hi):
+        return (lo + hi) / 2
+    if is_finite(lo):
+        return lo + 1
+    if is_finite(hi):
+        return hi - 1
     return rat(0)
 
 
@@ -543,7 +541,7 @@ def restrict(g: PiecewiseMonotone, iv: Interval) -> PiecewiseMonotone:
     anchor = None
     if i == j:
         probe = _probe_point(iv)
-        anchor = (probe, evaluate(g, probe, RIGHT).finite)
+        anchor = (probe, evaluate(g, probe, RIGHT))
     return PiecewiseMonotone(iv, g.breaks[i:j], g.slopes[i:j + 1], anchor)
 
 
@@ -578,20 +576,18 @@ def extend_to_real_line(g: PiecewiseMonotone) -> PiecewiseMonotone:
     This realizes the zero-extension of the associated measure to the whole
     line; the interior structure is unchanged.
     """
-    from monoinv.intervals import REAL_LINE
-
     if g.domain == REAL_LINE:
         return g
     segs = segments(g)
     breaks = list(g.breaks)
     slopes = list(g.slopes)
-    if g.domain.lo.is_finite:
-        u = segs[0].u.finite
-        breaks.insert(0, Breakpoint(g.domain.lo.finite, u, u))
+    if is_finite(g.domain.lo):
+        u = segs[0].u
+        breaks.insert(0, Breakpoint(g.domain.lo, u, u))
         slopes.insert(0, ZERO)
-    if g.domain.hi.is_finite:
-        v = segs[-1].v.finite
-        breaks.append(Breakpoint(g.domain.hi.finite, v, v))
+    if is_finite(g.domain.hi):
+        v = segs[-1].v
+        breaks.append(Breakpoint(g.domain.hi, v, v))
         slopes.append(ZERO)
     return PiecewiseMonotone(REAL_LINE, tuple(breaks), tuple(slopes), None)
 
@@ -603,10 +599,10 @@ def from_knot_data(domain: Interval, xs, jumps, slopes, anchor_x, anchor_value) 
     function value there.  Limits at every knot are derived by walking the
     affine pieces outwards from the anchor.
     """
-    xs = [_q(x) for x in xs]
-    jumps_ = [_q(j) for j in jumps]
-    slopes = [_q(s) for s in slopes]
-    anchor_x, anchor_value = _q(anchor_x), _q(anchor_value)
+    xs = [as_q(x) for x in xs]
+    jumps_ = [as_q(j) for j in jumps]
+    slopes = [as_q(s) for s in slopes]
+    anchor_x, anchor_value = as_q(anchor_x), as_q(anchor_value)
     if len(xs) != len(jumps_) or len(slopes) != len(xs) + 1:
         raise ValueError("need one jump per knot and one slope per segment")
     if anchor_x in xs:
@@ -640,8 +636,8 @@ def structural_xs(g: PiecewiseMonotone) -> list:
     """Finite x-coordinates where the structure of g changes."""
     pts = set(g.knot_xs)
     for end in (g.domain.lo, g.domain.hi):
-        if end.is_finite:
-            pts.add(end.finite)
+        if is_finite(end):
+            pts.add(end)
     if g.anchor is not None:
         pts.add(g.anchor[0])
     return sorted(pts)
@@ -655,8 +651,8 @@ def structural_values(g: PiecewiseMonotone) -> list:
         vals.add(b.right)
     m, M = value_bounds(g)
     for v in (m, M):
-        if v.is_finite:
-            vals.add(v.finite)
+        if is_finite(v):
+            vals.add(v)
     if g.anchor is not None:
         vals.add(g.anchor[1])
     return sorted(vals)

@@ -8,26 +8,26 @@ never emitted as JSON floats, so serialized values round-trip bit-exactly.
 from __future__ import annotations
 
 from monoinv.exactnum import fmt_ratio, parse_ratio
-from monoinv.intervals import NEG_INF, POS_INF, ExtendedReal, Interval, fin
+from monoinv.intervals import NEG_INF, POS_INF, Interval
 from monoinv.measure import PiecewiseMeasure, StepFunction
 from monoinv.monotone import Breakpoint, PiecewiseMonotone
 
 
-def er_to_str(x: ExtendedReal) -> str:
-    if x == NEG_INF:
+def er_to_str(x) -> str:
+    if x is NEG_INF:
         return "-inf"
-    if x == POS_INF:
+    if x is POS_INF:
         return "inf"
-    return fmt_ratio(x.finite)
+    return fmt_ratio(x)
 
 
-def str_to_er(s: str) -> ExtendedReal:
+def str_to_er(s: str):
     t = s.strip().lower()
     if t in ("-inf", "-infinity"):
         return NEG_INF
     if t in ("inf", "+inf", "infinity"):
         return POS_INF
-    return fin(parse_ratio(s))
+    return parse_ratio(s)
 
 
 def interval_to_json(iv: Interval) -> dict:

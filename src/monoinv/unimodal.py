@@ -10,6 +10,8 @@ equivalences exhaustively.
 
 from __future__ import annotations
 
+import operator
+
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -21,14 +23,7 @@ from monoinv.errors import (
     QfNotAbsolutelyContinuous,
 )
 from monoinv.exactnum import ZERO
-from monoinv.intervals import (
-    NEG_INF,
-    POS_INF,
-    ExtendedReal,
-    Interval,
-    as_er,
-    fin,
-)
+from monoinv.intervals import NEG_INF, POS_INF, Interval, is_finite
 from monoinv.measure import (
     StepFunction,
     gen_inverse_abs_cont,
@@ -49,40 +44,57 @@ from monoinv.monotone import (
 class ModalInterval:
     """Closed interval of admissible modes; endpoints may be infinite."""
 
-    lo: ExtendedReal
-    hi: ExtendedReal
+    lo: object
+    hi: object
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError("modal interval endpoints out of order")
 
     def contains(self, x) -> bool:
-        x = as_er(x)
         return self.lo <= x <= self.hi
 
     def __repr__(self):
         return f"ModalInterval[{self.lo}, {self.hi}]"
 
 
-def _cells(f: StepFunction, extend_by_zero: bool):
-    """(value, lo, hi) cells of the step class, optionally bracketed by
-    zero-valued cells where the carrier has finite ends."""
-    cells = [(v, a, b) for a, b, v in f.cells()]
+def _switch_hull(values, bounds, rise_first: bool) -> ModalInterval | None:
+    """Where a sequence of cell values switches direction.
+
+    Cell i spans (bounds[i], bounds[i + 1]).  With rise_first the values
+    must be non-decreasing up to some cell and non-increasing from it on
+    (non-increasing, then non-decreasing without rise_first).  The cells
+    where that switch can happen form the run of maximal (minimal) values;
+    returns the closed hull of that run, or None when the sequence has no
+    such shape.
+    """
+    ordered = operator.le if rise_first else operator.ge
+    n = len(values)
+    prefix = [True] * n
+    for i in range(1, n):
+        prefix[i] = prefix[i - 1] and ordered(values[i - 1], values[i])
+    suffix = [True] * n
+    for i in range(n - 2, -1, -1):
+        suffix[i] = suffix[i + 1] and ordered(values[i + 1], values[i])
+    switch = [i for i in range(n) if prefix[i] and suffix[i]]
+    if not switch:
+        return None
+    return ModalInterval(bounds[switch[0]], bounds[switch[-1] + 1])
+
+
+def _step_cells(f: StepFunction, extend_by_zero: bool):
+    """Values and bounds of the cells of the step class, optionally bracketed
+    by zero-valued cells where the carrier has finite ends."""
+    values = list(f.values)
+    bounds = [f.carrier.lo, *f.knots, f.carrier.hi]
     if extend_by_zero:
-        if f.carrier.lo.is_finite:
-            cells.insert(0, (ZERO, NEG_INF, f.carrier.lo))
-        if f.carrier.hi.is_finite:
-            cells.append((ZERO, f.carrier.hi, POS_INF))
-    return cells
-
-
-def _peak_interval(cells, prefer_max: bool):
-    """Closure of the argmax (argmin) cell run; the run is contiguous for a
-    quasi-concave (-convex) sequence."""
-    values = [c[0] for c in cells]
-    target = max(values) if prefer_max else min(values)
-    idx = [i for i, v in enumerate(values) if v == target]
-    return ModalInterval(cells[idx[0]][1], cells[idx[-1]][2])
+        if is_finite(f.carrier.lo):
+            values.insert(0, ZERO)
+            bounds.insert(0, NEG_INF)
+        if is_finite(f.carrier.hi):
+            values.append(ZERO)
+            bounds.append(POS_INF)
+    return values, bounds
 
 
 def is_quasi_concave(f: StepFunction, extend_by_zero: bool) -> tuple[bool, ModalInterval | None]:
@@ -92,58 +104,25 @@ def is_quasi_concave(f: StepFunction, extend_by_zero: bool) -> tuple[bool, Modal
     non-increasing.  Returns the closed modal interval (argmax closure)
     when true.
     """
-    cells = _cells(f, extend_by_zero)
-    values = [c[0] for c in cells]
-    n = len(values)
-    up = [True] * n
-    for i in range(1, n):
-        up[i] = up[i - 1] and values[i - 1] <= values[i]
-    down = [True] * n
-    for i in range(n - 2, -1, -1):
-        down[i] = down[i + 1] and values[i] >= values[i + 1]
-    if not any(up[i] and down[i] for i in range(n)):
-        return False, None
-    return True, _peak_interval(cells, prefer_max=True)
+    hull = _switch_hull(*_step_cells(f, extend_by_zero), rise_first=True)
+    return hull is not None, hull
 
 
 def is_quasi_convex(f: StepFunction) -> tuple[bool, ModalInterval | None]:
     """Dual of is_quasi_concave: non-increasing then non-decreasing cells;
     modal interval is the argmin closure.  No zero extension: quantile
     densities are unconstrained at the boundary."""
-    cells = _cells(f, extend_by_zero=False)
-    values = [c[0] for c in cells]
-    n = len(values)
-    down = [True] * n
-    for i in range(1, n):
-        down[i] = down[i - 1] and values[i - 1] >= values[i]
-    up = [True] * n
-    for i in range(n - 2, -1, -1):
-        up[i] = up[i + 1] and values[i] <= values[i + 1]
-    if not any(down[i] and up[i] for i in range(n)):
-        return False, None
-    return True, _peak_interval(cells, prefer_max=False)
+    hull = _switch_hull(*_step_cells(f, extend_by_zero=False), rise_first=False)
+    return hull is not None, hull
 
 
 # ---------------------------------------------------------------------------
 # shape analysis of the function itself
 
 
-def _admissible_mode_hull(g: PiecewiseMonotone) -> ModalInterval | None:
-    """Closed hull of all mode positions admissible by the slopes alone:
-    slopes non-decreasing left of the mode, non-increasing right of it."""
-    slopes = g.slopes
-    n = len(slopes)
-    prefix = [True] * n
-    for i in range(1, n):
-        prefix[i] = prefix[i - 1] and slopes[i - 1] <= slopes[i]
-    suffix = [True] * n
-    for i in range(n - 2, -1, -1):
-        suffix[i] = suffix[i + 1] and slopes[i] >= slopes[i + 1]
-    valid = [i for i in range(n) if prefix[i] and suffix[i]]
-    if not valid:
-        return None
-    bounds = [g.domain.lo] + [fin(x) for x in g.knot_xs] + [g.domain.hi]
-    return ModalInterval(bounds[valid[0]], bounds[valid[-1] + 1])
+def _slope_hull(g: PiecewiseMonotone, rise_first: bool) -> ModalInterval | None:
+    """_switch_hull of the slopes of g over its segments."""
+    return _switch_hull(g.slopes, [g.domain.lo, *g.knot_xs, g.domain.hi], rise_first)
 
 
 @dataclass(frozen=True)
@@ -161,6 +140,7 @@ class Classification:
     quantile_modes: ModalInterval | None
     atom_at_mode: tuple | None
     qf_absolutely_continuous: bool
+    quantile_density: StepFunction | None = None
 
     def __post_init__(self):
         if self.cdf_unimodal:
@@ -185,7 +165,9 @@ def classify(f: PiecewiseMonotone) -> Classification:
     """
     g = extend_to_real_line(f)
 
-    hull = _admissible_mode_hull(g)
+    # admissible modes by the slopes alone: non-decreasing left of the mode,
+    # non-increasing right of it
+    hull = _slope_hull(g, rise_first=True)
     gjumps = jumps(g)
     cdf_unimodal = False
     modes = None
@@ -198,7 +180,7 @@ def classify(f: PiecewiseMonotone) -> Classification:
             b = gjumps[0]
             if hull.contains(b.x):
                 cdf_unimodal = True
-                modes = ModalInterval(fin(b.x), fin(b.x))
+                modes = ModalInterval(b.x, b.x)
                 atom_at_mode = (b.x, b.right - b.left)
 
     dens_ok, _ = is_quasi_concave(step_of_slopes(g), extend_by_zero=True)
@@ -208,6 +190,7 @@ def classify(f: PiecewiseMonotone) -> Classification:
         qdens = inverse_slope_step(g)
         quantile_unimodal, quantile_modes = is_quasi_convex(qdens)
     else:
+        qdens = None
         quantile_unimodal, quantile_modes = False, None
 
     return Classification(
@@ -218,6 +201,7 @@ def classify(f: PiecewiseMonotone) -> Classification:
         quantile_modes=quantile_modes,
         atom_at_mode=atom_at_mode,
         qf_absolutely_continuous=qf_ac,
+        quantile_density=qdens,
     )
 
 
@@ -231,19 +215,8 @@ def qf_shape_check(q: PiecewiseMonotone) -> tuple[bool, ModalInterval | None]:
     """
     if jumps(q):
         return False, None
-    slopes = q.slopes
-    n = len(slopes)
-    prefix = [True] * n
-    for i in range(1, n):
-        prefix[i] = prefix[i - 1] and slopes[i - 1] >= slopes[i]
-    suffix = [True] * n
-    for i in range(n - 2, -1, -1):
-        suffix[i] = suffix[i + 1] and slopes[i] <= slopes[i + 1]
-    valid = [i for i in range(n) if prefix[i] and suffix[i]]
-    if not valid:
-        return False, None
-    bounds = [q.domain.lo] + [fin(x) for x in q.knot_xs] + [q.domain.hi]
-    return True, ModalInterval(bounds[valid[0]], bounds[valid[-1] + 1])
+    hull = _slope_hull(q, rise_first=False)
+    return hull is not None, hull
 
 
 def quantile_density(f: PiecewiseMonotone) -> StepFunction:
@@ -285,16 +258,16 @@ def step_compose(f: StepFunction, g: PiecewiseMonotone) -> StepFunction:
         if not lo < hi:
             continue
         for end in (lo, hi):
-            if end.is_finite and target.contains(end.finite):
-                cut.add(end.finite)
+            if is_finite(end) and target.contains(end):
+                cut.add(end)
         if seg.slope == 0:
             continue
         i, j = mono._between(f.knots, seg.u, seg.v)
         for k in f.knots[i:j]:
-            if seg.a.is_finite:
-                x = seg.a.finite + (k - seg.u.finite) / seg.slope
-            elif seg.b.is_finite:
-                x = seg.b.finite - (seg.v.finite - k) / seg.slope
+            if is_finite(seg.a):
+                x = seg.a + (k - seg.u) / seg.slope
+            elif is_finite(seg.b):
+                x = seg.b - (seg.v - k) / seg.slope
             else:
                 ax, av = g.anchor  # single segment spanning the line
                 x = ax + (k - av) / seg.slope
@@ -302,17 +275,17 @@ def step_compose(f: StepFunction, g: PiecewiseMonotone) -> StepFunction:
                 cut.add(x)
 
     knots = sorted(cut)
-    bounds = [target.lo] + [fin(x) for x in knots] + [target.hi]
+    bounds = [target.lo, *knots, target.hi]
     values = []
     for a, b in zip(bounds, bounds[1:]):
         probe = mono._probe_point(Interval(a, b))
         gseg = segs[bisect_right(g.knot_xs, probe)]
         if gseg.slope == 0:
-            c = gseg.u.finite
+            c = gseg.u
             if c in f.knots:
                 raise AmbiguousComposition(
                     f"g is constant at the knot value {c} of f on a set of positive length")
             values.append(f.value_at(c))
         else:
-            values.append(f.value_at(mono.evaluate(g, probe, mono.RIGHT).finite))
+            values.append(f.value_at(mono.evaluate(g, probe, mono.RIGHT)))
     return StepFunction(target, tuple(knots), tuple(values))

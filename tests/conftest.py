@@ -1,3 +1,10 @@
+import importlib.util
+import os
+import shlex
+import shutil
+import subprocess
+import sysconfig
+
 import pytest
 
 from monoinv.exactnum import rat
@@ -63,3 +70,58 @@ def fixd_measure():
 @pytest.fixture
 def fixd(fixd_measure):
     return distribution_function(fixd_measure, -1)
+
+
+# ---------------------------------------------------------------------------
+# the compiled backend, built from the tracked _ratcore.c
+
+
+SRC_PACKAGE = os.path.join(os.path.dirname(__file__), "..", "src", "monoinv")
+
+
+def _compiler():
+    return shlex.split(sysconfig.get_config_var("CC") or "cc")
+
+
+@pytest.fixture(scope="session")
+def compiled_package(tmp_path_factory):
+    """A copy of the monoinv package with _ratcore compiled into it from the
+    tracked _ratcore.c, using the C compiler and flags Python was built with.
+
+    Returns the directory to put on PYTHONPATH.  Skips only when no C
+    compiler is present; a compiler that fails is a test failure.
+    """
+    cc = _compiler()
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler: {cc[0]!r} (sysconfig CC) is not on PATH, "
+                    "so the compiled backend cannot be built")
+    root = tmp_path_factory.mktemp("compiled")
+    package = root / "monoinv"
+    shutil.copytree(SRC_PACKAGE, package,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.pyd"))
+    scratch = root / "tmp"
+    scratch.mkdir()
+    target = package / ("_ratcore" + sysconfig.get_config_var("EXT_SUFFIX"))
+    cmd = [
+        *cc,
+        *shlex.split(sysconfig.get_config_var("CFLAGS") or ""),
+        *shlex.split(sysconfig.get_config_var("CCSHARED") or "-fPIC"),
+        "-shared", "-I", sysconfig.get_paths()["include"],
+        str(package / "_ratcore.c"), "-o", str(target),
+    ]
+    proc = subprocess.run(cmd, capture_output=True, text=True,
+                          env=dict(os.environ, TMPDIR=str(scratch)))
+    assert proc.returncode == 0, f"kernel build failed:\n{proc.stderr[-2000:]}"
+    return str(root)
+
+
+@pytest.fixture(scope="session")
+def compiled_rat(compiled_package):
+    """The Rat type of the kernel built by compiled_package, loaded without
+    registering it as monoinv._ratcore in this process."""
+    path = os.path.join(compiled_package, "monoinv",
+                        "_ratcore" + sysconfig.get_config_var("EXT_SUFFIX"))
+    spec = importlib.util.spec_from_file_location("_ratcore", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Rat

@@ -13,6 +13,7 @@ import sys
 import time
 
 from monoinv.errors import ConstantFunction
+from monoinv.intervals import is_finite
 from monoinv.laws import GenConfig, gen_monotone, run_law
 from monoinv.laws import _REGISTRY, _law_salt
 from monoinv.measure import step_of_slopes
@@ -79,7 +80,7 @@ def test_criterion_2_main_equivalence_10k():
         g = gen(rng, CFG)
         with_jumps += bool(jumps(g))
         with_flats += bool(flats(g))
-        infinite_domain += not (g.domain.lo.is_finite or g.domain.hi.is_finite)
+        infinite_domain += not (is_finite(g.domain.lo) or is_finite(g.domain.hi))
     assert with_jumps > 50 and with_flats > 50 and infinite_domain == 500
     assert elapsed < 60.0
     _report("2 (main equivalence, n=10000)", f"{elapsed:.1f}s, eligible={rep.eligible}")

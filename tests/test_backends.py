@@ -1,0 +1,70 @@
+"""Both numeric backends give byte-identical results.
+
+The compiled kernel is built from the tracked _ratcore.c (conftest's
+compiled_package); each run is a subprocess with MONOINV_BACKEND forced, so
+no run can fall back to the other backend.  Compared: the full `verify`
+report at a fixed seed, and every report of the golden corpus.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+TESTS = os.path.dirname(__file__)
+SRC = os.path.join(TESTS, "..", "src")
+DATA = os.path.join(TESTS, "data")
+GOLDEN = os.path.join(DATA, "golden")
+
+with open(os.path.join(GOLDEN, "cases.json"), encoding="utf-8") as _fh:
+    CASES = json.load(_fh)
+
+
+def _run(backend, pythonpath, *args):
+    env = dict(os.environ, MONOINV_BACKEND=backend, PYTHONPATH=pythonpath)
+    return subprocess.run([sys.executable, "-m", "monoinv", *args], capture_output=True, env=env)
+
+
+def _both(compiled_package, *args):
+    pure = _run("pure", SRC, *args)
+    compiled = _run("compiled", compiled_package, *args)
+    return pure, compiled
+
+
+def test_compiled_run_uses_the_kernel(compiled_package):
+    env = dict(os.environ, MONOINV_BACKEND="compiled", PYTHONPATH=compiled_package)
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import monoinv.exactnum as e; print(e.BACKEND, e.Q.__module__, e.Q.__name__)"],
+        capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["compiled", "monoinv._ratcore", "Rat"]
+
+
+def test_verify_reports_are_identical(compiled_package):
+    args = ("verify", "--law", "all", "--n", "200", "--seed", "20260808")
+    pure, compiled = _both(compiled_package, *args)
+    assert pure.returncode == 0, pure.stderr.decode()
+    assert json.loads(pure.stdout)["passed"] is True
+    assert (compiled.returncode, compiled.stderr) == (pure.returncode, pure.stderr)
+    assert compiled.stdout == pure.stdout
+
+
+def _input_args(name):
+    spec = os.path.join(GOLDEN, f"{name}.json")
+    if os.path.exists(spec):
+        return ["--spec", spec]
+    return ["--samples", os.path.join(DATA, f"{name}.csv")]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[f"{c['input']}-{c['command']}" for c in CASES])
+def test_golden_reports_are_identical(compiled_package, case):
+    pure, compiled = _both(compiled_package, case["command"], *_input_args(case["input"]))
+    with open(os.path.join(GOLDEN, f"{case['input']}.{case['command']}.out"), "rb") as fh:
+        want = fh.read()
+    for r in (pure, compiled):
+        assert r.returncode == case["exit"]
+        assert r.stderr.decode() == case["stderr"]
+        assert r.stdout == want

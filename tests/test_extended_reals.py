@@ -1,0 +1,114 @@
+"""The extended-real protocol the core relies on, on both number types.
+
+A point of the extended real line is a bare rational or NEG_INF / POS_INF.
+Mixed comparisons and arithmetic work only because both fractions.Fraction
+and the compiled Rat return NotImplemented for an operand they do not know,
+so that Python hands the operation to the sentinel.  These tests pin that,
+for Fraction always and for Rat when the kernel can be built here.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from monoinv.intervals import NEG_INF, POS_INF, Interval, is_finite, open_iv
+
+BIG = 10**400
+NUMBERS = [(0, 1), (1, 3), (-1, 3), (BIG, 1), (-BIG, 1), (1, BIG), (-1, BIG)]
+
+
+@pytest.fixture(params=["Fraction", "Rat"])
+def Q(request):
+    if request.param == "Fraction":
+        return Fraction
+    return request.getfixturevalue("compiled_rat")
+
+
+@pytest.fixture(params=NUMBERS, ids=[f"{'-' if n < 0 else ''}{'big' if abs(n) == BIG else abs(n)}"
+                                     f"/{'big' if d == BIG else d}" for n, d in NUMBERS])
+def q(Q, request):
+    return Q(*request.param)
+
+
+def test_sentinels_order_around_every_rational(q):
+    assert NEG_INF < q < POS_INF
+    assert q > NEG_INF and POS_INF > q
+    assert NEG_INF <= q <= POS_INF
+    assert q >= NEG_INF and POS_INF >= q
+    assert not (q < NEG_INF or q <= NEG_INF or POS_INF < q or POS_INF <= q)
+    assert not (q > POS_INF or q >= POS_INF or NEG_INF > q or NEG_INF >= q)
+
+
+def test_sentinels_order_among_themselves():
+    assert NEG_INF < POS_INF and POS_INF > NEG_INF
+    assert NEG_INF <= NEG_INF and POS_INF >= POS_INF
+    assert not (POS_INF < POS_INF or NEG_INF > NEG_INF or POS_INF <= NEG_INF)
+
+
+def test_equality_with_rationals_is_false_both_ways(q):
+    for inf in (NEG_INF, POS_INF):
+        assert not (q == inf) and not (inf == q)
+        assert q != inf and inf != q
+    assert POS_INF == POS_INF and NEG_INF == NEG_INF and NEG_INF != POS_INF
+    assert q == q and not (q != q)
+
+
+def test_finite_arithmetic_is_absorbed(q):
+    assert q + POS_INF is POS_INF and POS_INF + q is POS_INF
+    assert q + NEG_INF is NEG_INF and NEG_INF + q is NEG_INF
+    assert POS_INF - q is POS_INF and NEG_INF - q is NEG_INF
+    assert q - NEG_INF is POS_INF and q - POS_INF is NEG_INF
+    assert -POS_INF is NEG_INF and -NEG_INF is POS_INF
+
+
+def test_infinite_arithmetic():
+    assert POS_INF + POS_INF is POS_INF and NEG_INF + NEG_INF is NEG_INF
+    assert POS_INF - NEG_INF is POS_INF and NEG_INF - POS_INF is NEG_INF
+    for a, b in ((POS_INF, POS_INF), (NEG_INF, NEG_INF)):
+        with pytest.raises(ValueError, match="inf - inf"):
+            a - b
+    for a, b in ((POS_INF, NEG_INF), (NEG_INF, POS_INF)):
+        with pytest.raises(ValueError, match="inf - inf"):
+            a + b
+
+
+def test_min_max_sorted_on_mixed_lists(Q, q):
+    other = q + Q(1, 7)
+    mixed = [POS_INF, other, NEG_INF, q]
+    assert sorted(mixed) == [NEG_INF, q, other, POS_INF]
+    assert sorted(mixed, reverse=True) == [POS_INF, other, q, NEG_INF]
+    assert min(mixed) is NEG_INF and max(mixed) is POS_INF
+    assert min([POS_INF, q]) is q and max([NEG_INF, q]) is q
+    assert max(q, NEG_INF) is q and min(q, POS_INF) is q
+    assert sorted([(POS_INF, 0), (q, 1), (NEG_INF, 2)]) == [(NEG_INF, 2), (q, 1), (POS_INF, 0)]
+
+
+def test_hashing_and_dict_keys(Q, q):
+    assert hash(POS_INF) == hash(POS_INF) and hash(NEG_INF) != hash(POS_INF)
+    table = {POS_INF: "hi", NEG_INF: "lo", q: "q"}
+    assert table[POS_INF] == "hi" and table[NEG_INF] == "lo"
+    assert table[q] == "q" and table[q + Q(0)] == "q"
+    assert len({POS_INF, NEG_INF, q, q + Q(0), POS_INF}) == 3
+
+
+def test_is_finite(q):
+    assert is_finite(q)
+    assert not is_finite(POS_INF) and not is_finite(NEG_INF)
+
+
+def test_sentinels_are_immutable():
+    with pytest.raises(AttributeError):
+        POS_INF._sign = -1
+    assert repr(POS_INF) == "inf" and repr(NEG_INF) == "-inf"
+
+
+def test_intervals_mix_rationals_and_sentinels(Q, q):
+    right = open_iv(q, POS_INF)
+    assert right.contains(q + 1) and not right.contains(q) and not right.contains(POS_INF)
+    assert Interval(NEG_INF, POS_INF).contains_interval(right)
+    assert not right.contains_interval(Interval(NEG_INF, q))
+    with pytest.raises(ValueError, match="infinite endpoint"):
+        Interval(q, POS_INF, True, True)
+    with pytest.raises(ValueError, match="out of order"):
+        Interval(POS_INF, q)
+    assert Interval(q, q).is_empty

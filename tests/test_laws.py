@@ -1,6 +1,7 @@
 import pytest
 
 from monoinv.errors import UnknownLaw
+from monoinv.intervals import is_finite
 from monoinv.laws import LAW_IDS, CheckReport, GenConfig, gen_monotone, run_law
 from monoinv.monotone import flats, jumps, validate, versions_equal
 from monoinv.serialize import json_to_monotone, monotone_to_json
@@ -32,7 +33,7 @@ def test_gen_flags_across_seeds():
         assert not flats(g)
         gf = gen_monotone(GenConfig(seed=seed, max_knots=4,
                                     allow_infinite_domain=False))
-        assert gf.domain.lo.is_finite and gf.domain.hi.is_finite
+        assert is_finite(gf.domain.lo) and is_finite(gf.domain.hi)
 
 
 def test_force_unimodal_generator_oracle():

@@ -16,7 +16,7 @@ from monoinv.errors import (
     ZeroMeasure,
 )
 from monoinv.exactnum import ZERO, rat
-from monoinv.intervals import REAL_LINE, Interval, fin, open_iv
+from monoinv.intervals import REAL_LINE, Interval, is_finite, open_iv
 from monoinv.laws import GenConfig, gen_monotone
 from monoinv.measure import (
     PiecewiseMeasure,
@@ -74,10 +74,10 @@ def pushforward_oracle(m, t, lo, hi):
     preimage, computed by solving each affine piece of t independently."""
     from monoinv.monotone import first_x_with_left_ge, last_x_with_right_le
 
-    a = last_x_with_right_le(t, fin(lo))
-    b = first_x_with_left_ge(t, fin(hi))
+    a = last_x_with_right_le(t, lo)
+    b = first_x_with_left_ge(t, hi)
     if not a < b:
-        return fin(rat(0))
+        return rat(0)
     return measure_of_open(m, a, b)
 
 
@@ -121,16 +121,16 @@ def test_distribution_function_of_lebesgue_is_identity():
     g = distribution_function(m, 0)
     assert not g.breaks
     assert g.slopes == (rat(1),)
-    assert evaluate(g, 0, RIGHT) == fin(rat(0))
-    assert evaluate(g, 7, RIGHT) == fin(rat(7))
+    assert evaluate(g, 0, RIGHT) == rat(0)
+    assert evaluate(g, 7, RIGHT) == rat(7)
 
 
 def test_distribution_function_of_atom():
     m = PiecewiseMeasure(REAL_LINE, ((0, 1),), ())
     g = distribution_function(m, -1)
-    assert evaluate(g, -1, RIGHT) == fin(rat(0))
-    assert evaluate(g, 0, LEFT) == fin(rat(0))
-    assert evaluate(g, 0, RIGHT) == fin(rat(1))
+    assert evaluate(g, -1, RIGHT) == rat(0)
+    assert evaluate(g, 0, LEFT) == rat(0)
+    assert evaluate(g, 0, RIGHT) == rat(1)
 
 
 def test_distribution_function_round_trip_fixd(fixd_measure, fixd):
@@ -170,8 +170,8 @@ def test_distribution_function_with_atom_at_anchor():
     m = PiecewiseMeasure(REAL_LINE, ((0, 1),), ((open_iv(0, 1), 1),))
     f = distribution_function(m, 0)
     # the right version vanishes at the anchor; the atom shows up on the left
-    assert evaluate(f, 0, RIGHT) == fin(rat(0))
-    assert evaluate(f, 0, LEFT) == fin(rat(-1))
+    assert evaluate(f, 0, RIGHT) == rat(0)
+    assert evaluate(f, 0, LEFT) == rat(-1)
     assert associated_measure(f) == m
 
 
@@ -463,7 +463,7 @@ def _pushforward_by_pairs(m, t):
         if a.x in jump_xs:
             raise VersionAmbiguous(
                 f"atom at {a.x} sits on a jump of the map; the image depends on the version")
-        add_atom(evaluate(t, a.x, RIGHT).finite, a.mass)
+        add_atom(evaluate(t, a.x, RIGHT), a.mass)
     out_pieces = []
     for p in m.pieces:
         for seg in segments(t):
@@ -473,13 +473,13 @@ def _pushforward_by_pairs(m, t):
                 continue
             if seg.slope == 0:
                 length = hi - lo
-                if not length.is_finite:
+                if not is_finite(length):
                     raise NotLocallyFinite(
                         "a flat of infinite length carries infinite mass to one point")
-                add_atom(seg.u.finite, p.density * length.finite)
+                add_atom(seg.u, p.density * length)
             else:
-                u = evaluate(t, lo.finite, RIGHT) if lo.is_finite else seg.u
-                v = evaluate(t, hi.finite, LEFT) if hi.is_finite else seg.v
+                u = evaluate(t, lo, RIGHT) if is_finite(lo) else seg.u
+                v = evaluate(t, hi, LEFT) if is_finite(hi) else seg.v
                 out_pieces.append((open_iv(u, v), p.density / seg.slope))
     atoms = tuple(sorted(out_atoms.items()))
     return PiecewiseMeasure(inverse_domain(t), atoms, tuple(out_pieces))
@@ -510,35 +510,35 @@ def _step_compose_by_scan(f, g):
         if not lo < hi:
             continue
         for end in (lo, hi):
-            if end.is_finite and target.contains(end.finite):
-                cut.add(end.finite)
+            if is_finite(end) and target.contains(end):
+                cut.add(end)
         if seg.slope == 0:
             continue
         for k in f.knots:
-            if seg.u < fin(k) < seg.v:
-                if seg.a.is_finite:
-                    x = seg.a.finite + (k - seg.u.finite) / seg.slope
-                elif seg.b.is_finite:
-                    x = seg.b.finite - (seg.v.finite - k) / seg.slope
+            if seg.u < k < seg.v:
+                if is_finite(seg.a):
+                    x = seg.a + (k - seg.u) / seg.slope
+                elif is_finite(seg.b):
+                    x = seg.b - (seg.v - k) / seg.slope
                 else:
                     ax, av = g.anchor
                     x = ax + (k - av) / seg.slope
                 if target.contains(x):
                     cut.add(x)
     knots = sorted(cut)
-    bounds = [target.lo] + [fin(x) for x in knots] + [target.hi]
+    bounds = [target.lo, *knots, target.hi]
     values = []
     for a, b in zip(bounds, bounds[1:]):
         probe = mono._probe_point(Interval(a, b))
-        gseg = next(seg for seg in segments(g) if seg.a <= fin(probe) < seg.b)
+        gseg = next(seg for seg in segments(g) if seg.a <= probe < seg.b)
         if gseg.slope == 0:
-            c = gseg.u.finite
+            c = gseg.u
             if c in f.knots:
                 raise AmbiguousComposition(
                     f"g is constant at the knot value {c} of f on a set of positive length")
             values.append(_value_at_by_scan(f, c))
         else:
-            values.append(_value_at_by_scan(f, evaluate(g, probe, RIGHT).finite))
+            values.append(_value_at_by_scan(f, evaluate(g, probe, RIGHT)))
     return StepFunction(target, tuple(knots), tuple(values))
 
 

@@ -12,7 +12,7 @@ from monoinv.errors import (
     UnorderedBreakpoints,
 )
 from monoinv.exactnum import rat
-from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, fin, open_iv
+from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, is_finite, open_iv
 from monoinv.laws import GenConfig, gen_monotone
 from monoinv.monotone import (
     LEFT,
@@ -45,7 +45,7 @@ from monoinv.monotone import (
 def grid_inverse_oracle(g, t, grid):
     """Independent left-inverse: min over the grid of {x : G_r(x) >= t}."""
     for x in grid:
-        if evaluate(g, x, RIGHT) >= fin(t):
+        if evaluate(g, x, RIGHT) >= t:
             return x
     return None
 
@@ -126,16 +126,16 @@ def test_eval_fixa(fixa):
         return (lo1 - 0) + (lo2 - rat(3, 2))
 
     assert oracle(rat(3, 2)) == rat(1, 2)
-    assert evaluate(fixa, rat(3, 2), LEFT) == fin(rat(1, 2))
-    assert evaluate(fixa, rat(3, 2), RIGHT) == fin(rat(1, 2))
+    assert evaluate(fixa, rat(3, 2), LEFT) == rat(1, 2)
+    assert evaluate(fixa, rat(3, 2), RIGHT) == rat(1, 2)
     for x in fine_grid(rat(-1), rat(3), rat(1, 8)):
-        assert evaluate(fixa, x, LEFT) == fin(oracle(x))
-        assert evaluate(fixa, x, RIGHT) == fin(oracle(x))
+        assert evaluate(fixa, x, LEFT) == oracle(x)
+        assert evaluate(fixa, x, RIGHT) == oracle(x)
 
 
 def test_eval_dirac_versions(fixc):
-    assert evaluate(fixc, 0, LEFT) == fin(rat(0))
-    assert evaluate(fixc, 0, RIGHT) == fin(rat(1))
+    assert evaluate(fixc, 0, LEFT) == rat(0)
+    assert evaluate(fixc, 0, RIGHT) == rat(1)
 
 
 def test_eval_outside_regular_domain(fixb):
@@ -144,8 +144,8 @@ def test_eval_outside_regular_domain(fixb):
     assert evaluate(fixb, 2, RIGHT) == POS_INF
     # at the finite edge the versions straddle the embedding
     assert evaluate(fixb, 0, LEFT) == NEG_INF
-    assert evaluate(fixb, 0, RIGHT) == fin(rat(0))
-    assert evaluate(fixb, 1, LEFT) == fin(rat(1))
+    assert evaluate(fixb, 0, RIGHT) == rat(0)
+    assert evaluate(fixb, 1, LEFT) == rat(1)
     assert evaluate(fixb, 1, RIGHT) == POS_INF
 
 
@@ -158,9 +158,9 @@ def test_inverse_of_embedded_identity_restricts_to_identity(fixb):
     # the honest inverse clamps outside (0,1); its real part there is the identity
     assert regular_domain(q) == REAL_LINE
     assert versions_equal(restrict(q, open_iv(0, 1)), fixb)
-    assert evaluate(q, rat(1, 2), LEFT) == fin(rat(1, 2))
-    assert evaluate(q, -5, RIGHT) == fin(rat(0))
-    assert evaluate(q, 5, RIGHT) == fin(rat(1))
+    assert evaluate(q, rat(1, 2), LEFT) == rat(1, 2)
+    assert evaluate(q, -5, RIGHT) == rat(0)
+    assert evaluate(q, 5, RIGHT) == rat(1)
 
 
 def test_inverse_fixa_explicit(fixa):
@@ -169,9 +169,9 @@ def test_inverse_fixa_explicit(fixa):
     assert [(b.x, b.left, b.right) for b in q.breaks] == [(rat(1, 2), rat(1, 2), rat(3, 2))]
     assert q.slopes == (rat(1), rat(1))
     for t in fine_grid(rat(1, 16), rat(7, 16), rat(1, 16)):
-        assert evaluate(q, t, LEFT) == fin(t)
+        assert evaluate(q, t, LEFT) == t
     for t in fine_grid(rat(9, 16), rat(15, 16), rat(1, 16)):
-        assert evaluate(q, t, LEFT) == fin(t + 1)
+        assert evaluate(q, t, LEFT) == t + 1
 
 
 def test_inverse_fixd_against_grid_oracle(fixd):
@@ -180,7 +180,7 @@ def test_inverse_fixd_against_grid_oracle(fixd):
     grid = fine_grid(rat(-1), rat(2), step)
     for t in fine_grid(rat(1, 100), rat(99, 100), rat(7, 100)):
         want = grid_inverse_oracle(fixd, t, grid)
-        got = evaluate(q, t, LEFT).finite
+        got = evaluate(q, t, LEFT)
         assert abs(want - got) <= step
     # and the exact structure: slope 2, flat at 1/2, slope 2
     assert q.slopes == (rat(2), rat(0), rat(2))
@@ -208,9 +208,9 @@ def test_definitional_oracle_on_random_instances():
         for t in structural_values(g):
             want = grid_inverse_oracle(g, t, grid)
             got = evaluate(h, t, LEFT)
-            if want is None or not got.is_finite:
+            if want is None or not is_finite(got):
                 continue
-            assert abs(want - got.finite) <= step
+            assert abs(want - got) <= step
             checked += 1
     assert checked >= 100
 
@@ -222,20 +222,20 @@ def test_definitional_oracle_on_random_instances():
 def test_intervals_fixa(fixa):
     assert regular_domain(fixa) == REAL_LINE
     assert mass_interval(fixa) == open_iv(0, 2)
-    assert supporting_interval(fixa).lo == fin(rat(0))
-    assert supporting_interval(fixa).hi == fin(rat(2))
+    assert supporting_interval(fixa).lo == rat(0)
+    assert supporting_interval(fixa).hi == rat(2)
     assert supporting_interval(fixa).lo_closed and supporting_interval(fixa).hi_closed
     q = generalized_inverse(fixa)
     assert regular_domain(q) == open_iv(0, 1)
     assert mass_interval(q) == open_iv(0, 1)
     s = supporting_interval(q)
-    assert (s.lo, s.hi) == (fin(rat(0)), fin(rat(1)))
+    assert (s.lo, s.hi) == (rat(0), rat(1))
 
 
 def test_intervals_dirac(fixc):
     assert mass_interval(fixc).is_empty
     s = supporting_interval(fixc)
-    assert s.lo == s.hi == fin(rat(0)) and s.lo_closed
+    assert s.lo == s.hi == rat(0) and s.lo_closed
 
 
 def test_intervals_identity_on_line():
@@ -356,8 +356,8 @@ def test_galois_connection_grid(fixa, fixd):
             for t in ts:
                 gl = evaluate(g, x, LEFT)
                 hr = evaluate(h, t, RIGHT)
-                assert (gl > fin(t)) == (fin(x) > hr)
-                assert (gl <= fin(t)) == (fin(x) <= hr)
+                assert (gl > t) == (x > hr)
+                assert (gl <= t) == (x <= hr)
 
 
 def test_continuity_lemma_left_inverse(fixd):
@@ -367,9 +367,9 @@ def test_continuity_lemma_left_inverse(fixd):
     for x in fine_grid(rat(1, 16), rat(15, 16), rat(1, 16)):
         assert m.contains(x)
         for v1 in (LEFT, RIGHT):
-            t = evaluate(fixd, x, v1).finite
+            t = evaluate(fixd, x, v1)
             for v2 in (LEFT, RIGHT):
-                assert evaluate(h, t, v2) == fin(x)
+                assert evaluate(h, t, v2) == x
 
 
 def test_inverse_domain_embedding_cases(fixb, fixc):
@@ -380,11 +380,11 @@ def test_inverse_domain_embedding_cases(fixb, fixc):
 def test_from_knot_data_anchor_walks_both_ways():
     g = from_knot_data(REAL_LINE, [0, 1], [rat(1, 2), 0], [1, 0, 2], rat(1, 2), 10)
     # value at 1/2 is 10, slope 0 around it; walk left across the jump at 0
-    assert evaluate(g, rat(1, 2), LEFT) == fin(rat(10))
-    assert evaluate(g, 0, RIGHT) == fin(rat(10))
-    assert evaluate(g, 0, LEFT) == fin(rat(19, 2))
-    assert evaluate(g, -1, LEFT) == fin(rat(17, 2))
-    assert evaluate(g, 2, RIGHT) == fin(rat(12))
+    assert evaluate(g, rat(1, 2), LEFT) == rat(10)
+    assert evaluate(g, 0, RIGHT) == rat(10)
+    assert evaluate(g, 0, LEFT) == rat(19, 2)
+    assert evaluate(g, -1, LEFT) == rat(17, 2)
+    assert evaluate(g, 2, RIGHT) == rat(12)
 
 
 # ---------------------------------------------------------------------------
@@ -411,22 +411,20 @@ def _segments_from_scratch(g):
     if not g.breaks:
         ax, av = g.anchor
         s = g.slopes[0]
-        u = fin(av - s * (ax - lo.finite)) if lo.is_finite else (
-            fin(av) if s == 0 else NEG_INF)
-        v = fin(av + s * (hi.finite - ax)) if hi.is_finite else (
-            fin(av) if s == 0 else POS_INF)
+        u = av - s * (ax - lo) if is_finite(lo) else (av if s == 0 else NEG_INF)
+        v = av + s * (hi - ax) if is_finite(hi) else (av if s == 0 else POS_INF)
         return [mono.Segment(lo, hi, u, v, s)]
     out = []
     first, s = g.breaks[0], g.slopes[0]
-    u = fin(first.left - s * (first.x - lo.finite)) if lo.is_finite else (
-        fin(first.left) if s == 0 else NEG_INF)
-    out.append(mono.Segment(lo, fin(first.x), u, fin(first.left), s))
+    u = first.left - s * (first.x - lo) if is_finite(lo) else (
+        first.left if s == 0 else NEG_INF)
+    out.append(mono.Segment(lo, first.x, u, first.left, s))
     for bp, nxt, s in zip(g.breaks, g.breaks[1:], g.slopes[1:]):
-        out.append(mono.Segment(fin(bp.x), fin(nxt.x), fin(bp.right), fin(nxt.left), s))
+        out.append(mono.Segment(bp.x, nxt.x, bp.right, nxt.left, s))
     last, s = g.breaks[-1], g.slopes[-1]
-    v = fin(last.right + s * (hi.finite - last.x)) if hi.is_finite else (
-        fin(last.right) if s == 0 else POS_INF)
-    out.append(mono.Segment(fin(last.x), hi, fin(last.right), v, s))
+    v = last.right + s * (hi - last.x) if is_finite(hi) else (
+        last.right if s == 0 else POS_INF)
+    out.append(mono.Segment(last.x, hi, last.right, v, s))
     return out
 
 
@@ -434,10 +432,10 @@ def _inverse_jump_rows_by_limits(g):
     """The inverse's flat rows from g's jumps, reading each jump by limits_at."""
     rows = []
     for seg in segments(g)[:-1]:
-        x = seg.b.finite
+        x = seg.b
         l, r = limits_at(g, x)
         if l < r:
-            rows.append((l, r, rat(0), l.finite, x))
+            rows.append((l, r, rat(0), l, x))
     return rows
 
 
@@ -468,7 +466,7 @@ def _restrict_by_scan(g, iv):
     anchor = None
     if not inner:
         probe = _probe_point(iv)
-        anchor = (probe, evaluate(g, probe, RIGHT).finite)
+        anchor = (probe, evaluate(g, probe, RIGHT))
     return PiecewiseMonotone(iv, tuple(inner), tuple(slopes), anchor)
 
 
@@ -497,7 +495,7 @@ def test_inverse_jump_rows_equal_limits_at(g):
     # flat rows with two finite ends come from jumps; the others are the
     # clamps beyond finite domain ends
     _, rows, _ = mono._inverse_tokens(g)
-    jump_rows = [row for row in rows if row[2] == 0 and row[0].is_finite and row[1].is_finite]
+    jump_rows = [row for row in rows if row[2] == 0 and is_finite(row[0]) and is_finite(row[1])]
     assert jump_rows == _inverse_jump_rows_by_limits(g)
 
 
@@ -511,10 +509,10 @@ def test_single_pass_canonicalisation_equals_restarts(g, data):
         a = seg.a
         for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
             x = _probe_point(open_iv(a, seg.b))
-            v = evaluate(g, x, RIGHT).finite
+            v = evaluate(g, x, RIGHT)
             breaks.append(mono.Breakpoint(x, v, v))
             slopes.append(seg.slope)
-            a = fin(x)
+            a = x
         if i < len(g.breaks):
             breaks.append(g.breaks[i])
             slopes.append(g.slopes[i + 1])
@@ -531,7 +529,7 @@ def test_single_pass_canonicalisation_equals_restarts(g, data):
 @oracle_settings
 @given(instances(), st.data())
 def test_restrict_by_index_range_equals_scan(g, data):
-    pts = [fin(x) for x in refine_grid(structural_xs(g)) if g.domain.contains(x)]
+    pts = [x for x in refine_grid(structural_xs(g)) if g.domain.contains(x)]
     ends = sorted(set(pts + [g.domain.lo, g.domain.hi]))
     i = data.draw(st.integers(min_value=0, max_value=len(ends) - 2))
     j = data.draw(st.integers(min_value=i + 1, max_value=len(ends) - 1))

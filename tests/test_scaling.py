@@ -1,19 +1,22 @@
-"""Derived tables are built a fixed number of times per command.
+"""Derived tables and objects are built a fixed number of times per command.
 
 Every PiecewiseMonotone builds its knot tuple and its segment table at most
 once, so the number of builds per classify / invert / qdensity depends on
 how many classes the command makes, not on how many points its input has.
 Counting builds is the deterministic stand-in for a wall-clock scaling
-bound, which would flake on a host whose speed drifts.
+bound, which would flake on a host whose speed drifts.  Each command also
+derives the generalized inverse and the quantile density of its
+distribution function once.
 """
 
 import random
+import sys
 
 import pytest
 
 from click.testing import CliRunner
 
-from monoinv import cli, monotone
+from monoinv import cli, measure, monotone
 
 BUILDERS = ("_build_knot_xs", "_build_segments")
 
@@ -48,3 +51,33 @@ def test_table_builds_do_not_grow_with_points(tmp_path, build_counts, command):
         per_size[n] = dict(build_counts)
     assert per_size[1000] == per_size[4000]
     assert 0 < per_size[1000]["_build_segments"] <= 10
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of module.name through every monoinv namespace that binds it."""
+    original = getattr(module, name)
+    counter = [0]
+
+    def counting(*args, **kwargs):
+        counter[0] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("monoinv") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return counter
+
+
+@pytest.mark.parametrize("command, module, name, want", [
+    ("invert", monotone, "generalized_inverse", 1),
+    ("classify", measure, "gen_inverse_abs_cont", 1),
+    ("classify", measure, "inverse_slope_step", 1),
+    ("classify", monotone, "extend_to_real_line", 1),
+])
+def test_each_derived_object_is_built_once(tmp_path, monkeypatch, command, module, name, want):
+    path = tmp_path / "samples.txt"
+    _gaussian_samples(path, 1000, seed=1000)
+    calls = _count_calls(monkeypatch, module, name)
+    result = CliRunner().invoke(cli.main, [command, "--samples", str(path)])
+    assert result.exit_code in (0, 3), result.output
+    assert calls[0] == want

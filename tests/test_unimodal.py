@@ -4,7 +4,7 @@ import pytest
 
 from monoinv.errors import AmbiguousComposition, CarrierMismatch, QfNotAbsolutelyContinuous
 from monoinv.exactnum import rat
-from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, fin, open_iv
+from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, open_iv
 from monoinv.laws import GenConfig, gen_monotone
 from monoinv.measure import StepFunction, step_of_slopes
 from monoinv.monotone import PiecewiseMonotone, from_knot_data, generalized_inverse
@@ -59,7 +59,7 @@ def test_quasi_concave_plateau():
     assert brute_quasi_concave([1, 2, 2, 1])
     ok, modal = is_quasi_concave(f, extend_by_zero=False)
     assert ok
-    assert (modal.lo, modal.hi) == (fin(rat(1)), fin(rat(3)))
+    assert (modal.lo, modal.hi) == (rat(1), rat(3))
 
 
 def test_quasi_concave_rejects_fixa_density(fixa):
@@ -71,14 +71,14 @@ def test_quasi_concave_rejects_fixa_density(fixa):
 def test_quasi_concave_constant():
     f = step([1], knots=[], carrier=open_iv(0, 1))
     ok, modal = is_quasi_concave(f, extend_by_zero=False)
-    assert ok and (modal.lo, modal.hi) == (fin(rat(0)), fin(rat(1)))
+    assert ok and (modal.lo, modal.hi) == (rat(0), rat(1))
 
 
 def test_quasi_convex_fixd_quantile_density(fixd):
     q = quantile_density(fixd)
     ok, modal = is_quasi_convex(q)
     assert ok
-    assert (modal.lo, modal.hi) == (fin(rat(1, 4)), fin(rat(3, 4)))
+    assert (modal.lo, modal.hi) == (rat(1, 4), rat(3, 4))
 
 
 def test_quasi_convex_rejects_peak():
@@ -88,7 +88,7 @@ def test_quasi_convex_rejects_peak():
 
 def test_quasi_convex_single_cell():
     ok, modal = is_quasi_convex(step([5], knots=[], carrier=open_iv(0, 1)))
-    assert ok and (modal.lo, modal.hi) == (fin(rat(0)), fin(rat(1)))
+    assert ok and (modal.lo, modal.hi) == (rat(0), rat(1))
 
 
 def test_quasi_checks_match_brute_force_oracle():
@@ -154,16 +154,16 @@ def test_classify_fixa(fixa):
 def test_classify_fixd(fixd):
     c = classify(fixd)
     assert c.cdf_unimodal
-    assert (c.modes.lo, c.modes.hi) == (fin(rat(1, 2)), fin(rat(1, 2)))
+    assert (c.modes.lo, c.modes.hi) == (rat(1, 2), rat(1, 2))
     assert c.atom_at_mode == (rat(1, 2), rat(1, 2))
-    assert (c.quantile_modes.lo, c.quantile_modes.hi) == (fin(rat(1, 4)), fin(rat(3, 4)))
+    assert (c.quantile_modes.lo, c.quantile_modes.hi) == (rat(1, 4), rat(3, 4))
     assert c.qf_absolutely_continuous and c.dens_unimodal_abs_part
 
 
 def test_classify_dirac(fixc):
     c = classify(fixc)
     assert c.cdf_unimodal
-    assert (c.modes.lo, c.modes.hi) == (fin(rat(0)), fin(rat(0)))
+    assert (c.modes.lo, c.modes.hi) == (rat(0), rat(0))
     assert c.qf_absolutely_continuous  # constant inverse is absolutely continuous
     assert c.atom_at_mode == (rat(0), rat(1))
 
@@ -179,7 +179,7 @@ def test_classify_monotone_density_modes_at_infinity():
     c = classify(g)
     assert c.cdf_unimodal
     assert c.modes.lo == NEG_INF
-    assert c.modes.hi == fin(rat(0))
+    assert c.modes.hi == rat(0)
 
 
 def test_classify_identity_on_line():
@@ -208,7 +208,7 @@ def test_classification_invariants_enforced():
     from monoinv.errors import InternalInconsistency
     from monoinv.unimodal import Classification, ModalInterval
 
-    point = ModalInterval(fin(rat(0)), fin(rat(0)))
+    point = ModalInterval(rat(0), rat(0))
     with pytest.raises(InternalInconsistency):
         Classification(
             cdf_unimodal=True,
@@ -237,13 +237,13 @@ def test_qf_shape_fixd(fixd):
     q = generalized_inverse(fixd)
     ok, alpha = qf_shape_check(q)
     assert ok
-    assert (alpha.lo, alpha.hi) == (fin(rat(1, 4)), fin(rat(3, 4)))
+    assert (alpha.lo, alpha.hi) == (rat(1, 4), rat(3, 4))
 
 
 def test_qf_shape_identity(fixb):
     ok, alpha = qf_shape_check(fixb)
     assert ok
-    assert (alpha.lo, alpha.hi) == (fin(rat(0)), fin(rat(1)))
+    assert (alpha.lo, alpha.hi) == (rat(0), rat(1))
 
 
 # ---------------------------------------------------------------------------
