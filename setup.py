@@ -1,22 +1,22 @@
 """Build script.
 
-The compiled rational kernel is optional: if Cython (and a C compiler)
-are available the extension is built, otherwise the package installs
-pure-Python only and falls back to fractions.Fraction at import time.
+The compiled rational kernel is optional.  With Cython it is generated
+from _ratcore.pyx; without Cython it is compiled from the tracked
+_ratcore.c.  Either way it needs a C compiler; when the build fails the
+package installs pure-Python only and falls back to fractions.Fraction at
+import time.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
 try:
     from Cython.Build import cythonize
-    from setuptools import Extension
-
+except ImportError:
+    ext_modules = [Extension("monoinv._ratcore", ["src/monoinv/_ratcore.c"], optional=True)]
+else:
     ext_modules = cythonize(
-        [Extension("monoinv._ratcore", ["src/monoinv/_ratcore.pyx"])],
+        [Extension("monoinv._ratcore", ["src/monoinv/_ratcore.pyx"], optional=True)],
         language_level=3,
     )
-except ImportError:
-    pass
 
 setup(ext_modules=ext_modules)

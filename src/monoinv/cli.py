@@ -5,9 +5,16 @@ Reports are JSON with all exact quantities as 'p/q' strings and contain no
 timestamps, so identical inputs give byte-identical output; --stamp wraps
 the body in an envelope that carries the timestamp outside of it.
 
+A sample file (--samples) is parsed once, line by line, to integer
+numerators and denominators, sorted into runs of tied values in one pass
+(read_samples), and built straight into the empirical measure through the
+measure's public constructor (samples_to_measure); ingest prints the same
+runs as a spec (samples_to_spec).
+
 Exit codes:
   0  success (classify: the distribution is unimodal)
-  1  unreadable / unparseable input (bad JSON shapes included), unknown law id
+  1  unreadable / unparseable input (bad JSON shapes included); verify: an
+     unknown law id, --n or --max-knots below 1, or a non-integer MONOINV_SEED
   2  invalid specification (overlapping pieces, nonpositive mass, zero
      measure, bad anchor, too few samples)
   3  classify: not unimodal
@@ -24,6 +31,8 @@ import json
 import os
 import sys
 
+from itertools import groupby
+
 import click
 
 from monoinv.errors import (
@@ -34,7 +43,7 @@ from monoinv.errors import (
     QfNotAbsolutelyContinuous,
     UnknownLaw,
 )
-from monoinv.exactnum import fmt_ratio, parse_ratio, rat
+from monoinv.exactnum import ONE, fmt_ratio, parse_ratio, parse_ratio_parts, rat
 from monoinv.intervals import POS_INF, REAL_LINE, Interval, is_finite
 from monoinv.laws import GenConfig, LAW_IDS, run_law
 from monoinv.measure import (
@@ -192,6 +201,18 @@ def spec_to_measure(doc) -> PiecewiseMeasure:
 
 
 def read_samples(path, header: bool):
+    """Parse a sample file and sort it into runs of tied values.
+
+    Returns the distinct samples in increasing order, the count of each, and
+    the density 1/((n-1)(b-a)) of the piece between neighbours a < b.
+
+    Each line is parsed once, to an integer numerator and denominator.  When
+    every denominator divides the largest, D, the samples sort as the
+    integers num * (D // den).  Otherwise, and when D is far longer than the
+    denominators are on average (every key would be that long), they sort as
+    rationals.  No lcm is formed: over coprime denominators it grows with
+    every line.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -199,48 +220,74 @@ def read_samples(path, header: bool):
         raise _ParseError(f"cannot read {path}: {e}") from e
     if header and lines:
         lines = lines[1:]
-    values = []
+    parts = []
     for lineno, line in enumerate(lines, start=2 if header else 1):
         s = line.strip()
         if not s:
             continue
         try:
-            values.append(parse_ratio(s))
+            parts.append(parse_ratio_parts(s))
         except ValueError as e:
             raise _ParseError(f"line {lineno}: {e}") from e
-    if not values:
+    if not parts:
         raise _SpecError("no samples")
-    return values
+
+    n1 = len(parts) - 1
+    big = max(den for _, den in parts)
+    short = big.bit_length() * len(parts) <= sum(
+        2 * den.bit_length() + 64 for _, den in parts)
+    if short and all(big % den == 0 for _, den in parts):
+        keys, counts = _runs([num * (big // den) for num, den in parts])
+        values = [rat(k, big) for k in keys]
+        densities = [rat(big, n1 * (b - a)) for a, b in zip(keys, keys[1:])]
+    else:
+        values, counts = _runs([rat(num, den) for num, den in parts])
+        densities = [1 / (n1 * (b - a)) for a, b in zip(values, values[1:])]
+    return values, counts, densities
 
 
-def samples_to_spec(values, allow_degenerate: bool) -> dict:
-    """Linear-interpolation empirical spec: each adjacent order-statistic
-    pair carries mass 1/(n-1); tied pairs collapse to atoms."""
-    values = sorted(values)
-    n = len(values)
-    distinct = sorted(set(values))
-    if len(distinct) < 2:
-        if not allow_degenerate:
-            raise _SpecError(
-                "fewer than 2 distinct samples; pass --allow-degenerate for a pure atom")
-        return {
-            "carrier": {"lo": "-inf", "hi": "inf"},
-            "atoms": [{"x": fmt_ratio(distinct[0]), "mass": "1"}],
-            "uniform_pieces": [],
-        }
-    unit = rat(1, n - 1)
-    counts = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    atoms = []
-    for v in distinct:
-        if counts[v] > 1:
-            atoms.append({"x": fmt_ratio(v), "mass": fmt_ratio(unit * (counts[v] - 1))})
-    pieces = [
-        {"a": fmt_ratio(a), "b": fmt_ratio(b), "mass": fmt_ratio(unit)}
-        for a, b in zip(distinct, distinct[1:])
-    ]
-    return {"carrier": {"lo": "-inf", "hi": "inf"}, "atoms": atoms, "uniform_pieces": pieces}
+def _runs(keys):
+    """The distinct keys in increasing order, and how often each occurs."""
+    runs = [(k, sum(1 for _ in group)) for k, group in groupby(sorted(keys))]
+    return [k for k, _ in runs], [c for _, c in runs]
+
+
+def _degenerate(values, allow_degenerate):
+    """True when the samples take a single value; an error unless allowed."""
+    if len(values) < 2 and not allow_degenerate:
+        raise _SpecError(
+            "fewer than 2 distinct samples; pass --allow-degenerate for a pure atom")
+    return len(values) < 2
+
+
+def samples_to_measure(samples, allow_degenerate: bool) -> PiecewiseMeasure:
+    """The linear-interpolation empirical measure of read_samples' runs:
+    each gap between adjacent order statistics carries mass 1/(n-1), and
+    k tied samples become an atom of mass (k-1)/(n-1)."""
+    values, counts, densities = samples
+    if _degenerate(values, allow_degenerate):
+        return PiecewiseMeasure(REAL_LINE, ((values[0], ONE),), ())
+    n1 = sum(counts) - 1
+    atoms = tuple((x, rat(c - 1, n1)) for x, c in zip(values, counts) if c > 1)
+    pieces = tuple((Interval(a, b), d) for a, b, d in zip(values, values[1:], densities))
+    return PiecewiseMeasure(REAL_LINE, atoms, pieces)
+
+
+def samples_to_spec(samples, allow_degenerate: bool) -> dict:
+    """samples_to_measure as a spec document, one piece of mass 1/(n-1)
+    per gap."""
+    values, counts, _ = samples
+    carrier = {"lo": "-inf", "hi": "inf"}
+    if _degenerate(values, allow_degenerate):
+        return {"carrier": carrier, "atoms": [{"x": fmt_ratio(values[0]), "mass": "1"}],
+                "uniform_pieces": []}
+    n1 = sum(counts) - 1
+    unit = fmt_ratio(rat(1, n1))
+    text = [fmt_ratio(x) for x in values]
+    atoms = [{"x": t, "mass": fmt_ratio(rat(c - 1, n1))}
+             for t, c in zip(text, counts) if c > 1]
+    pieces = [{"a": a, "b": b, "mass": unit} for a, b in zip(text, text[1:])]
+    return {"carrier": carrier, "atoms": atoms, "uniform_pieces": pieces}
 
 
 def _default_anchor(carrier: Interval):
@@ -258,10 +305,8 @@ def _load_measure(spec_path, samples_path, header, allow_degenerate):
     if (spec_path is None) == (samples_path is None):
         _fail(1, "give exactly one of --spec FILE or --samples FILE")
     if spec_path is not None:
-        doc = _load_json(spec_path)
-    else:
-        doc = samples_to_spec(read_samples(samples_path, header), allow_degenerate)
-    return spec_to_measure(doc)
+        return spec_to_measure(_load_json(spec_path))
+    return samples_to_measure(read_samples(samples_path, header), allow_degenerate)
 
 
 def _emit(body, out, stamp):
@@ -542,8 +587,15 @@ def cmd_ingest(samples_path, header, allow_degenerate, out, stamp):
 @click.option("--stamp", is_flag=True)
 def cmd_verify(law_id, n, seed, max_knots, out, stamp):
     """Replay the exact identities on generated instances; exit 5 on failure."""
+    if n < 1:
+        _fail(1, "--n must be at least 1")
+    if max_knots < 1:
+        _fail(1, "--max-knots must be at least 1")
     if seed is None:
-        seed = int(os.environ.get("MONOINV_SEED", "0"))
+        try:
+            seed = int(os.environ.get("MONOINV_SEED", "0"))
+        except ValueError:
+            _fail(1, f"MONOINV_SEED must be an integer, got {os.environ['MONOINV_SEED']!r}")
     cfg = GenConfig(seed=seed, max_knots=max_knots)
     law_list = list(LAW_IDS) if law_id == "all" else [law_id]
     reports = []

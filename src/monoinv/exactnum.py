@@ -48,8 +48,9 @@ ZERO = rat(0)
 ONE = rat(1)
 
 
-def parse_ratio(text):
-    """Parse 'p/q', an integer string, or a plain decimal string, exactly.
+def parse_ratio_parts(text):
+    """Parse 'p/q', an integer string, or a plain decimal string into an
+    integer (numerator, denominator) pair, not reduced, denominator > 0.
 
     Decimals convert without rounding: d fractional digits become a
     denominator of 10**d.
@@ -63,7 +64,7 @@ def parse_ratio(text):
         den = int(den_s.strip())
         if den <= 0:
             raise ValueError(f"denominator must be positive in {text!r}")
-        return rat(num, den)
+        return num, den
     neg = s.startswith("-")
     if s[0] in "+-":
         s = s[1:]
@@ -77,11 +78,16 @@ def parse_ratio(text):
             raise ValueError(f"not a decimal: {text!r}")
         scale = 10 ** len(frac_part)
         value = int(int_part or "0") * scale + int(frac_part or "0")
-        return rat(-value if neg else value, scale)
+        return (-value if neg else value), scale
     if not s.isdigit():
         raise ValueError(f"not a number: {text!r}")
     value = int(s)
-    return rat(-value if neg else value)
+    return (-value if neg else value), 1
+
+
+def parse_ratio(text):
+    """parse_ratio_parts(text) as an exact rational."""
+    return rat(*parse_ratio_parts(text))
 
 
 def fmt_ratio(x):

@@ -10,8 +10,9 @@ comparison of canonical forms.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 from monoinv import monotone as mono
 from monoinv.errors import (
@@ -76,6 +77,8 @@ class PiecewiseMeasure:
     Canonical form: atoms sorted and merged by location, pieces sorted,
     disjoint, with adjacent equal-density pieces merged across their
     (null) shared endpoint.  The zero measure is the empty lists.
+    Canonicalising takes one stable sort and one linear pass each over atoms
+    and pieces; sorting input that is already sorted costs n-1 comparisons.
     """
 
     carrier: Interval
@@ -83,21 +86,28 @@ class PiecewiseMeasure:
     pieces: tuple = ()
 
     def __post_init__(self):
-        require_open_nonempty(self.carrier, "carrier")
+        carrier = self.carrier
+        require_open_nonempty(carrier, "carrier")
         atoms = [a if isinstance(a, Atom) else Atom(*a) for a in self.atoms]
         pieces = [p if isinstance(p, UniformPiece) else UniformPiece(*p) for p in self.pieces]
 
-        merged = {}
         for a in atoms:
-            if not self.carrier.contains(a.x):
-                raise CarrierMismatch(f"atom at {a.x} outside carrier {self.carrier}")
-            merged[a.x] = merged.get(a.x, ZERO) + a.mass
-        atoms = [Atom(x, m) for x, m in sorted(merged.items())]
+            if not carrier.contains(a.x):
+                raise CarrierMismatch(f"atom at {a.x} outside carrier {carrier}")
+        atoms.sort(key=attrgetter("x"))
+        merged = []
+        for a in atoms:
+            if merged and merged[-1].x == a.x:
+                merged[-1] = Atom(a.x, merged[-1].mass + a.mass)
+            else:
+                merged.append(a)
 
-        pieces.sort(key=lambda p: (p.interval.lo, p.interval.hi))
+        # disjoint pieces have distinct left ends, and two pieces with the
+        # same left end fail the disjointness check whatever their order
+        pieces.sort(key=attrgetter("interval.lo"))
         for p in pieces:
-            if not self.carrier.contains_interval(p.interval):
-                raise CarrierMismatch(f"piece {p.interval} outside carrier {self.carrier}")
+            if not carrier.contains_interval(p.interval):
+                raise CarrierMismatch(f"piece {p.interval} outside carrier {carrier}")
         for p, q in zip(pieces, pieces[1:]):
             if q.interval.lo < p.interval.hi:
                 raise ValueError("uniform pieces must be pairwise disjoint")
@@ -109,7 +119,7 @@ class PiecewiseMeasure:
             else:
                 out.append(p)
 
-        object.__setattr__(self, "atoms", tuple(atoms))
+        object.__setattr__(self, "atoms", tuple(merged))
         object.__setattr__(self, "pieces", tuple(out))
 
     @property
@@ -204,7 +214,8 @@ def distribution_function(m: PiecewiseMeasure, z) -> PiecewiseMonotone:
     """The right-continuous distribution function anchored to 0 at z.
 
     Changing z shifts the result by a constant; the associated measure of
-    the result is m again.
+    the result is m again.  The knots come from one linear merge of m's
+    atoms with its piece ends, both already sorted in canonical form.
     """
     z = as_q(z)
     if m.is_zero:
@@ -212,45 +223,44 @@ def distribution_function(m: PiecewiseMeasure, z) -> PiecewiseMonotone:
     if not m.carrier.contains(z):
         raise AnchorOutsideCarrier(f"anchor {z} outside carrier {m.carrier}")
 
-    pts = set(a.x for a in m.atoms)
-    for p in m.pieces:
-        for end in (p.interval.lo, p.interval.hi):
-            if is_finite(end) and m.carrier.contains(end):
-                pts.add(end)
-    pts = sorted(pts)
-    mass_at = {a.x: a.mass for a in m.atoms}
-
-    if not pts:
+    knots, values = _density_cells(m)
+    if not knots and not m.atoms:
         # a single piece spanning the whole carrier
-        d = m.pieces[0].density if m.pieces else ZERO
-        return PiecewiseMonotone(m.carrier, (), (d,), (z, ZERO))
+        return PiecewiseMonotone(m.carrier, (), (values[0],), (z, ZERO))
 
-    # every finite interior piece endpoint is in pts, so a piece meeting a
-    # cell covers it; cells and pieces are both sorted, walk them in lockstep
-    bounds = [m.carrier.lo, *pts, m.carrier.hi]
-    slopes = []
-    pi = 0
-    for a, b in zip(bounds, bounds[1:]):
-        while pi < len(m.pieces) and m.pieces[pi].interval.hi <= a:
-            pi += 1
-        if (pi < len(m.pieces)
-                and m.pieces[pi].interval.lo <= a and b <= m.pieces[pi].interval.hi):
-            slopes.append(m.pieces[pi].density)
+    # merge the atoms into the knots, both sorted; a point that only carries
+    # an atom keeps the slope of the cell it falls in
+    pts, jumps, slopes = [], [], [values[0]]
+    atoms = m.atoms
+    ai, na = 0, len(atoms)
+    for k, v in zip(knots, values[1:]):
+        while ai < na and atoms[ai].x < k:
+            pts.append(atoms[ai].x)
+            jumps.append(atoms[ai].mass)
+            slopes.append(slopes[-1])
+            ai += 1
+        if ai < na and atoms[ai].x == k:
+            jumps.append(atoms[ai].mass)
+            ai += 1
         else:
-            slopes.append(ZERO)
+            jumps.append(ZERO)
+        pts.append(k)
+        slopes.append(v)
+    for a in atoms[ai:]:
+        pts.append(a.x)
+        jumps.append(a.mass)
+        slopes.append(slopes[-1])
 
     # right-continuous values, provisional anchor at the first knot
     right = [ZERO]
-    left = [-mass_at.get(pts[0], ZERO)]
+    left = [-jumps[0]]
     for i in range(1, len(pts)):
         l = right[i - 1] + slopes[i] * (pts[i] - pts[i - 1])
         left.append(l)
-        right.append(l + mass_at.get(pts[i], ZERO))
+        right.append(l + jumps[i] if jumps[i] else l)
 
     # shift so that the right version vanishes at z
-    i = 0
-    while i < len(pts) and pts[i] <= z:
-        i += 1
+    i = bisect_right(pts, z)
     if i == 0:
         gz = left[0] - slopes[0] * (pts[0] - z)
     else:
@@ -273,14 +283,14 @@ def lebesgue_decompose(m: PiecewiseMeasure) -> tuple[PiecewiseMeasure, Piecewise
     )
 
 
-def density(m: PiecewiseMeasure) -> StepFunction:
-    """The Radon-Nikodym derivative w.r.t. Lebesgue measure, as a step class."""
-    if m.atoms:
-        raise NotAbsolutelyContinuous("the measure has atoms")
+def _density_cells(m: PiecewiseMeasure) -> tuple[list, list]:
+    """The knots and cell values of the density of m's pieces: the interior
+    piece ends in increasing order, and one value per cell between them."""
+    carrier = m.carrier
     knots, values = [], [ZERO]
     for p in m.pieces:
         lo, hi = p.interval.lo, p.interval.hi
-        if is_finite(lo) and m.carrier.contains(lo):
+        if carrier.contains(lo):
             if knots and knots[-1] == lo:
                 values[-1] = p.density  # piece starts where the previous one ended
             else:
@@ -288,9 +298,17 @@ def density(m: PiecewiseMeasure) -> StepFunction:
                 values.append(p.density)
         else:
             values[-1] = p.density
-        if is_finite(hi) and m.carrier.contains(hi):
+        if carrier.contains(hi):
             knots.append(hi)
             values.append(ZERO)
+    return knots, values
+
+
+def density(m: PiecewiseMeasure) -> StepFunction:
+    """The Radon-Nikodym derivative w.r.t. Lebesgue measure, as a step class."""
+    if m.atoms:
+        raise NotAbsolutelyContinuous("the measure has atoms")
+    knots, values = _density_cells(m)
     return StepFunction(m.carrier, tuple(knots), tuple(values))
 
 
@@ -310,13 +328,13 @@ def lebesgue_restricted(g: PiecewiseMonotone, which: str = "mass_of_inverse") ->
 
 
 def _coverage(pieces) -> list[Interval]:
-    """Union of open intervals, closing single-point gaps (which are null)."""
-    ivs = sorted((p.interval for p in pieces), key=lambda i: (i.lo, i.hi))
+    """Union of a canonical measure's pieces (sorted and disjoint), closing
+    the single-point gaps between touching pieces (which are null)."""
     out = []
-    for iv in ivs:
-        if out and iv.lo <= out[-1].hi:
-            if iv.hi > out[-1].hi:
-                out[-1] = Interval(out[-1].lo, iv.hi)
+    for p in pieces:
+        iv = p.interval
+        if out and iv.lo == out[-1].hi:
+            out[-1] = Interval(out[-1].lo, iv.hi)
         else:
             out.append(iv)
     return out

@@ -97,6 +97,53 @@ def test_non_list_spec_field_exit1(spec_file, doc, key):
     assert r.stderr == f"error: {key} must be a list\n"
 
 
+@pytest.mark.parametrize("doc, code, message", [
+    ({"carrier": {"lo": "1", "hi": "0"}, "atoms": [{"x": "0", "mass": "1"}]}, 2,
+     "bad carrier: interval endpoints out of order"),
+    ({"carrier": {"lo": "1", "hi": "1"}, "atoms": [{"x": "1", "mass": "1"}]}, 2,
+     "carrier is empty"),
+    ({"carrier": {"lo": "0", "hi": "1"}, "atoms": [{"x": "2", "mass": "1"}]}, 2,
+     "atom at 2 outside carrier Interval(0, 1)"),
+    ({"atoms": [{"x": "0"}]}, 1, "atom #0 needs fields x and mass"),
+    ({"uniform_pieces": [{"a": "0", "b": "1", "mass": "1", "density": "1"}]}, 2,
+     "piece #0 needs exactly one of mass or density"),
+    ({"uniform_pieces": [{"a": "1", "b": "1", "mass": "1"}]}, 2, "piece #0 has a >= b"),
+    ({"uniform_pieces": [{"a": "0", "b": "1", "mass": "0"}]}, 2,
+     "piece #0 has nonpositive mass"),
+    ({"uniform_pieces": [{"a": "0", "b": "1", "density": "-1/2"}]}, 2,
+     "piece #0 has nonpositive density"),
+    ({"uniform_pieces": [{"a": "0", "b": "inf", "mass": "1"}]}, 2,
+     "piece #0: mass on an infinite piece; give a density"),
+    ({"uniform_pieces": [{"a": "x", "b": "1", "density": "1"}]}, 1,
+     "bad piece #0 a: not a number: 'x'"),
+    ({"uniform_pieces": [{"a": 0, "b": "1", "density": "1"}]}, 1,
+     "piece #0 a must be a string, got 0"),
+    ({"carrier": ["0", "1"], "atoms": [{"x": "0", "mass": "1"}]}, 1,
+     "carrier must be an object with lo/hi"),
+])
+def test_spec_errors_name_the_fault(spec_file, doc, code, message):
+    r = CliRunner().invoke(cli.main, ["classify", "--spec", spec_file(doc)])
+    assert (r.exit_code, r.stdout, r.stderr) == (code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("lines, code, message", [
+    (None, 1, "cannot read {path}: "),
+    (["", " "], 2, "no samples"),
+    (["1", "", "x"], 1, "line 3: not a number: 'x'"),
+    (["3", "3.0", "6/2"], 2,
+     "fewer than 2 distinct samples; pass --allow-degenerate for a pure atom"),
+])
+def test_sample_errors_name_the_fault(tmp_path, lines, code, message):
+    path = tmp_path / "samples.txt"
+    if lines is not None:
+        path.write_text("\n".join(lines) + "\n")
+    for command in ("classify", "ingest"):
+        r = CliRunner().invoke(cli.main, [command, "--samples", str(path)])
+        assert (r.exit_code, r.stdout) == (code, "")
+        assert r.stderr.startswith("error: " + message.format(path=path)), r.stderr
+        assert r.stderr.count("\n") == 1
+
+
 def _broken_check(*args):
     raise InternalInconsistency("absolute-continuity characterizations disagree")
 
@@ -267,6 +314,29 @@ def test_verify_single_law():
 
 def test_verify_unknown_law_exit1():
     assert run_cli("verify", "--law", "BOGUS", "--n", "1").returncode == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n", "0"], "--n must be at least 1"),
+    (["--n", "-1"], "--n must be at least 1"),
+    (["--max-knots", "0"], "--max-knots must be at least 1"),
+    (["--max-knots", "-3"], "--max-knots must be at least 1"),
+    (["--law", "GALOIS", "--n", "2", "--max-knots", "0"], "--max-knots must be at least 1"),
+])
+def test_verify_argument_below_one_exit1(args, message):
+    result = CliRunner().invoke(cli.main, ["verify", *args])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
+def test_verify_bad_env_seed_exit1():
+    result = CliRunner().invoke(cli.main, ["verify", "--law", "GALOIS", "--n", "1"],
+                                env={"MONOINV_SEED": "seven"})
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: MONOINV_SEED must be an integer, got 'seven'\n"
 
 
 def test_verify_env_seed():

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from monoinv.exactnum import fmt_ratio, parse_ratio, rat
+from monoinv.exactnum import fmt_ratio, parse_ratio, parse_ratio_parts, rat
 
 KERNEL_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "monoinv")
 
@@ -24,6 +24,19 @@ def test_parse_ratio_exact_decimals():
     for bad in ("", "x", "1/0", "1/-2", "1.2.3", "1e3"):
         with pytest.raises(ValueError):
             parse_ratio(bad)
+
+
+def test_parse_ratio_parts_keeps_the_written_denominator():
+    assert parse_ratio_parts("2/4") == (2, 4)
+    assert parse_ratio_parts("-0.50") == (-50, 100)
+    assert parse_ratio_parts(" +7 ") == (7, 1)
+    assert parse_ratio_parts("1.") == (1, 1)
+    for bad, message in (("", "empty number"), ("+", "not a number: '+'"),
+                         (".", "not a number: '.'"), ("x", "not a number: 'x'"),
+                         ("1.x", "not a decimal: '1.x'"),
+                         ("1/-2", "denominator must be positive in '1/-2'")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_ratio_parts(bad)
 
 
 def test_fmt_ratio_round_trip():

@@ -3,11 +3,12 @@
 Spec documents and sample files are generated from values a user or a
 broken producer might send: infinities in every spelling, huge and
 degenerate ratios, empty strings, garbage, non-strings, wrong JSON shapes,
-blank, duplicate and malformed sample lines.  Every command must end with
-a documented exit code; an error exit prints exactly one `error:` line and
-nothing on stdout.  classify's exit 3 ("not unimodal") is a verdict with a
-report, not an error.  Exit 6 (a failed internal consistency check) is a
-bug in monoinv, so no input may cause it.
+blank, duplicate and malformed sample lines; verify gets unknown law ids,
+counts and knot limits around and below 1, and huge seeds.  Every command
+must end with a documented exit code; an error exit prints exactly one
+`error:` line and nothing on stdout.  classify's exit 3 ("not unimodal") is
+a verdict with a report, not an error.  Exit 6 (a failed internal
+consistency check) is a bug in monoinv, so no input may cause it.
 """
 
 import json
@@ -30,6 +31,8 @@ ALLOWED = {
     "invert": {0, 1, 2},
     "qdensity": {0, 1, 2, 4},
     "ingest": {0, 1, 2},
+    "decompose": {0, 1, 2},
+    "verify": {0, 1},
 }
 ERROR_EXITS = {1, 2, 4}
 
@@ -143,7 +146,7 @@ def _check(result, command):
 
 
 @fuzz_settings
-@given(doc=spec_docs, command=st.sampled_from(["classify", "invert", "qdensity"]))
+@given(doc=spec_docs, command=st.sampled_from(["classify", "invert", "qdensity", "decompose"]))
 @example(doc=LONG_SUMS, command="classify")
 @example(doc=LONG_SUMS, command="invert")
 def test_hostile_specs(tmp_path, doc, command):
@@ -156,7 +159,7 @@ def test_hostile_specs(tmp_path, doc, command):
 @fuzz_settings
 @given(lines=st.lists(sample_lines, max_size=12), header=st.booleans(),
        degenerate=st.booleans(),
-       command=st.sampled_from(["classify", "invert", "qdensity", "ingest"]))
+       command=st.sampled_from(["classify", "invert", "qdensity", "ingest", "decompose"]))
 def test_hostile_sample_files(tmp_path, lines, header, degenerate, command):
     path = tmp_path / "samples.txt"
     path.write_text("\n".join(lines) + "\n")
@@ -167,3 +170,21 @@ def test_hostile_sample_files(tmp_path, lines, header, degenerate, command):
         args.append("--allow-degenerate")
     result = CliRunner().invoke(cli.main, args)
     _check(result, command)
+
+
+law_ids = st.one_of(
+    st.sampled_from(["GALOIS", "DOUBLE_INV", "DECOMP", "MAIN_EQUIV", "all"]),
+    st.sampled_from(["", " ", "galois", "All", "GALOIS ", "BOGUS", "1", "ALL,GALOIS", "∞"]),
+    st.text(max_size=6))
+seeds = st.one_of(st.integers(min_value=-5, max_value=5),
+                  st.sampled_from([10**30, -10**30, 2**63, -(2**63) - 1]))
+
+
+@fuzz_settings
+@given(law=law_ids, n=st.integers(min_value=-3, max_value=3), seed=seeds,
+       max_knots=st.integers(min_value=-3, max_value=3))
+def test_hostile_verify_arguments(law, n, seed, max_knots):
+    # n and max_knots stay at most 3, so that `--law all` runs 36 small instances
+    args = ["verify", "--law", law, "--n", str(n), "--seed", str(seed),
+            "--max-knots", str(max_knots)]
+    _check(CliRunner().invoke(cli.main, args), "verify")

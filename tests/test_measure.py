@@ -16,11 +16,13 @@ from monoinv.errors import (
     ZeroMeasure,
 )
 from monoinv.exactnum import ZERO, rat
-from monoinv.intervals import REAL_LINE, Interval, is_finite, open_iv
+from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, Interval, is_finite, open_iv
 from monoinv.laws import GenConfig, gen_monotone
 from monoinv.measure import (
+    Atom,
     PiecewiseMeasure,
     StepFunction,
+    UniformPiece,
     associated_measure,
     density,
     distribution_function,
@@ -38,6 +40,7 @@ from monoinv.measure import (
 from monoinv.monotone import (
     LEFT,
     RIGHT,
+    Breakpoint,
     PiecewiseMonotone,
     equal_up_to_shift,
     evaluate,
@@ -173,6 +176,100 @@ def test_distribution_function_with_atom_at_anchor():
     assert evaluate(f, 0, RIGHT) == rat(0)
     assert evaluate(f, 0, LEFT) == rat(-1)
     assert associated_measure(f) == m
+
+
+# ---------------------------------------------------------------------------
+# canonical form, against the dict-and-sort construction it replaced
+
+
+def _canonical_by_dict(atoms, pieces):
+    """Atoms merged in a dict keyed by location and sorted; pieces sorted by
+    both ends, touching equal-density neighbours joined."""
+    merged = {}
+    for x, mass in atoms:
+        merged[x] = merged.get(x, ZERO) + mass
+    out = []
+    for iv, d in sorted(pieces, key=lambda p: (p[0].lo, p[0].hi)):
+        if out and out[-1][0].hi == iv.lo and out[-1][1] == d:
+            out[-1] = (Interval(out[-1][0].lo, iv.hi), d)
+        else:
+            out.append((iv, d))
+    return (tuple(Atom(x, mass) for x, mass in sorted(merged.items())),
+            tuple(UniformPiece(iv, d) for iv, d in out))
+
+
+def _distribution_function_by_sets(m, z):
+    """The knots as a sorted set of atom locations and piece ends, each
+    cell's slope from the piece that covers it."""
+    pts = set(a.x for a in m.atoms)
+    for p in m.pieces:
+        for end in (p.interval.lo, p.interval.hi):
+            if is_finite(end) and m.carrier.contains(end):
+                pts.add(end)
+    pts = sorted(pts)
+    if not pts:
+        return PiecewiseMonotone(m.carrier, (), (m.pieces[0].density,), (z, ZERO))
+    mass_at = {a.x: a.mass for a in m.atoms}
+    bounds = [m.carrier.lo, *pts, m.carrier.hi]
+    slopes = []
+    for a, b in zip(bounds, bounds[1:]):
+        covering = [p.density for p in m.pieces if p.interval.lo <= a and b <= p.interval.hi]
+        slopes.append(covering[0] if covering else ZERO)
+    right, left = [ZERO], [-mass_at.get(pts[0], ZERO)]
+    for i in range(1, len(pts)):
+        left.append(right[i - 1] + slopes[i] * (pts[i] - pts[i - 1]))
+        right.append(left[i] + mass_at.get(pts[i], ZERO))
+    i = sum(1 for x in pts if x <= z)
+    gz = left[0] - slopes[0] * (pts[0] - z) if i == 0 else right[i - 1] + slopes[i] * (
+        z - pts[i - 1])
+    return PiecewiseMonotone(m.carrier, tuple(
+        Breakpoint(x, l - gz, r - gz) for x, l, r in zip(pts, left, right)), tuple(slopes))
+
+
+grid = st.integers(min_value=-8, max_value=8).map(lambda k: rat(k, 2))
+densities = st.sampled_from([rat(1), rat(2), rat(1, 3)])
+
+
+@st.composite
+def measure_parts(draw):
+    """Atoms with repeated locations, and disjoint pieces, some touching and
+    some reaching an infinite end, in a shuffled order."""
+    atoms = draw(st.lists(st.tuples(grid, st.sampled_from([rat(1), rat(1, 4)])), max_size=6))
+    ends = sorted(set(draw(st.lists(grid, max_size=8))))
+    pieces = []
+    for lo, hi in zip(ends, ends[1:]):
+        if draw(st.integers(min_value=0, max_value=3)):
+            pieces.append((open_iv(lo, hi), draw(densities)))
+    if ends and draw(st.booleans()):
+        pieces.append((Interval(NEG_INF, ends[0]), draw(densities)))
+    if ends and draw(st.booleans()):
+        pieces.append((Interval(ends[-1], POS_INF), draw(densities)))
+    return draw(st.permutations(atoms)), draw(st.permutations(pieces))
+
+
+@given(measure_parts())
+@settings(max_examples=300)
+def test_canonical_form_matches_dict_and_sort(parts):
+    atoms, pieces = parts
+    m = PiecewiseMeasure(REAL_LINE, tuple(atoms), tuple(pieces))
+    assert (m.atoms, m.pieces) == _canonical_by_dict(atoms, pieces)
+    if not m.is_zero:
+        assert distribution_function(m, 0) == _distribution_function_by_sets(m, rat(0))
+
+
+def test_canonical_form_errors():
+    with pytest.raises(ValueError, match="pairwise disjoint"):
+        PiecewiseMeasure(REAL_LINE, (), ((open_iv(0, 2), 1), (open_iv(0, 1), 1)))
+    with pytest.raises(ValueError, match="pairwise disjoint"):
+        PiecewiseMeasure(REAL_LINE, (), ((open_iv(1, 3), 1), (open_iv(0, 2), 1)))
+    with pytest.raises(CarrierMismatch, match="atom at 2"):
+        PiecewiseMeasure(open_iv(0, 1), ((rat(1, 2), 1), (2, 1)), ())
+    with pytest.raises(CarrierMismatch, match="piece"):
+        PiecewiseMeasure(open_iv(0, 1), (), ((open_iv(rat(1, 2), 2), 1),))
+    with pytest.raises(ValueError, match="atom mass"):
+        PiecewiseMeasure(REAL_LINE, ((0, 0),), ())
+    with pytest.raises(ValueError, match="density"):
+        PiecewiseMeasure(REAL_LINE, (), ((open_iv(0, 1), -1),))
 
 
 # ---------------------------------------------------------------------------

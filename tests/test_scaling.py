@@ -6,9 +6,11 @@ how many classes the command makes, not on how many points its input has.
 Counting builds is the deterministic stand-in for a wall-clock scaling
 bound, which would flake on a host whose speed drifts.  Each command also
 derives the generalized inverse and the quantile density of its
-distribution function once.
+distribution function once, and a sample file goes straight to its
+measure, without a spec document in between.
 """
 
+import hashlib
 import random
 import sys
 
@@ -73,6 +75,9 @@ def _count_calls(monkeypatch, module, name):
     ("classify", measure, "gen_inverse_abs_cont", 1),
     ("classify", measure, "inverse_slope_step", 1),
     ("classify", monotone, "extend_to_real_line", 1),
+    ("classify", cli, "spec_to_measure", 0),
+    ("invert", cli, "spec_to_measure", 0),
+    ("qdensity", cli, "spec_to_measure", 0),
 ])
 def test_each_derived_object_is_built_once(tmp_path, monkeypatch, command, module, name, want):
     path = tmp_path / "samples.txt"
@@ -81,3 +86,26 @@ def test_each_derived_object_is_built_once(tmp_path, monkeypatch, command, modul
     result = CliRunner().invoke(cli.main, [command, "--samples", str(path)])
     assert result.exit_code in (0, 3), result.output
     assert calls[0] == want
+
+
+def _primes(count):
+    limit = 40_000  # the 4,000th prime is 37,813
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, int(limit ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, limit + 1, i)))
+    return [i for i in range(limit + 1) if sieve[i]][:count]
+
+
+def test_pairwise_coprime_denominators(tmp_path):
+    """Line i is i/p with p the i-th prime.  No denominator divides the
+    largest, so the samples sort as rationals; a common denominator of all
+    lines would have over 16,000 digits and make every sort key that long.
+    The digest is that of the report the spec round trip gave for this file."""
+    path = tmp_path / "coprime.txt"
+    path.write_text("".join(f"{i}/{p}\n" for i, p in enumerate(_primes(4000), start=1)))
+    result = CliRunner().invoke(cli.main, ["classify", "--samples", str(path)])
+    assert result.exit_code == 3, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+        "dcc4d50a118fd02b88aba98c6af05d4b9094dd63cef277aac53d633b4bd0f08c")
