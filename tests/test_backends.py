@@ -13,13 +13,10 @@ import sys
 
 import pytest
 
+from test_golden import CASES, case_argv, case_id, golden_report
+
 TESTS = os.path.dirname(__file__)
 SRC = os.path.join(TESTS, "..", "src")
-DATA = os.path.join(TESTS, "data")
-GOLDEN = os.path.join(DATA, "golden")
-
-with open(os.path.join(GOLDEN, "cases.json"), encoding="utf-8") as _fh:
-    CASES = json.load(_fh)
 
 
 def _run(backend, pythonpath, *args):
@@ -52,18 +49,10 @@ def test_verify_reports_are_identical(compiled_package):
     assert compiled.stdout == pure.stdout
 
 
-def _input_args(name):
-    spec = os.path.join(GOLDEN, f"{name}.json")
-    if os.path.exists(spec):
-        return ["--spec", spec]
-    return ["--samples", os.path.join(DATA, f"{name}.csv")]
-
-
-@pytest.mark.parametrize("case", CASES, ids=[f"{c['input']}-{c['command']}" for c in CASES])
+@pytest.mark.parametrize("case", CASES, ids=[case_id(c) for c in CASES])
 def test_golden_reports_are_identical(compiled_package, case):
-    pure, compiled = _both(compiled_package, case["command"], *_input_args(case["input"]))
-    with open(os.path.join(GOLDEN, f"{case['input']}.{case['command']}.out"), "rb") as fh:
-        want = fh.read()
+    pure, compiled = _both(compiled_package, *case_argv(case))
+    want = golden_report(case)
     for r in (pure, compiled):
         assert r.returncode == case["exit"]
         assert r.stderr.decode() == case["stderr"]

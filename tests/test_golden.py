@@ -5,6 +5,9 @@ before the segment-table caches and the linear-time scans replaced the
 quadratic ones; any change to them is a change of behaviour.  Inputs: the
 1000-point uniform grid sample and three small specs (an atom at the mode,
 a bimodal density, and an interior gap, which has no quantile density).
+A case may carry extra command-line `args` (`--plot-points N`); its report
+then lives in `<input>.<command>.<args>.out`, e.g.
+`bimodal.invert.plot-points_7.out`.
 """
 
 import json
@@ -29,16 +32,30 @@ def _input_args(name):
     return ["--samples", os.path.join(DATA, f"{name}.csv")]
 
 
-@pytest.mark.parametrize("case", CASES, ids=[f"{c['input']}-{c['command']}" for c in CASES])
+def case_argv(case):
+    """The CLI arguments of a golden case: command, input, extra args."""
+    return [case["command"], *_input_args(case["input"]), *case.get("args", [])]
+
+
+def case_id(case):
+    return f"{case['input']}-{case['command']}" + "".join(case.get("args", []))
+
+
+def golden_report(case):
+    """The recorded stdout of a golden case; '--plot-points', '7' adds
+    'plot-points_7.' to the file name."""
+    tag = "".join(a.lstrip("-") + "_" if a.startswith("-") else a + "."
+                  for a in case.get("args", []))
+    with open(os.path.join(GOLDEN, f"{case['input']}.{case['command']}.{tag}out"), "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case_id(c) for c in CASES])
 def test_golden_report(case):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    r = subprocess.run(
-        [sys.executable, "-m", "monoinv", case["command"], *_input_args(case["input"])],
-        capture_output=True, env=env,
-    )
-    with open(os.path.join(GOLDEN, f"{case['input']}.{case['command']}.out"), "rb") as fh:
-        want = fh.read()
+    r = subprocess.run([sys.executable, "-m", "monoinv", *case_argv(case)],
+                       capture_output=True, env=env)
     assert r.returncode == case["exit"]
     assert r.stderr.decode() == case["stderr"]
-    assert r.stdout == want
+    assert r.stdout == golden_report(case)
