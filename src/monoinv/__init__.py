@@ -23,7 +23,6 @@ from monoinv.monotone import (
     PiecewiseMonotone,
     Version,
     constancy_set,
-    equal_up_to_shift,
     evaluate,
     extend_to_real_line,
     from_knot_data,
@@ -32,7 +31,6 @@ from monoinv.monotone import (
     inverse_mass_interval,
     jumps,
     mass_interval,
-    regular_domain,
     restrict,
     supporting_interval,
     validate,
@@ -51,9 +49,9 @@ from monoinv.measure import (
     is_abs_cont_wrt,
     lebesgue_decompose,
     lebesgue_on,
-    lebesgue_restricted,
     measure_of_open,
     pushforward,
+    step_compose,
     step_of_slopes,
 )
 from monoinv.unimodal import (
@@ -64,7 +62,6 @@ from monoinv.unimodal import (
     is_quasi_convex,
     qf_shape_check,
     quantile_density,
-    step_compose,
 )
 from monoinv.laws import CheckReport, GenConfig, LAW_IDS, gen_monotone, run_law
 

@@ -14,7 +14,9 @@ runs as a spec (samples_to_spec).
 Exit codes:
   0  success (classify: the distribution is unimodal)
   1  unreadable / unparseable input (bad JSON shapes included); verify: an
-     unknown law id, --n or --max-knots below 1, or a non-integer MONOINV_SEED
+     unknown law id, --n or --max-knots below 1, or a non-integer MONOINV_SEED;
+     invert / qdensity: --plot-points below 1, or a plotted value beyond the
+     range of a float
   2  invalid specification (overlapping pieces, nonpositive mass, zero
      measure, bad anchor, too few samples)
   3  classify: not unimodal
@@ -56,12 +58,12 @@ from monoinv.monotone import (
     LEFT,
     RIGHT,
     PiecewiseMonotone,
+    _probe_point,
     evaluate,
     generalized_inverse,
     inverse_domain,
     inverse_mass_interval,
     mass_interval,
-    regular_domain,
     structural_xs,
     supporting_interval,
 )
@@ -291,14 +293,7 @@ def samples_to_spec(samples, allow_degenerate: bool) -> dict:
 
 
 def _default_anchor(carrier: Interval):
-    if carrier.contains(rat(0)):
-        return rat(0)
-    lo, hi = carrier.lo, carrier.hi
-    if is_finite(lo) and is_finite(hi):
-        return (lo + hi) / 2
-    if is_finite(lo):
-        return lo + 1
-    return hi - 1
+    return rat(0) if carrier.contains(rat(0)) else _probe_point(carrier)
 
 
 def _load_measure(spec_path, samples_path, header, allow_degenerate):
@@ -354,7 +349,7 @@ def _plot_rows(g: PiecewiseMonotone, npoints: int):
 def _interval_block(g: PiecewiseMonotone) -> dict:
     """Regular domain I, mass interval M and supporting interval S of g."""
     return {
-        "I": interval_to_json(regular_domain(g)),
+        "I": interval_to_json(g.domain),
         "M": interval_to_json(mass_interval(g)),
         "S": interval_to_json(supporting_interval(g)),
     }
@@ -387,13 +382,26 @@ def _classification_block(c) -> dict:
     }
 
 
+def _report(m: PiecewiseMeasure, anchor, **blocks) -> dict:
+    """A command's report: the input echoed as a spec, the anchor, then the
+    command's own blocks in order."""
+    return {"echo": measure_to_spec_json(m), "anchor": fmt_ratio(anchor), **blocks}
+
+
+def _decomposition_block(m: PiecewiseMeasure) -> dict:
+    abs_part, sing = lebesgue_decompose(m)
+    return {
+        "atoms": [{"x": fmt_ratio(a.x), "mass": fmt_ratio(a.mass)} for a in sing.atoms],
+        "abs_density": step_to_json(density(abs_part)),
+    }
+
+
 def _build_report(m: PiecewiseMeasure, anchor) -> tuple[dict, bool]:
     f = distribution_function(m, anchor)
     c = classify(f)
     warnings = []
     if m.carrier != REAL_LINE:
         warnings.append("classification applies to the measure extended by zero to the whole line")
-    abs_part, _sing = lebesgue_decompose(m)
     if c.quantile_density is None:
         qdens = None
         warnings.append("the generalized inverse has an interior jump; no quantile density exists")
@@ -403,21 +411,14 @@ def _build_report(m: PiecewiseMeasure, anchor) -> tuple[dict, bool]:
         q = generalized_inverse(f)
     except ConstantFunction:
         q = None
-    report = {
-        "echo": measure_to_spec_json(m),
-        "anchor": fmt_ratio(anchor),
-        "classification": _classification_block(c),
-        "intervals": {
-            "F": _interval_block(f),
-            "Q": _inverse_interval_block(f, q),
-        },
-        "decomposition": {
-            "atoms": [{"x": fmt_ratio(a.x), "mass": fmt_ratio(a.mass)} for a in m.atoms],
-            "abs_density": step_to_json(density(abs_part)),
-        },
-        "quantile_density": qdens,
-        "warnings": warnings,
-    }
+    report = _report(
+        m, anchor,
+        classification=_classification_block(c),
+        intervals={"F": _interval_block(f), "Q": _inverse_interval_block(f, q)},
+        decomposition=_decomposition_block(m),
+        quantile_density=qdens,
+        warnings=warnings,
+    )
     return report, c.cdf_unimodal
 
 
@@ -439,6 +440,24 @@ def _input_options(fn):
     fn = click.option("--stamp", is_flag=True,
                       help="wrap the report with a timestamp envelope")(fn)
     return fn
+
+
+def _emit_or_plot(report, out, stamp, plot_points, g: PiecewiseMonotone):
+    """Emit the report; with --plot-points N print N+1 CSV rows of g instead
+    (the report then goes only to --out).  Exits."""
+    if plot_points is not None:
+        if plot_points < 1:
+            _fail(1, "--plot-points must be at least 1")
+        try:
+            rows = _plot_rows(g, plot_points)
+        except OverflowError:
+            _fail(1, "--plot-points: a plotted value is beyond the range of a float")
+        if out:
+            _emit(report, out, stamp)
+        click.echo(rows, nl=False)
+    else:
+        _emit(report, out, stamp)
+    sys.exit(0)
 
 
 def _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str):
@@ -488,24 +507,9 @@ def cmd_invert(spec_path, samples_path, header, allow_degenerate, anchor_str, ou
     with _analysis_errors():
         f = distribution_function(m, anchor)
         q = generalized_inverse(f)
-        report = {
-            "echo": measure_to_spec_json(m),
-            "anchor": fmt_ratio(anchor),
-            "inverse": monotone_to_json(q),
-            "intervals": {
-                "F": _interval_block(f),
-                "Q": _interval_block(q),
-            },
-        }
-    if plot_points is not None:
-        if plot_points < 1:
-            _fail(1, "--plot-points must be at least 1")
-        if out:
-            _emit(report, out, stamp)
-        click.echo(_plot_rows(q, plot_points), nl=False)
-        sys.exit(0)
-    _emit(report, out, stamp)
-    sys.exit(0)
+        report = _report(m, anchor, inverse=monotone_to_json(q),
+                         intervals={"F": _interval_block(f), "Q": _interval_block(q)})
+    _emit_or_plot(report, out, stamp, plot_points, q)
 
 
 @main.command("decompose")
@@ -513,16 +517,7 @@ def cmd_invert(spec_path, samples_path, header, allow_degenerate, anchor_str, ou
 def cmd_decompose(spec_path, samples_path, header, allow_degenerate, anchor_str, out, stamp):
     """Split the measure into its absolutely continuous and atomic parts."""
     m, anchor = _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str)
-    abs_part, sing = lebesgue_decompose(m)
-    report = {
-        "echo": measure_to_spec_json(m),
-        "anchor": fmt_ratio(anchor),
-        "decomposition": {
-            "atoms": [{"x": fmt_ratio(a.x), "mass": fmt_ratio(a.mass)} for a in sing.atoms],
-            "abs_density": step_to_json(density(abs_part)),
-        },
-    }
-    _emit(report, out, stamp)
+    _emit(_report(m, anchor, decomposition=_decomposition_block(m)), out, stamp)
     sys.exit(0)
 
 
@@ -540,20 +535,8 @@ def cmd_qdensity(spec_path, samples_path, header, allow_degenerate, anchor_str, 
             q = quantile_density(f)
         except QfNotAbsolutelyContinuous as e:
             _fail(4, str(e))
-    report = {
-        "echo": measure_to_spec_json(m),
-        "anchor": fmt_ratio(anchor),
-        "quantile_density": step_to_json(q),
-    }
-    if plot_points is not None:
-        if plot_points < 1:
-            _fail(1, "--plot-points must be at least 1")
-        if out:
-            _emit(report, out, stamp)
-        click.echo(_plot_rows(f, plot_points), nl=False)
-        sys.exit(0)
-    _emit(report, out, stamp)
-    sys.exit(0)
+    _emit_or_plot(_report(m, anchor, quantile_density=step_to_json(q)), out, stamp,
+                  plot_points, f)
 
 
 @main.command("ingest")

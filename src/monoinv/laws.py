@@ -32,7 +32,6 @@ from monoinv.measure import (
     is_abs_cont_wrt,
     lebesgue_decompose,
     lebesgue_on,
-    lebesgue_restricted,
     measure_of_open,
     pushforward,
     step_of_slopes,
@@ -48,6 +47,7 @@ from monoinv.monotone import (
     from_knot_data,
     generalized_inverse,
     inverse_domain,
+    inverse_mass_interval,
     jump_count_extended,
     jumps,
     mass_interval,
@@ -338,7 +338,7 @@ def _check_push_fwd(g):
     if h is None:
         raise _Skip
     mu_g = associated_measure(g)
-    got = pushforward(lebesgue_restricted(g), h)
+    got = pushforward(lebesgue_on(inverse_mass_interval(g), inverse_domain(g)), h)
     if got != mu_g:
         raise LawFailure(serialize.measure_to_spec_json(mu_g),
                          serialize.measure_to_spec_json(got),
@@ -479,12 +479,11 @@ def _check_ac_equiv(g):
 def _check_inv_rule(g):
     if not gen_inverse_abs_cont(g, inverse_domain(g)):
         raise _Skip
-    rep = inverse_rule_check(g)
-    if not rep.passed:
-        bad = [r for r in rep.segments if not r.equal]
-        raise LawFailure("slope == 1/(inverse slope o g) on every piece",
-                         [(str(r.interval), str(r.g_slope), str(r.inverse_slope)) for r in bad],
-                         "inverse-function rule")
+    rule = inverse_rule_check(g)
+    if rule is not None and rule[0] != rule[1]:
+        composed, reciprocal = rule
+        raise LawFailure(serialize.step_to_json(reciprocal), serialize.step_to_json(composed),
+                         "inverse-function rule: 1/g' vs h' o g on the mass interval")
 
 
 def _check_qf_ac(g):
@@ -532,13 +531,12 @@ def _check_decomp(g):
 
 
 def _check_gen_locfin(g):
+    # the locally finite generalization: both laws on measures of infinite mass
     _check_main_equiv(g)
-    c = classify(g)
-    if c.cdf_unimodal:
-        h = _materialized_inverse(extend_to_real_line(g))
-        if h is not None and jumps(h):
-            raise LawFailure("absolutely continuous inverse", "interior jump",
-                             "locally finite generalization")
+    try:
+        _check_qf_ac(g)
+    except _Skip:
+        pass
 
 
 _REGISTRY = {
@@ -571,10 +569,6 @@ def _decompose(g):
         ax = mono._probe_point(open_iv(g.domain.lo, xs[0]))
         av = evaluate(g, ax, RIGHT)
     return g.domain, xs, jsizes, slopes, ax, av
-
-
-def _rebuild(domain, xs, jsizes, slopes, ax, av):
-    return from_knot_data(domain, xs, jsizes, slopes, ax, av)
 
 
 def _candidates(g):
@@ -618,7 +612,7 @@ def shrink(g: PiecewiseMonotone, still_fails) -> PiecewiseMonotone:
         improved = False
         for parts in _candidates(current):
             try:
-                cand = _rebuild(*parts)
+                cand = from_knot_data(*parts)
             except Exception:
                 continue
             if _size(cand) >= _size(current):

@@ -16,6 +16,7 @@ from operator import attrgetter
 
 from monoinv import monotone as mono
 from monoinv.errors import (
+    AmbiguousComposition,
     AnchorOutsideCarrier,
     CarrierMismatch,
     InternalInconsistency,
@@ -40,7 +41,6 @@ from monoinv.monotone import (
     PiecewiseMonotone,
     evaluate,
     inverse_domain,
-    inverse_mass_interval,
     preimage_interior,
     segments,
 )
@@ -176,6 +176,55 @@ class StepFunction:
         if i < len(self.knots) and self.knots[i] == t:
             raise ValueError(f"{t} is a knot; the class has no value there")
         return self.values[i]
+
+
+def step_compose(f: StepFunction, g: PiecewiseMonotone) -> StepFunction:
+    """The a.e. class of f o g on int(g^{-1}(carrier of f)).
+
+    Well-defined after refining at the preimages of f's knots, except when
+    g is constant at a knot value of f on a set of positive length: the
+    class has no value there and AmbiguousComposition is raised.
+    """
+    target = preimage_interior(g, f.carrier)
+    if target.is_empty:
+        raise CarrierMismatch("g never enters the carrier of f")
+
+    segs = segments(g)
+    cut = set()
+    for b in mono.jumps(g):
+        if target.contains(b.x):
+            cut.add(b.x)
+    for seg in segs:
+        lo = max(seg.a, target.lo)
+        hi = min(seg.b, target.hi)
+        if not lo < hi:
+            continue
+        for end in (lo, hi):
+            if is_finite(end) and target.contains(end):
+                cut.add(end)
+        if seg.slope == 0:
+            continue
+        i, j = mono._between(f.knots, seg.u, seg.v)
+        for k in f.knots[i:j]:
+            x = mono._level_x(g, seg, k)
+            if target.contains(x):
+                cut.add(x)
+
+    knots = sorted(cut)
+    bounds = [target.lo, *knots, target.hi]
+    values = []
+    for a, b in zip(bounds, bounds[1:]):
+        probe = mono._probe_point(Interval(a, b))
+        gseg = segs[bisect_right(g.knot_xs, probe)]
+        if gseg.slope == 0:
+            c = gseg.u
+            if c in f.knots:
+                raise AmbiguousComposition(
+                    f"g is constant at the knot value {c} of f on a set of positive length")
+            values.append(f.value_at(c))
+        else:
+            values.append(f.value_at(evaluate(g, probe, RIGHT)))
+    return StepFunction(target, tuple(knots), tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +368,6 @@ def lebesgue_on(iv: Interval, carrier: Interval) -> PiecewiseMeasure:
     return PiecewiseMeasure(carrier, (), ((iv, ONE),))
 
 
-def lebesgue_restricted(g: PiecewiseMonotone, which: str = "mass_of_inverse") -> PiecewiseMeasure:
-    """Lebesgue measure on the mass interval of the generalized inverse of g,
-    carried on the inverse's regular domain."""
-    if which != "mass_of_inverse":
-        raise ValueError(f"unknown mode {which!r}")
-    return lebesgue_on(inverse_mass_interval(g), inverse_domain(g))
-
-
 def _coverage(pieces) -> list[Interval]:
     """Union of a canonical measure's pieces (sorted and disjoint), closing
     the single-point gaps between touching pieces (which are null)."""
@@ -422,13 +463,9 @@ def step_of_slopes(g: PiecewiseMonotone) -> StepFunction:
 def inverse_slope_step(g: PiecewiseMonotone) -> StepFunction:
     """Slopes of the generalized inverse of g, as a step class on the
     inverse's regular domain (the density of the inverse's abs. cont. part)."""
-    dom, segs, _ = mono._inverse_tokens(g)
-    knots = []
-    values = [segs[0][2]]
-    for prev, cur in zip(segs, segs[1:]):
-        knots.append(prev[1])
-        values.append(cur[2])
-    return StepFunction(dom, tuple(knots), tuple(values))
+    segs = mono._inverse_segments(g)
+    return StepFunction(inverse_domain(g), tuple(seg.a for seg in segs[1:]),
+                        tuple(seg.slope for seg in segs))
 
 
 def gen_inverse_abs_cont(g: PiecewiseMonotone, iv: Interval) -> bool:
@@ -466,47 +503,21 @@ def gen_inverse_abs_cont(g: PiecewiseMonotone, iv: Interval) -> bool:
     return r1
 
 
-@dataclass(frozen=True)
-class RuleSegment:
-    interval: Interval
-    g_slope: object
-    inverse_slope: object
-    reciprocal: object
-    equal: bool
+def inverse_rule_check(g: PiecewiseMonotone) -> tuple[StepFunction, StepFunction] | None:
+    """Both sides of the inverse-function rule on the mass interval M of g.
 
-
-@dataclass(frozen=True)
-class InverseRuleReport:
-    mass_interval: Interval
-    segments: tuple
-    passed: bool
-
-
-def inverse_rule_check(g: PiecewiseMonotone) -> InverseRuleReport:
-    """Verify g's slopes against the reciprocal of the inverse's slopes.
-
-    On every rising piece of the mass interval, the density of g must equal
-    1 / (h' o G) exactly, h' being the density of the generalized inverse.
-    Requires the inverse to be absolutely continuous on its whole domain.
+    The rule q' = 1 / (F' o q), read on the distribution function's side,
+    says g' = 1 / (h' o g) on M, h' being the density of the generalized
+    inverse.  Returns the step classes (h' o g, 1 / g') on M, computed by
+    step_compose and from g's slopes; they are equal iff the rule holds.
+    None when M is empty.  Requires the inverse to be absolutely continuous
+    on its whole domain, so that g rises on every piece of M.
     """
     if not gen_inverse_abs_cont(g, inverse_domain(g)):
         raise PreconditionFailed("the generalized inverse is not absolutely continuous")
     m_int = mono.mass_interval(g)
     if m_int.is_empty:
-        return InverseRuleReport(m_int, (), True)
-    hstep = inverse_slope_step(g)
-    rows = []
-    ok = True
-    for seg in segments(g):
-        lo = max(seg.a, m_int.lo)
-        hi = min(seg.b, m_int.hi)
-        if not lo < hi:
-            continue
-        # under the precondition every such piece rises
-        t_probe = mono._probe_point(open_iv(seg.u, seg.v))
-        hprime = hstep.value_at(t_probe)
-        recip = 1 / hprime
-        equal = recip == seg.slope
-        ok = ok and equal
-        rows.append(RuleSegment(open_iv(lo, hi), seg.slope, hprime, recip, equal))
-    return InverseRuleReport(m_int, tuple(rows), ok)
+        return None
+    i, j = mono._between(g.knot_xs, m_int.lo, m_int.hi)
+    reciprocal = StepFunction(m_int, g.knot_xs[i:j], tuple(1 / s for s in g.slopes[i:j + 1]))
+    return step_compose(inverse_slope_step(g), g), reciprocal

@@ -20,6 +20,7 @@ import enum
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from monoinv.errors import (
     ConstantFunction,
@@ -184,8 +185,7 @@ def validate(g: PiecewiseMonotone) -> None:
 # segment table
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One open affine piece: x-interval (a, b), limits u = g(a+), v = g(b-),
     each an extended real."""
 
@@ -298,11 +298,7 @@ def last_x_with_right_le(g: PiecewiseMonotone, c):
         if seg.slope == 0 or seg.v <= c:
             e = seg.b
             continue
-        # strictly rising segment crossing level c
-        if is_finite(seg.a):
-            e = seg.a + (c - seg.u) / seg.slope
-        else:
-            e = seg.b - (seg.v - c) / seg.slope
+        e = _level_x(g, seg, c)  # strictly rising segment crossing level c
         break
     return e
 
@@ -320,20 +316,23 @@ def first_x_with_left_ge(g: PiecewiseMonotone, c):
         if seg.slope == 0 or seg.u >= c:
             e = seg.a
             continue
-        if is_finite(seg.b):
-            e = seg.b - (seg.v - c) / seg.slope
-        else:
-            e = seg.a + (c - seg.u) / seg.slope
+        e = _level_x(g, seg, c)
         break
     return e
 
 
+def _level_x(g: PiecewiseMonotone, seg: Segment, t):
+    """The x where the rising segment seg of g reaches the finite level t."""
+    if is_finite(seg.a):
+        return seg.a + (t - seg.u) / seg.slope
+    if is_finite(seg.b):
+        return seg.b - (seg.v - t) / seg.slope
+    ax, av = g.anchor  # a single segment spanning the line
+    return ax + (t - av) / seg.slope
+
+
 # ---------------------------------------------------------------------------
 # canonical intervals
-
-
-def regular_domain(g: PiecewiseMonotone) -> Interval:
-    return g.domain
 
 
 def inverse_domain(g: PiecewiseMonotone) -> Interval:
@@ -430,51 +429,28 @@ def flat_count(g: PiecewiseMonotone) -> int:
 # generalized inverse
 
 
-def _inverse_tokens(g: PiecewiseMonotone):
-    """Walk g and emit the inverse's profile.
+def _inverse_segments(g: PiecewiseMonotone) -> list[Segment]:
+    """The segment table of the generalized inverse of g, in value order.
 
-    Returns (domain, segs, knots) where segs are
-    (t_lo, t_hi, slope, anchor_t, anchor_x) in value order, with t_lo and
-    t_hi extended reals, and knots are (t, left_x, right_x) for the
-    interior jumps of the inverse.
-    Flats of g whose value falls on the boundary of the inverse's domain
-    become boundary behaviour rather than knots.
+    Each rising segment of g appears mirrored, each jump of g as a flat, and
+    each finite end of g's domain as a clamp beyond g's values.  A flat of g
+    is the gap between two neighbouring rows (prev.v < cur.u), so it becomes
+    a jump of the inverse; a flat reaching an infinite domain end only
+    shapes the boundary of the inverse's domain.
     """
-    dom = inverse_domain(g)
-    m, M = value_bounds(g)
-    lo, hi = g.domain.lo, g.domain.hi
-    segs = []
-    knots = []
-
-    if is_finite(lo):
-        # below every value of g the inverse sticks at the left domain edge
-        segs.append((NEG_INF, m, ZERO, m, lo))
-
     gsegs = segments(g)
-    for i, seg in enumerate(gsegs):
-        if seg.slope == 0:
-            # a flat reaching an infinite domain end only shapes the boundary of dom
-            if seg.a is not NEG_INF and seg.b is not POS_INF:
-                knots.append((seg.u, seg.a, seg.b))
-        else:
-            inv_slope = 1 / seg.slope
-            if is_finite(seg.a):
-                anchor_t, anchor_x = seg.u, seg.a
-            elif is_finite(seg.b):
-                anchor_t, anchor_x = seg.v, seg.b
-            else:
-                anchor_x, anchor_t = g.anchor
-            segs.append((seg.u, seg.v, inv_slope, anchor_t, anchor_x))
-        if i < len(gsegs) - 1:
-            # segment i ends at knot i; a jump there is a flat of the inverse
-            b = g.breaks[i]
-            if b.is_jump:
-                segs.append((b.left, b.right, ZERO, b.left, b.x))
-
-    if is_finite(hi):
-        segs.append((M, POS_INF, ZERO, M, hi))
-
-    return dom, segs, knots
+    out = []
+    if is_finite(g.domain.lo):
+        out.append(Segment(NEG_INF, gsegs[0].u, g.domain.lo, g.domain.lo, ZERO))
+    # segment i ends at knot i; a jump there is a flat of the inverse
+    for seg, b in zip(gsegs, (*g.breaks, None)):
+        if seg.slope != 0:
+            out.append(Segment(seg.u, seg.v, seg.a, seg.b, 1 / seg.slope))
+        if b is not None and b.is_jump:
+            out.append(Segment(b.left, b.right, b.x, b.x, ZERO))
+    if is_finite(g.domain.hi):
+        out.append(Segment(gsegs[-1].v, POS_INF, g.domain.hi, g.domain.hi, ZERO))
+    return out
 
 
 def generalized_inverse(g: PiecewiseMonotone) -> PiecewiseMonotone:
@@ -483,34 +459,18 @@ def generalized_inverse(g: PiecewiseMonotone) -> PiecewiseMonotone:
     Raises ConstantFunction when the inverse would be constant (g a pure
     single-jump staircase), since constant classes are excluded.
     """
-    dom, segs, knots = _inverse_tokens(g)
-    has_rise = any(s != 0 for _, _, s, _, _ in segs)
-    if not has_rise and not knots:
+    segs = _inverse_segments(g)
+    breaks = tuple(Breakpoint(cur.a, prev.v, cur.u) for prev, cur in zip(segs, segs[1:]))
+    slopes = tuple(seg.slope for seg in segs)
+    if all(s == 0 for s in slopes) and not any(b.is_jump for b in breaks):
         raise ConstantFunction("the generalized inverse would be constant")
-
-    def x_at(seg, t):
-        _, _, slope, anchor_t, anchor_x = seg
-        return anchor_x + slope * (t - anchor_t)
-
-    breaks = []
-    slopes = [segs[0][2]]
-    jump_at = {t: (lx, rx) for t, lx, rx in knots}
-    for prev, cur in zip(segs, segs[1:]):
-        t = prev[1]
-        assert t == cur[0] and is_finite(t)
-        if t in jump_at:
-            lx, rx = jump_at[t]
-        else:
-            lx = rx = x_at(prev, t)
-        breaks.append(Breakpoint(t, lx, rx))
-        slopes.append(cur[2])
 
     anchor = None
     if not breaks:
-        t_lo, t_hi, slope, anchor_t, anchor_x = segs[0]
-        probe = _probe_point(open_iv(t_lo, t_hi))
-        anchor = (probe, anchor_x + slope * (probe - anchor_t))
-    return PiecewiseMonotone(dom, tuple(breaks), tuple(slopes), anchor)
+        # the mirror of g's only segment that rises
+        probe = _probe_point(open_iv(segs[0].a, segs[0].b))
+        anchor = (probe, _level_x(g, next(seg for seg in segments(g) if seg.slope != 0), probe))
+    return PiecewiseMonotone(inverse_domain(g), breaks, slopes, anchor)
 
 
 def _probe_point(iv: Interval):
@@ -553,21 +513,6 @@ def versions_equal(g1: PiecewiseMonotone, g2: PiecewiseMonotone) -> bool:
         return True
     probe = _probe_point(g1.domain)
     return evaluate(g1, probe, RIGHT) == evaluate(g2, probe, RIGHT)
-
-
-def equal_up_to_shift(g1: PiecewiseMonotone, g2: PiecewiseMonotone) -> bool:
-    """True iff g1 and g2 differ by a constant on a common domain."""
-    if g1.domain != g2.domain or g1.slopes != g2.slopes:
-        return False
-    if g1.knot_xs != g2.knot_xs:
-        return False
-    if g1.breaks:
-        d = g1.breaks[0].left - g2.breaks[0].left
-        return all(
-            a.left - b.left == d and a.right - b.right == d
-            for a, b in zip(g1.breaks, g2.breaks)
-        )
-    return True
 
 
 def extend_to_real_line(g: PiecewiseMonotone) -> PiecewiseMonotone:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from monoinv.exactnum import fmt_ratio, parse_ratio
 from monoinv.intervals import NEG_INF, POS_INF, Interval
 from monoinv.measure import PiecewiseMeasure, StepFunction
-from monoinv.monotone import Breakpoint, PiecewiseMonotone
+from monoinv.monotone import PiecewiseMonotone
 
 
 def er_to_str(x) -> str:
@@ -40,13 +40,9 @@ def interval_to_json(iv: Interval) -> dict:
     return out
 
 
-def json_to_open_interval(d: dict) -> Interval:
-    return Interval(str_to_er(d.get("lo", "-inf")), str_to_er(d.get("hi", "inf")))
-
-
 def monotone_to_json(g: PiecewiseMonotone) -> dict:
     out = {
-        "domain": {"lo": er_to_str(g.domain.lo), "hi": er_to_str(g.domain.hi)},
+        "domain": interval_to_json(g.domain),
         "breakpoints": [
             {"x": fmt_ratio(b.x), "left": fmt_ratio(b.left), "right": fmt_ratio(b.right)}
             for b in g.breaks
@@ -58,23 +54,10 @@ def monotone_to_json(g: PiecewiseMonotone) -> dict:
     return out
 
 
-def json_to_monotone(d: dict) -> PiecewiseMonotone:
-    domain = json_to_open_interval(d["domain"])
-    breaks = tuple(
-        Breakpoint(parse_ratio(b["x"]), parse_ratio(b["left"]), parse_ratio(b["right"]))
-        for b in d.get("breakpoints", [])
-    )
-    slopes = tuple(parse_ratio(s) for s in d.get("slopes", []))
-    anchor = None
-    if d.get("anchor") is not None:
-        anchor = (parse_ratio(d["anchor"]["x"]), parse_ratio(d["anchor"]["value"]))
-    return PiecewiseMonotone(domain, breaks, slopes, anchor)
-
-
 def measure_to_spec_json(m: PiecewiseMeasure) -> dict:
     """Canonical DistributionSpec form; feeding it back reproduces m."""
     return {
-        "carrier": {"lo": er_to_str(m.carrier.lo), "hi": er_to_str(m.carrier.hi)},
+        "carrier": interval_to_json(m.carrier),
         "atoms": [{"x": fmt_ratio(a.x), "mass": fmt_ratio(a.mass)} for a in m.atoms],
         "uniform_pieces": [
             {
@@ -89,7 +72,7 @@ def measure_to_spec_json(m: PiecewiseMeasure) -> dict:
 
 def step_to_json(f: StepFunction) -> dict:
     return {
-        "carrier": {"lo": er_to_str(f.carrier.lo), "hi": er_to_str(f.carrier.hi)},
+        "carrier": interval_to_json(f.carrier),
         "knots": [fmt_ratio(k) for k in f.knots],
         "values": [fmt_ratio(v) for v in f.values],
     }

@@ -12,32 +12,18 @@ from __future__ import annotations
 
 import operator
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
-from monoinv import monotone as mono
-from monoinv.errors import (
-    AmbiguousComposition,
-    CarrierMismatch,
-    InternalInconsistency,
-    QfNotAbsolutelyContinuous,
-)
+from monoinv.errors import InternalInconsistency, QfNotAbsolutelyContinuous
 from monoinv.exactnum import ZERO
-from monoinv.intervals import NEG_INF, POS_INF, Interval, is_finite
+from monoinv.intervals import NEG_INF, POS_INF, is_finite
 from monoinv.measure import (
     StepFunction,
     gen_inverse_abs_cont,
     inverse_slope_step,
     step_of_slopes,
 )
-from monoinv.monotone import (
-    PiecewiseMonotone,
-    extend_to_real_line,
-    inverse_domain,
-    jumps,
-    preimage_interior,
-    segments,
-)
+from monoinv.monotone import PiecewiseMonotone, extend_to_real_line, inverse_domain, jumps
 
 
 @dataclass(frozen=True)
@@ -235,57 +221,3 @@ def quantile_density(f: PiecewiseMonotone) -> StepFunction:
             "the generalized inverse has an interior jump; no quantile density exists")
     return inverse_slope_step(g)
 
-
-def step_compose(f: StepFunction, g: PiecewiseMonotone) -> StepFunction:
-    """The a.e. class of f o g on int(g^{-1}(carrier of f)).
-
-    Well-defined after refining at the preimages of f's knots, except when
-    g is constant at a knot value of f on a set of positive length: the
-    class has no value there and AmbiguousComposition is raised.
-    """
-    target = preimage_interior(g, f.carrier)
-    if target.is_empty:
-        raise CarrierMismatch("g never enters the carrier of f")
-
-    segs = segments(g)
-    cut = set()
-    for b in mono.jumps(g):
-        if target.contains(b.x):
-            cut.add(b.x)
-    for seg in segs:
-        lo = max(seg.a, target.lo)
-        hi = min(seg.b, target.hi)
-        if not lo < hi:
-            continue
-        for end in (lo, hi):
-            if is_finite(end) and target.contains(end):
-                cut.add(end)
-        if seg.slope == 0:
-            continue
-        i, j = mono._between(f.knots, seg.u, seg.v)
-        for k in f.knots[i:j]:
-            if is_finite(seg.a):
-                x = seg.a + (k - seg.u) / seg.slope
-            elif is_finite(seg.b):
-                x = seg.b - (seg.v - k) / seg.slope
-            else:
-                ax, av = g.anchor  # single segment spanning the line
-                x = ax + (k - av) / seg.slope
-            if target.contains(x):
-                cut.add(x)
-
-    knots = sorted(cut)
-    bounds = [target.lo, *knots, target.hi]
-    values = []
-    for a, b in zip(bounds, bounds[1:]):
-        probe = mono._probe_point(Interval(a, b))
-        gseg = segs[bisect_right(g.knot_xs, probe)]
-        if gseg.slope == 0:
-            c = gseg.u
-            if c in f.knots:
-                raise AmbiguousComposition(
-                    f"g is constant at the knot value {c} of f on a set of positive length")
-            values.append(f.value_at(c))
-        else:
-            values.append(f.value_at(mono.evaluate(g, probe, mono.RIGHT)))
-    return StepFunction(target, tuple(knots), tuple(values))

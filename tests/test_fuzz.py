@@ -4,7 +4,9 @@ Spec documents and sample files are generated from values a user or a
 broken producer might send: infinities in every spelling, huge and
 degenerate ratios, empty strings, garbage, non-strings, wrong JSON shapes,
 blank, duplicate and malformed sample lines; verify gets unknown law ids,
-counts and knot limits around and below 1, and huge seeds.  Every command
+counts and knot limits around and below 1, and huge seeds; invert and
+qdensity also get --plot-points around and below 1, over specs whose values
+pass the range of a float.  Every command
 must end with a documented exit code; an error exit prints exactly one
 `error:` line and nothing on stdout.  classify's exit 3 ("not unimodal") is
 a verdict with a report, not an error.  Exit 6 (a failed internal
@@ -24,6 +26,8 @@ HUGE = 10**400
 # function's values have over 4,300 digits, Python's default int-to-str limit
 LONG_SUMS = {"atoms": [{"x": str(i), "mass": f"1/{10**1500 + k}"}
                        for i, k in enumerate((1, 3, 7, 9))]}
+# a uniform law on (0, 10**400): the plotted x values pass the float range
+HUGE_RANGE = {"uniform_pieces": [{"a": "0", "b": str(HUGE), "density": f"1/{HUGE}"}]}
 
 # exit codes each command may give; the error exits print one `error:` line
 ALLOWED = {
@@ -131,7 +135,7 @@ sample_lines = st.one_of(
 )
 
 
-def _check(result, command):
+def _check(result, command, plot=False):
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         f"{type(result.exception).__name__}: {result.exception}")
     assert "Traceback" not in result.output and "Traceback" not in result.stderr
@@ -142,18 +146,27 @@ def _check(result, command):
         assert result.stdout == ""
     else:
         assert result.stderr == ""
-        json.loads(result.stdout)
+        if plot:
+            assert result.stdout.startswith("x,left,right\n")
+        else:
+            json.loads(result.stdout)
 
 
 @fuzz_settings
-@given(doc=spec_docs, command=st.sampled_from(["classify", "invert", "qdensity", "decompose"]))
-@example(doc=LONG_SUMS, command="classify")
-@example(doc=LONG_SUMS, command="invert")
-def test_hostile_specs(tmp_path, doc, command):
+@given(doc=spec_docs, command=st.sampled_from(["classify", "invert", "qdensity", "decompose"]),
+       plot_points=st.sampled_from([None, -1, 0, 1, 7]))
+@example(doc=LONG_SUMS, command="classify", plot_points=None)
+@example(doc=LONG_SUMS, command="invert", plot_points=None)
+@example(doc=HUGE_RANGE, command="invert", plot_points=7)
+@example(doc=HUGE_RANGE, command="qdensity", plot_points=7)
+def test_hostile_specs(tmp_path, doc, command, plot_points):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
-    result = CliRunner().invoke(cli.main, [command, "--spec", str(path)])
-    _check(result, command)
+    args = [command, "--spec", str(path)]
+    plot = plot_points is not None and command in ("invert", "qdensity")
+    if plot:
+        args += ["--plot-points", str(plot_points)]
+    _check(CliRunner().invoke(cli.main, args), command, plot)
 
 
 @fuzz_settings

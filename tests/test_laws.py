@@ -1,11 +1,33 @@
 import pytest
 
 from monoinv.errors import UnknownLaw
-from monoinv.intervals import is_finite
+from monoinv.exactnum import parse_ratio
+from monoinv.intervals import Interval, is_finite
 from monoinv.laws import LAW_IDS, CheckReport, GenConfig, gen_monotone, run_law
-from monoinv.monotone import flats, jumps, validate, versions_equal
-from monoinv.serialize import json_to_monotone, monotone_to_json
+from monoinv.monotone import (
+    Breakpoint,
+    PiecewiseMonotone,
+    flats,
+    jumps,
+    validate,
+    versions_equal,
+)
+from monoinv.serialize import monotone_to_json, str_to_er
 from monoinv.unimodal import classify
+
+
+def json_to_monotone(d):
+    """Read back monotone_to_json's output."""
+    domain = Interval(str_to_er(d["domain"]["lo"]), str_to_er(d["domain"]["hi"]))
+    breaks = tuple(
+        Breakpoint(parse_ratio(b["x"]), parse_ratio(b["left"]), parse_ratio(b["right"]))
+        for b in d["breakpoints"]
+    )
+    slopes = tuple(parse_ratio(s) for s in d["slopes"])
+    anchor = None
+    if "anchor" in d:
+        anchor = (parse_ratio(d["anchor"]["x"]), parse_ratio(d["anchor"]["value"]))
+    return PiecewiseMonotone(domain, breaks, slopes, anchor)
 
 
 def test_gen_config_requires_positive_max_knots():
@@ -98,3 +120,23 @@ def test_unknown_law():
 def test_eligibility_counted():
     rep = run_law("INV_RULE", 100, GenConfig(seed=2, max_knots=6))
     assert 0 < rep.eligible <= rep.instances
+
+
+def test_inverse_rule_runs_through_step_compose(monkeypatch):
+    # a composition that doubles every value of a step class with knots
+    # must make the inverse-function rule fail
+    from monoinv import measure
+
+    honest = measure.step_compose
+
+    def doubled(f, g):
+        h = honest(f, g)
+        if len(f.knots) > 1:
+            return measure.StepFunction(h.carrier, h.knots, tuple(2 * v for v in h.values))
+        return h
+
+    monkeypatch.setattr(measure, "step_compose", doubled)
+    rep = run_law("INV_RULE", 200, GenConfig(seed=20260808))
+    assert rep.eligible > 0
+    assert not rep.passed
+    assert rep.failures[0]["note"].startswith("inverse-function rule")

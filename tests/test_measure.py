@@ -32,9 +32,9 @@ from monoinv.measure import (
     is_abs_cont_wrt,
     lebesgue_decompose,
     lebesgue_on,
-    lebesgue_restricted,
     measure_of_open,
     pushforward,
+    step_compose,
     step_of_slopes,
 )
 from monoinv.monotone import (
@@ -42,19 +42,25 @@ from monoinv.monotone import (
     RIGHT,
     Breakpoint,
     PiecewiseMonotone,
-    equal_up_to_shift,
     evaluate,
     from_knot_data,
     generalized_inverse,
     inverse_domain,
     inverse_mass_interval,
     mass_interval,
+    preimage_interior,
     refine_grid,
     segments,
     structural_values,
     structural_xs,
 )
-from monoinv.unimodal import step_compose
+from test_monotone import _inverse_tokens, equal_up_to_shift
+
+
+def lebesgue_restricted(g):
+    """Lebesgue measure on the mass interval of the generalized inverse of g,
+    carried on the inverse's regular domain."""
+    return lebesgue_on(inverse_mass_interval(g), inverse_domain(g))
 
 
 def probe_points(g):
@@ -314,11 +320,6 @@ def test_inverse_mass_interval_length_is_total_mass():
         assert iv.hi - iv.lo == total
 
 
-def test_lebesgue_restricted_rejects_unknown_mode(fixb):
-    with pytest.raises(ValueError):
-        lebesgue_restricted(fixb, which="something_else")
-
-
 def test_density_fixa(fixa, fixa_measure):
     d = density(fixa_measure)
     assert d.knots == (rat(0), rat(1, 2), rat(3, 2), rat(2))
@@ -482,28 +483,31 @@ def test_gen_inverse_abs_cont_requires_subinterval(fixd):
 
 
 def test_inverse_rule_identity(fixb):
-    rep = inverse_rule_check(fixb)
-    assert rep.passed
-    assert [(r.g_slope, r.inverse_slope) for r in rep.segments] == [(rat(1), rat(1))]
+    composed, reciprocal = inverse_rule_check(fixb)
+    assert composed == reciprocal
+    assert reciprocal == StepFunction(open_iv(0, 1), (), (rat(1),))
 
 
 def test_inverse_rule_fixd(fixd):
-    rep = inverse_rule_check(fixd)
-    assert rep.passed
-    assert [(r.g_slope, r.inverse_slope) for r in rep.segments] == [
-        (rat(1, 2), rat(2)),
-        (rat(1, 2), rat(2)),
-    ]
+    # slope 1/2 on both sides of the atom at 1/2, inverse slope 2 on both flanks
+    composed, reciprocal = inverse_rule_check(fixd)
+    assert composed == reciprocal
+    assert reciprocal == StepFunction(open_iv(0, 1), (), (rat(2),))
 
 
 def test_inverse_rule_two_slopes():
     g = from_knot_data(REAL_LINE, [0, 1, 2], [0, 0, 0], [0, 1, 3, 0], -1, 0)
-    rep = inverse_rule_check(g)
-    assert rep.passed
-    assert [(r.g_slope, r.inverse_slope, r.reciprocal) for r in rep.segments] == [
-        (rat(1), rat(1), rat(1)),
-        (rat(3), rat(1, 3), rat(3)),
-    ]
+    composed, reciprocal = inverse_rule_check(g)
+    assert composed == reciprocal
+    # g' = 1 then 3 on the mass interval (0, 2); the inverse's slopes 1 and 1/3
+    assert reciprocal == StepFunction(open_iv(0, 2), (rat(1),), (rat(1), rat(1, 3)))
+    assert inverse_slope_step(g) == StepFunction(open_iv(0, 4), (rat(1),), (rat(1), rat(1, 3)))
+
+
+def test_inverse_rule_empty_mass_interval(fixc):
+    # the unit atom: the inverse is constant on (0, 1) and M is empty
+    assert mass_interval(fixc).is_empty
+    assert inverse_rule_check(fixc) is None
 
 
 def test_inverse_rule_precondition(fixa):
@@ -517,16 +521,29 @@ def test_inverse_rule_random():
         g = gen_monotone(GenConfig(seed=seed, max_knots=6))
         if not gen_inverse_abs_cont(g, inverse_domain(g)):
             continue
-        assert inverse_rule_check(g).passed
+        rule = inverse_rule_check(g)
+        assert rule is None or rule[0] == rule[1]
         done += 1
     assert done >= 10
+
+
+def test_level_crossings_of_a_segment_spanning_the_line():
+    # one rising segment over the whole line has no finite end to measure
+    # from; where it reaches a level comes from the anchor g(0) = 1
+    g = PiecewiseMonotone(REAL_LINE, (), (2,), (0, 1))
+    assert preimage_interior(g, open_iv(0, 5)) == open_iv(rat(-1, 2), 2)
+    assert gen_inverse_abs_cont(g, open_iv(0, 5))
+    f = StepFunction(open_iv(0, 5), (rat(1),), (rat(1), rat(2)))
+    assert step_compose(f, g) == StepFunction(open_iv(rat(-1, 2), 2), (rat(0),), (rat(1), rat(2)))
 
 
 # ---------------------------------------------------------------------------
 # fast paths against the code they replaced
 #
-# Each function below is the earlier, slower implementation, kept here only
-# as an oracle for the index-range pushforward and the bisecting step lookups.
+# Each function below is the earlier implementation, kept here only as an
+# oracle for the index-range pushforward, the bisecting step lookups, the
+# inverse's slopes read from its segment table and the inverse rule checked
+# through step_compose.
 
 oracle_settings = settings(max_examples=60, deadline=None,
                            suppress_health_check=[HealthCheck.too_slow])
@@ -580,6 +597,41 @@ def _pushforward_by_pairs(m, t):
                 out_pieces.append((open_iv(u, v), p.density / seg.slope))
     atoms = tuple(sorted(out_atoms.items()))
     return PiecewiseMeasure(inverse_domain(t), atoms, tuple(out_pieces))
+
+
+def _inverse_slope_step_by_tokens(g):
+    dom, segs, _ = _inverse_tokens(g)
+    knots = []
+    values = [segs[0][2]]
+    for prev, cur in zip(segs, segs[1:]):
+        knots.append(prev[1])
+        values.append(cur[2])
+    return StepFunction(dom, tuple(knots), tuple(values))
+
+
+def _inverse_rule_by_probes(g):
+    """The rule's verdict from one probe level per piece of g on the mass
+    interval: g's slope there against the reciprocal of the inverse's."""
+    if not gen_inverse_abs_cont(g, inverse_domain(g)):
+        raise PreconditionFailed("the generalized inverse is not absolutely continuous")
+    m_int = mass_interval(g)
+    if m_int.is_empty:
+        return True
+    hstep = _inverse_slope_step_by_tokens(g)
+    ok = True
+    for seg in segments(g):
+        lo = max(seg.a, m_int.lo)
+        hi = min(seg.b, m_int.hi)
+        if not lo < hi:
+            continue
+        hprime = hstep.value_at(mono._probe_point(open_iv(seg.u, seg.v)))
+        ok = ok and 1 / hprime == seg.slope
+    return ok
+
+
+def _inverse_rule_verdict(g):
+    rule = inverse_rule_check(g)
+    return rule is None or rule[0] == rule[1]
 
 
 def _value_at_by_scan(f, t):
@@ -673,3 +725,22 @@ def test_bisecting_step_compose_equals_scan(g, data):
     f = StepFunction(carrier, tuple(knots), tuple(rat(v) for v in values))
     assert _outcome(step_compose, f, g) == _outcome(_step_compose_by_scan, f, g)
 
+
+@oracle_settings
+@given(instances())
+def test_inverse_slopes_from_segment_table_equal_token_walk(g):
+    got = _outcome(inverse_slope_step, g)
+    assert got == _outcome(_inverse_slope_step_by_tokens, g)
+    assert repr(got) == repr(_outcome(_inverse_slope_step_by_tokens, g))
+
+
+@oracle_settings
+@given(instances())
+def test_inverse_rule_through_step_compose_equals_probes(g):
+    assert _outcome(_inverse_rule_verdict, g) == _outcome(_inverse_rule_by_probes, g)
+    # the restriction to the mass interval has the same inverse rule, and
+    # an absolutely continuous inverse more often
+    restricted = _outcome(mono.restrict, g, mass_interval(g))
+    if restricted[0] == "ok":
+        r = restricted[1]
+        assert _outcome(_inverse_rule_verdict, r) == _outcome(_inverse_rule_by_probes, r)

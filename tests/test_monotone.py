@@ -1,6 +1,6 @@
 import pytest
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from monoinv import monotone as mono
@@ -11,7 +11,7 @@ from monoinv.errors import (
     NonMonotone,
     UnorderedBreakpoints,
 )
-from monoinv.exactnum import rat
+from monoinv.exactnum import ZERO, rat
 from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, is_finite, open_iv
 from monoinv.laws import GenConfig, gen_monotone
 from monoinv.monotone import (
@@ -21,7 +21,6 @@ from monoinv.monotone import (
     PiecewiseMonotone,
     _probe_point,
     constancy_set,
-    equal_up_to_shift,
     evaluate,
     flat_count,
     from_knot_data,
@@ -31,7 +30,6 @@ from monoinv.monotone import (
     limits_at,
     mass_interval,
     refine_grid,
-    regular_domain,
     restrict,
     segments,
     structural_values,
@@ -40,6 +38,21 @@ from monoinv.monotone import (
     validate,
     versions_equal,
 )
+
+
+def equal_up_to_shift(g1, g2):
+    """True iff g1 and g2 differ by a constant on a common domain."""
+    if g1.domain != g2.domain or g1.slopes != g2.slopes:
+        return False
+    if g1.knot_xs != g2.knot_xs:
+        return False
+    if g1.breaks:
+        d = g1.breaks[0].left - g2.breaks[0].left
+        return all(
+            a.left - b.left == d and a.right - b.right == d
+            for a, b in zip(g1.breaks, g2.breaks)
+        )
+    return True
 
 
 def grid_inverse_oracle(g, t, grid):
@@ -156,7 +169,7 @@ def test_eval_outside_regular_domain(fixb):
 def test_inverse_of_embedded_identity_restricts_to_identity(fixb):
     q = generalized_inverse(fixb)
     # the honest inverse clamps outside (0,1); its real part there is the identity
-    assert regular_domain(q) == REAL_LINE
+    assert q.domain == REAL_LINE
     assert versions_equal(restrict(q, open_iv(0, 1)), fixb)
     assert evaluate(q, rat(1, 2), LEFT) == rat(1, 2)
     assert evaluate(q, -5, RIGHT) == rat(0)
@@ -165,7 +178,7 @@ def test_inverse_of_embedded_identity_restricts_to_identity(fixb):
 
 def test_inverse_fixa_explicit(fixa):
     q = generalized_inverse(fixa)
-    assert regular_domain(q) == open_iv(0, 1)
+    assert q.domain == open_iv(0, 1)
     assert [(b.x, b.left, b.right) for b in q.breaks] == [(rat(1, 2), rat(1, 2), rat(3, 2))]
     assert q.slopes == (rat(1), rat(1))
     for t in fine_grid(rat(1, 16), rat(7, 16), rat(1, 16)):
@@ -220,13 +233,13 @@ def test_definitional_oracle_on_random_instances():
 
 
 def test_intervals_fixa(fixa):
-    assert regular_domain(fixa) == REAL_LINE
+    assert fixa.domain == REAL_LINE
     assert mass_interval(fixa) == open_iv(0, 2)
     assert supporting_interval(fixa).lo == rat(0)
     assert supporting_interval(fixa).hi == rat(2)
     assert supporting_interval(fixa).lo_closed and supporting_interval(fixa).hi_closed
     q = generalized_inverse(fixa)
-    assert regular_domain(q) == open_iv(0, 1)
+    assert q.domain == open_iv(0, 1)
     assert mass_interval(q) == open_iv(0, 1)
     s = supporting_interval(q)
     assert (s.lo, s.hi) == (rat(0), rat(1))
@@ -240,7 +253,7 @@ def test_intervals_dirac(fixc):
 
 def test_intervals_identity_on_line():
     g = PiecewiseMonotone(REAL_LINE, (), (1,), (0, 0))
-    assert regular_domain(g) == REAL_LINE
+    assert g.domain == REAL_LINE
     assert mass_interval(g) == REAL_LINE
     s = supporting_interval(g)
     assert s.lo == NEG_INF and s.hi == POS_INF
@@ -249,9 +262,9 @@ def test_intervals_identity_on_line():
 def test_mass_inside_domain_supporting_inside_closure():
     for seed in range(30):
         g = gen_monotone(GenConfig(seed=seed, max_knots=6))
-        assert regular_domain(g).contains_interval(mass_interval(g))
+        assert g.domain.contains_interval(mass_interval(g))
         s = supporting_interval(g)
-        cl = regular_domain(g).closure()
+        cl = g.domain.closure()
         assert cl.contains_interval(s)
 
 
@@ -392,8 +405,8 @@ def test_from_knot_data_anchor_walks_both_ways():
 #
 # Each function below is the earlier, slower implementation, kept here only
 # as an oracle: the cached tables, the single-pass canonicalisation, the
-# jump rows of the inverse walk and the index-range restriction must agree
-# with it on generated instances.
+# jump rows of the inverse walk, the inverse built from its segment table
+# and the index-range restriction must agree with it on generated instances.
 
 oracle_settings = settings(max_examples=60, deadline=None,
                            suppress_health_check=[HealthCheck.too_slow])
@@ -435,8 +448,72 @@ def _inverse_jump_rows_by_limits(g):
         x = seg.b
         l, r = limits_at(g, x)
         if l < r:
-            rows.append((l, r, rat(0), l, x))
+            rows.append(mono.Segment(l, r, x, x, rat(0)))
     return rows
+
+
+def _inverse_tokens(g):
+    """The inverse's profile as (domain, segs, knots): segs are
+    (t_lo, t_hi, slope, anchor_t, anchor_x) in value order, knots are
+    (t, left_x, right_x) for the interior jumps of the inverse."""
+    dom = mono.inverse_domain(g)
+    m, M = mono.value_bounds(g)
+    lo, hi = g.domain.lo, g.domain.hi
+    segs = []
+    knots = []
+    if is_finite(lo):
+        segs.append((NEG_INF, m, ZERO, m, lo))
+    gsegs = segments(g)
+    for i, seg in enumerate(gsegs):
+        if seg.slope == 0:
+            if seg.a is not NEG_INF and seg.b is not POS_INF:
+                knots.append((seg.u, seg.a, seg.b))
+        else:
+            inv_slope = 1 / seg.slope
+            if is_finite(seg.a):
+                anchor_t, anchor_x = seg.u, seg.a
+            elif is_finite(seg.b):
+                anchor_t, anchor_x = seg.v, seg.b
+            else:
+                anchor_x, anchor_t = g.anchor
+            segs.append((seg.u, seg.v, inv_slope, anchor_t, anchor_x))
+        if i < len(gsegs) - 1:
+            b = g.breaks[i]
+            if b.is_jump:
+                segs.append((b.left, b.right, ZERO, b.left, b.x))
+    if is_finite(hi):
+        segs.append((M, POS_INF, ZERO, M, hi))
+    return dom, segs, knots
+
+
+def _generalized_inverse_by_tokens(g):
+    """The inverse assembled from the token walk, with jumps looked up by value."""
+    dom, segs, knots = _inverse_tokens(g)
+    has_rise = any(s != 0 for _, _, s, _, _ in segs)
+    if not has_rise and not knots:
+        raise ConstantFunction("the generalized inverse would be constant")
+
+    def x_at(seg, t):
+        _, _, slope, anchor_t, anchor_x = seg
+        return anchor_x + slope * (t - anchor_t)
+
+    breaks = []
+    slopes = [segs[0][2]]
+    jump_at = {t: (lx, rx) for t, lx, rx in knots}
+    for prev, cur in zip(segs, segs[1:]):
+        t = prev[1]
+        if t in jump_at:
+            lx, rx = jump_at[t]
+        else:
+            lx = rx = x_at(prev, t)
+        breaks.append(Breakpoint(t, lx, rx))
+        slopes.append(cur[2])
+    anchor = None
+    if not breaks:
+        t_lo, t_hi, slope, anchor_t, anchor_x = segs[0]
+        probe = _probe_point(open_iv(t_lo, t_hi))
+        anchor = (probe, anchor_x + slope * (probe - anchor_t))
+    return PiecewiseMonotone(dom, tuple(breaks), tuple(slopes), anchor)
 
 
 def _canonical_by_restarts(breaks, slopes):
@@ -494,9 +571,25 @@ def test_cached_tables_equal_tables_built_from_scratch(g):
 def test_inverse_jump_rows_equal_limits_at(g):
     # flat rows with two finite ends come from jumps; the others are the
     # clamps beyond finite domain ends
-    _, rows, _ = mono._inverse_tokens(g)
-    jump_rows = [row for row in rows if row[2] == 0 and is_finite(row[0]) and is_finite(row[1])]
+    rows = mono._inverse_segments(g)
+    jump_rows = [row for row in rows
+                 if row.slope == 0 and is_finite(row.a) and is_finite(row.b)]
     assert jump_rows == _inverse_jump_rows_by_limits(g)
+
+
+@oracle_settings
+@given(instances())
+@example(from_knot_data(REAL_LINE, [0], [1], [0, 0], -1, 0))  # a constant inverse
+@example(PiecewiseMonotone(REAL_LINE, (), (2,), (0, 1)))  # one segment spanning the line
+def test_inverse_from_segment_table_equals_token_walk(g):
+    got = _outcome(generalized_inverse, g)
+    want = _outcome(_generalized_inverse_by_tokens, g)
+    assert got == want
+    assert repr(got) == repr(want)
+    if got[0] == "ok":
+        # and on the inverse's inverse, which has flats and clamps of its own
+        h = got[1]
+        assert _outcome(generalized_inverse, h) == _outcome(_generalized_inverse_by_tokens, h)
 
 
 @oracle_settings

@@ -6,7 +6,7 @@ from monoinv.errors import AmbiguousComposition, CarrierMismatch, QfNotAbsolutel
 from monoinv.exactnum import rat
 from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, open_iv
 from monoinv.laws import GenConfig, gen_monotone
-from monoinv.measure import StepFunction, step_of_slopes
+from monoinv.measure import StepFunction, step_compose, step_of_slopes
 from monoinv.monotone import PiecewiseMonotone, from_knot_data, generalized_inverse
 from monoinv.unimodal import (
     classify,
@@ -14,7 +14,6 @@ from monoinv.unimodal import (
     is_quasi_convex,
     qf_shape_check,
     quantile_density,
-    step_compose,
 )
 
 
