@@ -7,9 +7,9 @@ the body in an envelope that carries the timestamp outside of it.
 
 A sample file (--samples) is parsed once, line by line, to integer
 numerators and denominators, sorted into runs of tied values in one pass
-(read_samples), and built straight into the empirical measure through the
-measure's public constructor (samples_to_measure); ingest prints the same
-runs as a spec (samples_to_spec).
+(read_samples), and built straight into the empirical measure
+(samples_to_measure); ingest prints the same runs as a spec
+(samples_to_spec).
 
 Exit codes:
   0  success (classify: the distribution is unimodal)
@@ -38,7 +38,6 @@ from itertools import groupby
 import click
 
 from monoinv.errors import (
-    CarrierMismatch,
     ConstantFunction,
     InternalInconsistency,
     MonoinvError,
@@ -49,7 +48,10 @@ from monoinv.exactnum import ONE, fmt_ratio, parse_ratio, parse_ratio_parts, rat
 from monoinv.intervals import POS_INF, REAL_LINE, Interval, is_finite
 from monoinv.laws import GenConfig, LAW_IDS, run_law
 from monoinv.measure import (
+    Atom,
     PiecewiseMeasure,
+    UniformPiece,
+    _canonical_measure,
     density,
     distribution_function,
     lebesgue_decompose,
@@ -59,6 +61,7 @@ from monoinv.monotone import (
     RIGHT,
     PiecewiseMonotone,
     _probe_point,
+    _trusted,
     evaluate,
     generalized_inverse,
     inverse_domain,
@@ -67,23 +70,17 @@ from monoinv.monotone import (
     structural_xs,
     supporting_interval,
 )
-from monoinv.serialize import (
+from monoinv.serialize import (  # spec_to_measure is re-exported
+    _ParseError,
+    _SpecError,
     interval_to_json,
     measure_to_spec_json,
     modal_to_json,
     monotone_to_json,
+    spec_to_measure,
     step_to_json,
-    str_to_er,
 )
 from monoinv.unimodal import classify, quantile_density
-
-
-class _ParseError(Exception):
-    """Exit 1: the input could not be read as a spec or sample file."""
-
-
-class _SpecError(Exception):
-    """Exit 2: the input parses but does not describe a valid measure."""
 
 
 def _fail(code, message):
@@ -114,92 +111,6 @@ def _load_json(path):
         raise _ParseError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise _ParseError(f"{path} is not valid JSON: {e}") from e
-
-
-def _number(raw, what):
-    if not isinstance(raw, str):
-        raise _ParseError(f"{what} must be a string ('p/q' or decimal), got {raw!r}")
-    try:
-        return parse_ratio(raw)
-    except ValueError as e:
-        raise _ParseError(f"bad {what}: {e}") from e
-
-
-def _endpoint(raw, what):
-    if not isinstance(raw, str):
-        raise _ParseError(f"{what} must be a string, got {raw!r}")
-    try:
-        return str_to_er(raw)
-    except ValueError as e:
-        raise _ParseError(f"bad {what}: {e}") from e
-
-
-def _list_field(doc, key):
-    value = doc.get(key, [])
-    if not isinstance(value, list):
-        raise _ParseError(f"{key} must be a list")
-    return value
-
-
-def spec_to_measure(doc) -> PiecewiseMeasure:
-    """Build the measure described by a DistributionSpec document."""
-    if not isinstance(doc, dict):
-        raise _ParseError("spec must be a JSON object")
-    carrier = REAL_LINE
-    if doc.get("carrier") is not None:
-        c = doc["carrier"]
-        if not isinstance(c, dict):
-            raise _ParseError("carrier must be an object with lo/hi")
-        try:
-            carrier = Interval(_endpoint(c.get("lo", "-inf"), "carrier.lo"),
-                               _endpoint(c.get("hi", "inf"), "carrier.hi"))
-        except ValueError as e:
-            raise _SpecError(f"bad carrier: {e}") from e
-        if carrier.is_empty:
-            raise _SpecError("carrier is empty")
-
-    atoms = []
-    for i, a in enumerate(_list_field(doc, "atoms")):
-        if not isinstance(a, dict) or "x" not in a or "mass" not in a:
-            raise _ParseError(f"atom #{i} needs fields x and mass")
-        x = _number(a["x"], f"atom #{i} x")
-        mass = _number(a["mass"], f"atom #{i} mass")
-        if mass <= 0:
-            raise _SpecError(f"atom #{i} has nonpositive mass")
-        atoms.append((x, mass))
-
-    pieces = []
-    for i, p in enumerate(_list_field(doc, "uniform_pieces")):
-        if not isinstance(p, dict) or "a" not in p or "b" not in p:
-            raise _ParseError(f"piece #{i} needs fields a and b")
-        has_mass = "mass" in p
-        has_density = "density" in p
-        if has_mass == has_density:
-            raise _SpecError(f"piece #{i} needs exactly one of mass or density")
-        lo = _endpoint(p["a"], f"piece #{i} a")
-        hi = _endpoint(p["b"], f"piece #{i} b")
-        if not lo < hi:
-            raise _SpecError(f"piece #{i} has a >= b")
-        iv = Interval(lo, hi)
-        if has_density:
-            d = _number(p["density"], f"piece #{i} density")
-            if d <= 0:
-                raise _SpecError(f"piece #{i} has nonpositive density")
-        else:
-            mass = _number(p["mass"], f"piece #{i} mass")
-            if mass <= 0:
-                raise _SpecError(f"piece #{i} has nonpositive mass")
-            if not (is_finite(lo) and is_finite(hi)):
-                raise _SpecError(f"piece #{i}: mass on an infinite piece; give a density")
-            d = mass / (hi - lo)
-        pieces.append((iv, d))
-
-    if not atoms and not pieces:
-        raise _SpecError("the spec describes the zero measure")
-    try:
-        return PiecewiseMeasure(carrier, tuple(atoms), tuple(pieces))
-    except (ValueError, CarrierMismatch) as e:
-        raise _SpecError(str(e)) from e
 
 
 def read_samples(path, header: bool):
@@ -270,9 +181,11 @@ def samples_to_measure(samples, allow_degenerate: bool) -> PiecewiseMeasure:
     if _degenerate(values, allow_degenerate):
         return PiecewiseMeasure(REAL_LINE, ((values[0], ONE),), ())
     n1 = sum(counts) - 1
-    atoms = tuple((x, rat(c - 1, n1)) for x, c in zip(values, counts) if c > 1)
-    pieces = tuple((Interval(a, b), d) for a, b, d in zip(values, values[1:], densities))
-    return PiecewiseMeasure(REAL_LINE, atoms, pieces)
+    atoms = [_trusted(Atom, x=x, mass=rat(c - 1, n1)) for x, c in zip(values, counts) if c > 1]
+    pieces = [_trusted(UniformPiece, interval=Interval(a, b), density=d)
+              for a, b, d in zip(values, values[1:], densities)]
+    # equal gaps give touching pieces of equal density, which the merge joins
+    return _canonical_measure(REAL_LINE, atoms, pieces)
 
 
 def samples_to_spec(samples, allow_degenerate: bool) -> dict:

@@ -39,6 +39,7 @@ from monoinv.monotone import (
     RIGHT,
     Breakpoint,
     PiecewiseMonotone,
+    _trusted,
     evaluate,
     inverse_domain,
     preimage_interior,
@@ -48,6 +49,9 @@ from monoinv.monotone import (
 
 @dataclass(frozen=True)
 class Atom:
+    """A point mass.  The public constructor checks mass > 0; the library
+    makes the atoms it derives itself with _trusted."""
+
     x: object
     mass: object
 
@@ -60,6 +64,10 @@ class Atom:
 
 @dataclass(frozen=True)
 class UniformPiece:
+    """Constant density on an open interval.  The public constructor checks
+    the interval and density > 0; the library makes the pieces it derives
+    itself with _trusted."""
+
     interval: Interval
     density: object
 
@@ -77,8 +85,13 @@ class PiecewiseMeasure:
     Canonical form: atoms sorted and merged by location, pieces sorted,
     disjoint, with adjacent equal-density pieces merged across their
     (null) shared endpoint.  The zero measure is the empty lists.
-    Canonicalising takes one stable sort and one linear pass each over atoms
-    and pieces; sorting input that is already sorted costs n-1 comparisons.
+    The public constructor validates (atoms and pieces inside the carrier,
+    disjoint pieces) and canonicalises in one stable sort and one linear pass
+    each over atoms and pieces; sorting input that is already sorted costs
+    n-1 comparisons.  The library's own builders skip it: those whose output
+    is canonical by construction through _trusted, those whose pieces may
+    touch with equal density through _canonical_measure, which runs the
+    same piece merge.  The tests pin each to its public rebuild.
     """
 
     carrier: Interval
@@ -98,7 +111,7 @@ class PiecewiseMeasure:
         merged = []
         for a in atoms:
             if merged and merged[-1].x == a.x:
-                merged[-1] = Atom(a.x, merged[-1].mass + a.mass)
+                merged[-1] = _trusted(Atom, x=a.x, mass=merged[-1].mass + a.mass)
             else:
                 merged.append(a)
 
@@ -111,20 +124,34 @@ class PiecewiseMeasure:
         for p, q in zip(pieces, pieces[1:]):
             if q.interval.lo < p.interval.hi:
                 raise ValueError("uniform pieces must be pairwise disjoint")
-        out = []
-        for p in pieces:
-            if out and out[-1].interval.hi == p.interval.lo and out[-1].density == p.density:
-                out[-1] = UniformPiece(
-                    Interval(out[-1].interval.lo, p.interval.hi), p.density)
-            else:
-                out.append(p)
 
         object.__setattr__(self, "atoms", tuple(merged))
-        object.__setattr__(self, "pieces", tuple(out))
+        object.__setattr__(self, "pieces", _merge_pieces(pieces))
 
     @property
     def is_zero(self):
         return not self.atoms and not self.pieces
+
+
+def _merge_pieces(pieces) -> tuple:
+    """Sorted disjoint pieces, with touching neighbours of equal density
+    joined across their (null) shared endpoint."""
+    out = []
+    for p in pieces:
+        if out and out[-1].interval.hi == p.interval.lo and out[-1].density == p.density:
+            out[-1] = _trusted(UniformPiece, interval=Interval(out[-1].interval.lo, p.interval.hi),
+                               density=p.density)
+        else:
+            out.append(p)
+    return tuple(out)
+
+
+def _canonical_measure(carrier: Interval, atoms, pieces) -> PiecewiseMeasure:
+    """The measure of valid atoms at increasing points and valid, sorted,
+    disjoint pieces inside carrier; of the public constructor's work only
+    the piece merge is left to do."""
+    return _trusted(PiecewiseMeasure, carrier=carrier, atoms=tuple(atoms),
+                    pieces=_merge_pieces(pieces))
 
 
 @dataclass(frozen=True)
@@ -132,7 +159,9 @@ class StepFunction:
     """An a.e. class of piecewise-constant nonnegative functions.
 
     No values are stored at the knots; adjacent cells with equal value are
-    merged, so equality of step functions is equality of a.e. classes.
+    merged, so equality of step functions is equality of a.e. classes.  The
+    public constructor validates and merges; the library's own builders
+    skip the validation (_trusted, _canonical_step).
     """
 
     carrier: Interval
@@ -153,14 +182,9 @@ class StepFunction:
                 raise ValueError("knots must be strictly increasing")
         if knots and not (self.carrier.contains(knots[0]) and self.carrier.contains(knots[-1])):
             raise ValueError("knots must be interior to the carrier")
-        ks, vs = [], [values[0]]
-        for k, v in zip(knots, values[1:]):
-            if v == vs[-1]:
-                continue
-            ks.append(k)
-            vs.append(v)
-        object.__setattr__(self, "knots", tuple(ks))
-        object.__setattr__(self, "values", tuple(vs))
+        knots, values = _merge_cells(knots, values)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "values", values)
 
     def cells(self):
         """(lo, hi, value) triples covering the carrier."""
@@ -176,6 +200,24 @@ class StepFunction:
         if i < len(self.knots) and self.knots[i] == t:
             raise ValueError(f"{t} is a knot; the class has no value there")
         return self.values[i]
+
+
+def _merge_cells(knots, values) -> tuple[tuple, tuple]:
+    """The knots and values of a step class with equal neighbouring cells joined."""
+    ks, vs = [], [values[0]]
+    for k, v in zip(knots, values[1:]):
+        if v == vs[-1]:
+            continue
+        ks.append(k)
+        vs.append(v)
+    return tuple(ks), tuple(vs)
+
+
+def _canonical_step(carrier: Interval, knots, values) -> StepFunction:
+    """The step class of valid cells that may repeat a value; of the public
+    constructor's work only the cell merge is left to do."""
+    knots, values = _merge_cells(knots, values)
+    return _trusted(StepFunction, carrier=carrier, knots=knots, values=values)
 
 
 def step_compose(f: StepFunction, g: PiecewiseMonotone) -> StepFunction:
@@ -232,10 +274,15 @@ def step_compose(f: StepFunction, g: PiecewiseMonotone) -> StepFunction:
 
 
 def associated_measure(g: PiecewiseMonotone) -> PiecewiseMeasure:
-    """Atoms from the jumps of g, uniform pieces from its rising slopes."""
-    atoms = [(b.x, b.right - b.left) for b in mono.jumps(g)]
-    pieces = [(open_iv(s.a, s.b), s.slope) for s in segments(g) if s.slope > 0]
-    return PiecewiseMeasure(g.domain, tuple(atoms), tuple(pieces))
+    """Atoms from the jumps of g, uniform pieces from its rising slopes.
+
+    Both come sorted and valid; rising segments of equal slope on the two
+    sides of a jump give touching pieces that the merge joins.
+    """
+    atoms = [_trusted(Atom, x=b.x, mass=b.right - b.left) for b in mono.jumps(g)]
+    pieces = [_trusted(UniformPiece, interval=Interval(s.a, s.b), density=s.slope)
+              for s in segments(g) if s.slope > 0]
+    return _canonical_measure(g.domain, atoms, pieces)
 
 
 def measure_of_open(m: PiecewiseMeasure, lo, hi):
@@ -264,7 +311,10 @@ def distribution_function(m: PiecewiseMeasure, z) -> PiecewiseMonotone:
 
     Changing z shifts the result by a constant; the associated measure of
     the result is m again.  The knots come from one linear merge of m's
-    atoms with its piece ends, both already sorted in canonical form.
+    atoms with its piece ends, both already sorted in canonical form.  Each
+    knot carries an atom or changes the density (canonical pieces of equal
+    density never touch), so none is removable and the result skips the
+    public constructor.
     """
     z = as_q(z)
     if m.is_zero:
@@ -275,7 +325,8 @@ def distribution_function(m: PiecewiseMeasure, z) -> PiecewiseMonotone:
     knots, values = _density_cells(m)
     if not knots and not m.atoms:
         # a single piece spanning the whole carrier
-        return PiecewiseMonotone(m.carrier, (), (values[0],), (z, ZERO))
+        return _trusted(PiecewiseMonotone, domain=m.carrier, breaks=(), slopes=(values[0],),
+                        anchor=(z, ZERO))
 
     # merge the atoms into the knots, both sorted; a point that only carries
     # an atom keeps the slope of the cell it falls in
@@ -300,24 +351,10 @@ def distribution_function(m: PiecewiseMeasure, z) -> PiecewiseMonotone:
         jumps.append(a.mass)
         slopes.append(slopes[-1])
 
-    # right-continuous values, provisional anchor at the first knot
-    right = [ZERO]
-    left = [-jumps[0]]
-    for i in range(1, len(pts)):
-        l = right[i - 1] + slopes[i] * (pts[i] - pts[i - 1])
-        left.append(l)
-        right.append(l + jumps[i] if jumps[i] else l)
-
-    # shift so that the right version vanishes at z
-    i = bisect_right(pts, z)
-    if i == 0:
-        gz = left[0] - slopes[0] * (pts[0] - z)
-    else:
-        gz = right[i - 1] + slopes[i] * (z - pts[i - 1])
-    breaks = tuple(
-        Breakpoint(x, l - gz, r - gz) for x, l, r in zip(pts, left, right)
-    )
-    return PiecewiseMonotone(m.carrier, breaks, tuple(slopes), None)
+    limits = mono._knot_limits(pts, jumps, slopes, z, ZERO)
+    breaks = tuple(_trusted(Breakpoint, x=x, left=l, right=r) for x, (l, r) in zip(pts, limits))
+    return _trusted(PiecewiseMonotone, domain=m.carrier, breaks=breaks, slopes=tuple(slopes),
+                    anchor=None)
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +364,16 @@ def distribution_function(m: PiecewiseMeasure, z) -> PiecewiseMonotone:
 def lebesgue_decompose(m: PiecewiseMeasure) -> tuple[PiecewiseMeasure, PiecewiseMeasure]:
     """Unique split into an absolutely continuous and a purely atomic part."""
     return (
-        PiecewiseMeasure(m.carrier, (), m.pieces),
-        PiecewiseMeasure(m.carrier, m.atoms, ()),
+        _trusted(PiecewiseMeasure, carrier=m.carrier, atoms=(), pieces=m.pieces),
+        _trusted(PiecewiseMeasure, carrier=m.carrier, atoms=m.atoms, pieces=()),
     )
 
 
 def _density_cells(m: PiecewiseMeasure) -> tuple[list, list]:
     """The knots and cell values of the density of m's pieces: the interior
-    piece ends in increasing order, and one value per cell between them."""
+    piece ends in increasing order, and one value per cell between them.
+    Neighbouring cells differ, since canonical pieces of equal density never
+    touch."""
     carrier = m.carrier
     knots, values = [], [ZERO]
     for p in m.pieces:
@@ -358,14 +397,14 @@ def density(m: PiecewiseMeasure) -> StepFunction:
     if m.atoms:
         raise NotAbsolutelyContinuous("the measure has atoms")
     knots, values = _density_cells(m)
-    return StepFunction(m.carrier, tuple(knots), tuple(values))
+    return _trusted(StepFunction, carrier=m.carrier, knots=tuple(knots), values=tuple(values))
 
 
 def lebesgue_on(iv: Interval, carrier: Interval) -> PiecewiseMeasure:
-    """Lebesgue measure restricted to an open interval, carried on carrier."""
-    if iv.is_empty:
-        return PiecewiseMeasure(carrier, (), ())
-    return PiecewiseMeasure(carrier, (), ((iv, ONE),))
+    """Lebesgue measure restricted to an open interval iv, carried on an open
+    carrier that contains iv."""
+    pieces = () if iv.is_empty else (_trusted(UniformPiece, interval=iv, density=ONE),)
+    return _trusted(PiecewiseMeasure, carrier=carrier, atoms=(), pieces=pieces)
 
 
 def _coverage(pieces) -> list[Interval]:
@@ -444,10 +483,19 @@ def pushforward(m: PiecewiseMeasure, t: PiecewiseMonotone) -> PiecewiseMeasure:
             else:
                 u = evaluate(t, lo, RIGHT) if is_finite(lo) else seg.u
                 v = evaluate(t, hi, LEFT) if is_finite(hi) else seg.v
-                out_pieces.append((open_iv(u, v), p.density / seg.slope))
+                out_pieces.append(_trusted(UniformPiece, interval=Interval(u, v),
+                                           density=p.density / seg.slope))
 
-    atoms = tuple(sorted(out_atoms.items()))
-    return PiecewiseMeasure(inverse_domain(t), atoms, tuple(out_pieces))
+    carrier = inverse_domain(t)
+    atoms = [_trusted(Atom, x=x, mass=mass) for x, mass in sorted(out_atoms.items())]
+    # the images lie in the closed hull of t's values; only an atom at the
+    # value of a flat reaching an infinite end of t's domain can land on the
+    # boundary of the carrier, and there is at most one at each end
+    for a in atoms[:1] + atoms[-1:]:
+        if not carrier.contains(a.x):
+            raise CarrierMismatch(f"atom at {a.x} outside carrier {carrier}")
+    out_pieces.sort(key=attrgetter("interval.lo"))
+    return _canonical_measure(carrier, atoms, out_pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +505,15 @@ def pushforward(m: PiecewiseMeasure, t: PiecewiseMonotone) -> PiecewiseMeasure:
 def step_of_slopes(g: PiecewiseMonotone) -> StepFunction:
     """The slopes of g as a step class on its regular domain: the density of
     the absolutely continuous part of the associated measure."""
-    return StepFunction(g.domain, g.knot_xs, g.slopes)
+    return _canonical_step(g.domain, g.knot_xs, g.slopes)
 
 
 def inverse_slope_step(g: PiecewiseMonotone) -> StepFunction:
     """Slopes of the generalized inverse of g, as a step class on the
     inverse's regular domain (the density of the inverse's abs. cont. part)."""
     segs = mono._inverse_segments(g)
-    return StepFunction(inverse_domain(g), tuple(seg.a for seg in segs[1:]),
-                        tuple(seg.slope for seg in segs))
+    return _canonical_step(inverse_domain(g), [seg.a for seg in segs[1:]],
+                           [seg.slope for seg in segs])
 
 
 def gen_inverse_abs_cont(g: PiecewiseMonotone, iv: Interval) -> bool:

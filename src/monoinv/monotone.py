@@ -35,9 +35,7 @@ from monoinv.intervals import (
     POS_INF,
     REAL_LINE,
     Interval,
-    closed_iv,
     is_finite,
-    open_iv,
     require_open_nonempty,
 )
 
@@ -53,9 +51,28 @@ LEFT = Version.LEFT
 RIGHT = Version.RIGHT
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields, made without
+    __init__: no conversion, no check, no canonicalisation.
+
+    Only for data the library has just made canonical itself; everything
+    that comes from outside goes through the public constructor.  Fields are
+    set one by one, in declaration order, as __init__ sets them, so the
+    instance keeps the class's compact shared-key attribute dictionary.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class Breakpoint:
-    """A knot with its one-sided limits; a jump iff left < right."""
+    """A knot with its one-sided limits; a jump iff left < right.
+
+    The public constructor converts ints to rationals; knots the library
+    derives itself are made with _trusted.
+    """
 
     x: object
     left: object
@@ -80,8 +97,12 @@ class PiecewiseMonotone:
     slopes    one nonnegative rational per open segment (len(breaks) + 1)
     anchor    (x, value) pinning the function when there are no knots
 
-    Instances are immutable, canonical (no removable knots) and validated
-    on construction; invalid data raises the dedicated errors.
+    Instances are immutable and canonical (no removable knots).  The public
+    constructor validates and canonicalises its arguments; invalid data
+    raises the dedicated errors.  Builders whose output is canonical by
+    construction (distribution_function, generalized_inverse) skip it
+    through _trusted; the tests pin each such result to its rebuild through
+    this constructor (validate).
     """
 
     domain: Interval
@@ -176,9 +197,11 @@ def _between(xs, lo, hi) -> tuple[int, int]:
     return i, j
 
 
-def validate(g: PiecewiseMonotone) -> None:
-    """Re-check all representation invariants (idempotent)."""
-    PiecewiseMonotone(g.domain, g.breaks, g.slopes, g.anchor)
+def validate(g: PiecewiseMonotone) -> PiecewiseMonotone:
+    """g rebuilt through the public constructors, which re-check every
+    representation invariant; equal to g exactly when g is canonical."""
+    breaks = tuple(Breakpoint(b.x, b.left, b.right) for b in g.breaks)
+    return PiecewiseMonotone(g.domain, breaks, g.slopes, g.anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +369,7 @@ def inverse_domain(g: PiecewiseMonotone) -> Interval:
     m, M = value_bounds(g)
     lo = NEG_INF if is_finite(g.domain.lo) else m
     hi = POS_INF if is_finite(g.domain.hi) else M
-    return open_iv(lo, hi)
+    return Interval(lo, hi)
 
 
 def preimage_interior(g: PiecewiseMonotone, iv: Interval) -> Interval:
@@ -356,7 +379,7 @@ def preimage_interior(g: PiecewiseMonotone, iv: Interval) -> Interval:
     lo = last_x_with_right_le(g, iv.lo)
     hi = first_x_with_left_ge(g, iv.hi)
     if lo < hi:
-        return open_iv(lo, hi)
+        return Interval(lo, hi)
     return EMPTY
 
 
@@ -368,7 +391,7 @@ def mass_interval(g: PiecewiseMonotone) -> Interval:
 def inverse_mass_interval(g: PiecewiseMonotone) -> Interval:
     """Mass interval of the generalized inverse: the open hull of g's values."""
     m, M = value_bounds(g)
-    return open_iv(m, M)
+    return Interval(m, M)
 
 
 def supporting_interval(g: PiecewiseMonotone) -> Interval:
@@ -376,7 +399,7 @@ def supporting_interval(g: PiecewiseMonotone) -> Interval:
     m, M = value_bounds(g)
     lo = last_x_with_right_le(g, m)
     hi = first_x_with_left_ge(g, M)
-    return closed_iv(lo, hi)
+    return Interval(lo, hi, is_finite(lo), is_finite(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +411,7 @@ def flats(g: PiecewiseMonotone) -> list[tuple[Interval, object]]:
     out = []
     for seg in segments(g):
         if seg.slope == 0:
-            out.append((open_iv(seg.a, seg.b), seg.u))
+            out.append((Interval(seg.a, seg.b), seg.u))
     return out
 
 
@@ -401,7 +424,7 @@ def constancy_set(g: PiecewiseMonotone, within: Interval | None = None) -> list[
             hi = min(iv.hi, within.hi)
             if not lo < hi:
                 continue
-            iv = open_iv(lo, hi)
+            iv = Interval(lo, hi)
         out.append(iv)
     return out
 
@@ -458,9 +481,14 @@ def generalized_inverse(g: PiecewiseMonotone) -> PiecewiseMonotone:
 
     Raises ConstantFunction when the inverse would be constant (g a pure
     single-jump staircase), since constant classes are excluded.
+
+    Canonical by construction: neighbouring rows of the inverse's segment
+    table differ in slope or meet at a jump (a flat of g), so no knot is
+    removable, and the result skips the public constructor.
     """
     segs = _inverse_segments(g)
-    breaks = tuple(Breakpoint(cur.a, prev.v, cur.u) for prev, cur in zip(segs, segs[1:]))
+    breaks = tuple(_trusted(Breakpoint, x=cur.a, left=prev.v, right=cur.u)
+                   for prev, cur in zip(segs, segs[1:]))
     slopes = tuple(seg.slope for seg in segs)
     if all(s == 0 for s in slopes) and not any(b.is_jump for b in breaks):
         raise ConstantFunction("the generalized inverse would be constant")
@@ -468,9 +496,10 @@ def generalized_inverse(g: PiecewiseMonotone) -> PiecewiseMonotone:
     anchor = None
     if not breaks:
         # the mirror of g's only segment that rises
-        probe = _probe_point(open_iv(segs[0].a, segs[0].b))
+        probe = _probe_point(Interval(segs[0].a, segs[0].b))
         anchor = (probe, _level_x(g, next(seg for seg in segments(g) if seg.slope != 0), probe))
-    return PiecewiseMonotone(inverse_domain(g), breaks, slopes, anchor)
+    return _trusted(PiecewiseMonotone, domain=inverse_domain(g), breaks=breaks, slopes=slopes,
+                    anchor=anchor)
 
 
 def _probe_point(iv: Interval):
@@ -541,8 +570,7 @@ def from_knot_data(domain: Interval, xs, jumps, slopes, anchor_x, anchor_value) 
     """Assemble a class from knot positions, jump sizes and slopes.
 
     anchor_x must be a continuity point (not one of xs); anchor_value is the
-    function value there.  Limits at every knot are derived by walking the
-    affine pieces outwards from the anchor.
+    function value there.
     """
     xs = [as_q(x) for x in xs]
     jumps_ = [as_q(j) for j in jumps]
@@ -554,23 +582,34 @@ def from_knot_data(domain: Interval, xs, jumps, slopes, anchor_x, anchor_value) 
         raise ValueError("anchor must not sit on a knot")
     if not xs:
         return PiecewiseMonotone(domain, (), tuple(slopes), (anchor_x, anchor_value))
-
-    i = bisect_left(xs, anchor_x)
-    limits = [None] * len(xs)
-    cx, cv = anchor_x, anchor_value
-    for j in range(i - 1, -1, -1):
-        right = cv - slopes[j + 1] * (cx - xs[j])
-        left = right - jumps_[j]
-        limits[j] = (left, right)
-        cx, cv = xs[j], left
-    cx, cv = anchor_x, anchor_value
-    for j in range(i, len(xs)):
-        left = cv + slopes[j] * (xs[j] - cx)
-        right = left + jumps_[j]
-        limits[j] = (left, right)
-        cx, cv = xs[j], right
+    limits = _knot_limits(xs, jumps_, slopes, anchor_x, anchor_value)
     breaks = tuple(Breakpoint(x, l, r) for x, (l, r) in zip(xs, limits))
     return PiecewiseMonotone(domain, breaks, tuple(slopes), None)
+
+
+def _knot_limits(xs, jumps, slopes, x0, v0) -> list[tuple]:
+    """The (left, right) limits at each knot of the class with knots xs
+    (increasing), jump sizes jumps and segment slopes slopes whose right
+    version takes the value v0 at x0.
+
+    Walks the affine pieces outwards from x0.  x0 may sit on a knot: its
+    right limit is then v0.
+    """
+    i = bisect_right(xs, x0)
+    limits = [None] * len(xs)
+    cx, cv = x0, v0
+    for j in range(i - 1, -1, -1):
+        right = cv - slopes[j + 1] * (cx - xs[j])
+        left = right - jumps[j] if jumps[j] else right
+        limits[j] = (left, right)
+        cx, cv = xs[j], left
+    cx, cv = x0, v0
+    for j in range(i, len(xs)):
+        left = cv + slopes[j] * (xs[j] - cx)
+        right = left + jumps[j] if jumps[j] else left
+        limits[j] = (left, right)
+        cx, cv = xs[j], right
+    return limits
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import shlex
 import shutil
 import subprocess
+import sys
 import sysconfig
 
 import pytest
@@ -70,6 +71,27 @@ def fixd_measure():
 @pytest.fixture
 def fixd(fixd_measure):
     return distribution_function(fixd_measure, -1)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) counts the calls of module.name, through
+    every monoinv namespace that binds it, in a one-element list."""
+
+    def install(module, name):
+        original = getattr(module, name)
+        counter = [0]
+
+        def counting(*args, **kwargs):
+            counter[0] += 1
+            return original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("monoinv") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+        return counter
+
+    return install
 
 
 # ---------------------------------------------------------------------------

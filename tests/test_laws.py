@@ -122,6 +122,24 @@ def test_eligibility_counted():
     assert 0 < rep.eligible <= rep.instances
 
 
+def test_inverse_rule_decides_absolute_continuity_once(count_calls):
+    from monoinv import measure
+
+    calls = count_calls(measure, "gen_inverse_abs_cont")
+    rep = run_law("INV_RULE", 50, GenConfig(seed=20260808))
+    assert rep.passed and 0 < rep.eligible < 50
+    assert calls[0] == 50
+
+
+def test_gen_locfin_classifies_each_instance_once(count_calls):
+    from monoinv import unimodal
+
+    calls = count_calls(unimodal, "classify")
+    rep = run_law("GEN_LOCFIN", 50, GenConfig(seed=20260808))
+    assert rep.passed and rep.eligible == 50
+    assert calls[0] == 50
+
+
 def test_inverse_rule_runs_through_step_compose(monkeypatch):
     # a composition that doubles every value of a step class with knots
     # must make the inverse-function rule fail

@@ -7,18 +7,19 @@ Counting builds is the deterministic stand-in for a wall-clock scaling
 bound, which would flake on a host whose speed drifts.  Each command also
 derives the generalized inverse and the quantile density of its
 distribution function once, and a sample file goes straight to its
-measure, without a spec document in between.
+measure, without a spec document in between.  Objects the library derives
+itself skip the public constructors, so exactnum.as_q, which converts the
+ints a caller may pass, runs a fixed number of times per command.
 """
 
 import hashlib
 import random
-import sys
 
 import pytest
 
 from click.testing import CliRunner
 
-from monoinv import cli, measure, monotone
+from monoinv import cli, exactnum, measure, monotone
 
 BUILDERS = ("_build_knot_xs", "_build_segments")
 
@@ -55,21 +56,6 @@ def test_table_builds_do_not_grow_with_points(tmp_path, build_counts, command):
     assert 0 < per_size[1000]["_build_segments"] <= 10
 
 
-def _count_calls(monkeypatch, module, name):
-    """Count calls of module.name through every monoinv namespace that binds it."""
-    original = getattr(module, name)
-    counter = [0]
-
-    def counting(*args, **kwargs):
-        counter[0] += 1
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("monoinv") and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counting)
-    return counter
-
-
 @pytest.mark.parametrize("command, module, name, want", [
     ("invert", monotone, "generalized_inverse", 1),
     ("classify", measure, "gen_inverse_abs_cont", 1),
@@ -79,13 +65,27 @@ def _count_calls(monkeypatch, module, name):
     ("invert", cli, "spec_to_measure", 0),
     ("qdensity", cli, "spec_to_measure", 0),
 ])
-def test_each_derived_object_is_built_once(tmp_path, monkeypatch, command, module, name, want):
+def test_each_derived_object_is_built_once(tmp_path, count_calls, command, module, name, want):
     path = tmp_path / "samples.txt"
     _gaussian_samples(path, 1000, seed=1000)
-    calls = _count_calls(monkeypatch, module, name)
+    calls = count_calls(module, name)
     result = CliRunner().invoke(cli.main, [command, "--samples", str(path)])
     assert result.exit_code in (0, 3), result.output
     assert calls[0] == want
+
+
+@pytest.mark.parametrize("command", ["classify", "invert", "qdensity"])
+def test_as_q_calls_do_not_grow_with_points(tmp_path, count_calls, command):
+    calls = count_calls(exactnum, "as_q")
+    per_size = {}
+    for n in (1000, 4000):
+        path = tmp_path / f"{n}.txt"
+        _gaussian_samples(path, n, seed=n)
+        calls[0] = 0
+        result = CliRunner().invoke(cli.main, [command, "--samples", str(path)])
+        assert result.exit_code in (0, 3), result.output
+        per_size[n] = calls[0]
+    assert per_size[1000] == per_size[4000]
 
 
 def _primes(count):
