@@ -45,7 +45,7 @@ from monoinv.errors import (
     UnknownLaw,
 )
 from monoinv.exactnum import ONE, fmt_ratio, parse_ratio, parse_ratio_parts, rat
-from monoinv.intervals import POS_INF, REAL_LINE, Interval, is_finite
+from monoinv.intervals import POS_INF, REAL_LINE, Interval, _open, is_finite
 from monoinv.laws import GenConfig, LAW_IDS, run_law
 from monoinv.measure import (
     Atom,
@@ -182,7 +182,7 @@ def samples_to_measure(samples, allow_degenerate: bool) -> PiecewiseMeasure:
         return PiecewiseMeasure(REAL_LINE, ((values[0], ONE),), ())
     n1 = sum(counts) - 1
     atoms = [_trusted(Atom, x=x, mass=rat(c - 1, n1)) for x, c in zip(values, counts) if c > 1]
-    pieces = [_trusted(UniformPiece, interval=Interval(a, b), density=d)
+    pieces = [_trusted(UniformPiece, interval=_open(a, b), density=d)
               for a, b, d in zip(values, values[1:], densities)]
     # equal gaps give touching pieces of equal density, which the merge joins
     return _canonical_measure(REAL_LINE, atoms, pieces)
@@ -217,10 +217,32 @@ def _load_measure(spec_path, samples_path, header, allow_degenerate):
     return samples_to_measure(read_samples(samples_path, header), allow_degenerate)
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _to_json(o, indent="\n"):
+    """o as json.dumps(o, indent=2) writes it, byte for byte, for dicts with
+    str keys, lists, tuples, str, bool, None, int and float; indent starts
+    o's own line.  json takes its pure-Python encoder whenever indent is set."""
+    if isinstance(o, str):
+        return _quote(o)
+    inner = indent + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = ("," + inner).join([_quote(k) + ": " + _to_json(v, inner) for k, v in o.items()])
+        return "{" + inner + items + indent + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_to_json(v, inner) for v in o]) + indent + "]"
+    return json.dumps(o)
+
+
 def _emit(body, out, stamp):
     if stamp:
         body = {"body": body, "stamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
-    text = json.dumps(body, indent=2) + "\n"
+    text = _to_json(body) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -30,6 +30,7 @@ from monoinv.exactnum import ONE, ZERO, as_q
 from monoinv.intervals import (
     POS_INF,
     Interval,
+    _open,
     is_finite,
     open_iv,
     require_open_nonempty,
@@ -135,14 +136,21 @@ class PiecewiseMeasure:
 
 def _merge_pieces(pieces) -> tuple:
     """Sorted disjoint pieces, with touching neighbours of equal density
-    joined across their (null) shared endpoint."""
+    joined across their (null) shared endpoint.
+
+    Neighbours the library builds share their endpoint object, so identity
+    is tested before equality.
+    """
     out = []
     for p in pieces:
-        if out and out[-1].interval.hi == p.interval.lo and out[-1].density == p.density:
-            out[-1] = _trusted(UniformPiece, interval=Interval(out[-1].interval.lo, p.interval.hi),
-                               density=p.density)
-        else:
-            out.append(p)
+        if out:
+            prev = out[-1]
+            end, lo = prev.interval.hi, p.interval.lo
+            if (end is lo or end == lo) and prev.density == p.density:
+                out[-1] = _trusted(UniformPiece, interval=_open(prev.interval.lo, p.interval.hi),
+                                   density=p.density)
+                continue
+        out.append(p)
     return tuple(out)
 
 
@@ -260,7 +268,8 @@ def step_compose(f: StepFunction, g: PiecewiseMonotone) -> StepFunction:
         gseg = segs[bisect_right(g.knot_xs, probe)]
         if gseg.slope == 0:
             c = gseg.u
-            if c in f.knots:
+            i = bisect_left(f.knots, c)
+            if i < len(f.knots) and f.knots[i] == c:
                 raise AmbiguousComposition(
                     f"g is constant at the knot value {c} of f on a set of positive length")
             values.append(f.value_at(c))
@@ -280,7 +289,7 @@ def associated_measure(g: PiecewiseMonotone) -> PiecewiseMeasure:
     sides of a jump give touching pieces that the merge joins.
     """
     atoms = [_trusted(Atom, x=b.x, mass=b.right - b.left) for b in mono.jumps(g)]
-    pieces = [_trusted(UniformPiece, interval=Interval(s.a, s.b), density=s.slope)
+    pieces = [_trusted(UniformPiece, interval=_open(s.a, s.b), density=s.slope)
               for s in segments(g) if s.slope > 0]
     return _canonical_measure(g.domain, atoms, pieces)
 
@@ -373,22 +382,27 @@ def _density_cells(m: PiecewiseMeasure) -> tuple[list, list]:
     """The knots and cell values of the density of m's pieces: the interior
     piece ends in increasing order, and one value per cell between them.
     Neighbouring cells differ, since canonical pieces of equal density never
-    touch."""
+    touch.
+
+    Canonical pieces lie inside the carrier, so only the first piece's lower
+    end and the last piece's upper end can be an end of the carrier.
+    """
     carrier = m.carrier
     knots, values = [], [ZERO]
     for p in m.pieces:
-        lo, hi = p.interval.lo, p.interval.hi
-        if carrier.contains(lo):
-            if knots and knots[-1] == lo:
-                values[-1] = p.density  # piece starts where the previous one ended
-            else:
-                knots.append(lo)
-                values.append(p.density)
+        lo = p.interval.lo
+        if knots and (knots[-1] is lo or knots[-1] == lo):
+            values[-1] = p.density  # piece starts where the previous one ended
+        elif knots or carrier.contains(lo):
+            knots.append(lo)
+            values.append(p.density)
         else:
-            values[-1] = p.density
-        if carrier.contains(hi):
-            knots.append(hi)
-            values.append(ZERO)
+            values[-1] = p.density  # the first piece starts at the carrier's end
+        knots.append(p.interval.hi)
+        values.append(ZERO)
+    if knots and not carrier.contains(knots[-1]):
+        knots.pop()
+        values.pop()
     return knots, values
 
 
@@ -409,26 +423,32 @@ def lebesgue_on(iv: Interval, carrier: Interval) -> PiecewiseMeasure:
 
 def _coverage(pieces) -> list[Interval]:
     """Union of a canonical measure's pieces (sorted and disjoint), closing
-    the single-point gaps between touching pieces (which are null)."""
+    the single-point gaps between touching pieces (which are null): runs
+    in increasing order, with a gap of positive length between any two."""
     out = []
+    lo = hi = None
     for p in pieces:
         iv = p.interval
-        if out and iv.lo == out[-1].hi:
-            out[-1] = Interval(out[-1].lo, iv.hi)
-        else:
-            out.append(iv)
+        if hi is None:
+            lo = iv.lo
+        elif not (iv.lo is hi or iv.lo == hi):
+            out.append(_open(lo, hi))
+            lo = iv.lo
+        hi = iv.hi
+    if hi is not None:
+        out.append(_open(lo, hi))
     return out
-
-
-def _covered(iv: Interval, coverage: list[Interval]) -> bool:
-    return any(c.lo <= iv.lo and iv.hi <= c.hi for c in coverage)
 
 
 def is_abs_cont_wrt(a: PiecewiseMeasure, b: PiecewiseMeasure) -> bool:
     """Exact decision of a << b on the representable class.
 
     Atoms of a must coincide with atoms of b; pieces of a must be covered,
-    up to Lebesgue-null sets, by the pieces of b.
+    up to Lebesgue-null sets, by the pieces of b.  The pieces of a and the
+    runs of b's coverage are both sorted, so one merge walk decides it: a
+    run ending at or before a piece's lower end covers neither that piece
+    nor any later one, and the first run ending after it is the only one
+    that can cover it.
     """
     if a.carrier != b.carrier:
         raise CarrierMismatch("absolute continuity needs a common carrier")
@@ -437,7 +457,14 @@ def is_abs_cont_wrt(a: PiecewiseMeasure, b: PiecewiseMeasure) -> bool:
         if atom.x not in b_atoms:
             return False
     cover = _coverage(b.pieces)
-    return all(_covered(p.interval, cover) for p in a.pieces)
+    j, nc = 0, len(cover)
+    for p in a.pieces:
+        iv = p.interval
+        while j < nc and cover[j].hi <= iv.lo:
+            j += 1
+        if j == nc or not (cover[j].lo <= iv.lo and iv.hi <= cover[j].hi):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +510,7 @@ def pushforward(m: PiecewiseMeasure, t: PiecewiseMonotone) -> PiecewiseMeasure:
             else:
                 u = evaluate(t, lo, RIGHT) if is_finite(lo) else seg.u
                 v = evaluate(t, hi, LEFT) if is_finite(hi) else seg.v
-                out_pieces.append(_trusted(UniformPiece, interval=Interval(u, v),
+                out_pieces.append(_trusted(UniformPiece, interval=_open(u, v),
                                            density=p.density / seg.slope))
 
     carrier = inverse_domain(t)

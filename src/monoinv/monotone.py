@@ -85,7 +85,8 @@ class Breakpoint:
 
     @property
     def is_jump(self):
-        return self.left < self.right
+        # a continuity knot the library builds holds one object on both sides
+        return self.left is not self.right and self.left < self.right
 
 
 @dataclass(frozen=True)
@@ -452,8 +453,9 @@ def flat_count(g: PiecewiseMonotone) -> int:
 # generalized inverse
 
 
-def _inverse_segments(g: PiecewiseMonotone) -> list[Segment]:
-    """The segment table of the generalized inverse of g, in value order.
+def _inverse_segments(g: PiecewiseMonotone) -> tuple[Segment, ...]:
+    """The segment table of the generalized inverse of g, in value order
+    (built once per instance).
 
     Each rising segment of g appears mirrored, each jump of g as a flat, and
     each finite end of g's domain as a clamp beyond g's values.  A flat of g
@@ -461,19 +463,25 @@ def _inverse_segments(g: PiecewiseMonotone) -> list[Segment]:
     a jump of the inverse; a flat reaching an infinite domain end only
     shapes the boundary of the inverse's domain.
     """
+    return _cached(g, "_inverse_segments", _build_inverse_segments)
+
+
+def _build_inverse_segments(g: PiecewiseMonotone) -> tuple[Segment, ...]:
     gsegs = segments(g)
     out = []
     if is_finite(g.domain.lo):
         out.append(Segment(NEG_INF, gsegs[0].u, g.domain.lo, g.domain.lo, ZERO))
     # segment i ends at knot i; a jump there is a flat of the inverse
     for seg, b in zip(gsegs, (*g.breaks, None)):
-        if seg.slope != 0:
-            out.append(Segment(seg.u, seg.v, seg.a, seg.b, 1 / seg.slope))
+        s = seg.slope
+        if s != 0:
+            # the reciprocal of s > 0, without the number type's reflected 1 / s
+            out.append(Segment(seg.u, seg.v, seg.a, seg.b, rat(s.denominator, s.numerator)))
         if b is not None and b.is_jump:
             out.append(Segment(b.left, b.right, b.x, b.x, ZERO))
     if is_finite(g.domain.hi):
         out.append(Segment(gsegs[-1].v, POS_INF, g.domain.hi, g.domain.hi, ZERO))
-    return out
+    return tuple(out)
 
 
 def generalized_inverse(g: PiecewiseMonotone) -> PiecewiseMonotone:

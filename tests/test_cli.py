@@ -1,11 +1,15 @@
+import datetime
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monoinv import cli, unimodal
 from monoinv.errors import InternalInconsistency
@@ -186,9 +190,38 @@ def test_round_trip_via_echo(spec_file, tmp_path):
 def test_stamp_outside_body(spec_file):
     path = spec_file(FIXD_SPEC)
     plain = json.loads(run_cli("classify", "--spec", path).stdout)
-    stamped = json.loads(run_cli("classify", "--spec", path, "--stamp").stdout)
+    text = run_cli("classify", "--spec", path, "--stamp").stdout
+    stamped = json.loads(text)
     assert stamped["body"] == plain
-    assert "stamp" in stamped
+    assert list(stamped) == ["body", "stamp"]
+    when = datetime.datetime.fromisoformat(stamped["stamp"])
+    assert when.utcoffset() == datetime.timedelta(0)
+    # the envelope is laid out as json.dumps(indent=2) lays it out
+    assert text == json.dumps(stamped, indent=2) + "\n"
+
+
+# every value a report can hold: nested dicts with str keys, lists, empty
+# containers, strings with quotes, backslashes, control and non-ASCII
+# characters, bools, None, ints and floats (nan and the infinities included)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children,
+                                                                      max_size=4),
+    max_leaves=25,
+)
+
+
+@given(json_values)
+@settings(max_examples=400, deadline=None)
+@example({"q\"uote": ["back\\slash", "\x00\x1f\n\t", "\u00e9\u2028\U0001f600"], "": {}, "e": []})
+@example([True, False, None, 0, -7, 10**30, 1.5, -0.0, float("inf"), float("nan")])
+@example({"nested": [{"a": [[], [{}]]}], "t": ("tuples", "encode", "as", "lists")})
+def test_report_writer_equals_json_dumps(value):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        cli._emit(value, out, stamp=False)
+        with open(out, encoding="utf-8") as fh:
+            assert fh.read() == json.dumps(value, indent=2) + "\n"
 
 
 def test_invert_uniform(spec_file):

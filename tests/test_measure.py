@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from monoinv import measure
 from monoinv import monotone as mono
 from monoinv.errors import (
     AmbiguousComposition,
@@ -448,6 +449,32 @@ def test_abs_cont_point_gaps_are_null():
     a = lebesgue_on(open_iv(0, 2), REAL_LINE)
     b = PiecewiseMeasure(REAL_LINE, (), ((open_iv(0, 1), 1), (open_iv(1, 2), 2)))
     assert is_abs_cont_wrt(a, b)
+
+
+def _abs_cont_by_scan(a, b):
+    """is_abs_cont_wrt with every piece of a held against every coverage run of b."""
+    b_atoms = {atom.x for atom in b.atoms}
+    if any(atom.x not in b_atoms for atom in a.atoms):
+        return False
+    cover = measure._coverage(b.pieces)
+    return all(any(c.lo <= p.interval.lo and p.interval.hi <= c.hi for c in cover)
+               for p in a.pieces)
+
+
+@given(measure_parts(), measure_parts(), st.data())
+@settings(max_examples=300)
+def test_merge_walk_abs_cont_equals_scan(parts_a, parts_b, data):
+    a = PiecewiseMeasure(REAL_LINE, tuple(parts_a[0]), tuple(parts_a[1]))
+    b = PiecewiseMeasure(REAL_LINE, tuple(parts_b[0]), tuple(parts_b[1]))
+    # Lebesgue on disjoint intervals between b's piece ends and their
+    # midpoints: inside one run of b, across a touching point, or over a gap
+    ends = sorted({e for p in b.pieces for e in (p.interval.lo, p.interval.hi) if is_finite(e)})
+    points = sorted({*ends, *((x + y) / 2 for x, y in zip(ends, ends[1:]))})
+    cuts = sorted(data.draw(st.sets(st.sampled_from(points))) if points else [])
+    inner = PiecewiseMeasure(REAL_LINE, (), tuple(
+        (Interval(lo, hi), 1) for lo, hi in zip(cuts[::2], cuts[1::2])))
+    for x, y in ((a, b), (b, a), (inner, b), (b, b), (inner, a)):
+        assert is_abs_cont_wrt(x, y) == _abs_cont_by_scan(x, y)
 
 
 # ---------------------------------------------------------------------------

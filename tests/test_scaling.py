@@ -9,9 +9,12 @@ derives the generalized inverse and the quantile density of its
 distribution function once, and a sample file goes straight to its
 measure, without a spec document in between.  Objects the library derives
 itself skip the public constructors, so exactnum.as_q, which converts the
-ints a caller may pass, runs a fixed number of times per command.
+ints a caller may pass, and Interval's checks run a fixed number of times
+per command.  The inverse's segment table is built once per function,
+whichever of classify, generalized_inverse and quantile_density asks first.
 """
 
+import fractions
 import hashlib
 import random
 
@@ -20,6 +23,7 @@ import pytest
 from click.testing import CliRunner
 
 from monoinv import cli, exactnum, measure, monotone
+from monoinv.intervals import REAL_LINE, Interval
 
 BUILDERS = ("_build_knot_xs", "_build_segments")
 
@@ -61,6 +65,9 @@ def test_table_builds_do_not_grow_with_points(tmp_path, build_counts, command):
     ("classify", measure, "gen_inverse_abs_cont", 1),
     ("classify", measure, "inverse_slope_step", 1),
     ("classify", monotone, "extend_to_real_line", 1),
+    ("classify", monotone, "_build_inverse_segments", 1),
+    ("invert", monotone, "_build_inverse_segments", 1),
+    ("qdensity", monotone, "_build_inverse_segments", 1),
     ("classify", cli, "spec_to_measure", 0),
     ("invert", cli, "spec_to_measure", 0),
     ("qdensity", cli, "spec_to_measure", 0),
@@ -74,18 +81,83 @@ def test_each_derived_object_is_built_once(tmp_path, count_calls, command, modul
     assert calls[0] == want
 
 
-@pytest.mark.parametrize("command", ["classify", "invert", "qdensity"])
-def test_as_q_calls_do_not_grow_with_points(tmp_path, count_calls, command):
-    calls = count_calls(exactnum, "as_q")
+def _count_per_size(tmp_path, command, counter):
+    """counter[0] after command on 1k and on 4k Gaussian samples, reset before each run."""
     per_size = {}
     for n in (1000, 4000):
         path = tmp_path / f"{n}.txt"
         _gaussian_samples(path, n, seed=n)
-        calls[0] = 0
+        counter[0] = 0
         result = CliRunner().invoke(cli.main, [command, "--samples", str(path)])
         assert result.exit_code in (0, 3), result.output
-        per_size[n] = calls[0]
+        per_size[n] = counter[0]
+    return per_size
+
+
+@pytest.mark.parametrize("command", ["classify", "invert", "qdensity"])
+def test_as_q_calls_do_not_grow_with_points(tmp_path, count_calls, command):
+    per_size = _count_per_size(tmp_path, command, count_calls(exactnum, "as_q"))
     assert per_size[1000] == per_size[4000]
+
+
+@pytest.mark.parametrize("command", ["classify", "invert", "qdensity"])
+def test_interval_checks_do_not_grow_with_points(tmp_path, monkeypatch, command):
+    # sample gaps, rising segments, joined pieces and coverage runs are
+    # intervals the library has ordered itself; they skip the checks
+    calls = [0]
+    checked = Interval.__post_init__
+
+    def counting(self):
+        calls[0] += 1
+        checked(self)
+
+    monkeypatch.setattr(Interval, "__post_init__", counting)
+    per_size = _count_per_size(tmp_path, command, calls)
+    assert per_size[1000] == per_size[4000]
+
+
+def test_main_equiv_builds_one_inverse_table_per_function(count_calls):
+    # classify, quantile_density and the materialized inverse of each
+    # generated function share its table
+    calls = count_calls(monotone, "_build_inverse_segments")
+    result = CliRunner().invoke(cli.main, ["verify", "--law", "MAIN_EQUIV", "--n", "50",
+                                           "--seed", "20260808"])
+    assert result.exit_code == 0, result.output
+    assert 0 < calls[0] <= 50
+
+
+def _comb(n):
+    """Lebesgue on (4i + 1, 4i + 2) for i < n, and a measure whose pieces
+    (4i, 4i + 3/2) and (4i + 3/2, 4i + 3) of two densities touch: n runs,
+    run i covering piece i."""
+    Q = fractions.Fraction
+    a = measure.PiecewiseMeasure(REAL_LINE, (), tuple(
+        (Interval(Q(4 * i + 1), Q(4 * i + 2)), Q(1)) for i in range(n)))
+    b = measure.PiecewiseMeasure(REAL_LINE, (), tuple(
+        piece for i in range(n) for piece in (
+            (Interval(Q(4 * i), Q(8 * i + 3, 2)), Q(1)),
+            (Interval(Q(8 * i + 3, 2), Q(4 * i + 3)), Q(2)))))
+    return a, b
+
+
+def test_abs_cont_comparisons_grow_linearly(monkeypatch):
+    # the walk holds each piece against one run; a scan of all runs per piece
+    # makes n * n / 2 comparisons
+    calls = [0]
+    for name in ("_richcmp", "__eq__"):
+        def counting(self, *args, compare=getattr(fractions.Fraction, name)):
+            calls[0] += 1
+            return compare(self, *args)
+
+        monkeypatch.setattr(fractions.Fraction, name, counting)
+    per_size = {}
+    for n in (1000, 4000):
+        a, b = _comb(n)
+        calls[0] = 0
+        assert measure.is_abs_cont_wrt(a, b)
+        assert not measure.is_abs_cont_wrt(b, a)
+        per_size[n] = calls[0]
+    assert per_size[4000] <= 4 * per_size[1000] + 16
 
 
 def _primes(count):

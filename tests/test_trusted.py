@@ -9,25 +9,37 @@ the public constructor.  The oracle rebuilds each result through the public
 constructors (monotone.validate, rebuild_measure, rebuild_step), which
 raise on invalid data and canonicalise: a result equal to its rebuild, down
 to the types of its numbers, is valid and canonical.
+
+Intervals whose ends the library has ordered itself (sample gaps, rising
+segments, joined pieces, pushforward images, coverage runs) are made by
+intervals._open, which runs no check.  Their oracle records every such
+interval, which must be the open, nonempty Interval(lo, hi), and runs each
+builder again with _open, the piece merge and the coverage runs replaced by
+checked versions that build every interval through Interval and compare
+ends by equality alone: the results must be the same.
 """
 
+import contextlib
 import os
+import sys
 import tempfile
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from monoinv import cli, measure
+from monoinv import cli, intervals, measure
 from monoinv.errors import ConstantFunction, MonoinvError
 from monoinv.exactnum import rat
-from monoinv.intervals import REAL_LINE, is_finite
+from monoinv.intervals import REAL_LINE, Interval, is_finite, require_open_nonempty
 from monoinv.laws import GenConfig, gen_monotone
 from monoinv.measure import (
     PiecewiseMeasure,
     StepFunction,
+    UniformPiece,
     associated_measure,
     density,
     distribution_function,
+    gen_inverse_abs_cont,
     inverse_slope_step,
     lebesgue_decompose,
     lebesgue_on,
@@ -120,6 +132,90 @@ def trusted_results(g: PiecewiseMonotone):
     return out
 
 
+@contextlib.contextmanager
+def _replaced(**replacements):
+    """Every monoinv namespace binding one of the named functions of measure
+    (which binds intervals._open too) binds the replacement instead, for the
+    duration of the block."""
+    undo = []
+    for name, new in replacements.items():
+        current = getattr(measure, name)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("monoinv") and getattr(mod, name, None) is current:
+                undo.append((mod, name, current))
+                setattr(mod, name, new)
+    try:
+        yield
+    finally:
+        for mod, name, current in undo:
+            setattr(mod, name, current)
+
+
+def _open_checked(lo, hi):
+    return require_open_nonempty(Interval(lo, hi))
+
+
+def _merge_pieces_checked(pieces):
+    out = []
+    for p in pieces:
+        if out and out[-1].interval.hi == p.interval.lo and out[-1].density == p.density:
+            out[-1] = UniformPiece(Interval(out[-1].interval.lo, p.interval.hi), p.density)
+        else:
+            out.append(p)
+    return tuple(out)
+
+
+def _coverage_checked(pieces):
+    out = []
+    for p in pieces:
+        if out and p.interval.lo == out[-1].hi:
+            out[-1] = Interval(out[-1].lo, p.interval.hi)
+        else:
+            out.append(p.interval)
+    return out
+
+
+def _outcome(build):
+    try:
+        return "ok", build()
+    except MonoinvError as e:
+        return "error", type(e), str(e)
+
+
+def trusted_intervals_hold(build) -> bool:
+    """Is every interval _open makes while build() runs the open, nonempty
+    Interval of its ends, and is build()'s result the same with every
+    interval made and joined through the checked constructor?"""
+    made = []
+    fast_open = intervals._open
+
+    def recording(lo, hi):
+        iv = fast_open(lo, hi)
+        made.append(iv)
+        return iv
+
+    with _replaced(_open=recording):
+        fast = _outcome(build)
+    with _replaced(_open=_open_checked, _merge_pieces=_merge_pieces_checked,
+                   _coverage=_coverage_checked):
+        checked = _outcome(build)
+    for iv in made:
+        try:
+            if _open_checked(iv.lo, iv.hi) != iv:
+                return False
+        except (MonoinvError, ValueError):
+            return False
+    return fast == checked and repr(fast) == repr(checked)
+
+
+def trusted_interval_results(g: PiecewiseMonotone):
+    """trusted_results(g), and the verdict of gen_inverse_abs_cont on the
+    inverse's domain, which holds Lebesgue measure against the coverage
+    runs of g's associated measure."""
+    return trusted_results(g) + [("gen_inverse_abs_cont",
+                                  gen_inverse_abs_cont(g, inverse_domain(g)))]
+
+
 @st.composite
 def instances(draw):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
@@ -130,14 +226,18 @@ def instances(draw):
 
 # slope 1 on both sides of a unit jump: two touching pieces of density 1
 EQUAL_SLOPES_ACROSS_JUMP = from_knot_data(REAL_LINE, [0], [1], [1, 1], -1, 0)
+# slope 1 on both sides of a flat: two pieces of density 1 with a gap between
+EQUAL_SLOPES_ACROSS_FLAT = from_knot_data(REAL_LINE, [0, 1], [0, 0], [1, 0, 1], -1, 0)
 
 
 @oracle_settings
 @given(instances())
 @example(EQUAL_SLOPES_ACROSS_JUMP)
+@example(EQUAL_SLOPES_ACROSS_FLAT)
 def test_trusted_builders_equal_public_rebuild(g):
     for name, obj in trusted_results(g):
         assert same_as_public(obj), (name, obj)
+    assert trusted_intervals_hold(lambda: trusted_interval_results(g))
 
 
 @oracle_settings
@@ -149,8 +249,10 @@ def test_sample_measure_equals_public_rebuild(samples):
         path = os.path.join(tmp, "samples.txt")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("".join(f"{num}/{den}\n" for num, den in samples))
-        m = cli.samples_to_measure(cli.read_samples(path, header=False), allow_degenerate=True)
+        parsed = cli.read_samples(path, header=False)
+    m = cli.samples_to_measure(parsed, allow_degenerate=True)
     assert same_as_public(m)
+    assert trusted_intervals_hold(lambda: cli.samples_to_measure(parsed, allow_degenerate=True))
     for z in _anchors(m):
         assert same_as_public(distribution_function(m, z))
 
@@ -178,3 +280,25 @@ def test_oracle_catches_a_removable_knot():
     assert validate(kept) == g
     assert not same_as_public(kept)
 
+
+def test_oracle_catches_a_merge_across_a_gap(monkeypatch):
+    g = EQUAL_SLOPES_ACROSS_FLAT
+    assert trusted_intervals_hold(lambda: trusted_interval_results(g))
+    assert len(associated_measure(g).pieces) == 2
+
+    def joins_across_gaps(pieces):
+        out = []
+        for p in pieces:
+            if out and out[-1].density == p.density:
+                out[-1] = _trusted(UniformPiece, interval=intervals._open(out[-1].interval.lo,
+                                                                          p.interval.hi),
+                                   density=p.density)
+            else:
+                out.append(p)
+        return tuple(out)
+
+    monkeypatch.setattr(measure, "_merge_pieces", joins_across_gaps)
+    assert len(associated_measure(g).pieces) == 1
+    # the joined piece is a valid measure on its own; only the checked run tells
+    assert same_as_public(associated_measure(g))
+    assert not trusted_intervals_hold(lambda: trusted_interval_results(g))
