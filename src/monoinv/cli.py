@@ -13,10 +13,11 @@ numerators and denominators, sorted into runs of tied values in one pass
 
 Exit codes:
   0  success (classify: the distribution is unimodal)
-  1  unreadable / unparseable input (bad JSON shapes included); verify: an
-     unknown law id, --n or --max-knots below 1, or a non-integer MONOINV_SEED;
-     invert / qdensity: --plot-points below 1, or a plotted value beyond the
-     range of a float
+  1  unreadable / unparseable input (bad JSON shapes, bytes that are not
+     UTF-8 and JSON nested too deeply included), or an --out file that cannot
+     be written; verify: an unknown law id, --n or --max-knots below 1, or a
+     non-integer MONOINV_SEED; invert / qdensity: --plot-points below 1, or a
+     plotted value beyond the range of a float
   2  invalid specification (overlapping pieces, nonpositive mass, zero
      measure, bad anchor, too few samples)
   3  classify: not unimodal
@@ -44,14 +45,13 @@ from monoinv.errors import (
     QfNotAbsolutelyContinuous,
     UnknownLaw,
 )
-from monoinv.exactnum import ONE, fmt_ratio, parse_ratio, parse_ratio_parts, rat
-from monoinv.intervals import POS_INF, REAL_LINE, Interval, _open, is_finite
+from monoinv.exactnum import ONE, ZERO, fmt_ratio, parse_ratio, parse_ratio_parts, rat
+from monoinv.intervals import POS_INF, REAL_LINE, Interval, is_finite
 from monoinv.laws import GenConfig, LAW_IDS, run_law
 from monoinv.measure import (
     Atom,
     PiecewiseMeasure,
-    UniformPiece,
-    _canonical_measure,
+    _canonical_step,
     density,
     distribution_function,
     lebesgue_decompose,
@@ -107,8 +107,10 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _ParseError(f"cannot read {path}: {e}") from e
+    except RecursionError as e:
+        raise _ParseError(f"cannot read {path}: JSON nested too deeply") from e
     except json.JSONDecodeError as e:
         raise _ParseError(f"{path} is not valid JSON: {e}") from e
 
@@ -129,7 +131,7 @@ def read_samples(path, header: bool):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _ParseError(f"cannot read {path}: {e}") from e
     if header and lines:
         lines = lines[1:]
@@ -181,11 +183,12 @@ def samples_to_measure(samples, allow_degenerate: bool) -> PiecewiseMeasure:
     if _degenerate(values, allow_degenerate):
         return PiecewiseMeasure(REAL_LINE, ((values[0], ONE),), ())
     n1 = sum(counts) - 1
-    atoms = [_trusted(Atom, x=x, mass=rat(c - 1, n1)) for x, c in zip(values, counts) if c > 1]
-    pieces = [_trusted(UniformPiece, interval=_open(a, b), density=d)
-              for a, b, d in zip(values, values[1:], densities)]
-    # equal gaps give touching pieces of equal density, which the merge joins
-    return _canonical_measure(REAL_LINE, atoms, pieces)
+    atoms = tuple(_trusted(Atom, x=x, mass=rat(c - 1, n1))
+                  for x, c in zip(values, counts) if c > 1)
+    # the distinct samples are the knots; equal gaps give neighbouring cells
+    # of equal density, which the merge joins
+    dens = _canonical_step(REAL_LINE, values, [ZERO, *densities, ZERO])
+    return _trusted(PiecewiseMeasure, carrier=REAL_LINE, atoms=atoms, abs_density=dens)
 
 
 def samples_to_spec(samples, allow_degenerate: bool) -> dict:
@@ -244,8 +247,11 @@ def _emit(body, out, stamp):
         body = {"body": body, "stamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
     text = _to_json(body) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            _fail(1, f"cannot write {out}: {e}")
     else:
         click.echo(text, nl=False)
 

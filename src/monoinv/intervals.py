@@ -159,18 +159,6 @@ REAL_LINE = Interval(NEG_INF, POS_INF)
 EMPTY = Interval(ZERO, ZERO)
 
 
-def _open(lo, hi) -> Interval:
-    """The open interval (lo, hi) of ends the library has ordered itself,
-    lo < hi: the open-interval case of the trusted path (monotone._trusted),
-    made without __post_init__'s checks."""
-    iv = object.__new__(Interval)
-    object.__setattr__(iv, "lo", lo)
-    object.__setattr__(iv, "hi", hi)
-    object.__setattr__(iv, "lo_closed", False)
-    object.__setattr__(iv, "hi_closed", False)
-    return iv
-
-
 def open_iv(lo, hi) -> Interval:
     return Interval(as_q(lo), as_q(hi))
 

@@ -422,19 +422,6 @@ def _check_cont_equiv(g):
                          "interior of the inverse's image vs mass interval")
 
 
-def _gaps_of(pieces, carrier):
-    """Open intervals of the carrier not covered by the given pieces."""
-    gaps = []
-    cur = carrier.lo
-    for p in sorted(pieces, key=lambda p: (p.interval.lo, p.interval.hi)):
-        if cur < p.interval.lo:
-            gaps.append((cur, p.interval.lo))
-        cur = max(cur, p.interval.hi)
-    if cur < carrier.hi:
-        gaps.append((cur, carrier.hi))
-    return gaps
-
-
 def _check_rn_lemma(g):
     m = associated_measure(g)
     abs_part, sing = lebesgue_decompose(m)
@@ -449,7 +436,8 @@ def _check_rn_lemma(g):
         route_a = is_abs_cont_wrt(m, rho)
         route_b = not m.atoms and all(
             measure_of_open(m, lo, hi) == ZERO
-            for lo, hi in _gaps_of(rho.pieces, g.domain)
+            for lo, hi, v in rho.abs_density.cells()
+            if v == 0
         )
         if route_a != route_b:
             raise LawFailure(route_a, route_b, "m << rho routes disagree")

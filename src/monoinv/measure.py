@@ -1,17 +1,17 @@
 """Locally finite Borel measures on an open interval, exactly.
 
-A measure here is a finite list of atoms plus a finite list of
-constant-density pieces.  This class is closed under the correspondence
-with non-decreasing functions, under Lebesgue decomposition (the singular
-part is purely atomic by construction) and under pushforward along
-piecewise-affine monotone maps, so equality of measures is a structural
-comparison of canonical forms.
+A measure here is a finite list of atoms plus the density of its absolutely
+continuous part, a step class on the carrier (0 where there is no mass).
+This class is closed under the correspondence with non-decreasing
+functions, under Lebesgue decomposition (the singular part is purely atomic
+by construction) and under pushforward along piecewise-affine monotone
+maps, so equality of measures is a structural comparison of canonical forms.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from operator import attrgetter
 
 from monoinv import monotone as mono
@@ -30,7 +30,6 @@ from monoinv.exactnum import ONE, ZERO, as_q
 from monoinv.intervals import (
     POS_INF,
     Interval,
-    _open,
     is_finite,
     open_iv,
     require_open_nonempty,
@@ -65,9 +64,9 @@ class Atom:
 
 @dataclass(frozen=True)
 class UniformPiece:
-    """Constant density on an open interval.  The public constructor checks
-    the interval and density > 0; the library makes the pieces it derives
-    itself with _trusted."""
+    """Constant density on an open interval: an input form of
+    PiecewiseMeasure, and the form its pieces are listed in.  The
+    constructor checks the interval and density > 0."""
 
     interval: Interval
     density: object
@@ -81,29 +80,31 @@ class UniformPiece:
 
 @dataclass(frozen=True)
 class PiecewiseMeasure:
-    """Atoms + piecewise-uniform parts on an open carrier interval.
+    """Atoms plus an absolutely continuous part on an open carrier interval.
 
-    Canonical form: atoms sorted and merged by location, pieces sorted,
-    disjoint, with adjacent equal-density pieces merged across their
-    (null) shared endpoint.  The zero measure is the empty lists.
-    The public constructor validates (atoms and pieces inside the carrier,
-    disjoint pieces) and canonicalises in one stable sort and one linear pass
-    each over atoms and pieces; sorting input that is already sorted costs
-    n-1 comparisons.  The library's own builders skip it: those whose output
-    is canonical by construction through _trusted, those whose pieces may
-    touch with equal density through _canonical_measure, which runs the
-    same piece merge.  The tests pin each to its public rebuild.
+    Canonical form: atoms sorted and merged by location, and abs_density,
+    the density of the absolutely continuous part as a step class on the
+    carrier, 0 between pieces.  The zero measure has no atoms and the zero
+    density.  The public constructor takes atoms and uniform pieces,
+    validates them (inside the carrier, disjoint pieces) and canonicalises
+    in one stable sort and one linear pass each over atoms and pieces;
+    sorting input that is already sorted costs n-1 comparisons.  The pieces
+    become cells there, in _density_step.  The library's own builders skip
+    it and make their density with _canonical_step or _density_step; the
+    tests pin each to its public rebuild.  `pieces` lists the nonzero cells
+    of the density as UniformPieces.
     """
 
     carrier: Interval
     atoms: tuple = ()
-    pieces: tuple = ()
+    pieces: InitVar[tuple] = ()
+    abs_density: StepFunction = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, pieces):
         carrier = self.carrier
         require_open_nonempty(carrier, "carrier")
         atoms = [a if isinstance(a, Atom) else Atom(*a) for a in self.atoms]
-        pieces = [p if isinstance(p, UniformPiece) else UniformPiece(*p) for p in self.pieces]
+        pieces = [p if isinstance(p, UniformPiece) else UniformPiece(*p) for p in pieces]
 
         for a in atoms:
             if not carrier.contains(a.x):
@@ -127,39 +128,49 @@ class PiecewiseMeasure:
                 raise ValueError("uniform pieces must be pairwise disjoint")
 
         object.__setattr__(self, "atoms", tuple(merged))
-        object.__setattr__(self, "pieces", _merge_pieces(pieces))
+        object.__setattr__(self, "abs_density", _density_step(
+            carrier, [(p.interval.lo, p.interval.hi, p.density) for p in pieces]))
 
     @property
     def is_zero(self):
-        return not self.atoms and not self.pieces
+        return not self.atoms and self.abs_density.values == (ZERO,)
 
 
-def _merge_pieces(pieces) -> tuple:
-    """Sorted disjoint pieces, with touching neighbours of equal density
-    joined across their (null) shared endpoint.
+def _pieces(m: PiecewiseMeasure) -> tuple:
+    """The nonzero cells of m's density, as canonical UniformPieces."""
+    return tuple(UniformPiece(Interval(lo, hi), v)
+                 for lo, hi, v in m.abs_density.cells() if v != 0)
 
-    Neighbours the library builds share their endpoint object, so identity
-    is tested before equality.
+
+# set after the decorator, which would read a property in the class body as
+# the default of the pieces InitVar
+PiecewiseMeasure.pieces = property(_pieces)
+
+
+def _density_step(carrier: Interval, pieces) -> StepFunction:
+    """The density that is d on each (lo, hi, d) of pieces and 0 elsewhere,
+    as a step class on carrier: the one place pieces become cells.
+
+    The pieces are sorted, disjoint, of positive density and inside the
+    carrier, so only the first piece's lower end and the last piece's upper
+    end can be an end of the carrier.  Touching pieces of equal density
+    join in the cell merge.
     """
-    out = []
-    for p in pieces:
-        if out:
-            prev = out[-1]
-            end, lo = prev.interval.hi, p.interval.lo
-            if (end is lo or end == lo) and prev.density == p.density:
-                out[-1] = _trusted(UniformPiece, interval=_open(prev.interval.lo, p.interval.hi),
-                                   density=p.density)
-                continue
-        out.append(p)
-    return tuple(out)
-
-
-def _canonical_measure(carrier: Interval, atoms, pieces) -> PiecewiseMeasure:
-    """The measure of valid atoms at increasing points and valid, sorted,
-    disjoint pieces inside carrier; of the public constructor's work only
-    the piece merge is left to do."""
-    return _trusted(PiecewiseMeasure, carrier=carrier, atoms=tuple(atoms),
-                    pieces=_merge_pieces(pieces))
+    knots, values = [], [ZERO]
+    for lo, hi, d in pieces:
+        if knots and knots[-1] == lo:
+            values[-1] = d  # the piece starts where the previous one ended
+        elif knots or carrier.contains(lo):
+            knots.append(lo)
+            values.append(d)
+        else:
+            values[-1] = d  # the first piece starts at the carrier's end
+        knots.append(hi)
+        values.append(ZERO)
+    if knots and not carrier.contains(knots[-1]):
+        knots.pop()
+        values.pop()
+    return _canonical_step(carrier, knots, values)
 
 
 @dataclass(frozen=True)
@@ -169,7 +180,7 @@ class StepFunction:
     No values are stored at the knots; adjacent cells with equal value are
     merged, so equality of step functions is equality of a.e. classes.  The
     public constructor validates and merges; the library's own builders
-    skip the validation (_trusted, _canonical_step).
+    skip the validation (_trusted, _canonical_step, _density_step).
     """
 
     carrier: Interval
@@ -283,15 +294,11 @@ def step_compose(f: StepFunction, g: PiecewiseMonotone) -> StepFunction:
 
 
 def associated_measure(g: PiecewiseMonotone) -> PiecewiseMeasure:
-    """Atoms from the jumps of g, uniform pieces from its rising slopes.
-
-    Both come sorted and valid; rising segments of equal slope on the two
-    sides of a jump give touching pieces that the merge joins.
-    """
-    atoms = [_trusted(Atom, x=b.x, mass=b.right - b.left) for b in mono.jumps(g)]
-    pieces = [_trusted(UniformPiece, interval=_open(s.a, s.b), density=s.slope)
-              for s in segments(g) if s.slope > 0]
-    return _canonical_measure(g.domain, atoms, pieces)
+    """Atoms from the jumps of g; the density of the absolutely continuous
+    part is the step class of g's slopes (0 on its flats)."""
+    atoms = tuple(_trusted(Atom, x=b.x, mass=b.right - b.left) for b in mono.jumps(g))
+    return _trusted(PiecewiseMeasure, carrier=g.domain, atoms=atoms,
+                    abs_density=step_of_slopes(g))
 
 
 def measure_of_open(m: PiecewiseMeasure, lo, hi):
@@ -303,13 +310,15 @@ def measure_of_open(m: PiecewiseMeasure, lo, hi):
     for a in m.atoms:
         if iv.lo < a.x < iv.hi:
             total = total + a.mass
-    for p in m.pieces:
-        lo2 = max(iv.lo, p.interval.lo)
-        hi2 = min(iv.hi, p.interval.hi)
+    for c_lo, c_hi, v in m.abs_density.cells():
+        if v == 0:
+            continue
+        lo2 = max(iv.lo, c_lo)
+        hi2 = min(iv.hi, c_hi)
         if lo2 < hi2:
             length = hi2 - lo2
             if is_finite(length):
-                total = total + p.density * length
+                total = total + v * length
             else:
                 return POS_INF
     return total
@@ -320,9 +329,9 @@ def distribution_function(m: PiecewiseMeasure, z) -> PiecewiseMonotone:
 
     Changing z shifts the result by a constant; the associated measure of
     the result is m again.  The knots come from one linear merge of m's
-    atoms with its piece ends, both already sorted in canonical form.  Each
-    knot carries an atom or changes the density (canonical pieces of equal
-    density never touch), so none is removable and the result skips the
+    atoms with its density's knots, both already sorted in canonical form.
+    Each knot carries an atom or changes the density (neighbouring cells of
+    a step class differ), so none is removable and the result skips the
     public constructor.
     """
     z = as_q(z)
@@ -331,9 +340,9 @@ def distribution_function(m: PiecewiseMeasure, z) -> PiecewiseMonotone:
     if not m.carrier.contains(z):
         raise AnchorOutsideCarrier(f"anchor {z} outside carrier {m.carrier}")
 
-    knots, values = _density_cells(m)
+    knots, values = m.abs_density.knots, m.abs_density.values
     if not knots and not m.atoms:
-        # a single piece spanning the whole carrier
+        # one cell of positive density spanning the whole carrier
         return _trusted(PiecewiseMonotone, domain=m.carrier, breaks=(), slopes=(values[0],),
                         anchor=(z, ZERO))
 
@@ -373,82 +382,35 @@ def distribution_function(m: PiecewiseMeasure, z) -> PiecewiseMonotone:
 def lebesgue_decompose(m: PiecewiseMeasure) -> tuple[PiecewiseMeasure, PiecewiseMeasure]:
     """Unique split into an absolutely continuous and a purely atomic part."""
     return (
-        _trusted(PiecewiseMeasure, carrier=m.carrier, atoms=(), pieces=m.pieces),
-        _trusted(PiecewiseMeasure, carrier=m.carrier, atoms=m.atoms, pieces=()),
+        _trusted(PiecewiseMeasure, carrier=m.carrier, atoms=(), abs_density=m.abs_density),
+        _trusted(PiecewiseMeasure, carrier=m.carrier, atoms=m.atoms,
+                 abs_density=_density_step(m.carrier, ())),
     )
-
-
-def _density_cells(m: PiecewiseMeasure) -> tuple[list, list]:
-    """The knots and cell values of the density of m's pieces: the interior
-    piece ends in increasing order, and one value per cell between them.
-    Neighbouring cells differ, since canonical pieces of equal density never
-    touch.
-
-    Canonical pieces lie inside the carrier, so only the first piece's lower
-    end and the last piece's upper end can be an end of the carrier.
-    """
-    carrier = m.carrier
-    knots, values = [], [ZERO]
-    for p in m.pieces:
-        lo = p.interval.lo
-        if knots and (knots[-1] is lo or knots[-1] == lo):
-            values[-1] = p.density  # piece starts where the previous one ended
-        elif knots or carrier.contains(lo):
-            knots.append(lo)
-            values.append(p.density)
-        else:
-            values[-1] = p.density  # the first piece starts at the carrier's end
-        knots.append(p.interval.hi)
-        values.append(ZERO)
-    if knots and not carrier.contains(knots[-1]):
-        knots.pop()
-        values.pop()
-    return knots, values
 
 
 def density(m: PiecewiseMeasure) -> StepFunction:
     """The Radon-Nikodym derivative w.r.t. Lebesgue measure, as a step class."""
     if m.atoms:
         raise NotAbsolutelyContinuous("the measure has atoms")
-    knots, values = _density_cells(m)
-    return _trusted(StepFunction, carrier=m.carrier, knots=tuple(knots), values=tuple(values))
+    return m.abs_density
 
 
 def lebesgue_on(iv: Interval, carrier: Interval) -> PiecewiseMeasure:
     """Lebesgue measure restricted to an open interval iv, carried on an open
     carrier that contains iv."""
-    pieces = () if iv.is_empty else (_trusted(UniformPiece, interval=iv, density=ONE),)
-    return _trusted(PiecewiseMeasure, carrier=carrier, atoms=(), pieces=pieces)
-
-
-def _coverage(pieces) -> list[Interval]:
-    """Union of a canonical measure's pieces (sorted and disjoint), closing
-    the single-point gaps between touching pieces (which are null): runs
-    in increasing order, with a gap of positive length between any two."""
-    out = []
-    lo = hi = None
-    for p in pieces:
-        iv = p.interval
-        if hi is None:
-            lo = iv.lo
-        elif not (iv.lo is hi or iv.lo == hi):
-            out.append(_open(lo, hi))
-            lo = iv.lo
-        hi = iv.hi
-    if hi is not None:
-        out.append(_open(lo, hi))
-    return out
+    pieces = () if iv.is_empty else ((iv.lo, iv.hi, ONE),)
+    return _trusted(PiecewiseMeasure, carrier=carrier, atoms=(),
+                    abs_density=_density_step(carrier, pieces))
 
 
 def is_abs_cont_wrt(a: PiecewiseMeasure, b: PiecewiseMeasure) -> bool:
     """Exact decision of a << b on the representable class.
 
-    Atoms of a must coincide with atoms of b; pieces of a must be covered,
-    up to Lebesgue-null sets, by the pieces of b.  The pieces of a and the
-    runs of b's coverage are both sorted, so one merge walk decides it: a
-    run ending at or before a piece's lower end covers neither that piece
-    nor any later one, and the first run ending after it is the only one
-    that can cover it.
+    Atoms of a must coincide with atoms of b, and b's density must be
+    positive almost everywhere a's is.  Both densities are step classes on
+    the common carrier, so one merge walk over their knots meets every pair
+    of cells that overlap on an interval of positive length: the walk
+    leaves the cell that ends first, or both when they end together.
     """
     if a.carrier != b.carrier:
         raise CarrierMismatch("absolute continuity needs a common carrier")
@@ -456,14 +418,18 @@ def is_abs_cont_wrt(a: PiecewiseMeasure, b: PiecewiseMeasure) -> bool:
     for atom in a.atoms:
         if atom.x not in b_atoms:
             return False
-    cover = _coverage(b.pieces)
-    j, nc = 0, len(cover)
-    for p in a.pieces:
-        iv = p.interval
-        while j < nc and cover[j].hi <= iv.lo:
-            j += 1
-        if j == nc or not (cover[j].lo <= iv.lo and iv.hi <= cover[j].hi):
+    av, bv = a.abs_density.values, b.abs_density.values
+    a_ends = (*a.abs_density.knots, a.carrier.hi)
+    b_ends = (*b.abs_density.knots, b.carrier.hi)
+    i = j = 0
+    while i < len(av):
+        if av[i] != 0 and bv[j] == 0:
             return False
+        a_end, b_end = a_ends[i], b_ends[j]
+        if not b_end < a_end:
+            i += 1
+        if not a_end < b_end:
+            j += 1
     return True
 
 
@@ -474,10 +440,10 @@ def is_abs_cont_wrt(a: PiecewiseMeasure, b: PiecewiseMeasure) -> bool:
 def pushforward(m: PiecewiseMeasure, t: PiecewiseMonotone) -> PiecewiseMeasure:
     """Image measure of m under the real restriction of t.
 
-    Atoms move to their image point (masses add on collision); a uniform
-    piece maps segment by segment: through a rising piece of slope s the
-    density divides by s, through a flat it collapses to an atom at the
-    flat's value.
+    Atoms move to their image point (masses add on collision); a cell of
+    positive density maps segment by segment: through a rising piece of
+    slope s the density divides by s, through a flat it collapses to an
+    atom at the flat's value.
     """
     if not t.domain.contains_interval(m.carrier):
         raise CarrierMismatch("carrier of the measure must lie inside the domain of the map")
@@ -496,33 +462,36 @@ def pushforward(m: PiecewiseMeasure, t: PiecewiseMonotone) -> PiecewiseMeasure:
 
     segs = segments(t)
     out_pieces = []
-    for p in m.pieces:
-        i, j = mono._between(t.knot_xs, p.interval.lo, p.interval.hi)
+    for c_lo, c_hi, d in m.abs_density.cells():
+        if d == 0:
+            continue
+        i, j = mono._between(t.knot_xs, c_lo, c_hi)
         for seg in segs[i:j + 1]:
-            lo = max(p.interval.lo, seg.a)
-            hi = min(p.interval.hi, seg.b)
+            lo = max(c_lo, seg.a)
+            hi = min(c_hi, seg.b)
             if seg.slope == 0:
                 length = hi - lo
                 if not is_finite(length):
                     raise NotLocallyFinite(
                         "a flat of infinite length carries infinite mass to one point")
-                add_atom(seg.u, p.density * length)
+                add_atom(seg.u, d * length)
             else:
                 u = evaluate(t, lo, RIGHT) if is_finite(lo) else seg.u
                 v = evaluate(t, hi, LEFT) if is_finite(hi) else seg.v
-                out_pieces.append(_trusted(UniformPiece, interval=_open(u, v),
-                                           density=p.density / seg.slope))
+                out_pieces.append((u, v, d / seg.slope))
 
     carrier = inverse_domain(t)
-    atoms = [_trusted(Atom, x=x, mass=mass) for x, mass in sorted(out_atoms.items())]
+    atoms = tuple(_trusted(Atom, x=x, mass=mass) for x, mass in sorted(out_atoms.items()))
     # the images lie in the closed hull of t's values; only an atom at the
     # value of a flat reaching an infinite end of t's domain can land on the
     # boundary of the carrier, and there is at most one at each end
     for a in atoms[:1] + atoms[-1:]:
         if not carrier.contains(a.x):
             raise CarrierMismatch(f"atom at {a.x} outside carrier {carrier}")
-    out_pieces.sort(key=attrgetter("interval.lo"))
-    return _canonical_measure(carrier, atoms, out_pieces)
+    # the images of disjoint cells are disjoint; sorted, they may touch
+    out_pieces.sort()
+    return _trusted(PiecewiseMeasure, carrier=carrier, atoms=atoms,
+                    abs_density=_density_step(carrier, out_pieces))
 
 
 # ---------------------------------------------------------------------------

@@ -69,12 +69,8 @@ def measure_to_spec_json(m: PiecewiseMeasure) -> dict:
         "carrier": interval_to_json(m.carrier),
         "atoms": [{"x": fmt_ratio(a.x), "mass": fmt_ratio(a.mass)} for a in m.atoms],
         "uniform_pieces": [
-            {
-                "a": er_to_str(p.interval.lo),
-                "b": er_to_str(p.interval.hi),
-                "density": fmt_ratio(p.density),
-            }
-            for p in m.pieces
+            {"a": er_to_str(lo), "b": er_to_str(hi), "density": fmt_ratio(d)}
+            for lo, hi, d in m.abs_density.cells() if d != 0
         ],
     }
 

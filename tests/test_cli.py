@@ -45,8 +45,9 @@ FIXD_SPEC = {
 @pytest.fixture
 def spec_file(tmp_path):
     def write(doc, name="spec.json"):
+        """doc as JSON, or bytes as they are."""
         p = tmp_path / name
-        p.write_text(json.dumps(doc))
+        p.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         return str(p)
 
     return write
@@ -124,10 +125,16 @@ def test_non_list_spec_field_exit1(spec_file, doc, key):
      "piece #0 a must be a string, got 0"),
     ({"carrier": ["0", "1"], "atoms": [{"x": "0", "mass": "1"}]}, 1,
      "carrier must be an object with lo/hi"),
+    pytest.param(b'{"atoms": [\xff]}', 1,
+                 "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 11: "
+                 "invalid start byte", id="not-utf8"),
+    pytest.param(b"[" * 200_000, 1, "cannot read {path}: JSON nested too deeply",
+                 id="nested-200000"),
 ])
 def test_spec_errors_name_the_fault(spec_file, doc, code, message):
-    r = CliRunner().invoke(cli.main, ["classify", "--spec", spec_file(doc)])
-    assert (r.exit_code, r.stdout, r.stderr) == (code, "", f"error: {message}\n")
+    path = spec_file(doc)
+    r = CliRunner().invoke(cli.main, ["classify", "--spec", path])
+    assert (r.exit_code, r.stdout, r.stderr) == (code, "", f"error: {message.format(path=path)}\n")
 
 
 @pytest.mark.parametrize("lines, code, message", [
@@ -136,16 +143,34 @@ def test_spec_errors_name_the_fault(spec_file, doc, code, message):
     (["1", "", "x"], 1, "line 3: not a number: 'x'"),
     (["3", "3.0", "6/2"], 2,
      "fewer than 2 distinct samples; pass --allow-degenerate for a pure atom"),
+    pytest.param(b"1\n\xff\n2\n", 1, "cannot read {path}: 'utf-8' codec can't decode byte 0xff",
+                 id="not-utf8"),
 ])
 def test_sample_errors_name_the_fault(tmp_path, lines, code, message):
     path = tmp_path / "samples.txt"
-    if lines is not None:
+    if isinstance(lines, bytes):
+        path.write_bytes(lines)
+    elif lines is not None:
         path.write_text("\n".join(lines) + "\n")
     for command in ("classify", "ingest"):
         r = CliRunner().invoke(cli.main, [command, "--samples", str(path)])
         assert (r.exit_code, r.stdout) == (code, "")
         assert r.stderr.startswith("error: " + message.format(path=path)), r.stderr
         assert r.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["classify", "invert", "qdensity", "decompose", "ingest",
+                                     "verify"])
+def test_unwritable_out_names_the_file(spec_file, tmp_path, command):
+    out = tmp_path / "missing" / "report.json"
+    samples = tmp_path / "samples.txt"
+    samples.write_text("0\n1\n")
+    args = {"ingest": ["--samples", str(samples)],
+            "verify": ["--law", "GALOIS", "--n", "1"]}.get(command, ["--spec", spec_file(FIXD_SPEC)])
+    r = CliRunner().invoke(cli.main, [command, *args, "--out", str(out)])
+    assert (r.exit_code, r.stdout) == (1, "")
+    assert r.stderr.startswith(f"error: cannot write {out}: "), r.stderr
+    assert r.stderr.count("\n") == 1
 
 
 def _broken_check(*args):

@@ -3,7 +3,8 @@
 Spec documents and sample files are generated from values a user or a
 broken producer might send: infinities in every spelling, huge and
 degenerate ratios, empty strings, garbage, non-strings, wrong JSON shapes,
-blank, duplicate and malformed sample lines; verify gets unknown law ids,
+blank, duplicate and malformed sample lines, bytes that are not UTF-8 and
+JSON nested 200,000 deep; verify gets unknown law ids,
 counts and knot limits around and below 1, and huge seeds; invert and
 qdensity also get --plot-points around and below 1, over specs whose values
 pass the range of a float.  Every command
@@ -132,6 +133,7 @@ sample_lines = st.one_of(
     st.integers(min_value=-50, max_value=50).map(str),
     st.sampled_from([str(HUGE), f"-{HUGE}", f"1/{HUGE}", f"{HUGE}.5", "0." + "0" * 399 + "1"]),
     st.sampled_from(["abc", "1,2", "1/0", "0/0", "inf", "nan", "1e3", "--2", "1.2.3", "\t"]),
+    st.just("\udcff"),  # written as the byte 0xff, which is not UTF-8
 )
 
 
@@ -159,9 +161,11 @@ def _check(result, command, plot=False):
 @example(doc=LONG_SUMS, command="invert", plot_points=None)
 @example(doc=HUGE_RANGE, command="invert", plot_points=7)
 @example(doc=HUGE_RANGE, command="qdensity", plot_points=7)
+@example(doc=b'{"atoms": [\xff]}', command="invert", plot_points=None)
+@example(doc=b"[" * 200_000, command="decompose", plot_points=None)
 def test_hostile_specs(tmp_path, doc, command, plot_points):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(doc))
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     args = [command, "--spec", str(path)]
     plot = plot_points is not None and command in ("invert", "qdensity")
     if plot:
@@ -175,7 +179,7 @@ def test_hostile_specs(tmp_path, doc, command, plot_points):
        command=st.sampled_from(["classify", "invert", "qdensity", "ingest", "decompose"]))
 def test_hostile_sample_files(tmp_path, lines, header, degenerate, command):
     path = tmp_path / "samples.txt"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     args = [command, "--samples", str(path)]
     if header:
         args.append("--header")

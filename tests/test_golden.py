@@ -5,6 +5,10 @@ before the segment-table caches and the linear-time scans replaced the
 quadratic ones; any change to them is a change of behaviour.  Inputs: the
 1000-point uniform grid sample and three small specs (an atom at the mode,
 a bimodal density, and an interior gap, which has no quantile density).
+The cases of tied_gauss_300 (300 values round(gauss(0, 1), 2) from
+random.Random(14), written with two decimals: ties, uneven gaps and one
+"-0.00") were recorded by the CLI just before measures stored their
+density as a step class instead of a list of pieces.
 A case may carry extra command-line `args` (`--plot-points N`); its report
 then lives in `<input>.<command>.<args>.out`, e.g.
 `bimodal.invert.plot-points_7.out`.

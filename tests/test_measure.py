@@ -3,7 +3,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from monoinv import measure
 from monoinv import monotone as mono
 from monoinv.errors import (
     AmbiguousComposition,
@@ -452,13 +451,22 @@ def test_abs_cont_point_gaps_are_null():
 
 
 def _abs_cont_by_scan(a, b):
-    """is_abs_cont_wrt with every piece of a held against every coverage run of b."""
+    """is_abs_cont_wrt from the listed pieces alone: every piece of a is
+    covered by b's pieces up to finitely many points when, from its lower
+    end on, a scan of all of b's pieces always finds one that holds the
+    point reached so far (or starts there) and reaches past it."""
     b_atoms = {atom.x for atom in b.atoms}
     if any(atom.x not in b_atoms for atom in a.atoms):
         return False
-    cover = measure._coverage(b.pieces)
-    return all(any(c.lo <= p.interval.lo and p.interval.hi <= c.hi for c in cover)
-               for p in a.pieces)
+    for p in a.pieces:
+        reached = p.interval.lo
+        while reached < p.interval.hi:
+            ends = [q.interval.hi for q in b.pieces
+                    if q.interval.lo <= reached < q.interval.hi]
+            if not ends:
+                return False
+            reached = ends[0]
+    return True
 
 
 @given(measure_parts(), measure_parts(), st.data())

@@ -10,13 +10,15 @@ distribution function once, and a sample file goes straight to its
 measure, without a spec document in between.  Objects the library derives
 itself skip the public constructors, so exactnum.as_q, which converts the
 ints a caller may pass, and Interval's checks run a fixed number of times
-per command.  The inverse's segment table is built once per function,
+per command; a measure keeps its density as a step class, so no
+UniformPiece is made at all.  The inverse's segment table is built once per function,
 whichever of classify, generalized_inverse and quantile_density asks first.
 """
 
 import fractions
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -102,8 +104,8 @@ def test_as_q_calls_do_not_grow_with_points(tmp_path, count_calls, command):
 
 @pytest.mark.parametrize("command", ["classify", "invert", "qdensity"])
 def test_interval_checks_do_not_grow_with_points(tmp_path, monkeypatch, command):
-    # sample gaps, rising segments, joined pieces and coverage runs are
-    # intervals the library has ordered itself; they skip the checks
+    # a measure's density and a function's segments are columns of ends the
+    # library has ordered itself; no interval is checked per gap or segment
     calls = [0]
     checked = Interval.__post_init__
 
@@ -114,6 +116,27 @@ def test_interval_checks_do_not_grow_with_points(tmp_path, monkeypatch, command)
     monkeypatch.setattr(Interval, "__post_init__", counting)
     per_size = _count_per_size(tmp_path, command, calls)
     assert per_size[1000] == per_size[4000]
+
+
+@pytest.mark.parametrize("command", ["classify", "invert", "qdensity"])
+def test_sample_commands_make_no_pieces(tmp_path, monkeypatch, command):
+    # through the public constructor or the trusted path alike
+    made = [0]
+    checked, trusted = measure.UniformPiece.__post_init__, monotone._trusted
+
+    def counting_init(self):
+        made[0] += 1
+        checked(self)
+
+    def counting_trusted(cls, **fields):
+        made[0] += cls is measure.UniformPiece
+        return trusted(cls, **fields)
+
+    monkeypatch.setattr(measure.UniformPiece, "__post_init__", counting_init)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("monoinv") and getattr(mod, "_trusted", None) is trusted:
+            monkeypatch.setattr(mod, "_trusted", counting_trusted)
+    assert _count_per_size(tmp_path, command, made) == {1000: 0, 4000: 0}
 
 
 def test_main_equiv_builds_one_inverse_table_per_function(count_calls):
@@ -141,8 +164,8 @@ def _comb(n):
 
 
 def test_abs_cont_comparisons_grow_linearly(monkeypatch):
-    # the walk holds each piece against one run; a scan of all runs per piece
-    # makes n * n / 2 comparisons
+    # the walk meets each pair of overlapping cells once; a scan of all of
+    # b's pieces per piece of a makes n * n / 2 comparisons
     calls = [0]
     for name in ("_richcmp", "__eq__"):
         def counting(self, *args, compare=getattr(fractions.Fraction, name)):

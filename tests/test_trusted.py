@@ -1,36 +1,32 @@
 """Objects the library builds itself equal their rebuild through the public constructors.
 
 Builders whose output is canonical by construction (distribution_function,
-generalized_inverse, lebesgue_decompose, lebesgue_on, density) make it with
-monotone._trusted, which runs no check; those whose pieces or cells may
-repeat a density (associated_measure, pushforward, the sample measure,
-step_of_slopes, inverse_slope_step) run only the merge pass they share with
-the public constructor.  The oracle rebuilds each result through the public
-constructors (monotone.validate, rebuild_measure, rebuild_step), which
-raise on invalid data and canonicalise: a result equal to its rebuild, down
-to the types of its numbers, is valid and canonical.
+generalized_inverse, lebesgue_decompose, density) make it with
+monotone._trusted, which runs no check; those whose cells may repeat a
+density (associated_measure, lebesgue_on, pushforward, the sample measure,
+step_of_slopes, inverse_slope_step) run only the cell merge they share with
+the public constructors.  The oracle rebuilds each result through the
+public constructors (monotone.validate, rebuild_measure, rebuild_step),
+which raise on invalid data and canonicalise: a result equal to its
+rebuild, down to the types of its numbers, is valid and canonical.
 
-Intervals whose ends the library has ordered itself (sample gaps, rising
-segments, joined pieces, pushforward images, coverage runs) are made by
-intervals._open, which runs no check.  Their oracle records every such
-interval, which must be the open, nonempty Interval(lo, hi), and runs each
-builder again with _open, the piece merge and the coverage runs replaced by
-checked versions that build every interval through Interval and compare
-ends by equality alone: the results must be the same.
+The public PiecewiseMeasure constructor turns its pieces into the cells of
+a step class, and `pieces` lists them back; a second oracle holds those
+listed pieces to a merge of the given pieces written here, which shares no
+code with the cell merge, so a merge that joins pieces it must not (across
+a gap) shows there even though the public rebuild makes the same mistake.
 """
 
-import contextlib
 import os
-import sys
 import tempfile
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from monoinv import cli, intervals, measure
+from monoinv import cli, measure
 from monoinv.errors import ConstantFunction, MonoinvError
 from monoinv.exactnum import rat
-from monoinv.intervals import REAL_LINE, Interval, is_finite, require_open_nonempty
+from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, Interval, is_finite, open_iv
 from monoinv.laws import GenConfig, gen_monotone
 from monoinv.measure import (
     PiecewiseMeasure,
@@ -39,7 +35,6 @@ from monoinv.measure import (
     associated_measure,
     density,
     distribution_function,
-    gen_inverse_abs_cont,
     inverse_slope_step,
     lebesgue_decompose,
     lebesgue_on,
@@ -132,32 +127,11 @@ def trusted_results(g: PiecewiseMonotone):
     return out
 
 
-@contextlib.contextmanager
-def _replaced(**replacements):
-    """Every monoinv namespace binding one of the named functions of measure
-    (which binds intervals._open too) binds the replacement instead, for the
-    duration of the block."""
-    undo = []
-    for name, new in replacements.items():
-        current = getattr(measure, name)
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.startswith("monoinv") and getattr(mod, name, None) is current:
-                undo.append((mod, name, current))
-                setattr(mod, name, new)
-    try:
-        yield
-    finally:
-        for mod, name, current in undo:
-            setattr(mod, name, current)
-
-
-def _open_checked(lo, hi):
-    return require_open_nonempty(Interval(lo, hi))
-
-
-def _merge_pieces_checked(pieces):
+def naive_merge(pieces) -> tuple:
+    """Pieces sorted by their lower end, with touching neighbours of equal
+    density joined."""
     out = []
-    for p in pieces:
+    for p in sorted(pieces, key=lambda p: p.interval.lo):
         if out and out[-1].interval.hi == p.interval.lo and out[-1].density == p.density:
             out[-1] = UniformPiece(Interval(out[-1].interval.lo, p.interval.hi), p.density)
         else:
@@ -165,55 +139,10 @@ def _merge_pieces_checked(pieces):
     return tuple(out)
 
 
-def _coverage_checked(pieces):
-    out = []
-    for p in pieces:
-        if out and p.interval.lo == out[-1].hi:
-            out[-1] = Interval(out[-1].lo, p.interval.hi)
-        else:
-            out.append(p.interval)
-    return out
-
-
-def _outcome(build):
-    try:
-        return "ok", build()
-    except MonoinvError as e:
-        return "error", type(e), str(e)
-
-
-def trusted_intervals_hold(build) -> bool:
-    """Is every interval _open makes while build() runs the open, nonempty
-    Interval of its ends, and is build()'s result the same with every
-    interval made and joined through the checked constructor?"""
-    made = []
-    fast_open = intervals._open
-
-    def recording(lo, hi):
-        iv = fast_open(lo, hi)
-        made.append(iv)
-        return iv
-
-    with _replaced(_open=recording):
-        fast = _outcome(build)
-    with _replaced(_open=_open_checked, _merge_pieces=_merge_pieces_checked,
-                   _coverage=_coverage_checked):
-        checked = _outcome(build)
-    for iv in made:
-        try:
-            if _open_checked(iv.lo, iv.hi) != iv:
-                return False
-        except (MonoinvError, ValueError):
-            return False
-    return fast == checked and repr(fast) == repr(checked)
-
-
-def trusted_interval_results(g: PiecewiseMonotone):
-    """trusted_results(g), and the verdict of gen_inverse_abs_cont on the
-    inverse's domain, which holds Lebesgue measure against the coverage
-    runs of g's associated measure."""
-    return trusted_results(g) + [("gen_inverse_abs_cont",
-                                  gen_inverse_abs_cont(g, inverse_domain(g)))]
+def pieces_are_merged(carrier, pieces) -> bool:
+    """Does the measure of pieces on carrier list them back merged as naive_merge merges them?"""
+    pieces = [UniformPiece(iv, d) for iv, d in pieces]
+    return PiecewiseMeasure(carrier, (), tuple(pieces)).pieces == naive_merge(pieces)
 
 
 @st.composite
@@ -237,7 +166,6 @@ EQUAL_SLOPES_ACROSS_FLAT = from_knot_data(REAL_LINE, [0, 1], [0, 0], [1, 0, 1], 
 def test_trusted_builders_equal_public_rebuild(g):
     for name, obj in trusted_results(g):
         assert same_as_public(obj), (name, obj)
-    assert trusted_intervals_hold(lambda: trusted_interval_results(g))
 
 
 @oracle_settings
@@ -252,9 +180,43 @@ def test_sample_measure_equals_public_rebuild(samples):
         parsed = cli.read_samples(path, header=False)
     m = cli.samples_to_measure(parsed, allow_degenerate=True)
     assert same_as_public(m)
-    assert trusted_intervals_hold(lambda: cli.samples_to_measure(parsed, allow_degenerate=True))
     for z in _anchors(m):
         assert same_as_public(distribution_function(m, z))
+
+
+@st.composite
+def carrier_and_pieces(draw):
+    """A carrier, the real line or a finite open interval, and disjoint
+    pieces inside it on a half-integer grid, some touching each other or
+    an end of the carrier, some reaching an infinite end, some with a gap
+    between equal densities, in a shuffled order."""
+    ends = sorted(set(draw(st.lists(st.integers(min_value=-8, max_value=8), max_size=9))))
+    ends = [rat(k, 2) for k in ends]
+    carrier = REAL_LINE
+    if len(ends) >= 2 and draw(st.booleans()):
+        carrier = open_iv(ends[0], ends[-1])
+    pieces = []
+    for lo, hi in zip(ends, ends[1:]):
+        if draw(st.integers(min_value=0, max_value=3)):
+            pieces.append((open_iv(lo, hi), draw(st.sampled_from([rat(1), rat(2), rat(1, 3)]))))
+    if carrier is REAL_LINE and ends:
+        if draw(st.booleans()):
+            pieces.append((Interval(NEG_INF, ends[0]), rat(1)))
+        if draw(st.booleans()):
+            pieces.append((Interval(ends[-1], POS_INF), rat(1)))
+    return carrier, draw(st.permutations(pieces))
+
+
+# density 1 on (0, 1) and on (2, 3), with a gap between them
+GAP_BETWEEN_EQUAL_DENSITIES = (REAL_LINE, [(open_iv(0, 1), rat(1)), (open_iv(2, 3), rat(1))])
+
+
+@oracle_settings
+@given(carrier_and_pieces())
+@example(GAP_BETWEEN_EQUAL_DENSITIES)
+@example((open_iv(0, 2), [(open_iv(0, 1), rat(1)), (open_iv(1, 2), rat(1))]))
+def test_public_pieces_equal_naive_merge(parts):
+    assert pieces_are_merged(*parts)
 
 
 def test_oracle_catches_associated_measure_without_merge(monkeypatch):
@@ -262,11 +224,10 @@ def test_oracle_catches_associated_measure_without_merge(monkeypatch):
     assert same_as_public(associated_measure(g))
     assert len(associated_measure(g).pieces) == 1
 
-    def unmerged(carrier, atoms, pieces):
-        return _trusted(PiecewiseMeasure, carrier=carrier, atoms=tuple(atoms),
-                        pieces=tuple(pieces))
+    def unmerged(g):
+        return _trusted(StepFunction, carrier=g.domain, knots=g.knot_xs, values=g.slopes)
 
-    monkeypatch.setattr(measure, "_canonical_measure", unmerged)
+    monkeypatch.setattr(measure, "step_of_slopes", unmerged)
     assert len(associated_measure(g).pieces) == 2
     assert not same_as_public(associated_measure(g))
 
@@ -283,22 +244,26 @@ def test_oracle_catches_a_removable_knot():
 
 def test_oracle_catches_a_merge_across_a_gap(monkeypatch):
     g = EQUAL_SLOPES_ACROSS_FLAT
-    assert trusted_intervals_hold(lambda: trusted_interval_results(g))
+    assert pieces_are_merged(*GAP_BETWEEN_EQUAL_DENSITIES)
     assert len(associated_measure(g).pieces) == 2
 
-    def joins_across_gaps(pieces):
-        out = []
-        for p in pieces:
-            if out and out[-1].density == p.density:
-                out[-1] = _trusted(UniformPiece, interval=intervals._open(out[-1].interval.lo,
-                                                                          p.interval.hi),
-                                   density=p.density)
-            else:
-                out.append(p)
-        return tuple(out)
+    def drops_gaps_between_equal_cells(knots, values):
+        """_merge_cells, except that a zero cell between two cells of equal
+        value goes too."""
+        ks, vs = [], [values[0]]
+        for k, v in zip(knots, values[1:]):
+            if v == vs[-1]:
+                continue
+            if len(vs) >= 2 and vs[-1] == 0 and vs[-2] == v:
+                ks.pop()
+                vs.pop()
+                continue
+            ks.append(k)
+            vs.append(v)
+        return tuple(ks), tuple(vs)
 
-    monkeypatch.setattr(measure, "_merge_pieces", joins_across_gaps)
+    monkeypatch.setattr(measure, "_merge_cells", drops_gaps_between_equal_cells)
     assert len(associated_measure(g).pieces) == 1
-    # the joined piece is a valid measure on its own; only the checked run tells
+    # the public rebuild runs the same merge; only the naive merge tells
     assert same_as_public(associated_measure(g))
-    assert not trusted_intervals_hold(lambda: trusted_interval_results(g))
+    assert not pieces_are_merged(*GAP_BETWEEN_EQUAL_DENSITIES)
