@@ -165,8 +165,8 @@ def test_unwritable_out_names_the_file(spec_file, tmp_path, command):
     out = tmp_path / "missing" / "report.json"
     samples = tmp_path / "samples.txt"
     samples.write_text("0\n1\n")
-    args = {"ingest": ["--samples", str(samples)],
-            "verify": ["--law", "GALOIS", "--n", "1"]}.get(command, ["--spec", spec_file(FIXD_SPEC)])
+    args = {"ingest": ["--samples", str(samples)], "verify": ["--law", "GALOIS", "--n", "1"]}
+    args = args.get(command, ["--spec", spec_file(FIXD_SPEC)])
     r = CliRunner().invoke(cli.main, [command, *args, "--out", str(out)])
     assert (r.exit_code, r.stdout) == (1, "")
     assert r.stderr.startswith(f"error: cannot write {out}: "), r.stderr

@@ -11,8 +11,9 @@ measure, without a spec document in between.  Objects the library derives
 itself skip the public constructors, so exactnum.as_q, which converts the
 ints a caller may pass, and Interval's checks run a fixed number of times
 per command; a measure keeps its density as a step class, so no
-UniformPiece is made at all.  The inverse's segment table is built once per function,
-whichever of classify, generalized_inverse and quantile_density asks first.
+UniformPiece is made at all.  The inverse's segment table is built once
+per function, whichever of classify, generalized_inverse and
+quantile_density asks first.
 """
 
 import fractions
