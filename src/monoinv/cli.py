@@ -19,7 +19,8 @@ Exit codes:
      non-integer MONOINV_SEED; invert / qdensity: --plot-points below 1, or a
      plotted value beyond the range of a float
   2  invalid specification (overlapping pieces, nonpositive mass, zero
-     measure, bad anchor, too few samples)
+     measure, bad anchor, too few samples); invert: a pure atom, whose
+     quantile function is constant
   3  classify: not unimodal
   4  qdensity: no quantile density exists (inverse not absolutely continuous)
   5  verify: at least one law failed
@@ -49,9 +50,9 @@ from monoinv.exactnum import ONE, ZERO, fmt_ratio, parse_ratio, parse_ratio_part
 from monoinv.intervals import POS_INF, REAL_LINE, Interval, is_finite
 from monoinv.laws import GenConfig, LAW_IDS, run_law
 from monoinv.measure import (
-    Atom,
     PiecewiseMeasure,
     _canonical_step,
+    _measure,
     density,
     distribution_function,
     lebesgue_decompose,
@@ -61,7 +62,6 @@ from monoinv.monotone import (
     RIGHT,
     PiecewiseMonotone,
     _probe_point,
-    _trusted,
     evaluate,
     generalized_inverse,
     inverse_domain,
@@ -73,6 +73,7 @@ from monoinv.monotone import (
 from monoinv.serialize import (  # spec_to_measure is re-exported
     _ParseError,
     _SpecError,
+    atoms_to_json,
     interval_to_json,
     measure_to_spec_json,
     modal_to_json,
@@ -183,12 +184,12 @@ def samples_to_measure(samples, allow_degenerate: bool) -> PiecewiseMeasure:
     if _degenerate(values, allow_degenerate):
         return PiecewiseMeasure(REAL_LINE, ((values[0], ONE),), ())
     n1 = sum(counts) - 1
-    atoms = tuple(_trusted(Atom, x=x, mass=rat(c - 1, n1))
-                  for x, c in zip(values, counts) if c > 1)
+    tied = [(x, c) for x, c in zip(values, counts) if c > 1]
     # the distinct samples are the knots; equal gaps give neighbouring cells
     # of equal density, which the merge joins
     dens = _canonical_step(REAL_LINE, values, [ZERO, *densities, ZERO])
-    return _trusted(PiecewiseMeasure, carrier=REAL_LINE, atoms=atoms, abs_density=dens)
+    return _measure(REAL_LINE, tuple(x for x, _ in tied),
+                    tuple(rat(c - 1, n1) for _, c in tied), dens)
 
 
 def samples_to_spec(samples, allow_degenerate: bool) -> dict:
@@ -332,7 +333,7 @@ def _report(m: PiecewiseMeasure, anchor, **blocks) -> dict:
 def _decomposition_block(m: PiecewiseMeasure) -> dict:
     abs_part, sing = lebesgue_decompose(m)
     return {
-        "atoms": [{"x": fmt_ratio(a.x), "mass": fmt_ratio(a.mass)} for a in sing.atoms],
+        "atoms": atoms_to_json(sing),
         "abs_density": step_to_json(density(abs_part)),
     }
 
@@ -443,7 +444,12 @@ def cmd_classify(spec_path, samples_path, header, allow_degenerate, anchor_str, 
               help="emit N+1 CSV evaluation rows of the inverse instead of the JSON report")
 def cmd_invert(spec_path, samples_path, header, allow_degenerate, anchor_str, out, stamp,
                plot_points):
-    """Compute the generalized inverse of the distribution function."""
+    """Compute the generalized inverse of the distribution function.
+
+    Exits 2 on a pure atom (single-valued samples, even with
+    --allow-degenerate): its quantile function is constant, a class the
+    library excludes.
+    """
     m, anchor = _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str)
     with _analysis_errors():
         f = distribution_function(m, anchor)

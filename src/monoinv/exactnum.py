@@ -9,9 +9,13 @@ The backend is chosen once at import time.  Set ``MONOINV_BACKEND`` to
 ``compiled`` or ``pure`` to force one; ``auto`` (the default) prefers the
 compiled kernel when present.  Results are bit-identical either way; only
 speed differs (perfbench/run.py times both).
+
+The infinities NEG_INF and POS_INF live here too, so that as_q knows every
+exact value of the extended line.
 """
 
 import os
+import sys
 
 from fractions import Fraction
 
@@ -34,14 +38,80 @@ else:
     BACKEND = "pure"
 
 
+class _Infinity:
+    """-inf (sign -1) or +inf (sign 1).  Immutable; equal only to itself.
+
+    Ordering against anything that is not a sentinel treats it as finite.
+    Adding or subtracting a finite value leaves the sentinel unchanged;
+    inf - inf is undefined and raises ValueError.
+    """
+
+    __slots__ = ("_sign",)
+
+    def __init__(self, sign):
+        object.__setattr__(self, "_sign", sign)
+
+    def __setattr__(self, name, v):
+        raise AttributeError("infinities are immutable")
+
+    def __eq__(self, other):
+        return self is other
+
+    def __hash__(self):
+        return self._sign * sys.hash_info.inf
+
+    def __lt__(self, other):
+        return self._sign < (other._sign if other.__class__ is _Infinity else 0)
+
+    def __le__(self, other):
+        return self._sign <= (other._sign if other.__class__ is _Infinity else 0)
+
+    def __gt__(self, other):
+        return self._sign > (other._sign if other.__class__ is _Infinity else 0)
+
+    def __ge__(self, other):
+        return self._sign >= (other._sign if other.__class__ is _Infinity else 0)
+
+    def __neg__(self):
+        return POS_INF if self is NEG_INF else NEG_INF
+
+    def __add__(self, other):
+        if other.__class__ is _Infinity and other is not self:
+            raise ValueError("inf - inf is undefined")
+        return self
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if other is self:
+            raise ValueError("inf - inf is undefined")
+        return self
+
+    def __rsub__(self, other):
+        return -self
+
+    def __repr__(self):
+        return "inf" if self._sign > 0 else "-inf"
+
+
+NEG_INF = _Infinity(-1)
+POS_INF = _Infinity(1)
+
+
 def rat(num, den=1):
     """Exact rational from integers (or another rational)."""
     return Q(num, den)
 
 
 def as_q(x):
-    """x as a rational when it is an int; any other value unchanged."""
-    return Q(x) if isinstance(x, int) else x
+    """x as an exact value of the extended line: an int or a Fraction
+    becomes the backend's rational, which passes unchanged, as do the
+    infinities; anything else (a float, a Decimal, a str) raises TypeError."""
+    if x.__class__ is Q or x.__class__ is _Infinity:
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Q(x.numerator, x.denominator)
+    raise TypeError(f"not an exact rational: {x!r}; give an int or a Fraction")
 
 
 ZERO = rat(0)

@@ -1,7 +1,8 @@
 """Points of the extended real line and intervals with exact endpoints.
 
 A point of the extended real line is a bare rational or one of the two
-sentinels NEG_INF and POS_INF, which order below and above every rational.
+sentinels NEG_INF and POS_INF (defined in exactnum, beside the rational
+type), which order below and above every rational.
 Comparisons between finite points go straight to the rationals; a rational
 meeting a sentinel defers to it, because both backends' number types
 return NotImplemented for an operand they do not know.
@@ -9,72 +10,10 @@ return NotImplemented for an operand they do not know.
 
 from __future__ import annotations
 
-import sys
-
 from dataclasses import dataclass
 
 from monoinv.errors import EmptyInterval
-from monoinv.exactnum import ZERO, as_q
-
-
-class _Infinity:
-    """-inf (sign -1) or +inf (sign 1).  Immutable; equal only to itself.
-
-    Ordering against anything that is not a sentinel treats it as finite.
-    Adding or subtracting a finite value leaves the sentinel unchanged;
-    inf - inf is undefined and raises ValueError.
-    """
-
-    __slots__ = ("_sign",)
-
-    def __init__(self, sign):
-        object.__setattr__(self, "_sign", sign)
-
-    def __setattr__(self, name, v):
-        raise AttributeError("infinities are immutable")
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return self._sign * sys.hash_info.inf
-
-    def __lt__(self, other):
-        return self._sign < (other._sign if other.__class__ is _Infinity else 0)
-
-    def __le__(self, other):
-        return self._sign <= (other._sign if other.__class__ is _Infinity else 0)
-
-    def __gt__(self, other):
-        return self._sign > (other._sign if other.__class__ is _Infinity else 0)
-
-    def __ge__(self, other):
-        return self._sign >= (other._sign if other.__class__ is _Infinity else 0)
-
-    def __neg__(self):
-        return POS_INF if self is NEG_INF else NEG_INF
-
-    def __add__(self, other):
-        if other.__class__ is _Infinity and other is not self:
-            raise ValueError("inf - inf is undefined")
-        return self
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if other is self:
-            raise ValueError("inf - inf is undefined")
-        return self
-
-    def __rsub__(self, other):
-        return -self
-
-    def __repr__(self):
-        return "inf" if self._sign > 0 else "-inf"
-
-
-NEG_INF = _Infinity(-1)
-POS_INF = _Infinity(1)
+from monoinv.exactnum import NEG_INF, POS_INF, ZERO, Q, _Infinity, as_q
 
 
 def is_finite(x) -> bool:
@@ -86,8 +25,10 @@ def is_finite(x) -> bool:
 class Interval:
     """An interval of the extended real line.
 
-    Infinite endpoints are never closed.  The empty interval is normalized
-    to the open (0, 0), so equality on intervals is structural.
+    The ends convert as exactnum.as_q converts (ints and Fractions to the
+    backend's rational; a float raises TypeError).  Infinite endpoints are
+    never closed.  The empty interval is normalized to the open (0, 0), so
+    equality on intervals is structural.
     """
 
     lo: object
@@ -101,6 +42,10 @@ class Interval:
 
     def __post_init__(self):
         lo, hi = self.lo, self.hi
+        if lo.__class__ not in (Q, _Infinity) or hi.__class__ not in (Q, _Infinity):
+            lo, hi = as_q(lo), as_q(hi)  # an int or a Fraction from a caller
+            object.__setattr__(self, "lo", lo)
+            object.__setattr__(self, "hi", hi)
         if self.lo_closed and not is_finite(lo):
             raise ValueError("infinite endpoint cannot be closed")
         if self.hi_closed and not is_finite(hi):
@@ -143,9 +88,7 @@ class Interval:
         return True
 
     def closure(self) -> "Interval":
-        if self.is_empty:
-            return self
-        return Interval(self.lo, self.hi, is_finite(self.lo), is_finite(self.hi))
+        return self if self.is_empty else closed_iv(self.lo, self.hi)
 
     def __repr__(self):
         if self.is_empty:
@@ -160,17 +103,15 @@ EMPTY = Interval(ZERO, ZERO)
 
 
 def open_iv(lo, hi) -> Interval:
-    return Interval(as_q(lo), as_q(hi))
+    return Interval(lo, hi)
 
 
 def closed_iv(lo, hi) -> Interval:
-    lo, hi = as_q(lo), as_q(hi)
     return Interval(lo, hi, is_finite(lo), is_finite(hi))
 
 
-def require_open_nonempty(iv: Interval, what: str = "interval") -> Interval:
+def require_open_nonempty(iv: Interval, what: str = "interval") -> None:
     if iv.is_empty:
         raise EmptyInterval(f"{what} is empty")
     if iv.lo_closed or iv.hi_closed:
         raise ValueError(f"{what} must be open")
-    return iv

@@ -434,7 +434,7 @@ def _check_rn_lemma(g):
     for rho in rhos:
         # m << rho: predicate vs probe of rho's null gaps
         route_a = is_abs_cont_wrt(m, rho)
-        route_b = not m.atoms and all(
+        route_b = not m.atom_xs and all(
             measure_of_open(m, lo, hi) == ZERO
             for lo, hi, v in rho.abs_density.cells()
             if v == 0
@@ -491,7 +491,7 @@ def _check_qf_ac(g, c=None):
         return
     if jumps(h):
         raise LawFailure("no interior jumps of the inverse",
-                         [str(b.x) for b in jumps(h)],
+                         [str(h.xs[i]) for i in jumps(h)],
                          "unimodal generator must have absolutely continuous inverse")
 
 
@@ -515,15 +515,15 @@ def _check_decomp(g):
     c = classify(g)
     if not c.cdf_unimodal:
         raise _Skip
-    mu = associated_measure(g)
-    if len(mu.atoms) > 1:
-        raise LawFailure("at most one atom", len(mu.atoms), "singular part of a unimodal measure")
-    if mu.atoms:
+    atom_xs = associated_measure(g).atom_xs
+    if len(atom_xs) > 1:
+        raise LawFailure("at most one atom", len(atom_xs), "singular part of a unimodal measure")
+    if atom_xs:
         ok, modal = is_quasi_concave(step_of_slopes(g), extend_by_zero=True)
         if not ok:
             raise LawFailure("quasi-concave density part", "not quasi-concave", "decomposition")
-        if not modal.contains(mu.atoms[0].x):
-            raise LawFailure(f"atom inside {modal}", str(mu.atoms[0].x),
+        if not modal.contains(atom_xs[0]):
+            raise LawFailure(f"atom inside {modal}", str(atom_xs[0]),
                              "atom must sit at a mode of the density part")
 
 
@@ -558,8 +558,8 @@ _REGISTRY = {
 
 
 def _decompose(g):
-    xs = list(g.knot_xs)
-    jsizes = [b.right - b.left for b in g.breaks]
+    xs = list(g.xs)
+    jsizes = [right - left for left, right in zip(g.lefts, g.rights)]
     slopes = list(g.slopes)
     if g.anchor is not None:
         ax, av = g.anchor
@@ -593,14 +593,9 @@ def _candidates(g):
 
 
 def _size(g):
-    def weight(q):
-        return abs(q.numerator) + q.denominator
-
-    return (
-        len(g.breaks),
-        sum(weight(s) for s in g.slopes)
-        + sum(weight(b.x) + weight(b.left) + weight(b.right) for b in g.breaks),
-    )
+    """Knot count, then the total size of the numbers in g's columns."""
+    return len(g.xs), sum(abs(q.numerator) + q.denominator
+                          for q in (*g.slopes, *g.xs, *g.lefts, *g.rights))
 
 
 def shrink(g: PiecewiseMonotone, still_fails) -> PiecewiseMonotone:

@@ -1,7 +1,8 @@
 """Locally finite Borel measures on an open interval, exactly.
 
-A measure here is a finite list of atoms plus the density of its absolutely
-continuous part, a step class on the carrier (0 where there is no mass).
+A measure here is a finite list of atoms, held as two columns (locations
+and masses), plus the density of its absolutely continuous part, a step
+class on the carrier (0 where there is no mass).
 This class is closed under the correspondence with non-decreasing
 functions, under Lebesgue decomposition (the singular part is purely atomic
 by construction) and under pushforward along piecewise-affine monotone
@@ -11,8 +12,9 @@ maps, so equality of measures is a structural comparison of canonical forms.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import InitVar, dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from monoinv import monotone as mono
 from monoinv.errors import (
@@ -37,29 +39,35 @@ from monoinv.intervals import (
 from monoinv.monotone import (
     LEFT,
     RIGHT,
-    Breakpoint,
     PiecewiseMonotone,
     _trusted,
     evaluate,
     inverse_domain,
+    jumps,
     preimage_interior,
     segments,
 )
 
 
+def _checked_atom(x, mass) -> tuple:
+    """(x, mass) as rationals, once mass > 0."""
+    x, mass = as_q(x), as_q(mass)
+    if mass <= 0:
+        raise ValueError("atom mass must be positive")
+    return x, mass
+
+
 @dataclass(frozen=True)
 class Atom:
-    """A point mass.  The public constructor checks mass > 0; the library
-    makes the atoms it derives itself with _trusted."""
+    """A point mass: an input form of PiecewiseMeasure, and the form its
+    atoms are listed in.  The constructor checks mass > 0."""
 
     x: object
     mass: object
 
     def __post_init__(self):
-        object.__setattr__(self, "x", as_q(self.x))
-        object.__setattr__(self, "mass", as_q(self.mass))
-        if self.mass <= 0:
-            raise ValueError("atom mass must be positive")
+        for name, value in zip(("x", "mass"), _checked_atom(self.x, self.mass)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -82,40 +90,43 @@ class UniformPiece:
 class PiecewiseMeasure:
     """Atoms plus an absolutely continuous part on an open carrier interval.
 
-    Canonical form: atoms sorted and merged by location, and abs_density,
-    the density of the absolutely continuous part as a step class on the
-    carrier, 0 between pieces.  The zero measure has no atoms and the zero
-    density.  The public constructor takes atoms and uniform pieces,
-    validates them (inside the carrier, disjoint pieces) and canonicalises
-    in one stable sort and one linear pass each over atoms and pieces;
-    sorting input that is already sorted costs n-1 comparisons.  The pieces
-    become cells there, in _density_step.  The library's own builders skip
-    it and make their density with _canonical_step or _density_step; the
-    tests pin each to its public rebuild.  `pieces` lists the nonzero cells
-    of the density as UniformPieces.
+    Canonical form: the atoms as columns, atom_xs increasing with their
+    atom_masses, and abs_density, the density of the absolutely continuous
+    part as a step class on the carrier, 0 between pieces.  The zero measure
+    has no atoms and the zero density.  The public constructor takes atoms
+    and uniform pieces, as objects or tuples, validates them (inside the
+    carrier, disjoint pieces) and canonicalises in one stable sort and one
+    linear pass each; sorting input that is already sorted costs n-1
+    comparisons.  The pieces become cells there, in _density_step.  The
+    library's own builders skip it (_measure); the tests pin each to its
+    public rebuild.  `atoms` and `pieces` list the atoms and the nonzero
+    cells back as Atoms and UniformPieces.
     """
 
     carrier: Interval
-    atoms: tuple = ()
+    atoms: InitVar[tuple] = ()
     pieces: InitVar[tuple] = ()
+    atom_xs: tuple = field(init=False)
+    atom_masses: tuple = field(init=False)
     abs_density: StepFunction = field(init=False)
 
-    def __post_init__(self, pieces):
+    def __post_init__(self, atoms, pieces):
         carrier = self.carrier
         require_open_nonempty(carrier, "carrier")
-        atoms = [a if isinstance(a, Atom) else Atom(*a) for a in self.atoms]
+        atoms = [(a.x, a.mass) if isinstance(a, Atom) else _checked_atom(*a) for a in atoms]
         pieces = [p if isinstance(p, UniformPiece) else UniformPiece(*p) for p in pieces]
 
-        for a in atoms:
-            if not carrier.contains(a.x):
-                raise CarrierMismatch(f"atom at {a.x} outside carrier {carrier}")
-        atoms.sort(key=attrgetter("x"))
-        merged = []
-        for a in atoms:
-            if merged and merged[-1].x == a.x:
-                merged[-1] = _trusted(Atom, x=a.x, mass=merged[-1].mass + a.mass)
+        for x, _ in atoms:
+            if not carrier.contains(x):
+                raise CarrierMismatch(f"atom at {x} outside carrier {carrier}")
+        atoms.sort(key=itemgetter(0))
+        xs, masses = [], []
+        for x, mass in atoms:
+            if xs and xs[-1] == x:
+                masses[-1] += mass
             else:
-                merged.append(a)
+                xs.append(x)
+                masses.append(mass)
 
         # disjoint pieces have distinct left ends, and two pieces with the
         # same left end fail the disjointness check whatever their order
@@ -127,13 +138,19 @@ class PiecewiseMeasure:
             if q.interval.lo < p.interval.hi:
                 raise ValueError("uniform pieces must be pairwise disjoint")
 
-        object.__setattr__(self, "atoms", tuple(merged))
+        object.__setattr__(self, "atom_xs", tuple(xs))
+        object.__setattr__(self, "atom_masses", tuple(masses))
         object.__setattr__(self, "abs_density", _density_step(
             carrier, [(p.interval.lo, p.interval.hi, p.density) for p in pieces]))
 
     @property
     def is_zero(self):
-        return not self.atoms and self.abs_density.values == (ZERO,)
+        return not self.atom_xs and self.abs_density.values == (ZERO,)
+
+
+def _atoms(m: PiecewiseMeasure) -> tuple:
+    """The atoms of m, as Atoms."""
+    return tuple(Atom(x, mass) for x, mass in zip(m.atom_xs, m.atom_masses))
 
 
 def _pieces(m: PiecewiseMeasure) -> tuple:
@@ -143,8 +160,15 @@ def _pieces(m: PiecewiseMeasure) -> tuple:
 
 
 # set after the decorator, which would read a property in the class body as
-# the default of the pieces InitVar
+# the default of the InitVar of the same name
+PiecewiseMeasure.atoms = property(_atoms)
 PiecewiseMeasure.pieces = property(_pieces)
+
+
+def _measure(carrier: Interval, atom_xs, atom_masses, abs_density) -> PiecewiseMeasure:
+    """The measure with these canonical columns, made without any check."""
+    return _trusted(PiecewiseMeasure, carrier=carrier, atom_xs=atom_xs,
+                    atom_masses=atom_masses, abs_density=abs_density)
 
 
 def _density_step(carrier: Interval, pieces) -> StepFunction:
@@ -251,10 +275,7 @@ def step_compose(f: StepFunction, g: PiecewiseMonotone) -> StepFunction:
         raise CarrierMismatch("g never enters the carrier of f")
 
     segs = segments(g)
-    cut = set()
-    for b in mono.jumps(g):
-        if target.contains(b.x):
-            cut.add(b.x)
+    cut = {g.xs[i] for i in jumps(g) if target.contains(g.xs[i])}
     for seg in segs:
         lo = max(seg.a, target.lo)
         hi = min(seg.b, target.hi)
@@ -276,7 +297,7 @@ def step_compose(f: StepFunction, g: PiecewiseMonotone) -> StepFunction:
     values = []
     for a, b in zip(bounds, bounds[1:]):
         probe = mono._probe_point(Interval(a, b))
-        gseg = segs[bisect_right(g.knot_xs, probe)]
+        gseg = segs[bisect_right(g.xs, probe)]
         if gseg.slope == 0:
             c = gseg.u
             i = bisect_left(f.knots, c)
@@ -296,9 +317,9 @@ def step_compose(f: StepFunction, g: PiecewiseMonotone) -> StepFunction:
 def associated_measure(g: PiecewiseMonotone) -> PiecewiseMeasure:
     """Atoms from the jumps of g; the density of the absolutely continuous
     part is the step class of g's slopes (0 on its flats)."""
-    atoms = tuple(_trusted(Atom, x=b.x, mass=b.right - b.left) for b in mono.jumps(g))
-    return _trusted(PiecewiseMeasure, carrier=g.domain, atoms=atoms,
-                    abs_density=step_of_slopes(g))
+    at = jumps(g)
+    return _measure(g.domain, tuple(g.xs[i] for i in at),
+                    tuple(g.rights[i] - g.lefts[i] for i in at), step_of_slopes(g))
 
 
 def measure_of_open(m: PiecewiseMeasure, lo, hi):
@@ -307,9 +328,9 @@ def measure_of_open(m: PiecewiseMeasure, lo, hi):
     if iv.is_empty:
         return ZERO
     total = ZERO
-    for a in m.atoms:
-        if iv.lo < a.x < iv.hi:
-            total = total + a.mass
+    for x, mass in zip(m.atom_xs, m.atom_masses):
+        if iv.lo < x < iv.hi:
+            total = total + mass
     for c_lo, c_hi, v in m.abs_density.cells():
         if v == 0:
             continue
@@ -341,38 +362,36 @@ def distribution_function(m: PiecewiseMeasure, z) -> PiecewiseMonotone:
         raise AnchorOutsideCarrier(f"anchor {z} outside carrier {m.carrier}")
 
     knots, values = m.abs_density.knots, m.abs_density.values
-    if not knots and not m.atoms:
+    atom_xs, masses = m.atom_xs, m.atom_masses
+    if not knots and not atom_xs:
         # one cell of positive density spanning the whole carrier
-        return _trusted(PiecewiseMonotone, domain=m.carrier, breaks=(), slopes=(values[0],),
-                        anchor=(z, ZERO))
+        return _trusted(PiecewiseMonotone, domain=m.carrier, slopes=(values[0],),
+                        anchor=(z, ZERO), xs=(), lefts=(), rights=())
 
     # merge the atoms into the knots, both sorted; a point that only carries
     # an atom keeps the slope of the cell it falls in
-    pts, jumps, slopes = [], [], [values[0]]
-    atoms = m.atoms
-    ai, na = 0, len(atoms)
+    pts, sizes, slopes = [], [], [values[0]]
+    ai, na = 0, len(atom_xs)
     for k, v in zip(knots, values[1:]):
-        while ai < na and atoms[ai].x < k:
-            pts.append(atoms[ai].x)
-            jumps.append(atoms[ai].mass)
+        while ai < na and atom_xs[ai] < k:
+            pts.append(atom_xs[ai])
+            sizes.append(masses[ai])
             slopes.append(slopes[-1])
             ai += 1
-        if ai < na and atoms[ai].x == k:
-            jumps.append(atoms[ai].mass)
+        if ai < na and atom_xs[ai] == k:
+            sizes.append(masses[ai])
             ai += 1
         else:
-            jumps.append(ZERO)
+            sizes.append(ZERO)
         pts.append(k)
         slopes.append(v)
-    for a in atoms[ai:]:
-        pts.append(a.x)
-        jumps.append(a.mass)
-        slopes.append(slopes[-1])
+    pts += atom_xs[ai:]
+    sizes += masses[ai:]
+    slopes += [slopes[-1]] * (na - ai)
 
-    limits = mono._knot_limits(pts, jumps, slopes, z, ZERO)
-    breaks = tuple(_trusted(Breakpoint, x=x, left=l, right=r) for x, (l, r) in zip(pts, limits))
-    return _trusted(PiecewiseMonotone, domain=m.carrier, breaks=breaks, slopes=tuple(slopes),
-                    anchor=None)
+    lefts, rights = mono._knot_limits(pts, sizes, slopes, z, ZERO)
+    return _trusted(PiecewiseMonotone, domain=m.carrier, slopes=tuple(slopes), anchor=None,
+                    xs=tuple(pts), lefts=tuple(lefts), rights=tuple(rights))
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +400,13 @@ def distribution_function(m: PiecewiseMeasure, z) -> PiecewiseMonotone:
 
 def lebesgue_decompose(m: PiecewiseMeasure) -> tuple[PiecewiseMeasure, PiecewiseMeasure]:
     """Unique split into an absolutely continuous and a purely atomic part."""
-    return (
-        _trusted(PiecewiseMeasure, carrier=m.carrier, atoms=(), abs_density=m.abs_density),
-        _trusted(PiecewiseMeasure, carrier=m.carrier, atoms=m.atoms,
-                 abs_density=_density_step(m.carrier, ())),
-    )
+    return (_measure(m.carrier, (), (), m.abs_density),
+            _measure(m.carrier, m.atom_xs, m.atom_masses, _density_step(m.carrier, ())))
 
 
 def density(m: PiecewiseMeasure) -> StepFunction:
     """The Radon-Nikodym derivative w.r.t. Lebesgue measure, as a step class."""
-    if m.atoms:
+    if m.atom_xs:
         raise NotAbsolutelyContinuous("the measure has atoms")
     return m.abs_density
 
@@ -399,8 +415,7 @@ def lebesgue_on(iv: Interval, carrier: Interval) -> PiecewiseMeasure:
     """Lebesgue measure restricted to an open interval iv, carried on an open
     carrier that contains iv."""
     pieces = () if iv.is_empty else ((iv.lo, iv.hi, ONE),)
-    return _trusted(PiecewiseMeasure, carrier=carrier, atoms=(),
-                    abs_density=_density_step(carrier, pieces))
+    return _measure(carrier, (), (), _density_step(carrier, pieces))
 
 
 def is_abs_cont_wrt(a: PiecewiseMeasure, b: PiecewiseMeasure) -> bool:
@@ -414,10 +429,8 @@ def is_abs_cont_wrt(a: PiecewiseMeasure, b: PiecewiseMeasure) -> bool:
     """
     if a.carrier != b.carrier:
         raise CarrierMismatch("absolute continuity needs a common carrier")
-    b_atoms = {atom.x for atom in b.atoms}
-    for atom in a.atoms:
-        if atom.x not in b_atoms:
-            return False
+    if not set(a.atom_xs) <= set(b.atom_xs):
+        return False
     av, bv = a.abs_density.values, b.abs_density.values
     a_ends = (*a.abs_density.knots, a.carrier.hi)
     b_ends = (*b.abs_density.knots, b.carrier.hi)
@@ -447,25 +460,20 @@ def pushforward(m: PiecewiseMeasure, t: PiecewiseMonotone) -> PiecewiseMeasure:
     """
     if not t.domain.contains_interval(m.carrier):
         raise CarrierMismatch("carrier of the measure must lie inside the domain of the map")
-    jump_xs = {b.x for b in mono.jumps(t)}
-
-    out_atoms = {}
-
-    def add_atom(x, mass):
-        out_atoms[x] = out_atoms.get(x, ZERO) + mass
-
-    for a in m.atoms:
-        if a.x in jump_xs:
+    jump_xs = {t.xs[i] for i in jumps(t)}
+    out_atoms = defaultdict(lambda: ZERO)  # masses add on collision
+    for x, mass in zip(m.atom_xs, m.atom_masses):
+        if x in jump_xs:
             raise VersionAmbiguous(
-                f"atom at {a.x} sits on a jump of the map; the image depends on the version")
-        add_atom(evaluate(t, a.x, RIGHT), a.mass)
+                f"atom at {x} sits on a jump of the map; the image depends on the version")
+        out_atoms[evaluate(t, x, RIGHT)] += mass
 
     segs = segments(t)
     out_pieces = []
     for c_lo, c_hi, d in m.abs_density.cells():
         if d == 0:
             continue
-        i, j = mono._between(t.knot_xs, c_lo, c_hi)
+        i, j = mono._between(t.xs, c_lo, c_hi)
         for seg in segs[i:j + 1]:
             lo = max(c_lo, seg.a)
             hi = min(c_hi, seg.b)
@@ -474,24 +482,24 @@ def pushforward(m: PiecewiseMeasure, t: PiecewiseMonotone) -> PiecewiseMeasure:
                 if not is_finite(length):
                     raise NotLocallyFinite(
                         "a flat of infinite length carries infinite mass to one point")
-                add_atom(seg.u, d * length)
+                out_atoms[seg.u] += d * length
             else:
                 u = evaluate(t, lo, RIGHT) if is_finite(lo) else seg.u
                 v = evaluate(t, hi, LEFT) if is_finite(hi) else seg.v
                 out_pieces.append((u, v, d / seg.slope))
 
     carrier = inverse_domain(t)
-    atoms = tuple(_trusted(Atom, x=x, mass=mass) for x, mass in sorted(out_atoms.items()))
+    atom_xs = tuple(sorted(out_atoms))
     # the images lie in the closed hull of t's values; only an atom at the
     # value of a flat reaching an infinite end of t's domain can land on the
     # boundary of the carrier, and there is at most one at each end
-    for a in atoms[:1] + atoms[-1:]:
-        if not carrier.contains(a.x):
-            raise CarrierMismatch(f"atom at {a.x} outside carrier {carrier}")
+    for x in atom_xs[:1] + atom_xs[-1:]:
+        if not carrier.contains(x):
+            raise CarrierMismatch(f"atom at {x} outside carrier {carrier}")
     # the images of disjoint cells are disjoint; sorted, they may touch
     out_pieces.sort()
-    return _trusted(PiecewiseMeasure, carrier=carrier, atoms=atoms,
-                    abs_density=_density_step(carrier, out_pieces))
+    return _measure(carrier, atom_xs, tuple(out_atoms[x] for x in atom_xs),
+                    _density_step(carrier, out_pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +509,7 @@ def pushforward(m: PiecewiseMeasure, t: PiecewiseMonotone) -> PiecewiseMeasure:
 def step_of_slopes(g: PiecewiseMonotone) -> StepFunction:
     """The slopes of g as a step class on its regular domain: the density of
     the absolutely continuous part of the associated measure."""
-    return _canonical_step(g.domain, g.knot_xs, g.slopes)
+    return _canonical_step(g.domain, g.xs, g.slopes)
 
 
 def inverse_slope_step(g: PiecewiseMonotone) -> StepFunction:
@@ -526,18 +534,11 @@ def gen_inverse_abs_cont(g: PiecewiseMonotone, iv: Interval) -> bool:
     if not inverse_domain(g).contains_interval(iv):
         raise PreconditionFailed("interval must lie inside the inverse's regular domain")
 
-    r1 = not any(iv.contains(value) for _, value in mono.flats(g))
+    flats = mono.flats(g)
+    r1 = not any(iv.contains(value) for _, value in flats)
 
     m_int = preimage_interior(g, iv)
-    r2 = True
-    for seg in segments(g):
-        if seg.slope != 0:
-            continue
-        lo = max(seg.a, m_int.lo)
-        hi = min(seg.b, m_int.hi)
-        if lo < hi:
-            r2 = False
-            break
+    r2 = not any(max(flat.lo, m_int.lo) < min(flat.hi, m_int.hi) for flat, _ in flats)
 
     r3 = is_abs_cont_wrt(lebesgue_on(m_int, g.domain), associated_measure(g))
 
@@ -562,6 +563,6 @@ def inverse_rule_check(g: PiecewiseMonotone) -> tuple[StepFunction, StepFunction
     m_int = mono.mass_interval(g)
     if m_int.is_empty:
         return None
-    i, j = mono._between(g.knot_xs, m_int.lo, m_int.hi)
-    reciprocal = StepFunction(m_int, g.knot_xs[i:j], tuple(1 / s for s in g.slopes[i:j + 1]))
+    i, j = mono._between(g.xs, m_int.lo, m_int.hi)
+    reciprocal = StepFunction(m_int, g.xs[i:j], tuple(1 / s for s in g.slopes[i:j + 1]))
     return step_compose(inverse_slope_step(g), g), reciprocal

@@ -12,6 +12,10 @@ the measure correspondence, so the identities of the underlying theory can
 be checked segment by segment in exact rational arithmetic.  Values of the
 extended line are bare rationals or the sentinels NEG_INF / POS_INF of
 `intervals`; knots, limits and slopes are always finite.
+
+A class is held as columns: knots, left and right limits there, and the
+slopes between them.  The inverse rule is then a swap of columns: a rise
+becomes a rise with the reciprocal slope, a jump a flat, a flat a jump.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import enum
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 from monoinv.errors import (
@@ -35,6 +39,7 @@ from monoinv.intervals import (
     POS_INF,
     REAL_LINE,
     Interval,
+    closed_iv,
     is_finite,
     require_open_nonempty,
 )
@@ -68,25 +73,17 @@ def _trusted(cls, **fields):
 
 @dataclass(frozen=True)
 class Breakpoint:
-    """A knot with its one-sided limits; a jump iff left < right.
-
-    The public constructor converts ints to rationals; knots the library
-    derives itself are made with _trusted.
-    """
+    """A knot with its one-sided limits, a jump iff left < right: an input
+    form of PiecewiseMonotone, and the form `breaks` lists its knots in.
+    The constructor converts ints to rationals."""
 
     x: object
     left: object
     right: object
 
     def __post_init__(self):
-        object.__setattr__(self, "x", as_q(self.x))
-        object.__setattr__(self, "left", as_q(self.left))
-        object.__setattr__(self, "right", as_q(self.right))
-
-    @property
-    def is_jump(self):
-        # a continuity knot the library builds holds one object on both sides
-        return self.left is not self.right and self.left < self.right
+        for name in ("x", "left", "right"):
+            object.__setattr__(self, name, as_q(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -94,82 +91,109 @@ class PiecewiseMonotone:
     """Class [G] of a non-decreasing piecewise-affine function.
 
     domain    open interval where the function is real-valued
-    breaks    knots strictly inside the domain, with one-sided limits
-    slopes    one nonnegative rational per open segment (len(breaks) + 1)
+    slopes    one nonnegative rational per open segment (len(xs) + 1)
     anchor    (x, value) pinning the function when there are no knots
+    xs        knots strictly inside the domain, increasing
+    lefts     g(x-) at each knot
+    rights    g(x+) at each knot; the knot is a jump iff left < right
 
     Instances are immutable and canonical (no removable knots).  The public
-    constructor validates and canonicalises its arguments; invalid data
-    raises the dedicated errors.  Builders whose output is canonical by
-    construction (distribution_function, generalized_inverse) skip it
-    through _trusted; the tests pin each such result to its rebuild through
-    this constructor (validate).
+    constructor takes the knots as `breaks`, Breakpoints or (x, left, right)
+    triples, and checks and canonicalises their columns in _checked_columns;
+    invalid data raises the dedicated errors.  `breaks` lists the knots back
+    as Breakpoints.  Builders whose output is canonical by construction
+    (distribution_function, generalized_inverse) skip the checks through
+    _trusted; the tests pin each such result to its rebuild through this
+    constructor (validate).
     """
 
     domain: Interval
-    breaks: tuple = ()
+    breaks: InitVar[tuple] = ()
     slopes: tuple = (ONE,)
     anchor: tuple | None = None
+    xs: tuple = field(init=False)
+    lefts: tuple = field(init=False)
+    rights: tuple = field(init=False)
 
-    def __post_init__(self):
-        require_open_nonempty(self.domain, "regular domain")
-        breaks = tuple(b if isinstance(b, Breakpoint) else Breakpoint(*b) for b in self.breaks)
-        slopes = tuple(as_q(s) for s in self.slopes)
+    def __post_init__(self, breaks):
+        xs, lefts, rights = [], [], []
+        for b in breaks:
+            x, left, right = (b.x, b.left, b.right) if isinstance(b, Breakpoint) else b
+            xs.append(as_q(x))
+            lefts.append(as_q(left))
+            rights.append(as_q(right))
         anchor = self.anchor
         if anchor is not None:
             anchor = (as_q(anchor[0]), as_q(anchor[1]))
+        slopes = [as_q(s) for s in self.slopes]
+        for name, value in _checked_columns(self.domain, xs, lefts, rights, slopes,
+                                            anchor).items():
+            object.__setattr__(self, name, value)
 
-        if len(slopes) != len(breaks) + 1:
-            raise ValueError("need exactly one slope per segment")
-        for s in slopes:
-            if s < 0:
-                raise NonMonotone(f"negative slope {s}")
-        for b in breaks:
-            if b.left > b.right:
-                raise NonMonotone(f"downward jump at {b.x}")
-        for a, b in zip(breaks, breaks[1:]):
-            if not a.x < b.x:
-                raise UnorderedBreakpoints("breakpoints must be strictly increasing")
-        if breaks:
-            if not (self.domain.lo < breaks[0].x and breaks[-1].x < self.domain.hi):
-                raise UnorderedBreakpoints("breakpoints must be interior to the domain")
-            for a, b, s in zip(breaks, breaks[1:], slopes[1:]):
-                if b.left != a.right + s * (b.x - a.x):
-                    raise NonMonotone("segment limits inconsistent with slope")
 
-        # canonical form: remove knots that change nothing.  Whether a knot is
-        # removable depends only on its own jump and its two slopes, which a
-        # removal elsewhere leaves as they are, so one pass finds them all.
-        removed = None
-        kept, kept_slopes = [], [slopes[0]]
-        for b, left, right in zip(breaks, slopes, slopes[1:]):
-            if not b.is_jump and left == right:
-                removed = b
-            else:
-                kept.append(b)
-                kept_slopes.append(right)
-        breaks, slopes = tuple(kept), tuple(kept_slopes)
+def _breaks(g: PiecewiseMonotone) -> tuple:
+    """The knots of g as Breakpoints."""
+    return tuple(Breakpoint(x, left, right) for x, left, right in zip(g.xs, g.lefts, g.rights))
 
-        if breaks:
-            anchor = None
-        else:
-            if anchor is None and removed is not None:
-                anchor = (removed.x, removed.left)
-            if anchor is None:
-                raise ValueError("an anchor (x, value) is required when there are no breakpoints")
-            if not self.domain.contains(anchor[0]):
-                raise ValueError("anchor must lie inside the regular domain")
 
-        if all(s == 0 for s in slopes) and not any(b.is_jump for b in breaks):
+# set after the decorator, which would read a property in the class body as
+# the default of the breaks InitVar
+PiecewiseMonotone.breaks = property(_breaks)
+
+
+def _checked_columns(domain: Interval, xs, lefts, rights, slopes, anchor) -> dict:
+    """The fields after domain of the canonical class with these columns of
+    rationals, in the order __init__ sets them, once every invariant holds.
+
+    Canonical form drops the knots that change nothing.  Whether a knot is
+    removable depends only on its own jump and its two slopes, which a
+    removal elsewhere leaves as they are, so one pass finds them all.  The
+    public constructor, from_knot_data, restrict and extend_to_real_line
+    share these checks.
+    """
+    require_open_nonempty(domain, "regular domain")
+    if len(slopes) != len(xs) + 1:
+        raise ValueError("need exactly one slope per segment")
+    for s in slopes:
+        if s < 0:
+            raise NonMonotone(f"negative slope {s}")
+    for x, left, right in zip(xs, lefts, rights):
+        if left > right:
+            raise NonMonotone(f"downward jump at {x}")
+    for a, b in zip(xs, xs[1:]):
+        if not a < b:
+            raise UnorderedBreakpoints("breakpoints must be strictly increasing")
+    if xs:
+        if not (domain.lo < xs[0] and xs[-1] < domain.hi):
+            raise UnorderedBreakpoints("breakpoints must be interior to the domain")
+        for a, b, right, left, s in zip(xs, xs[1:], rights, lefts[1:], slopes[1:]):
+            if left != right + s * (b - a):
+                raise NonMonotone("segment limits inconsistent with slope")
+
+    keep = [j for j in range(len(xs)) if lefts[j] != rights[j] or slopes[j] != slopes[j + 1]]
+    if keep:
+        anchor = None
+    else:
+        if anchor is None and xs:
+            anchor = (xs[-1], lefts[-1])  # the last knot removed
+        if anchor is None:
+            raise ValueError("an anchor (x, value) is required when there are no breakpoints")
+        if not domain.contains(anchor[0]):
+            raise ValueError("anchor must lie inside the regular domain")
+        # a kept knot is a jump or a change of slope, so only a class
+        # without knots can be constant
+        if slopes[0] == 0:
             raise ConstantFunction("constant classes are excluded")
+    return {"slopes": (slopes[0], *(slopes[j + 1] for j in keep)), "anchor": anchor,
+            "xs": tuple(xs[j] for j in keep), "lefts": tuple(lefts[j] for j in keep),
+            "rights": tuple(rights[j] for j in keep)}
 
-        object.__setattr__(self, "breaks", breaks)
-        object.__setattr__(self, "slopes", slopes)
-        object.__setattr__(self, "anchor", anchor)
 
-    @property
-    def knot_xs(self):
-        return _cached(self, "_knot_xs", _build_knot_xs)
+def _from_columns(domain: Interval, xs, lefts, rights, slopes, anchor) -> PiecewiseMonotone:
+    """The canonical class with these columns of rationals, checked as the
+    public constructor checks them but without any Breakpoint."""
+    return _trusted(PiecewiseMonotone, domain=domain,
+                    **_checked_columns(domain, xs, lefts, rights, slopes, anchor))
 
 
 def _cached(g: PiecewiseMonotone, name: str, build):
@@ -184,13 +208,9 @@ def _cached(g: PiecewiseMonotone, name: str, build):
     return table
 
 
-def _build_knot_xs(g: PiecewiseMonotone) -> tuple:
-    return tuple(b.x for b in g.breaks)
-
-
 def _between(xs, lo, hi) -> tuple[int, int]:
     """(i, j) such that xs[i:j] are the points of the sorted rationals xs
-    strictly between the extended reals lo and hi.  For xs = g.knot_xs,
+    strictly between the extended reals lo and hi.  For xs = g.xs,
     segments(g)[i:j + 1] are then the segments of g that meet the open
     interval (lo, hi)."""
     i = bisect_right(xs, lo) if is_finite(lo) else 0
@@ -201,8 +221,7 @@ def _between(xs, lo, hi) -> tuple[int, int]:
 def validate(g: PiecewiseMonotone) -> PiecewiseMonotone:
     """g rebuilt through the public constructors, which re-check every
     representation invariant; equal to g exactly when g is canonical."""
-    breaks = tuple(Breakpoint(b.x, b.left, b.right) for b in g.breaks)
-    return PiecewiseMonotone(g.domain, breaks, g.slopes, g.anchor)
+    return PiecewiseMonotone(g.domain, g.breaks, g.slopes, g.anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -227,37 +246,18 @@ def segments(g: PiecewiseMonotone) -> tuple[Segment, ...]:
 
 def _build_segments(g: PiecewiseMonotone) -> tuple[Segment, ...]:
     lo, hi = g.domain.lo, g.domain.hi
-    if not g.breaks:
-        ax, av = g.anchor
-        s = g.slopes[0]
-        if is_finite(lo):
-            u = av - s * (ax - lo)
-        else:
-            u = av if s == 0 else NEG_INF
-        if is_finite(hi):
-            v = av + s * (hi - ax)
-        else:
-            v = av if s == 0 else POS_INF
+    xs, lefts, rights, slopes = g.xs, g.lefts, g.rights, g.slopes
+    # the first segment runs to lo from (x0, v0), the last to hi from (x1, v1)
+    (x0, v0), (x1, v1) = ((xs[0], lefts[0]), (xs[-1], rights[-1])) if xs else (g.anchor,) * 2
+    s = slopes[0]
+    u = v0 - s * (x0 - lo) if is_finite(lo) else (v0 if s == 0 else NEG_INF)
+    s = slopes[-1]
+    v = v1 + s * (hi - x1) if is_finite(hi) else (v1 if s == 0 else POS_INF)
+    if not xs:
         return (Segment(lo, hi, u, v, s),)
-
-    out = []
-    first = g.breaks[0]
-    s = g.slopes[0]
-    if is_finite(lo):
-        u = first.left - s * (first.x - lo)
-    else:
-        u = first.left if s == 0 else NEG_INF
-    out.append(Segment(lo, first.x, u, first.left, s))
-    for bp, nxt, s in zip(g.breaks, g.breaks[1:], g.slopes[1:]):
-        out.append(Segment(bp.x, nxt.x, bp.right, nxt.left, s))
-    last = g.breaks[-1]
-    s = g.slopes[-1]
-    if is_finite(hi):
-        v = last.right + s * (hi - last.x)
-    else:
-        v = last.right if s == 0 else POS_INF
-    out.append(Segment(last.x, hi, last.right, v, s))
-    return tuple(out)
+    return (Segment(lo, xs[0], u, lefts[0], slopes[0]),
+            *map(Segment, xs, xs[1:], rights, lefts[1:], slopes[1:]),
+            Segment(xs[-1], hi, rights[-1], v, s))
 
 
 def value_bounds(g: PiecewiseMonotone) -> tuple:
@@ -286,19 +286,16 @@ def evaluate(g: PiecewiseMonotone, x, version: Version = RIGHT):
         if x == hi:
             return POS_INF if version is RIGHT else segments(g)[-1].v
 
-    if not g.breaks:
+    xs = g.xs
+    if not xs:
         ax, av = g.anchor
         return av + g.slopes[0] * (x - ax)
-    xs = g.knot_xs
     i = bisect_left(xs, x)
     if i < len(xs) and xs[i] == x:
-        b = g.breaks[i]
-        return b.left if version is LEFT else b.right
+        return g.lefts[i] if version is LEFT else g.rights[i]
     if i == 0:
-        b = g.breaks[0]
-        return b.left - g.slopes[0] * (b.x - x)
-    b = g.breaks[i - 1]
-    return b.right + g.slopes[i] * (x - b.x)
+        return g.lefts[0] - g.slopes[0] * (xs[0] - x)
+    return g.rights[i - 1] + g.slopes[i] * (x - xs[i - 1])
 
 
 def limits_at(g: PiecewiseMonotone, x) -> tuple:
@@ -391,16 +388,13 @@ def mass_interval(g: PiecewiseMonotone) -> Interval:
 
 def inverse_mass_interval(g: PiecewiseMonotone) -> Interval:
     """Mass interval of the generalized inverse: the open hull of g's values."""
-    m, M = value_bounds(g)
-    return Interval(m, M)
+    return Interval(*value_bounds(g))
 
 
 def supporting_interval(g: PiecewiseMonotone) -> Interval:
     """Closed convex hull of the support of the associated measure."""
     m, M = value_bounds(g)
-    lo = last_x_with_right_le(g, m)
-    hi = first_x_with_left_ge(g, M)
-    return Interval(lo, hi, is_finite(lo), is_finite(hi))
+    return closed_iv(last_x_with_right_le(g, m), first_x_with_left_ge(g, M))
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +403,7 @@ def supporting_interval(g: PiecewiseMonotone) -> Interval:
 
 def flats(g: PiecewiseMonotone) -> list[tuple[Interval, object]]:
     """Maximal open intervals where g is constant, with the constant value."""
-    out = []
-    for seg in segments(g):
-        if seg.slope == 0:
-            out.append((Interval(seg.a, seg.b), seg.u))
-    return out
+    return [(Interval(seg.a, seg.b), seg.u) for seg in segments(g) if seg.slope == 0]
 
 
 def constancy_set(g: PiecewiseMonotone, within: Interval | None = None) -> list[Interval]:
@@ -430,19 +420,14 @@ def constancy_set(g: PiecewiseMonotone, within: Interval | None = None) -> list[
     return out
 
 
-def jumps(g: PiecewiseMonotone) -> list[Breakpoint]:
-    """Interior jump knots."""
-    return [b for b in g.breaks if b.is_jump]
+def jumps(g: PiecewiseMonotone) -> list[int]:
+    """Indices of the interior jump knots: the i with g.lefts[i] < g.rights[i]."""
+    return [i for i, (left, right) in enumerate(zip(g.lefts, g.rights)) if left < right]
 
 
 def jump_count_extended(g: PiecewiseMonotone) -> int:
     """Jumps of the embedded function, counting the +-inf jumps at finite domain ends."""
-    n = len(jumps(g))
-    if is_finite(g.domain.lo):
-        n += 1
-    if is_finite(g.domain.hi):
-        n += 1
-    return n
+    return len(jumps(g)) + is_finite(g.domain.lo) + is_finite(g.domain.hi)
 
 
 def flat_count(g: PiecewiseMonotone) -> int:
@@ -468,17 +453,18 @@ def _inverse_segments(g: PiecewiseMonotone) -> tuple[Segment, ...]:
 
 def _build_inverse_segments(g: PiecewiseMonotone) -> tuple[Segment, ...]:
     gsegs = segments(g)
+    xs, lefts, rights = g.xs, g.lefts, g.rights
     out = []
     if is_finite(g.domain.lo):
         out.append(Segment(NEG_INF, gsegs[0].u, g.domain.lo, g.domain.lo, ZERO))
     # segment i ends at knot i; a jump there is a flat of the inverse
-    for seg, b in zip(gsegs, (*g.breaks, None)):
+    for i, seg in enumerate(gsegs):
         s = seg.slope
         if s != 0:
             # the reciprocal of s > 0, without the number type's reflected 1 / s
             out.append(Segment(seg.u, seg.v, seg.a, seg.b, rat(s.denominator, s.numerator)))
-        if b is not None and b.is_jump:
-            out.append(Segment(b.left, b.right, b.x, b.x, ZERO))
+        if i < len(xs) and lefts[i] < rights[i]:
+            out.append(Segment(lefts[i], rights[i], xs[i], xs[i], ZERO))
     if is_finite(g.domain.hi):
         out.append(Segment(gsegs[-1].v, POS_INF, g.domain.hi, g.domain.hi, ZERO))
     return tuple(out)
@@ -495,19 +481,19 @@ def generalized_inverse(g: PiecewiseMonotone) -> PiecewiseMonotone:
     removable, and the result skips the public constructor.
     """
     segs = _inverse_segments(g)
-    breaks = tuple(_trusted(Breakpoint, x=cur.a, left=prev.v, right=cur.u)
-                   for prev, cur in zip(segs, segs[1:]))
     slopes = tuple(seg.slope for seg in segs)
-    if all(s == 0 for s in slopes) and not any(b.is_jump for b in breaks):
+    lefts = tuple(seg.v for seg in segs[:-1])
+    rights = tuple(seg.u for seg in segs[1:])
+    if all(s == 0 for s in slopes) and lefts == rights:
         raise ConstantFunction("the generalized inverse would be constant")
 
     anchor = None
-    if not breaks:
+    if len(segs) == 1:
         # the mirror of g's only segment that rises
         probe = _probe_point(Interval(segs[0].a, segs[0].b))
         anchor = (probe, _level_x(g, next(seg for seg in segments(g) if seg.slope != 0), probe))
-    return _trusted(PiecewiseMonotone, domain=inverse_domain(g), breaks=breaks, slopes=slopes,
-                    anchor=anchor)
+    return _trusted(PiecewiseMonotone, domain=inverse_domain(g), slopes=slopes, anchor=anchor,
+                    xs=tuple(seg.a for seg in segs[1:]), lefts=lefts, rights=rights)
 
 
 def _probe_point(iv: Interval):
@@ -534,19 +520,20 @@ def restrict(g: PiecewiseMonotone, iv: Interval) -> PiecewiseMonotone:
     if not g.domain.contains_interval(iv):
         raise EmptyInterval("restriction interval must lie inside the regular domain")
 
-    i, j = _between(g.knot_xs, iv.lo, iv.hi)
+    i, j = _between(g.xs, iv.lo, iv.hi)
     anchor = None
     if i == j:
         probe = _probe_point(iv)
         anchor = (probe, evaluate(g, probe, RIGHT))
-    return PiecewiseMonotone(iv, g.breaks[i:j], g.slopes[i:j + 1], anchor)
+    return _from_columns(iv, g.xs[i:j], g.lefts[i:j], g.rights[i:j], g.slopes[i:j + 1], anchor)
 
 
 def versions_equal(g1: PiecewiseMonotone, g2: PiecewiseMonotone) -> bool:
     """True iff the two values denote the same class [G]."""
-    if g1.domain != g2.domain or g1.breaks != g2.breaks or g1.slopes != g2.slopes:
+    if (g1.domain, g1.xs, g1.lefts, g1.rights, g1.slopes) != (
+            g2.domain, g2.xs, g2.lefts, g2.rights, g2.slopes):
         return False
-    if g1.breaks:
+    if g1.xs:
         return True
     probe = _probe_point(g1.domain)
     return evaluate(g1, probe, RIGHT) == evaluate(g2, probe, RIGHT)
@@ -561,17 +548,16 @@ def extend_to_real_line(g: PiecewiseMonotone) -> PiecewiseMonotone:
     if g.domain == REAL_LINE:
         return g
     segs = segments(g)
-    breaks = list(g.breaks)
-    slopes = list(g.slopes)
+    columns = [list(g.xs), list(g.lefts), list(g.rights), list(g.slopes)]
     if is_finite(g.domain.lo):
         u = segs[0].u
-        breaks.insert(0, Breakpoint(g.domain.lo, u, u))
-        slopes.insert(0, ZERO)
+        for column, value in zip(columns, (g.domain.lo, u, u, ZERO)):
+            column.insert(0, value)
     if is_finite(g.domain.hi):
         v = segs[-1].v
-        breaks.append(Breakpoint(g.domain.hi, v, v))
-        slopes.append(ZERO)
-    return PiecewiseMonotone(REAL_LINE, tuple(breaks), tuple(slopes), None)
+        for column, value in zip(columns, (g.domain.hi, v, v, ZERO)):
+            column.append(value)
+    return _from_columns(REAL_LINE, *columns, None)
 
 
 def from_knot_data(domain: Interval, xs, jumps, slopes, anchor_x, anchor_value) -> PiecewiseMonotone:
@@ -588,36 +574,33 @@ def from_knot_data(domain: Interval, xs, jumps, slopes, anchor_x, anchor_value) 
         raise ValueError("need one jump per knot and one slope per segment")
     if anchor_x in xs:
         raise ValueError("anchor must not sit on a knot")
-    if not xs:
-        return PiecewiseMonotone(domain, (), tuple(slopes), (anchor_x, anchor_value))
-    limits = _knot_limits(xs, jumps_, slopes, anchor_x, anchor_value)
-    breaks = tuple(Breakpoint(x, l, r) for x, (l, r) in zip(xs, limits))
-    return PiecewiseMonotone(domain, breaks, tuple(slopes), None)
+    lefts, rights = _knot_limits(xs, jumps_, slopes, anchor_x, anchor_value)
+    return _from_columns(domain, xs, lefts, rights, slopes,
+                         None if xs else (anchor_x, anchor_value))
 
 
-def _knot_limits(xs, jumps, slopes, x0, v0) -> list[tuple]:
-    """The (left, right) limits at each knot of the class with knots xs
-    (increasing), jump sizes jumps and segment slopes slopes whose right
-    version takes the value v0 at x0.
+def _knot_limits(xs, jumps, slopes, x0, v0) -> tuple[list, list]:
+    """The columns of left and right limits at the knots of the class with
+    knots xs (increasing), jump sizes jumps and segment slopes slopes whose
+    right version takes the value v0 at x0.
 
     Walks the affine pieces outwards from x0.  x0 may sit on a knot: its
-    right limit is then v0.
+    right limit is then v0.  The walk stays on the number type: one on
+    integer numerator / denominator pairs would repeat its arithmetic.
     """
     i = bisect_right(xs, x0)
-    limits = [None] * len(xs)
+    lefts, rights = [None] * len(xs), [None] * len(xs)
     cx, cv = x0, v0
     for j in range(i - 1, -1, -1):
-        right = cv - slopes[j + 1] * (cx - xs[j])
-        left = right - jumps[j] if jumps[j] else right
-        limits[j] = (left, right)
-        cx, cv = xs[j], left
+        right = rights[j] = cv - slopes[j + 1] * (cx - xs[j])
+        cv = lefts[j] = right - jumps[j] if jumps[j] else right
+        cx = xs[j]
     cx, cv = x0, v0
     for j in range(i, len(xs)):
-        left = cv + slopes[j] * (xs[j] - cx)
-        right = left + jumps[j] if jumps[j] else left
-        limits[j] = (left, right)
-        cx, cv = xs[j], right
-    return limits
+        left = lefts[j] = cv + slopes[j] * (xs[j] - cx)
+        cv = rights[j] = left + jumps[j] if jumps[j] else left
+        cx = xs[j]
+    return lefts, rights
 
 
 # ---------------------------------------------------------------------------
@@ -626,28 +609,18 @@ def _knot_limits(xs, jumps, slopes, x0, v0) -> list[tuple]:
 
 def structural_xs(g: PiecewiseMonotone) -> list:
     """Finite x-coordinates where the structure of g changes."""
-    pts = set(g.knot_xs)
-    for end in (g.domain.lo, g.domain.hi):
-        if is_finite(end):
-            pts.add(end)
+    pts = [*g.xs, g.domain.lo, g.domain.hi]
     if g.anchor is not None:
-        pts.add(g.anchor[0])
-    return sorted(pts)
+        pts.append(g.anchor[0])
+    return sorted({x for x in pts if is_finite(x)})
 
 
 def structural_values(g: PiecewiseMonotone) -> list:
     """Finite values attained or approached at the structure points of g."""
-    vals = set()
-    for b in g.breaks:
-        vals.add(b.left)
-        vals.add(b.right)
-    m, M = value_bounds(g)
-    for v in (m, M):
-        if is_finite(v):
-            vals.add(v)
+    vals = [*g.lefts, *g.rights, *value_bounds(g)]
     if g.anchor is not None:
-        vals.add(g.anchor[1])
-    return sorted(vals)
+        vals.append(g.anchor[1])
+    return sorted({v for v in vals if is_finite(v)})
 
 
 def refine_grid(points: list) -> list:

@@ -53,8 +53,8 @@ def monotone_to_json(g: PiecewiseMonotone) -> dict:
     out = {
         "domain": interval_to_json(g.domain),
         "breakpoints": [
-            {"x": fmt_ratio(b.x), "left": fmt_ratio(b.left), "right": fmt_ratio(b.right)}
-            for b in g.breaks
+            {"x": fmt_ratio(x), "left": fmt_ratio(left), "right": fmt_ratio(right)}
+            for x, left, right in zip(g.xs, g.lefts, g.rights)
         ],
         "slopes": [fmt_ratio(s) for s in g.slopes],
     }
@@ -67,12 +67,17 @@ def measure_to_spec_json(m: PiecewiseMeasure) -> dict:
     """Canonical DistributionSpec form; feeding it back reproduces m."""
     return {
         "carrier": interval_to_json(m.carrier),
-        "atoms": [{"x": fmt_ratio(a.x), "mass": fmt_ratio(a.mass)} for a in m.atoms],
+        "atoms": atoms_to_json(m),
         "uniform_pieces": [
             {"a": er_to_str(lo), "b": er_to_str(hi), "density": fmt_ratio(d)}
             for lo, hi, d in m.abs_density.cells() if d != 0
         ],
     }
+
+
+def atoms_to_json(m: PiecewiseMeasure) -> list:
+    return [{"x": fmt_ratio(x), "mass": fmt_ratio(mass)}
+            for x, mass in zip(m.atom_xs, m.atom_masses)]
 
 
 def step_to_json(f: StepFunction) -> dict:

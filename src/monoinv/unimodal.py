@@ -108,7 +108,7 @@ def is_quasi_convex(f: StepFunction) -> tuple[bool, ModalInterval | None]:
 
 def _slope_hull(g: PiecewiseMonotone, rise_first: bool) -> ModalInterval | None:
     """_switch_hull of the slopes of g over its segments."""
-    return _switch_hull(g.slopes, [g.domain.lo, *g.knot_xs, g.domain.hi], rise_first)
+    return _switch_hull(g.slopes, [g.domain.lo, *g.xs, g.domain.hi], rise_first)
 
 
 @dataclass(frozen=True)
@@ -163,11 +163,12 @@ def classify(f: PiecewiseMonotone) -> Classification:
             cdf_unimodal = True
             modes = hull
         else:
-            b = gjumps[0]
-            if hull.contains(b.x):
+            i = gjumps[0]
+            x = g.xs[i]
+            if hull.contains(x):
                 cdf_unimodal = True
-                modes = ModalInterval(b.x, b.x)
-                atom_at_mode = (b.x, b.right - b.left)
+                modes = ModalInterval(x, x)
+                atom_at_mode = (x, g.rights[i] - g.lefts[i])
 
     dens_ok, _ = is_quasi_concave(step_of_slopes(g), extend_by_zero=True)
 

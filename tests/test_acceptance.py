@@ -57,7 +57,7 @@ def test_criterion_1_counterexample_regression(fixa):
     # affinity on the open halves holds: the slope sequence alone is quasi-convex,
     # so the failure is due solely to the jump at 1/2
     assert is_quasi_convex(step_of_slopes(q))[0] is True
-    assert [str(b.x) for b in jumps(q)] == ["1/2"]
+    assert [str(q.xs[i]) for i in jumps(q)] == ["1/2"]
     elapsed = time.time() - t0
     assert elapsed < 1.0
     _report("1 (counterexample regression)", f"{elapsed:.3f}s")

@@ -329,6 +329,21 @@ def test_ingest_degenerate(tmp_path):
     assert json.loads(r.stdout)["atoms"] == [{"x": "5", "mass": "1"}]
 
 
+def test_invert_refuses_a_pure_atom(tmp_path):
+    # the quantile function of a pure atom is constant, a class the library
+    # excludes, so invert exits 2 on degenerate samples; the commands that
+    # need no inverse accept them
+    p = tmp_path / "s.csv"
+    p.write_text("0\n0\n0\n")
+    result = CliRunner().invoke(cli.main, ["invert", "--samples", str(p), "--allow-degenerate"])
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        2, "", "error: the generalized inverse would be constant\n")
+    for command in ("classify", "qdensity", "decompose"):
+        result = CliRunner().invoke(cli.main, [command, "--samples", str(p),
+                                               "--allow-degenerate"])
+        assert result.exit_code == 0, result.output
+
+
 def test_ingest_header_flag(tmp_path):
     p = tmp_path / "s.csv"
     p.write_text("value\n0\n1\n")

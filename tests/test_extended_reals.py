@@ -5,23 +5,50 @@ Mixed comparisons and arithmetic work only because both fractions.Fraction
 and the compiled Rat return NotImplemented for an operand they do not know,
 so that Python hands the operation to the sentinel.  These tests pin that,
 for Fraction always and for Rat when the kernel can be built here.
+
+Every entry point that takes numbers from a caller converts ints and
+Fractions to the backend's rational and refuses anything else, so no float
+flows into an exact value.
 """
 
+import re
+
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from monoinv.intervals import NEG_INF, POS_INF, Interval, is_finite, open_iv
+from monoinv import exactnum
+from monoinv.exactnum import as_q
+from monoinv.intervals import (
+    NEG_INF,
+    POS_INF,
+    REAL_LINE,
+    Interval,
+    closed_iv,
+    is_finite,
+    open_iv,
+)
+from monoinv.measure import (
+    Atom,
+    PiecewiseMeasure,
+    StepFunction,
+    UniformPiece,
+    distribution_function,
+)
+from monoinv.monotone import Breakpoint, PiecewiseMonotone, evaluate, from_knot_data
 
 BIG = 10**400
 NUMBERS = [(0, 1), (1, 3), (-1, 3), (BIG, 1), (-BIG, 1), (1, BIG), (-1, BIG)]
 
 
 @pytest.fixture(params=["Fraction", "Rat"])
-def Q(request):
-    if request.param == "Fraction":
-        return Fraction
-    return request.getfixturevalue("compiled_rat")
+def Q(request, monkeypatch):
+    """Each number type in turn, as the backend's rational, which the
+    interval constructors pass through unchanged."""
+    Q = Fraction if request.param == "Fraction" else request.getfixturevalue("compiled_rat")
+    monkeypatch.setattr(exactnum, "Q", Q)
+    return Q
 
 
 @pytest.fixture(params=NUMBERS, ids=[f"{'-' if n < 0 else ''}{'big' if abs(n) == BIG else abs(n)}"
@@ -112,3 +139,53 @@ def test_intervals_mix_rationals_and_sentinels(Q, q):
     with pytest.raises(ValueError, match="out of order"):
         Interval(POS_INF, q)
     assert Interval(q, q).is_empty
+
+
+def _unit_atom():
+    return PiecewiseMeasure(REAL_LINE, ((0, 1),), ())
+
+
+# each entry point with one argument left open, in every position of the
+# public constructors a caller fills with a number
+BOUNDARY = {
+    "PiecewiseMonotone-knot": lambda v: PiecewiseMonotone(REAL_LINE, ((v, 0, 0),), (1, 2)),
+    "PiecewiseMonotone-limit": lambda v: PiecewiseMonotone(REAL_LINE, ((0, v, 1),), (1, 1)),
+    "PiecewiseMonotone-slope": lambda v: PiecewiseMonotone(REAL_LINE, (), (v,), (0, 0)),
+    "PiecewiseMonotone-anchor": lambda v: PiecewiseMonotone(REAL_LINE, (), (1,), (0, v)),
+    "Breakpoint": lambda v: Breakpoint(0, 0, v),
+    "PiecewiseMeasure-atom": lambda v: PiecewiseMeasure(REAL_LINE, ((v, 1),), ()),
+    "PiecewiseMeasure-mass": lambda v: PiecewiseMeasure(REAL_LINE, ((0, v),), ()),
+    "PiecewiseMeasure-density": lambda v: PiecewiseMeasure(REAL_LINE, (), ((open_iv(0, 1), v),)),
+    "Atom": lambda v: Atom(0, v),
+    "UniformPiece": lambda v: UniformPiece(open_iv(0, 1), v),
+    "StepFunction-knot": lambda v: StepFunction(open_iv(0, 2), (v,), (1, 2)),
+    "StepFunction-value": lambda v: StepFunction(open_iv(0, 1), (), (v,)),
+    "Interval": lambda v: Interval(0, v),
+    "open_iv": lambda v: open_iv(v, 1),
+    "closed_iv": lambda v: closed_iv(0, v),
+    "evaluate": lambda v: evaluate(PiecewiseMonotone(REAL_LINE, (), (1,), (0, 0)), v),
+    "from_knot_data": lambda v: from_knot_data(REAL_LINE, [0], [v], [1, 1], -1, 0),
+    "distribution_function-anchor": lambda v: distribution_function(_unit_atom(), v),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, Decimal("0.5"), "1/2"], ids=["float", "Decimal", "str"])
+@pytest.mark.parametrize("entry", list(BOUNDARY.values()), ids=list(BOUNDARY))
+def test_boundary_refuses_inexact_numbers(entry, value):
+    with pytest.raises(TypeError, match=re.escape(repr(value))):
+        entry(value)
+
+
+@pytest.mark.parametrize("entry", list(BOUNDARY.values()), ids=list(BOUNDARY))
+def test_boundary_converts_ints_and_fractions(entry):
+    # a Fraction becomes the backend's rational as an int does, so no value
+    # of another number type reaches the arithmetic
+    for value in (1, Fraction(1, 2)):
+        entry(value)
+    rational = exactnum.Q
+    assert type(as_q(Fraction(1, 2))) is type(as_q(1)) is rational
+    x = rational(1, 3)
+    assert as_q(x) is x and as_q(NEG_INF) is NEG_INF and as_q(POS_INF) is POS_INF
+    g = PiecewiseMonotone(REAL_LINE, (), (Fraction(1, 2),), (0, 0))
+    assert type(evaluate(g, 1)) is rational
+    assert type(distribution_function(_unit_atom(), Fraction(-1, 2)).lefts[0]) is rational

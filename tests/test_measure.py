@@ -602,7 +602,7 @@ def _pushforward_by_pairs(m, t):
     """Every piece against every segment of the map."""
     if not t.domain.contains_interval(m.carrier):
         raise CarrierMismatch("carrier of the measure must lie inside the domain of the map")
-    jump_xs = {b.x for b in mono.jumps(t)}
+    jump_xs = {t.xs[i] for i in mono.jumps(t)}
     out_atoms = {}
 
     def add_atom(x, mass):
@@ -685,9 +685,9 @@ def _step_compose_by_scan(f, g):
     if target.is_empty:
         raise CarrierMismatch("g never enters the carrier of f")
     cut = set()
-    for b in mono.jumps(g):
-        if target.contains(b.x):
-            cut.add(b.x)
+    for x in (g.xs[i] for i in mono.jumps(g)):
+        if target.contains(x):
+            cut.add(x)
     for seg in segments(g):
         lo = max(seg.a, target.lo)
         hi = min(seg.b, target.hi)

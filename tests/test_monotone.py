@@ -44,7 +44,7 @@ def equal_up_to_shift(g1, g2):
     """True iff g1 and g2 differ by a constant on a common domain."""
     if g1.domain != g2.domain or g1.slopes != g2.slopes:
         return False
-    if g1.knot_xs != g2.knot_xs:
+    if g1.xs != g2.xs:
         return False
     if g1.breaks:
         d = g1.breaks[0].left - g2.breaks[0].left
@@ -479,7 +479,7 @@ def _inverse_tokens(g):
             segs.append((seg.u, seg.v, inv_slope, anchor_t, anchor_x))
         if i < len(gsegs) - 1:
             b = g.breaks[i]
-            if b.is_jump:
+            if b.left < b.right:
                 segs.append((b.left, b.right, ZERO, b.left, b.x))
     if is_finite(hi):
         segs.append((M, POS_INF, ZERO, M, hi))
@@ -521,7 +521,7 @@ def _canonical_by_restarts(breaks, slopes):
     removed = None
     while True:
         for j, b in enumerate(breaks):
-            if not b.is_jump and slopes[j] == slopes[j + 1]:
+            if b.left == b.right and slopes[j] == slopes[j + 1]:
                 removed = b
                 breaks = breaks[:j] + breaks[j + 1:]
                 slopes = slopes[:j] + slopes[j + 1:]
@@ -559,8 +559,8 @@ def _outcome(fn, *args):
 def test_cached_tables_equal_tables_built_from_scratch(g):
     assert segments(g) == tuple(_segments_from_scratch(g))
     assert segments(g) is segments(g)
-    assert g.knot_xs == tuple(b.x for b in g.breaks)
-    assert g.knot_xs is g.knot_xs
+    # the listing gives the columns back
+    assert [(b.x, b.left, b.right) for b in g.breaks] == list(zip(g.xs, g.lefts, g.rights))
     # the caches are not part of the value
     rebuilt = PiecewiseMonotone(g.domain, g.breaks, g.slopes, g.anchor)
     assert rebuilt == g and hash(rebuilt) == hash(g) and repr(rebuilt) == repr(g)

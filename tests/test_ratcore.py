@@ -107,3 +107,17 @@ def test_mixed_rational_interop(Rat):
     assert not (Rat(1, 2) == "x")
     with pytest.raises(TypeError):
         Rat(1, 2) + "x"
+
+
+@pytest.mark.parametrize("operation", [
+    pytest.param(lambda Q: Q(1.5), id="from-float"),
+    pytest.param(lambda Q: Q(1, 2) ** 2, id="power"),
+    pytest.param(lambda Q: Q(Q(1, 2), 3), id="from-rational-and-int"),
+    pytest.param(lambda Q: Q(1, 2) + 0.5, id="plus-float"),
+])
+def test_kernel_refuses_what_fraction_accepts(Rat, operation):
+    # the kernel implements only what the library sends it; exactnum.as_q
+    # refuses floats at the boundary, so none of these operands reach it
+    operation(Fraction)
+    with pytest.raises(TypeError):
+        operation(Rat)

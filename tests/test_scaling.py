@@ -1,6 +1,6 @@
 """Derived tables and objects are built a fixed number of times per command.
 
-Every PiecewiseMonotone builds its knot tuple and its segment table at most
+Every PiecewiseMonotone builds its segment table and its inverse's at most
 once, so the number of builds per classify / invert / qdensity depends on
 how many classes the command makes, not on how many points its input has.
 Counting builds is the deterministic stand-in for a wall-clock scaling
@@ -10,14 +10,16 @@ distribution function once, and a sample file goes straight to its
 measure, without a spec document in between.  Objects the library derives
 itself skip the public constructors, so exactnum.as_q, which converts the
 ints a caller may pass, and Interval's checks run a fixed number of times
-per command; a measure keeps its density as a step class, so no
-UniformPiece is made at all.  The inverse's segment table is built once
+per command; functions and measures keep their knots, atoms and density
+as columns, so no Breakpoint, Atom or UniformPiece is made at all.  The
+inverse's segment table is built once
 per function, whichever of classify, generalized_inverse and
 quantile_density asks first.
 """
 
 import fractions
 import hashlib
+import os
 import random
 import sys
 
@@ -28,7 +30,7 @@ from click.testing import CliRunner
 from monoinv import cli, exactnum, measure, monotone
 from monoinv.intervals import REAL_LINE, Interval
 
-BUILDERS = ("_build_knot_xs", "_build_segments")
+BUILDERS = ("_build_segments", "_build_inverse_segments")
 
 
 @pytest.fixture
@@ -121,23 +123,35 @@ def test_interval_checks_do_not_grow_with_points(tmp_path, monkeypatch, command)
 
 @pytest.mark.parametrize("command", ["classify", "invert", "qdensity"])
 def test_sample_commands_make_no_pieces(tmp_path, monkeypatch, command):
-    # through the public constructor or the trusted path alike
-    made = [0]
-    checked, trusted = measure.UniformPiece.__post_init__, monotone._trusted
+    # no knot, atom or piece object, through the public constructor or the
+    # trusted path alike; the tied sample has atoms and jumps
+    classes = (monotone.Breakpoint, measure.Atom, measure.UniformPiece)
+    made = dict.fromkeys(classes, 0)
+    for cls in classes:
+        def counting_init(self, cls=cls, checked=cls.__post_init__):
+            made[cls] += 1
+            checked(self)
 
-    def counting_init(self):
-        made[0] += 1
-        checked(self)
+        monkeypatch.setattr(cls, "__post_init__", counting_init)
+    trusted = monotone._trusted
 
     def counting_trusted(cls, **fields):
-        made[0] += cls is measure.UniformPiece
+        if cls in made:
+            made[cls] += 1
         return trusted(cls, **fields)
 
-    monkeypatch.setattr(measure.UniformPiece, "__post_init__", counting_init)
     for name, mod in list(sys.modules.items()):
         if name.startswith("monoinv") and getattr(mod, "_trusted", None) is trusted:
             monkeypatch.setattr(mod, "_trusted", counting_trusted)
-    assert _count_per_size(tmp_path, command, made) == {1000: 0, 4000: 0}
+    paths = [os.path.join(os.path.dirname(__file__), "data", "tied_gauss_300.csv")]
+    for n in (1000, 4000):
+        paths.append(tmp_path / f"{n}.txt")
+        _gaussian_samples(paths[-1], n, seed=n)
+    for path in paths:
+        result = CliRunner().invoke(cli.main, [command, "--samples", str(path)])
+        assert result.exit_code in (0, 3), result.output
+        assert {cls.__name__: count for cls, count in made.items()} == {
+            "Breakpoint": 0, "Atom": 0, "UniformPiece": 0}, path
 
 
 def test_main_equiv_builds_one_inverse_table_per_function(count_calls):
@@ -166,7 +180,9 @@ def _comb(n):
 
 def test_abs_cont_comparisons_grow_linearly(monkeypatch):
     # the walk meets each pair of overlapping cells once; a scan of all of
-    # b's pieces per piece of a makes n * n / 2 comparisons
+    # b's pieces per piece of a makes n * n / 2 comparisons.  The measures
+    # stay on Fraction, whose comparisons can be counted, on either backend.
+    monkeypatch.setattr(exactnum, "Q", fractions.Fraction)
     calls = [0]
     for name in ("_richcmp", "__eq__"):
         def counting(self, *args, compare=getattr(fractions.Fraction, name)):

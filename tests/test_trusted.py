@@ -1,14 +1,19 @@
 """Objects the library builds itself equal their rebuild through the public constructors.
 
-Builders whose output is canonical by construction (distribution_function,
-generalized_inverse, lebesgue_decompose, density) make it with
-monotone._trusted, which runs no check; those whose cells may repeat a
+Functions and measures hold their knots and atoms as columns (xs, lefts,
+rights; atom_xs, atom_masses); Breakpoint, Atom and UniformPiece are only
+the forms the public constructors take and `breaks`, `atoms` and `pieces`
+list.  Builders whose output is canonical by construction
+(distribution_function, generalized_inverse, lebesgue_decompose, density)
+fill the columns through monotone._trusted, which runs no check; those
+whose cells may repeat a
 density (associated_measure, lebesgue_on, pushforward, the sample measure,
 step_of_slopes, inverse_slope_step) run only the cell merge they share with
 the public constructors.  The oracle rebuilds each result through the
 public constructors (monotone.validate, rebuild_measure, rebuild_step),
-which raise on invalid data and canonicalise: a result equal to its
-rebuild, down to the types of its numbers, is valid and canonical.
+fed from the listings, which raise on invalid data and canonicalise: a
+result equal to its rebuild, down to the types of its numbers, is valid
+and canonical.
 
 The public PiecewiseMeasure constructor turns its pieces into the cells of
 a step class, and `pieces` lists them back; a second oracle holds those
@@ -42,7 +47,6 @@ from monoinv.measure import (
     step_of_slopes,
 )
 from monoinv.monotone import (
-    Breakpoint,
     PiecewiseMonotone,
     _probe_point,
     _trusted,
@@ -225,7 +229,7 @@ def test_oracle_catches_associated_measure_without_merge(monkeypatch):
     assert len(associated_measure(g).pieces) == 1
 
     def unmerged(g):
-        return _trusted(StepFunction, carrier=g.domain, knots=g.knot_xs, values=g.slopes)
+        return _trusted(StepFunction, carrier=g.domain, knots=g.xs, values=g.slopes)
 
     monkeypatch.setattr(measure, "step_of_slopes", unmerged)
     assert len(associated_measure(g).pieces) == 2
@@ -234,10 +238,10 @@ def test_oracle_catches_associated_measure_without_merge(monkeypatch):
 
 def test_oracle_catches_a_removable_knot():
     g = EQUAL_SLOPES_ACROSS_JUMP
-    b = g.breaks[0]
+    v = g.rights[0] + 1  # the value at 1 on the segment of slope 1 after the jump
     kept = _trusted(PiecewiseMonotone, domain=g.domain,
-                    breaks=(b, _trusted(Breakpoint, x=rat(1), left=b.right + 1, right=b.right + 1)),
-                    slopes=(g.slopes[0], g.slopes[1], g.slopes[1]), anchor=None)
+                    slopes=(g.slopes[0], g.slopes[1], g.slopes[1]), anchor=None,
+                    xs=(g.xs[0], rat(1)), lefts=(g.lefts[0], v), rights=(g.rights[0], v))
     assert validate(kept) == g
     assert not same_as_public(kept)
 
