@@ -363,11 +363,6 @@ def distribution_function(m: PiecewiseMeasure, z) -> PiecewiseMonotone:
 
     knots, values = m.abs_density.knots, m.abs_density.values
     atom_xs, masses = m.atom_xs, m.atom_masses
-    if not knots and not atom_xs:
-        # one cell of positive density spanning the whole carrier
-        return _trusted(PiecewiseMonotone, domain=m.carrier, slopes=(values[0],),
-                        anchor=(z, ZERO), xs=(), lefts=(), rights=())
-
     # merge the atoms into the knots, both sorted; a point that only carries
     # an atom keeps the slope of the cell it falls in
     pts, sizes, slopes = [], [], [values[0]]
@@ -390,7 +385,9 @@ def distribution_function(m: PiecewiseMeasure, z) -> PiecewiseMonotone:
     slopes += [slopes[-1]] * (na - ai)
 
     lefts, rights = mono._knot_limits(pts, sizes, slopes, z, ZERO)
-    return _trusted(PiecewiseMonotone, domain=m.carrier, slopes=tuple(slopes), anchor=None,
+    # without knots, one cell of positive density spans the carrier
+    return _trusted(PiecewiseMonotone, domain=m.carrier, slopes=tuple(slopes),
+                    anchor=None if pts else (z, ZERO),
                     xs=tuple(pts), lefts=tuple(lefts), rights=tuple(rights))
 
 
