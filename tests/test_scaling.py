@@ -12,9 +12,8 @@ itself skip the public constructors, so exactnum.as_q, which converts the
 ints a caller may pass, and Interval's checks run a fixed number of times
 per command; functions and measures keep their knots, atoms and density
 as columns, so no Breakpoint, Atom or UniformPiece is made at all.  The
-inverse's segment table is built once
-per function, whichever of classify, generalized_inverse and
-quantile_density asks first.
+inverse's segment table is built once per function, whichever of
+classify, generalized_inverse and quantile_density asks first.
 """
 
 import fractions
