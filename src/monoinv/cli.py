@@ -3,7 +3,8 @@
 Subcommands: classify, invert, decompose, qdensity, ingest, verify.
 Reports are JSON with all exact quantities as 'p/q' strings and contain no
 timestamps, so identical inputs give byte-identical output; --stamp wraps
-the body in an envelope that carries the timestamp outside of it.
+the body in an envelope that carries the timestamp outside of it.  A
+report is written to its sink as it is formatted, once the analysis is done.
 
 A sample file (--samples) is parsed once, line by line, to integer
 numerators and denominators, sorted into runs of tied values in one pass
@@ -14,10 +15,10 @@ numerators and denominators, sorted into runs of tied values in one pass
 Exit codes:
   0  success (classify: the distribution is unimodal)
   1  unreadable / unparseable input (bad JSON shapes, bytes that are not
-     UTF-8 and JSON nested too deeply included), or an --out file that cannot
-     be written; verify: an unknown law id, --n or --max-knots below 1, or a
-     non-integer MONOINV_SEED; invert / qdensity: --plot-points below 1, or a
-     plotted value beyond the range of a float
+     UTF-8, JSON nested too deeply, numbers of over 4,300 digits), or an
+     --out file that cannot be written; verify: an unknown law id, --n or
+     --max-knots below 1, or a non-integer MONOINV_SEED; invert / qdensity:
+     --plot-points below 1, or a plotted value beyond the range of a float
   2  invalid specification (overlapping pieces, nonpositive mass, zero
      measure, bad anchor, too few samples); invert: a pure atom, whose
      quantile function is constant
@@ -58,19 +59,18 @@ from monoinv.measure import (
     lebesgue_decompose,
 )
 from monoinv.monotone import (
-    LEFT,
-    RIGHT,
     PiecewiseMonotone,
     _probe_point,
-    evaluate,
     generalized_inverse,
     inverse_domain,
     inverse_mass_interval,
+    limits_at,
     mass_interval,
     structural_xs,
     supporting_interval,
 )
 from monoinv.serialize import (  # spec_to_measure is re-exported
+    Rows,
     _ParseError,
     _SpecError,
     atoms_to_json,
@@ -134,10 +134,8 @@ def read_samples(path, header: bool):
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as e:
         raise _ParseError(f"cannot read {path}: {e}") from e
-    if header and lines:
-        lines = lines[1:]
     parts = []
-    for lineno, line in enumerate(lines, start=2 if header else 1):
+    for lineno, line in enumerate(lines[1:] if header else lines, start=2 if header else 1):
         s = line.strip()
         if not s:
             continue
@@ -224,37 +222,42 @@ def _load_measure(spec_path, samples_path, header, allow_degenerate):
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _to_json(o, indent="\n"):
-    """o as json.dumps(o, indent=2) writes it, byte for byte, for dicts with
-    str keys, lists, tuples, str, bool, None, int and float; indent starts
-    o's own line.  json takes its pure-Python encoder whenever indent is set."""
+def _write_json(o, write, indent="\n"):
+    """Write o as json.dumps(o, indent=2) lays it out, byte for byte, for
+    dicts with str keys, lists, tuples, iterators, Rows, str, bool, None, int
+    and float; indent starts o's own line.  A list is written as its items
+    are drawn, each row of a Rows as one string."""
     if isinstance(o, str):
-        return _quote(o)
-    inner = indent + "  "
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        items = ("," + inner).join([_quote(k) + ": " + _to_json(v, inner) for k, v in o.items()])
-        return "{" + inner + items + indent + "}"
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_to_json(v, inner) for v in o]) + indent + "]"
-    return json.dumps(o)
+        return write(_quote(o))
+    if o is None or isinstance(o, (bool, int, float)):
+        return write(json.dumps(o))
+    inner, sep, close = indent + "  ", *("{}" if isinstance(o, dict) else "[]")
+    if isinstance(o, Rows):  # its fields are number strings, which need no escaping
+        row = '"%s"' if o.keys is None else "{" + ",".join(
+            inner + "  " + _quote(k) + ': "%s"' for k in o.keys) + inner + "}"
+        for fields in o.rows:
+            write(sep + inner + row % fields)
+            sep = ","
+    else:
+        for key, item in o.items() if close == "}" else ((None, item) for item in o):
+            write(sep + inner + ("" if key is None else _quote(key) + ": "))
+            _write_json(item, write, inner)
+            sep = ","
+    write(indent + close if sep == "," else sep + close)
 
 
 def _emit(body, out, stamp):
     if stamp:
         body = {"body": body, "stamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
-    text = _to_json(body) + "\n"
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as e:
-            _fail(1, f"cannot write {out}: {e}")
-    else:
-        click.echo(text, nl=False)
+    if not out:
+        _write_json(body, sys.stdout.write)
+        return click.echo()  # the final newline, and a flush
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            _write_json(body, fh.write)
+            fh.write("\n")
+    except OSError as e:
+        _fail(1, f"cannot write {out}: {e}")
 
 
 def _plot_window(g: PiecewiseMonotone) -> tuple:
@@ -278,8 +281,7 @@ def _plot_rows(g: PiecewiseMonotone, npoints: int):
     rows = ["x,left,right"]
     for i in range(npoints + 1):
         x = lo + (hi - lo) * i / npoints
-        l = evaluate(g, x, LEFT)
-        r = evaluate(g, x, RIGHT)
+        l, r = limits_at(g, x)
         rows.append(f"{float(x)!r},{_csv_value(l)},{_csv_value(r)}")
     return "\n".join(rows) + "\n"
 
@@ -288,25 +290,15 @@ def _plot_rows(g: PiecewiseMonotone, npoints: int):
 # report assembly
 
 
-def _interval_block(g: PiecewiseMonotone) -> dict:
-    """Regular domain I, mass interval M and supporting interval S of g."""
-    return {
-        "I": interval_to_json(g.domain),
-        "M": interval_to_json(mass_interval(g)),
-        "S": interval_to_json(supporting_interval(g)),
-    }
-
-
-def _inverse_interval_block(f: PiecewiseMonotone, q: PiecewiseMonotone | None) -> dict:
-    """_interval_block of q, the generalized inverse of f; q is None where
-    that inverse is constant, which has no supporting interval."""
-    if q is None:
-        return {
-            "I": interval_to_json(inverse_domain(f)),
-            "M": interval_to_json(inverse_mass_interval(f)),
-            "S": {"empty": True},
-        }
-    return _interval_block(q)
+def _interval_block(g: PiecewiseMonotone | None, f: PiecewiseMonotone | None = None) -> dict:
+    """Regular domain I, mass interval M and supporting interval S of g.  A
+    None g stands for the generalized inverse of f where that is constant,
+    which has no supporting interval."""
+    if g is None:
+        return {"I": interval_to_json(inverse_domain(f)),
+                "M": interval_to_json(inverse_mass_interval(f)), "S": {"empty": True}}
+    return {"I": interval_to_json(g.domain), "M": interval_to_json(mass_interval(g)),
+            "S": interval_to_json(supporting_interval(g))}
 
 
 def _classification_block(c) -> dict:
@@ -316,10 +308,8 @@ def _classification_block(c) -> dict:
         "dens_unimodal_abs_part": c.dens_unimodal_abs_part,
         "quantile_unimodal": c.quantile_unimodal,
         "quantile_modes": modal_to_json(c.quantile_modes),
-        "atom_at_mode": None if c.atom_at_mode is None else {
-            "x": fmt_ratio(c.atom_at_mode[0]),
-            "mass": fmt_ratio(c.atom_at_mode[1]),
-        },
+        "atom_at_mode": None if c.atom_at_mode is None else dict(
+            zip(("x", "mass"), map(fmt_ratio, c.atom_at_mode))),
         "qf_absolutely_continuous": c.qf_absolutely_continuous,
     }
 
@@ -327,14 +317,14 @@ def _classification_block(c) -> dict:
 def _report(m: PiecewiseMeasure, anchor, **blocks) -> dict:
     """A command's report: the input echoed as a spec, the anchor, then the
     command's own blocks in order."""
-    return {"echo": measure_to_spec_json(m), "anchor": fmt_ratio(anchor), **blocks}
+    return {"echo": measure_to_spec_json(m, lazy=True), "anchor": fmt_ratio(anchor), **blocks}
 
 
 def _decomposition_block(m: PiecewiseMeasure) -> dict:
     abs_part, sing = lebesgue_decompose(m)
     return {
-        "atoms": atoms_to_json(sing),
-        "abs_density": step_to_json(density(abs_part)),
+        "atoms": atoms_to_json(sing, lazy=True),
+        "abs_density": step_to_json(density(abs_part), lazy=True),
     }
 
 
@@ -348,7 +338,7 @@ def _build_report(m: PiecewiseMeasure, anchor) -> tuple[dict, bool]:
         qdens = None
         warnings.append("the generalized inverse has an interior jump; no quantile density exists")
     else:
-        qdens = step_to_json(c.quantile_density)
+        qdens = step_to_json(c.quantile_density, lazy=True)
     try:
         q = generalized_inverse(f)
     except ConstantFunction:
@@ -356,7 +346,7 @@ def _build_report(m: PiecewiseMeasure, anchor) -> tuple[dict, bool]:
     report = _report(
         m, anchor,
         classification=_classification_block(c),
-        intervals={"F": _interval_block(f), "Q": _inverse_interval_block(f, q)},
+        intervals={"F": _interval_block(f), "Q": _interval_block(q, f)},
         decomposition=_decomposition_block(m),
         quantile_density=qdens,
         warnings=warnings,
@@ -408,9 +398,7 @@ def _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str):
         anchor = parse_ratio(anchor_str) if anchor_str else _default_anchor(m.carrier)
         if not m.carrier.contains(anchor):
             raise _SpecError(f"anchor {fmt_ratio(anchor)} outside carrier")
-    except _ParseError as e:
-        _fail(1, str(e))
-    except ValueError as e:
+    except (_ParseError, ValueError) as e:
         _fail(1, str(e))
     except _SpecError as e:
         _fail(2, str(e))
@@ -454,7 +442,7 @@ def cmd_invert(spec_path, samples_path, header, allow_degenerate, anchor_str, ou
     with _analysis_errors():
         f = distribution_function(m, anchor)
         q = generalized_inverse(f)
-        report = _report(m, anchor, inverse=monotone_to_json(q),
+        report = _report(m, anchor, inverse=monotone_to_json(q, lazy=True),
                          intervals={"F": _interval_block(f), "Q": _interval_block(q)})
     _emit_or_plot(report, out, stamp, plot_points, q)
 
@@ -482,7 +470,7 @@ def cmd_qdensity(spec_path, samples_path, header, allow_degenerate, anchor_str, 
             q = quantile_density(f)
         except QfNotAbsolutelyContinuous as e:
             _fail(4, str(e))
-    _emit_or_plot(_report(m, anchor, quantile_density=step_to_json(q)), out, stamp,
+    _emit_or_plot(_report(m, anchor, quantile_density=step_to_json(q, lazy=True)), out, stamp,
                   plot_points, f)
 
 
@@ -528,12 +516,10 @@ def cmd_verify(law_id, n, seed, max_knots, out, stamp):
             _fail(1, f"MONOINV_SEED must be an integer, got {os.environ['MONOINV_SEED']!r}")
     cfg = GenConfig(seed=seed, max_knots=max_knots)
     law_list = list(LAW_IDS) if law_id == "all" else [law_id]
-    reports = []
-    for law in law_list:
-        try:
-            reports.append(run_law(law, n, cfg))
-        except UnknownLaw as e:
-            _fail(1, str(e))
+    try:
+        reports = [run_law(law, n, cfg) for law in law_list]
+    except UnknownLaw as e:
+        _fail(1, str(e))
     body = {
         "seed": seed,
         "max_knots": max_knots,

@@ -116,6 +116,7 @@ def as_q(x):
 
 ZERO = rat(0)
 ONE = rat(1)
+MAX_DIGITS = 4300  # Python's default int-to-str limit
 
 
 def parse_ratio_parts(text):
@@ -123,11 +124,14 @@ def parse_ratio_parts(text):
     integer (numerator, denominator) pair, not reduced, denominator > 0.
 
     Decimals convert without rounding: d fractional digits become a
-    denominator of 10**d.
+    denominator of 10**d.  Reading d digits takes time quadratic in d, so a
+    literal of more than MAX_DIGITS digits is refused before it is read.
     """
     s = text.strip()
     if not s:
         raise ValueError("empty number")
+    if len(s) > MAX_DIGITS and sum(map(str.isdigit, s)) > MAX_DIGITS:
+        raise ValueError(f"a number of more than {MAX_DIGITS} digits")
     if "/" in s:
         num_s, den_s = s.split("/", 1)
         num = int(num_s.strip())

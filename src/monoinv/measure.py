@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import InitVar, dataclass, field
+from itertools import chain
 from operator import attrgetter, itemgetter
 
 from monoinv import monotone as mono
@@ -230,9 +231,9 @@ class StepFunction:
         object.__setattr__(self, "values", values)
 
     def cells(self):
-        """(lo, hi, value) triples covering the carrier."""
-        bounds = [self.carrier.lo, *self.knots, self.carrier.hi]
-        return [(a, b, v) for a, b, v in zip(bounds, bounds[1:], self.values)]
+        """(lo, hi, value) triples covering the carrier, left to right, once."""
+        return zip(chain((self.carrier.lo,), self.knots),
+                   chain(self.knots, (self.carrier.hi,)), self.values)
 
     def value_at(self, t):
         """Value of the cell containing t; t must not sit on a knot."""

@@ -49,42 +49,64 @@ def interval_to_json(iv: Interval) -> dict:
     return out
 
 
-def monotone_to_json(g: PiecewiseMonotone) -> dict:
+class Rows:
+    """A JSON list made lazily from columns, for the streaming report writer:
+    each row is a tuple of number strings, an object with these keys, or one
+    number string when keys is None."""
+
+    def __init__(self, keys, rows):
+        self.keys, self.rows = keys, rows
+
+
+def _rows(keys, rows, lazy):
+    """The rows as Rows when lazy, else as a list of plain JSON values."""
+    if lazy:
+        return Rows(keys, rows)
+    return list(rows) if keys is None else [dict(zip(keys, row)) for row in rows]
+
+
+def monotone_to_json(g: PiecewiseMonotone, lazy: bool = False) -> dict:
     out = {
         "domain": interval_to_json(g.domain),
-        "breakpoints": [
-            {"x": fmt_ratio(x), "left": fmt_ratio(left), "right": fmt_ratio(right)}
-            for x, left, right in zip(g.xs, g.lefts, g.rights)
-        ],
-        "slopes": [fmt_ratio(s) for s in g.slopes],
+        "breakpoints": _rows(("x", "left", "right"), zip(
+            map(fmt_ratio, g.xs), map(fmt_ratio, g.lefts), map(fmt_ratio, g.rights)), lazy),
+        "slopes": _rows(None, map(fmt_ratio, g.slopes), lazy),
     }
     if g.anchor is not None:
         out["anchor"] = {"x": fmt_ratio(g.anchor[0]), "value": fmt_ratio(g.anchor[1])}
     return out
 
 
-def measure_to_spec_json(m: PiecewiseMeasure) -> dict:
+def _piece_rows(dens: StepFunction):
+    """(a, b, density) of each nonzero cell; the bound two pieces share is
+    formatted once."""
+    a = None
+    for lo, hi, d in dens.cells():
+        b = er_to_str(hi) if d != 0 else None
+        if b:
+            yield a or er_to_str(lo), b, fmt_ratio(d)
+        a = b
+
+
+def measure_to_spec_json(m: PiecewiseMeasure, lazy: bool = False) -> dict:
     """Canonical DistributionSpec form; feeding it back reproduces m."""
     return {
         "carrier": interval_to_json(m.carrier),
-        "atoms": atoms_to_json(m),
-        "uniform_pieces": [
-            {"a": er_to_str(lo), "b": er_to_str(hi), "density": fmt_ratio(d)}
-            for lo, hi, d in m.abs_density.cells() if d != 0
-        ],
+        "atoms": atoms_to_json(m, lazy),
+        "uniform_pieces": _rows(("a", "b", "density"), _piece_rows(m.abs_density), lazy),
     }
 
 
-def atoms_to_json(m: PiecewiseMeasure) -> list:
-    return [{"x": fmt_ratio(x), "mass": fmt_ratio(mass)}
-            for x, mass in zip(m.atom_xs, m.atom_masses)]
+def atoms_to_json(m: PiecewiseMeasure, lazy: bool = False) -> list | Rows:
+    return _rows(("x", "mass"), zip(map(fmt_ratio, m.atom_xs), map(fmt_ratio, m.atom_masses)),
+                 lazy)
 
 
-def step_to_json(f: StepFunction) -> dict:
+def step_to_json(f: StepFunction, lazy: bool = False) -> dict:
     return {
         "carrier": interval_to_json(f.carrier),
-        "knots": [fmt_ratio(k) for k in f.knots],
-        "values": [fmt_ratio(v) for v in f.values],
+        "knots": _rows(None, map(fmt_ratio, f.knots), lazy),
+        "values": _rows(None, map(fmt_ratio, f.values), lazy),
     }
 
 
@@ -98,20 +120,13 @@ def modal_to_json(mi) -> list | None:
 # DistributionSpec parsing
 
 
-def _number(raw, what):
+def _number(raw, what, parse=parse_ratio):
+    """The string raw read by parse; what names the field in the error."""
     if not isinstance(raw, str):
-        raise _ParseError(f"{what} must be a string ('p/q' or decimal), got {raw!r}")
+        kind = "" if parse is str_to_er else " ('p/q' or decimal)"
+        raise _ParseError(f"{what} must be a string{kind}, got {raw!r}")
     try:
-        return parse_ratio(raw)
-    except ValueError as e:
-        raise _ParseError(f"bad {what}: {e}") from e
-
-
-def _endpoint(raw, what):
-    if not isinstance(raw, str):
-        raise _ParseError(f"{what} must be a string, got {raw!r}")
-    try:
-        return str_to_er(raw)
+        return parse(raw)
     except ValueError as e:
         raise _ParseError(f"bad {what}: {e}") from e
 
@@ -133,8 +148,8 @@ def spec_to_measure(doc) -> PiecewiseMeasure:
         if not isinstance(c, dict):
             raise _ParseError("carrier must be an object with lo/hi")
         try:
-            carrier = Interval(_endpoint(c.get("lo", "-inf"), "carrier.lo"),
-                               _endpoint(c.get("hi", "inf"), "carrier.hi"))
+            carrier = Interval(_number(c.get("lo", "-inf"), "carrier.lo", str_to_er),
+                               _number(c.get("hi", "inf"), "carrier.hi", str_to_er))
         except ValueError as e:
             raise _SpecError(f"bad carrier: {e}") from e
         if carrier.is_empty:
@@ -154,27 +169,21 @@ def spec_to_measure(doc) -> PiecewiseMeasure:
     for i, p in enumerate(_list_field(doc, "uniform_pieces")):
         if not isinstance(p, dict) or "a" not in p or "b" not in p:
             raise _ParseError(f"piece #{i} needs fields a and b")
-        has_mass = "mass" in p
-        has_density = "density" in p
-        if has_mass == has_density:
+        if ("mass" in p) == ("density" in p):
             raise _SpecError(f"piece #{i} needs exactly one of mass or density")
-        lo = _endpoint(p["a"], f"piece #{i} a")
-        hi = _endpoint(p["b"], f"piece #{i} b")
+        lo = _number(p["a"], f"piece #{i} a", str_to_er)
+        hi = _number(p["b"], f"piece #{i} b", str_to_er)
         if not lo < hi:
             raise _SpecError(f"piece #{i} has a >= b")
-        iv = Interval(lo, hi)
-        if has_density:
-            d = _number(p["density"], f"piece #{i} density")
-            if d <= 0:
-                raise _SpecError(f"piece #{i} has nonpositive density")
-        else:
-            mass = _number(p["mass"], f"piece #{i} mass")
-            if mass <= 0:
-                raise _SpecError(f"piece #{i} has nonpositive mass")
+        key = "mass" if "mass" in p else "density"
+        d = _number(p[key], f"piece #{i} {key}")
+        if d <= 0:
+            raise _SpecError(f"piece #{i} has nonpositive {key}")
+        if key == "mass":
             if not (is_finite(lo) and is_finite(hi)):
                 raise _SpecError(f"piece #{i}: mass on an infinite piece; give a density")
-            d = mass / (hi - lo)
-        pieces.append((iv, d))
+            d = d / (hi - lo)
+        pieces.append((Interval(lo, hi), d))
 
     if not atoms and not pieces:
         raise _SpecError("the spec describes the zero measure")

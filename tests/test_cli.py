@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 
@@ -11,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monoinv import cli, unimodal
+from monoinv import cli, serialize, unimodal
 from monoinv.errors import InternalInconsistency
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -159,6 +160,30 @@ def test_sample_errors_name_the_fault(tmp_path, lines, code, message):
         assert r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("digits", [4300, 4301, 10**6])
+@pytest.mark.parametrize("source", ["samples", "spec"])
+def test_digit_cap(tmp_path, spec_file, source, digits):
+    # a literal past the cap is refused before it is read, in well under the
+    # seconds Python takes to convert a million digits
+    number = "7" * digits
+    if source == "samples":
+        path = tmp_path / "samples.txt"
+        path.write_text(f"0\n1\n{number}\n")
+        args, where = ["--samples", str(path)], "line 3"
+    else:
+        args = ["--spec", spec_file({"atoms": [{"x": "0", "mass": "1/2"},
+                                               {"x": number, "mass": "1/2"}]})]
+        where = "bad atom #1 x"
+    started = time.perf_counter()
+    r = CliRunner().invoke(cli.main, ["classify", *args])
+    assert time.perf_counter() - started < 1
+    if digits <= 4300:
+        assert r.exit_code in (0, 3), r.output
+    else:
+        assert (r.exit_code, r.stdout, r.stderr) == (
+            1, "", f"error: {where}: a number of more than 4300 digits\n")
+
+
 @pytest.mark.parametrize("command", ["classify", "invert", "qdensity", "decompose", "ingest",
                                      "verify"])
 def test_unwritable_out_names_the_file(spec_file, tmp_path, command):
@@ -182,14 +207,51 @@ def _broken_check(*args):
     ("qdensity", unimodal, "gen_inverse_abs_cont"),
     ("invert", cli, "generalized_inverse"),
 ])
-def test_internal_inconsistency_exit6(spec_file, monkeypatch, command, module, name):
-    # a failed consistency check is a bug, never reported as an invalid spec
+def test_internal_inconsistency_exit6(spec_file, tmp_path, monkeypatch, command, module, name):
+    # a failed consistency check is a bug, never reported as an invalid spec;
+    # the analysis ends before the report is opened, so no partial report is left
     monkeypatch.setattr(module, name, _broken_check)
-    r = CliRunner().invoke(cli.main, [command, "--spec", spec_file(FIXD_SPEC)])
+    out = tmp_path / "report.json"
+    r = CliRunner().invoke(cli.main, [command, "--spec", spec_file(FIXD_SPEC), "--out", str(out)])
     assert r.exit_code == 6
     assert r.stdout == ""
     assert r.stderr == ("error: internal consistency check failed (a bug in monoinv): "
                         "absolute-continuity characterizations disagree\n")
+    assert not out.exists()
+
+
+class _FailingFile:
+    """A file whose writes fail once the first row of a list has been written."""
+
+    def __init__(self, fh):
+        self.fh, self.rows = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        if self.rows:
+            raise OSError(28, "No space left on device")
+        self.rows += text.startswith("[\n")
+        return self.fh.write(text)
+
+
+def test_failed_write_mid_report_exit1(tmp_path, monkeypatch):
+    samples = tmp_path / "samples.txt"
+    samples.write_text("0\n1\n3\n")
+    out = tmp_path / "report.json"
+    monkeypatch.setattr(cli, "open", lambda path, mode="r", **kw: (
+        _FailingFile if "w" in mode else lambda fh: fh)(open(path, mode, **kw)), raising=False)
+    r = CliRunner().invoke(cli.main, ["classify", "--samples", str(samples), "--out", str(out)])
+    assert (r.exit_code, r.stdout) == (1, "")
+    assert r.stderr == f"error: cannot write {out}: [Errno 28] No space left on device\n"
+    assert isinstance(r.exception, SystemExit)
+    # the report was written as it was formatted, up to its first row
+    assert out.read_text().endswith('"uniform_pieces": [\n      {\n        "a": "0",\n'
+                                    '        "b": "1",\n        "density": "1/2"\n      }')
 
 
 def test_classify_nonpositive_mass_exit2(spec_file):
@@ -236,17 +298,59 @@ json_values = st.recursive(
 )
 
 
-@given(json_values)
-@settings(max_examples=400, deadline=None)
-@example({"q\"uote": ["back\\slash", "\x00\x1f\n\t", "\u00e9\u2028\U0001f600"], "": {}, "e": []})
-@example([True, False, None, 0, -7, 10**30, 1.5, -0.0, float("inf"), float("nan")])
-@example({"nested": [{"a": [[], [{}]]}], "t": ("tuples", "encode", "as", "lists")})
-def test_report_writer_equals_json_dumps(value):
+def _streamed(value, rnd):
+    """value with some of its lists, chosen by rnd, as one-shot generators."""
+    if isinstance(value, dict):
+        return {k: _streamed(v, rnd) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        items = [_streamed(v, rnd) for v in value]
+        return (v for v in items) if rnd.random() < 0.5 else items
+    return value
+
+
+class _Fixed:
+    """A choice that streams every list (draw 0.0) or none (draw 1.0)."""
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def random(self):
+        return self.draw
+
+
+def _written(value, stamp):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
-        cli._emit(value, out, stamp=False)
+        cli._emit(value, out, stamp=stamp)
         with open(out, encoding="utf-8") as fh:
-            assert fh.read() == json.dumps(value, indent=2) + "\n"
+            return fh.read()
+
+
+@given(json_values, st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=400, deadline=None)
+@example({"q\"uote": ["back\\slash", "\x00\x1f\n\t", "\u00e9\u2028\U0001f600"], "": {}, "e": []},
+         _Fixed(1.0), False)
+@example([True, False, None, 0, -7, 10**30, 1.5, -0.0, float("inf"), float("nan")],
+         _Fixed(1.0), False)
+@example({"nested": [{"a": [[], [{}]]}], "t": ("tuples", "encode", "as", "lists")},
+         _Fixed(0.0), False)
+@example({"empty": [], "one": [[]]}, _Fixed(0.0), True)
+def test_report_writer_equals_json_dumps(value, rnd, stamp):
+    # lists may arrive as generators, which the writer draws once as it
+    # writes; --stamp wraps the streamed body in an envelope
+    text = _written(_streamed(value, rnd), stamp)
+    if stamp:
+        value = {"body": value, "stamp": json.loads(text)["stamp"]}
+    assert text == json.dumps(value, indent=2) + "\n"
+
+
+def test_report_rows_equal_json_dumps():
+    # a Rows row is written as one string, laid out as json.dumps lays out its dict
+    rows = {"a": serialize.Rows(("x", "mass"), iter([("1/2", "-3"), ("inf", "0")])),
+            "b": [serialize.Rows(None, iter(["1", "-1/2"])), serialize.Rows(None, iter([]))]}
+    plain = {"a": [{"x": "1/2", "mass": "-3"}, {"x": "inf", "mass": "0"}],
+             "b": [["1", "-1/2"], []]}
+    assert _written(rows, stamp=False) == json.dumps(plain, indent=2) + "\n"
 
 
 def test_invert_uniform(spec_file):

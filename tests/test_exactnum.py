@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from monoinv.exactnum import fmt_ratio, parse_ratio, parse_ratio_parts, rat
+from monoinv.exactnum import MAX_DIGITS, fmt_ratio, parse_ratio, parse_ratio_parts, rat
 
 KERNEL_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "monoinv")
 
@@ -37,6 +37,18 @@ def test_parse_ratio_parts_keeps_the_written_denominator():
                          ("1/-2", "denominator must be positive in '1/-2'")):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_ratio_parts(bad)
+
+
+def test_parse_ratio_parts_caps_the_digits():
+    # a literal is read only up to Python's default int-to-str limit, however
+    # the digits are split between numerator, denominator and fraction
+    assert MAX_DIGITS == 4300
+    assert parse_ratio_parts("9" * 4300) == (10**4300 - 1, 1)
+    assert parse_ratio_parts(f" -{'1' * 2150}/{'3' * 2150} ") == (-int("1" * 2150), int("3" * 2150))
+    assert parse_ratio_parts("0." + "5" * 4299) == (int("5" * 4299), 10**4299)
+    for past in ("9" * 4301, "0." + "5" * 4300, "1" * 2151 + "/" + "3" * 2150):
+        with pytest.raises(ValueError, match="^a number of more than 4300 digits$"):
+            parse_ratio_parts(past)
 
 
 def test_fmt_ratio_round_trip():

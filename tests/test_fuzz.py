@@ -2,9 +2,9 @@
 
 Spec documents and sample files are generated from values a user or a
 broken producer might send: infinities in every spelling, huge and
-degenerate ratios, empty strings, garbage, non-strings, wrong JSON shapes,
-blank, duplicate and malformed sample lines, bytes that are not UTF-8 and
-JSON nested 200,000 deep; verify gets unknown law ids,
+degenerate ratios, literals past the digit cap, empty strings, garbage,
+non-strings, wrong JSON shapes, blank, duplicate and malformed sample
+lines, bytes that are not UTF-8 and JSON nested 200,000 deep; verify gets unknown law ids,
 counts and knot limits around and below 1, and huge seeds; invert and
 qdensity also get --plot-points around and below 1, over specs whose values
 pass the range of a float.  Every command
@@ -27,6 +27,8 @@ HUGE = 10**400
 # function's values have over 4,300 digits, Python's default int-to-str limit
 LONG_SUMS = {"atoms": [{"x": str(i), "mass": f"1/{10**1500 + k}"}
                        for i, k in enumerate((1, 3, 7, 9))]}
+# one digit past the cap on a literal's length
+LONG = "9" * 4301
 # a uniform law on (0, 10**400): the plotted x values pass the float range
 HUGE_RANGE = {"uniform_pieces": [{"a": "0", "b": str(HUGE), "density": f"1/{HUGE}"}]}
 
@@ -56,7 +58,7 @@ small_numbers = st.builds(
     lambda n, d: f"{n}/{d}" if d != 1 else str(n),
     st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4))
 huge_numbers = st.sampled_from([f"{HUGE}/3", f"-1/{HUGE}", f"{HUGE}", f"1/{HUGE + 1}",
-                                f"{HUGE}.{HUGE}", f"-{HUGE}/{HUGE - 1}"])
+                                f"{HUGE}.{HUGE}", f"-{HUGE}/{HUGE - 1}", LONG, f"1/{LONG}"])
 bad_numbers = st.sampled_from([
     "0/0", "1/0", "-1/-2", "1/-2", "", "  ", "abc", "1.2.3", "--1", "+", ".", "1e5", "nan",
     "0x10", "1/2/3", "½",
@@ -131,7 +133,8 @@ sample_lines = st.one_of(
     st.sampled_from(["", "   ", "0", "0", "1", "1", "-1", "0.5", "1/3", "2.25", " 7 "]),
     st.integers(min_value=-50, max_value=50).map(str),
     st.integers(min_value=-50, max_value=50).map(str),
-    st.sampled_from([str(HUGE), f"-{HUGE}", f"1/{HUGE}", f"{HUGE}.5", "0." + "0" * 399 + "1"]),
+    st.sampled_from([str(HUGE), f"-{HUGE}", f"1/{HUGE}", f"{HUGE}.5", "0." + "0" * 399 + "1",
+                     LONG, f"0.{LONG}"]),
     st.sampled_from(["abc", "1,2", "1/0", "0/0", "inf", "nan", "1e3", "--2", "1.2.3", "\t"]),
     st.just("\udcff"),  # written as the byte 0xff, which is not UTF-8
 )

@@ -13,14 +13,18 @@ ints a caller may pass, and Interval's checks run a fixed number of times
 per command; functions and measures keep their knots, atoms and density
 as columns, so no Breakpoint, Atom or UniformPiece is made at all.  The
 inverse's segment table is built once per function, whichever of
-classify, generalized_inverse and quantile_density asks first.
+classify, generalized_inverse and quantile_density asks first.  Reports
+are written from the columns as they are formatted, each entry formatted
+once, so writing one holds little memory.
 """
 
 import fractions
 import hashlib
+import json
 import os
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -151,6 +155,44 @@ def test_sample_commands_make_no_pieces(tmp_path, monkeypatch, command):
         assert result.exit_code in (0, 3), result.output
         assert {cls.__name__: count for cls, count in made.items()} == {
             "Breakpoint": 0, "Atom": 0, "UniformPiece": 0}, path
+
+
+def test_report_is_streamed_from_the_columns(tmp_path, monkeypatch):
+    # the report is written row by row as it is formatted, so writing it
+    # holds neither its rows as objects nor its text as one string
+    path, out = tmp_path / "4000.txt", tmp_path / "report.json"
+    _gaussian_samples(path, 4000, seed=4000)
+    emit, peaks = cli._emit, []
+
+    def measured(*args):
+        tracemalloc.start()
+        try:
+            emit(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_emit", measured)
+    result = CliRunner().invoke(cli.main, ["classify", "--samples", str(path), "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert peaks[0] < out.stat().st_size / 2, (peaks, out.stat().st_size)
+
+
+def test_fmt_ratio_calls_per_knot_do_not_grow(tmp_path, count_calls):
+    # a classify report holds six columns as long as the knots of the
+    # density: the echo's bounds and densities, the decomposition's knots
+    # and values, the quantile density's knots and values.  Each entry is
+    # formatted once; a bound shared by two echo pieces is not formatted twice.
+    calls, per_knot = count_calls(exactnum, "fmt_ratio"), {}
+    for n in (1000, 4000):
+        path = tmp_path / f"{n}.txt"
+        _gaussian_samples(path, n, seed=n)
+        calls[0] = 0
+        result = CliRunner().invoke(cli.main, ["classify", "--samples", str(path)])
+        assert result.exit_code == 3, result.output
+        knots = len(json.loads(result.stdout)["decomposition"]["abs_density"]["knots"])
+        per_knot[n] = round(calls[0] / knots)
+    assert per_knot[1000] == per_knot[4000] == 6
 
 
 def test_main_equiv_builds_one_inverse_table_per_function(count_calls):
