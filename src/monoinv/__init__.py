@@ -19,7 +19,6 @@ from monoinv.intervals import (
 from monoinv.monotone import (
     LEFT,
     RIGHT,
-    Breakpoint,
     PiecewiseMonotone,
     Version,
     constancy_set,
@@ -37,10 +36,8 @@ from monoinv.monotone import (
     versions_equal,
 )
 from monoinv.measure import (
-    Atom,
     PiecewiseMeasure,
     StepFunction,
-    UniformPiece,
     associated_measure,
     density,
     distribution_function,

@@ -104,10 +104,24 @@ def _analysis_errors():
 # input handling
 
 
+class _LongInt:
+    """A JSON integer of more than 100 digits, left unconverted: no spec field
+    takes a JSON number, and refusing one by name stays one short line."""
+
+    def __repr__(self):
+        return "a number of more than 100 digits"
+
+
+def _json_int(s):
+    """json.load's hook for an integer literal, whose conversion takes time
+    quadratic in its length (a float literal converts in linear time)."""
+    return _LongInt() if len(s.lstrip("-")) > 100 else int(s)
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except (OSError, UnicodeDecodeError) as e:
         raise _ParseError(f"cannot read {path}: {e}") from e
     except RecursionError as e:

@@ -14,7 +14,7 @@ class ConstantFunction(MonoinvError):
 
 
 class UnorderedBreakpoints(MonoinvError):
-    """Breakpoints not strictly increasing inside the regular domain."""
+    """Knots not strictly increasing inside the regular domain."""
 
 
 class EmptyInterval(MonoinvError):

@@ -429,7 +429,8 @@ def _check_rn_lemma(g):
     rhos = [
         lebesgue_on(g.domain, g.domain),
         lebesgue_on(mass_interval(g), g.domain),
-        PiecewiseMeasure(g.domain, (), tuple((p.interval, rat(1)) for p in m.pieces)),
+        PiecewiseMeasure(g.domain, (), tuple((Interval(lo, hi), rat(1))
+                                             for lo, hi, v in m.abs_density.cells() if v != 0)),
     ]
     for rho in rhos:
         # m << rho: predicate vs probe of rho's null gaps

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from monoinv import monotone as mono
 from monoinv.errors import (
@@ -58,36 +58,7 @@ def _checked_atom(x, mass) -> tuple:
     return x, mass
 
 
-@dataclass(frozen=True)
-class Atom:
-    """A point mass: an input form of PiecewiseMeasure, and the form its
-    atoms are listed in.  The constructor checks mass > 0."""
-
-    x: object
-    mass: object
-
-    def __post_init__(self):
-        for name, value in zip(("x", "mass"), _checked_atom(self.x, self.mass)):
-            object.__setattr__(self, name, value)
-
-
-@dataclass(frozen=True)
-class UniformPiece:
-    """Constant density on an open interval: an input form of
-    PiecewiseMeasure, and the form its pieces are listed in.  The
-    constructor checks the interval and density > 0."""
-
-    interval: Interval
-    density: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "density", as_q(self.density))
-        require_open_nonempty(self.interval, "uniform piece")
-        if self.density <= 0:
-            raise ValueError("piece density must be positive")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PiecewiseMeasure:
     """Atoms plus an absolutely continuous part on an open carrier interval.
 
@@ -95,27 +66,30 @@ class PiecewiseMeasure:
     atom_masses, and abs_density, the density of the absolutely continuous
     part as a step class on the carrier, 0 between pieces.  The zero measure
     has no atoms and the zero density.  The public constructor takes atoms
-    and uniform pieces, as objects or tuples, validates them (inside the
-    carrier, disjoint pieces) and canonicalises in one stable sort and one
-    linear pass each; sorting input that is already sorted costs n-1
-    comparisons.  The pieces become cells there, in _density_step.  The
-    library's own builders skip it (_measure); the tests pin each to its
-    public rebuild.  `atoms` and `pieces` list the atoms and the nonzero
-    cells back as Atoms and UniformPieces.
+    as (x, mass) and uniform pieces as (interval, density) tuples, validates
+    them (positive masses and densities, open nonempty pieces inside the
+    carrier, disjoint) and canonicalises in one stable sort and one linear
+    pass each; sorting input that is already sorted costs n-1 comparisons.
+    The pieces become cells there, in _density_step.  The library's own
+    builders skip it (_measure); the tests pin each to its public rebuild.
+    The columns are the only way to read the atoms and pieces back.
     """
 
     carrier: Interval
-    atoms: InitVar[tuple] = ()
-    pieces: InitVar[tuple] = ()
-    atom_xs: tuple = field(init=False)
-    atom_masses: tuple = field(init=False)
-    abs_density: StepFunction = field(init=False)
+    atom_xs: tuple
+    atom_masses: tuple
+    abs_density: StepFunction
 
-    def __post_init__(self, atoms, pieces):
-        carrier = self.carrier
+    def __init__(self, carrier: Interval, atoms=(), pieces=()):
         require_open_nonempty(carrier, "carrier")
-        atoms = [(a.x, a.mass) if isinstance(a, Atom) else _checked_atom(*a) for a in atoms]
-        pieces = [p if isinstance(p, UniformPiece) else UniformPiece(*p) for p in pieces]
+        atoms = [_checked_atom(*a) for a in atoms]
+        checked = []
+        for iv, d in pieces:
+            d = as_q(d)
+            require_open_nonempty(iv, "uniform piece")
+            if d <= 0:
+                raise ValueError("piece density must be positive")
+            checked.append((iv, d))
 
         for x, _ in atoms:
             if not carrier.contains(x):
@@ -131,39 +105,23 @@ class PiecewiseMeasure:
 
         # disjoint pieces have distinct left ends, and two pieces with the
         # same left end fail the disjointness check whatever their order
-        pieces.sort(key=attrgetter("interval.lo"))
-        for p in pieces:
-            if not carrier.contains_interval(p.interval):
-                raise CarrierMismatch(f"piece {p.interval} outside carrier {carrier}")
-        for p, q in zip(pieces, pieces[1:]):
-            if q.interval.lo < p.interval.hi:
+        checked.sort(key=lambda p: p[0].lo)
+        for iv, _ in checked:
+            if not carrier.contains_interval(iv):
+                raise CarrierMismatch(f"piece {iv} outside carrier {carrier}")
+        for (p, _), (q, _) in zip(checked, checked[1:]):
+            if q.lo < p.hi:
                 raise ValueError("uniform pieces must be pairwise disjoint")
 
+        object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "atom_xs", tuple(xs))
         object.__setattr__(self, "atom_masses", tuple(masses))
         object.__setattr__(self, "abs_density", _density_step(
-            carrier, [(p.interval.lo, p.interval.hi, p.density) for p in pieces]))
+            carrier, [(iv.lo, iv.hi, d) for iv, d in checked]))
 
     @property
     def is_zero(self):
         return not self.atom_xs and self.abs_density.values == (ZERO,)
-
-
-def _atoms(m: PiecewiseMeasure) -> tuple:
-    """The atoms of m, as Atoms."""
-    return tuple(Atom(x, mass) for x, mass in zip(m.atom_xs, m.atom_masses))
-
-
-def _pieces(m: PiecewiseMeasure) -> tuple:
-    """The nonzero cells of m's density, as canonical UniformPieces."""
-    return tuple(UniformPiece(Interval(lo, hi), v)
-                 for lo, hi, v in m.abs_density.cells() if v != 0)
-
-
-# set after the decorator, which would read a property in the class body as
-# the default of the InitVar of the same name
-PiecewiseMeasure.atoms = property(_atoms)
-PiecewiseMeasure.pieces = property(_pieces)
 
 
 def _measure(carrier: Interval, atom_xs, atom_masses, abs_density) -> PiecewiseMeasure:

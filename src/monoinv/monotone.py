@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 
 from bisect import bisect_left, bisect_right
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from monoinv.errors import (
@@ -71,22 +71,7 @@ def _trusted(cls, **fields):
     return obj
 
 
-@dataclass(frozen=True)
-class Breakpoint:
-    """A knot with its one-sided limits, a jump iff left < right: an input
-    form of PiecewiseMonotone, and the form `breaks` lists its knots in.
-    The constructor converts ints to rationals."""
-
-    x: object
-    left: object
-    right: object
-
-    def __post_init__(self):
-        for name in ("x", "left", "right"):
-            object.__setattr__(self, name, as_q(getattr(self, name)))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PiecewiseMonotone:
     """Class [G] of a non-decreasing piecewise-affine function.
 
@@ -98,51 +83,37 @@ class PiecewiseMonotone:
     rights    g(x+) at each knot; the knot is a jump iff left < right
 
     Instances are immutable and canonical (no removable knots).  The public
-    constructor takes the knots as `breaks`, Breakpoints or (x, left, right)
-    triples, and checks and canonicalises their columns in _checked_columns;
-    invalid data raises the dedicated errors.  `breaks` lists the knots back
-    as Breakpoints.  Builders whose output is canonical by construction
+    constructor takes the knots as `breaks`, (x, left, right) triples, and
+    checks and canonicalises their columns in _checked_columns; invalid data
+    raises the dedicated errors.  The columns are the only way to read the
+    knots back.  Builders whose output is canonical by construction
     (distribution_function, generalized_inverse) skip the checks through
     _trusted; the tests pin each such result to its rebuild through this
     constructor (validate).
     """
 
     domain: Interval
-    breaks: InitVar[tuple] = ()
-    slopes: tuple = (ONE,)
-    anchor: tuple | None = None
-    xs: tuple = field(init=False)
-    lefts: tuple = field(init=False)
-    rights: tuple = field(init=False)
+    slopes: tuple
+    anchor: tuple | None
+    xs: tuple
+    lefts: tuple
+    rights: tuple
 
-    def __post_init__(self, breaks):
+    def __init__(self, domain: Interval, breaks=(), slopes=(ONE,), anchor=None):
         xs, lefts, rights = [], [], []
-        for b in breaks:
-            x, left, right = (b.x, b.left, b.right) if isinstance(b, Breakpoint) else b
+        for x, left, right in breaks:
             xs.append(as_q(x))
             lefts.append(as_q(left))
             rights.append(as_q(right))
-        anchor = self.anchor
         if anchor is not None:
             anchor = (as_q(anchor[0]), as_q(anchor[1]))
-        slopes = [as_q(s) for s in self.slopes]
-        for name, value in _checked_columns(self.domain, xs, lefts, rights, slopes,
-                                            anchor).items():
+        slopes = [as_q(s) for s in slopes]
+        for name, value in _checked_columns(domain, xs, lefts, rights, slopes, anchor).items():
             object.__setattr__(self, name, value)
 
 
-def _breaks(g: PiecewiseMonotone) -> tuple:
-    """The knots of g as Breakpoints."""
-    return tuple(Breakpoint(x, left, right) for x, left, right in zip(g.xs, g.lefts, g.rights))
-
-
-# set after the decorator, which would read a property in the class body as
-# the default of the breaks InitVar
-PiecewiseMonotone.breaks = property(_breaks)
-
-
 def _checked_columns(domain: Interval, xs, lefts, rights, slopes, anchor) -> dict:
-    """The fields after domain of the canonical class with these columns of
+    """The fields of the canonical class on domain with these columns of
     rationals, in the order __init__ sets them, once every invariant holds.
 
     Canonical form drops the knots that change nothing.  Whether a knot is
@@ -184,15 +155,15 @@ def _checked_columns(domain: Interval, xs, lefts, rights, slopes, anchor) -> dic
         # without knots can be constant
         if slopes[0] == 0:
             raise ConstantFunction("constant classes are excluded")
-    return {"slopes": (slopes[0], *(slopes[j + 1] for j in keep)), "anchor": anchor,
-            "xs": tuple(xs[j] for j in keep), "lefts": tuple(lefts[j] for j in keep),
-            "rights": tuple(rights[j] for j in keep)}
+    return {"domain": domain, "slopes": (slopes[0], *(slopes[j + 1] for j in keep)),
+            "anchor": anchor, "xs": tuple(xs[j] for j in keep),
+            "lefts": tuple(lefts[j] for j in keep), "rights": tuple(rights[j] for j in keep)}
 
 
 def _from_columns(domain: Interval, xs, lefts, rights, slopes, anchor) -> PiecewiseMonotone:
     """The canonical class with these columns of rationals, checked as the
-    public constructor checks them but without any Breakpoint."""
-    return _trusted(PiecewiseMonotone, domain=domain,
+    public constructor checks them, without first zipping them into triples."""
+    return _trusted(PiecewiseMonotone,
                     **_checked_columns(domain, xs, lefts, rights, slopes, anchor))
 
 
@@ -221,7 +192,7 @@ def _between(xs, lo, hi) -> tuple[int, int]:
 def validate(g: PiecewiseMonotone) -> PiecewiseMonotone:
     """g rebuilt through the public constructors, which re-check every
     representation invariant; equal to g exactly when g is canonical."""
-    return PiecewiseMonotone(g.domain, g.breaks, g.slopes, g.anchor)
+    return PiecewiseMonotone(g.domain, tuple(zip(g.xs, g.lefts, g.rights)), g.slopes, g.anchor)
 
 
 # ---------------------------------------------------------------------------

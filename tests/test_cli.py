@@ -184,6 +184,30 @@ def test_digit_cap(tmp_path, spec_file, source, digits):
             1, "", f"error: {where}: a number of more than 4300 digits\n")
 
 
+@pytest.mark.parametrize("doc, digits, code, stderr", [
+    (b'{"atoms": [{"x": "0", "mass": "1/2"}, {"x": %s, "mass": "1/2"}]}', 10**6, 1,
+     "error: atom #1 x must be a string ('p/q' or decimal), "
+     "got a number of more than 100 digits\n"),
+    (b'{"atoms": [{"x": "0", "mass": "1/2"}, {"x": %s, "mass": "1/2"}]}', 100, 1,
+     "error: atom #1 x must be a string ('p/q' or decimal), got " + "7" * 100 + "\n"),
+    (b'{"uniform_pieces": [{"a": "0", "b": "1", "density": -0.%se5}]}', 10**6, 1,
+     "error: piece #0 density must be a string ('p/q' or decimal), "
+     "got -77777.77777777778\n"),
+    (b'{"note": %s, "atoms": [{"x": "1/2", "mass": "1/2"}], '
+     b'"uniform_pieces": [{"a": "0", "b": "1", "density": "1/2"}]}', 10**6, 0, ""),
+], ids=["numeric-field", "numeric-field-100", "float", "unknown-key"])
+def test_json_number_cap(spec_file, doc, digits, code, stderr):
+    # json.load converts no integer literal of more than 100 digits (a float
+    # literal converts in linear time): a numeric field refuses it by name in
+    # one short line, an unknown key ignores it, and neither spends the
+    # seconds converting a million digits takes
+    started = time.perf_counter()
+    r = CliRunner().invoke(cli.main, ["classify", "--spec", spec_file(doc % (b"7" * digits))])
+    assert time.perf_counter() - started < 1
+    assert (r.exit_code, r.stderr) == (code, stderr)
+    assert len(r.stderr) <= 200
+
+
 @pytest.mark.parametrize("command", ["classify", "invert", "qdensity", "decompose", "ingest",
                                      "verify"])
 def test_unwritable_out_names_the_file(spec_file, tmp_path, command):

@@ -30,13 +30,11 @@ from monoinv.intervals import (
     open_iv,
 )
 from monoinv.measure import (
-    Atom,
     PiecewiseMeasure,
     StepFunction,
-    UniformPiece,
     distribution_function,
 )
-from monoinv.monotone import Breakpoint, PiecewiseMonotone, evaluate, from_knot_data
+from monoinv.monotone import PiecewiseMonotone, evaluate, from_knot_data
 
 BIG = 10**400
 NUMBERS = [(0, 1), (1, 3), (-1, 3), (BIG, 1), (-BIG, 1), (1, BIG), (-1, BIG)]
@@ -152,12 +150,10 @@ BOUNDARY = {
     "PiecewiseMonotone-limit": lambda v: PiecewiseMonotone(REAL_LINE, ((0, v, 1),), (1, 1)),
     "PiecewiseMonotone-slope": lambda v: PiecewiseMonotone(REAL_LINE, (), (v,), (0, 0)),
     "PiecewiseMonotone-anchor": lambda v: PiecewiseMonotone(REAL_LINE, (), (1,), (0, v)),
-    "Breakpoint": lambda v: Breakpoint(0, 0, v),
+    "PiecewiseMonotone-right": lambda v: PiecewiseMonotone(REAL_LINE, ((0, 0, v),), (1, 1)),
     "PiecewiseMeasure-atom": lambda v: PiecewiseMeasure(REAL_LINE, ((v, 1),), ()),
     "PiecewiseMeasure-mass": lambda v: PiecewiseMeasure(REAL_LINE, ((0, v),), ()),
     "PiecewiseMeasure-density": lambda v: PiecewiseMeasure(REAL_LINE, (), ((open_iv(0, 1), v),)),
-    "Atom": lambda v: Atom(0, v),
-    "UniformPiece": lambda v: UniformPiece(open_iv(0, 1), v),
     "StepFunction-knot": lambda v: StepFunction(open_iv(0, 2), (v,), (1, 2)),
     "StepFunction-value": lambda v: StepFunction(open_iv(0, 1), (), (v,)),
     "Interval": lambda v: Interval(0, v),

@@ -5,7 +5,6 @@ from monoinv.exactnum import parse_ratio
 from monoinv.intervals import Interval, is_finite
 from monoinv.laws import LAW_IDS, CheckReport, GenConfig, gen_monotone, run_law
 from monoinv.monotone import (
-    Breakpoint,
     PiecewiseMonotone,
     flats,
     jumps,
@@ -20,7 +19,7 @@ def json_to_monotone(d):
     """Read back monotone_to_json's output."""
     domain = Interval(str_to_er(d["domain"]["lo"]), str_to_er(d["domain"]["hi"]))
     breaks = tuple(
-        Breakpoint(parse_ratio(b["x"]), parse_ratio(b["left"]), parse_ratio(b["right"]))
+        (parse_ratio(b["x"]), parse_ratio(b["left"]), parse_ratio(b["right"]))
         for b in d["breakpoints"]
     )
     slopes = tuple(parse_ratio(s) for s in d["slopes"])

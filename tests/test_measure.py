@@ -8,6 +8,7 @@ from monoinv.errors import (
     AmbiguousComposition,
     AnchorOutsideCarrier,
     CarrierMismatch,
+    EmptyInterval,
     MonoinvError,
     NotAbsolutelyContinuous,
     NotLocallyFinite,
@@ -16,13 +17,20 @@ from monoinv.errors import (
     ZeroMeasure,
 )
 from monoinv.exactnum import ZERO, rat
-from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, Interval, is_finite, open_iv
+from monoinv.intervals import (
+    EMPTY,
+    NEG_INF,
+    POS_INF,
+    REAL_LINE,
+    Interval,
+    closed_iv,
+    is_finite,
+    open_iv,
+)
 from monoinv.laws import GenConfig, gen_monotone
 from monoinv.measure import (
-    Atom,
     PiecewiseMeasure,
     StepFunction,
-    UniformPiece,
     associated_measure,
     density,
     distribution_function,
@@ -40,7 +48,6 @@ from monoinv.measure import (
 from monoinv.monotone import (
     LEFT,
     RIGHT,
-    Breakpoint,
     PiecewiseMonotone,
     evaluate,
     from_knot_data,
@@ -55,6 +62,16 @@ from monoinv.monotone import (
     structural_xs,
 )
 from test_monotone import _inverse_tokens, equal_up_to_shift
+
+
+def atoms_of(m):
+    """The atoms of m as (x, mass)."""
+    return list(zip(m.atom_xs, m.atom_masses))
+
+
+def pieces_of(m):
+    """The nonzero cells of m's density as (lo, hi, density)."""
+    return [(lo, hi, d) for lo, hi, d in m.abs_density.cells() if d != 0]
 
 
 def lebesgue_restricted(g):
@@ -97,21 +114,21 @@ def pushforward_oracle(m, t, lo, hi):
 def test_associated_measure_fixa(fixa, fixa_measure):
     m = associated_measure(fixa)
     assert m == fixa_measure
-    assert not m.atoms
+    assert not m.atom_xs
     assert measure_matches_limits(fixa, m)
 
 
 def test_associated_measure_dirac(fixc):
     m = associated_measure(fixc)
-    assert not m.pieces
-    assert [(a.x, a.mass) for a in m.atoms] == [(rat(0), rat(1))]
+    assert not pieces_of(m)
+    assert atoms_of(m) == [(rat(0), rat(1))]
 
 
 def test_associated_measure_of_fixa_inverse(fixa):
     q = generalized_inverse(fixa)
     m = associated_measure(q)
-    assert [(a.x, a.mass) for a in m.atoms] == [(rat(1, 2), rat(1))]
-    assert [(p.interval, p.density) for p in m.pieces] == [(open_iv(0, 1), rat(1))]
+    assert atoms_of(m) == [(rat(1, 2), rat(1))]
+    assert pieces_of(m) == [(rat(0), rat(1), rat(1))]
     assert measure_matches_limits(q, m)
 
 
@@ -128,7 +145,7 @@ def test_associated_measure_random_matches_limits():
 def test_distribution_function_of_lebesgue_is_identity():
     m = PiecewiseMeasure(REAL_LINE, (), ((REAL_LINE, 1),))
     g = distribution_function(m, 0)
-    assert not g.breaks
+    assert not g.xs
     assert g.slopes == (rat(1),)
     assert evaluate(g, 0, RIGHT) == rat(0)
     assert evaluate(g, 7, RIGHT) == rat(7)
@@ -200,26 +217,26 @@ def _canonical_by_dict(atoms, pieces):
             out[-1] = (Interval(out[-1][0].lo, iv.hi), d)
         else:
             out.append((iv, d))
-    return (tuple(Atom(x, mass) for x, mass in sorted(merged.items())),
-            tuple(UniformPiece(iv, d) for iv, d in out))
+    return sorted(merged.items()), [(iv.lo, iv.hi, d) for iv, d in out]
 
 
 def _distribution_function_by_sets(m, z):
     """The knots as a sorted set of atom locations and piece ends, each
     cell's slope from the piece that covers it."""
-    pts = set(a.x for a in m.atoms)
-    for p in m.pieces:
-        for end in (p.interval.lo, p.interval.hi):
+    pieces = pieces_of(m)
+    pts = set(m.atom_xs)
+    for lo, hi, _ in pieces:
+        for end in (lo, hi):
             if is_finite(end) and m.carrier.contains(end):
                 pts.add(end)
     pts = sorted(pts)
     if not pts:
-        return PiecewiseMonotone(m.carrier, (), (m.pieces[0].density,), (z, ZERO))
-    mass_at = {a.x: a.mass for a in m.atoms}
+        return PiecewiseMonotone(m.carrier, (), (pieces[0][2],), (z, ZERO))
+    mass_at = dict(atoms_of(m))
     bounds = [m.carrier.lo, *pts, m.carrier.hi]
     slopes = []
     for a, b in zip(bounds, bounds[1:]):
-        covering = [p.density for p in m.pieces if p.interval.lo <= a and b <= p.interval.hi]
+        covering = [d for lo, hi, d in pieces if lo <= a and b <= hi]
         slopes.append(covering[0] if covering else ZERO)
     right, left = [ZERO], [-mass_at.get(pts[0], ZERO)]
     for i in range(1, len(pts)):
@@ -229,7 +246,7 @@ def _distribution_function_by_sets(m, z):
     gz = left[0] - slopes[0] * (pts[0] - z) if i == 0 else right[i - 1] + slopes[i] * (
         z - pts[i - 1])
     return PiecewiseMonotone(m.carrier, tuple(
-        Breakpoint(x, l - gz, r - gz) for x, l, r in zip(pts, left, right)), tuple(slopes))
+        (x, l - gz, r - gz) for x, l, r in zip(pts, left, right)), tuple(slopes))
 
 
 grid = st.integers(min_value=-8, max_value=8).map(lambda k: rat(k, 2))
@@ -258,7 +275,7 @@ def measure_parts(draw):
 def test_canonical_form_matches_dict_and_sort(parts):
     atoms, pieces = parts
     m = PiecewiseMeasure(REAL_LINE, tuple(atoms), tuple(pieces))
-    assert (m.atoms, m.pieces) == _canonical_by_dict(atoms, pieces)
+    assert (atoms_of(m), pieces_of(m)) == _canonical_by_dict(atoms, pieces)
     if not m.is_zero:
         assert distribution_function(m, 0) == _distribution_function_by_sets(m, rat(0))
 
@@ -278,16 +295,41 @@ def test_canonical_form_errors():
         PiecewiseMeasure(REAL_LINE, (), ((open_iv(0, 1), -1),))
 
 
+@pytest.mark.parametrize("atoms, pieces, error, message", [
+    ((), ((EMPTY, 1),), EmptyInterval, "uniform piece is empty"),
+    ((), ((Interval(1, 1), 1),), EmptyInterval, "uniform piece is empty"),
+    ((), ((closed_iv(0, 1), 1),), ValueError, "uniform piece must be open"),
+    ((), ((Interval(0, 1, True, False), 1),), ValueError, "uniform piece must be open"),
+    ((), ((open_iv(0, 1), 0),), ValueError, "piece density must be positive"),
+    ((), ((open_iv(0, 1), rat(-1, 2)),), ValueError, "piece density must be positive"),
+    (((0, 0),), (), ValueError, "atom mass must be positive"),
+    (((0, -1),), (), ValueError, "atom mass must be positive"),
+])
+def test_tuple_forms_refuse_invalid_pieces_and_atoms(atoms, pieces, error, message):
+    # a piece's interval must be open and nonempty and its density positive,
+    # an atom's mass positive; each refusal has its own type and text
+    with pytest.raises(error) as raised:
+        PiecewiseMeasure(REAL_LINE, atoms, pieces)
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_listings_are_gone(fixa, fixd_measure):
+    # the columns are the only reading; a stale reader fails loudly
+    for obj, name in ((fixa, "breaks"), (fixd_measure, "atoms"), (fixd_measure, "pieces")):
+        with pytest.raises(AttributeError):
+            getattr(obj, name)
+
+
 # ---------------------------------------------------------------------------
 # decomposition and density
 
 
 def test_lebesgue_decompose_fixd(fixd_measure):
     abs_part, sing = lebesgue_decompose(fixd_measure)
-    assert [(p.interval, p.density) for p in abs_part.pieces] == [(open_iv(0, 1), rat(1, 2))]
-    assert not abs_part.atoms
-    assert [(a.x, a.mass) for a in sing.atoms] == [(rat(1, 2), rat(1, 2))]
-    assert not sing.pieces
+    assert pieces_of(abs_part) == [(rat(0), rat(1), rat(1, 2))]
+    assert not abs_part.atom_xs
+    assert atoms_of(sing) == [(rat(1, 2), rat(1, 2))]
+    assert not pieces_of(sing)
 
 
 def test_lebesgue_decompose_pure_cases(fixb_measure, fixc_measure):
@@ -302,7 +344,7 @@ def test_lebesgue_decompose_additive_and_disjoint():
         g = gen_monotone(GenConfig(seed=seed, max_knots=6))
         m = associated_measure(g)
         abs_part, sing = lebesgue_decompose(m)
-        assert not abs_part.atoms and not sing.pieces
+        assert not abs_part.atom_xs and not pieces_of(sing)
         pts = [p for p in probe_points(g) if g.domain.contains(p)]
         for x, y in zip(pts, pts[1:]):
             assert (measure_of_open(m, x, y)
@@ -354,7 +396,7 @@ def test_pushforward_uniform_through_fixd_inverse(fixd, fixd_measure):
     got = pushforward(lebesgue_restricted(fixd), q)
     assert got == fixd_measure
     # flat (1/4,3/4) collapses into the atom at 1/2
-    assert [(a.x, a.mass) for a in got.atoms] == [(rat(1, 2), rat(1, 2))]
+    assert atoms_of(got) == [(rat(1, 2), rat(1, 2))]
 
 
 def test_pushforward_identity_map(fixb_measure):
@@ -401,14 +443,14 @@ def test_pushforward_against_probe_oracle():
 def test_lebesgue_restricted_fixa(fixa):
     lam = lebesgue_restricted(fixa)
     assert lam.carrier == open_iv(0, 1)
-    assert [(p.interval, p.density) for p in lam.pieces] == [(open_iv(0, 1), rat(1))]
+    assert pieces_of(lam) == [(rat(0), rat(1), rat(1))]
 
 
 def test_lebesgue_restricted_dirac(fixc):
     # the inverse sweeps (0,1); its mass interval carries the whole unit mass
     lam = lebesgue_restricted(fixc)
     assert lam.carrier == open_iv(0, 1)
-    assert [(p.interval, p.density) for p in lam.pieces] == [(open_iv(0, 1), rat(1))]
+    assert pieces_of(lam) == [(rat(0), rat(1), rat(1))]
 
 
 def test_lebesgue_restricted_identity_is_lebesgue():
@@ -455,14 +497,12 @@ def _abs_cont_by_scan(a, b):
     covered by b's pieces up to finitely many points when, from its lower
     end on, a scan of all of b's pieces always finds one that holds the
     point reached so far (or starts there) and reaches past it."""
-    b_atoms = {atom.x for atom in b.atoms}
-    if any(atom.x not in b_atoms for atom in a.atoms):
+    if any(x not in b.atom_xs for x in a.atom_xs):
         return False
-    for p in a.pieces:
-        reached = p.interval.lo
-        while reached < p.interval.hi:
-            ends = [q.interval.hi for q in b.pieces
-                    if q.interval.lo <= reached < q.interval.hi]
+    for lo, hi, _ in pieces_of(a):
+        reached = lo
+        while reached < hi:
+            ends = [q_hi for q_lo, q_hi, _ in pieces_of(b) if q_lo <= reached < q_hi]
             if not ends:
                 return False
             reached = ends[0]
@@ -476,7 +516,7 @@ def test_merge_walk_abs_cont_equals_scan(parts_a, parts_b, data):
     b = PiecewiseMeasure(REAL_LINE, tuple(parts_b[0]), tuple(parts_b[1]))
     # Lebesgue on disjoint intervals between b's piece ends and their
     # midpoints: inside one run of b, across a touching point, or over a gap
-    ends = sorted({e for p in b.pieces for e in (p.interval.lo, p.interval.hi) if is_finite(e)})
+    ends = sorted({e for lo, hi, _ in pieces_of(b) for e in (lo, hi) if is_finite(e)})
     points = sorted({*ends, *((x + y) / 2 for x, y in zip(ends, ends[1:]))})
     cuts = sorted(data.draw(st.sets(st.sampled_from(points))) if points else [])
     inner = PiecewiseMeasure(REAL_LINE, (), tuple(
@@ -608,16 +648,16 @@ def _pushforward_by_pairs(m, t):
     def add_atom(x, mass):
         out_atoms[x] = out_atoms.get(x, ZERO) + mass
 
-    for a in m.atoms:
-        if a.x in jump_xs:
+    for x, mass in atoms_of(m):
+        if x in jump_xs:
             raise VersionAmbiguous(
-                f"atom at {a.x} sits on a jump of the map; the image depends on the version")
-        add_atom(evaluate(t, a.x, RIGHT), a.mass)
+                f"atom at {x} sits on a jump of the map; the image depends on the version")
+        add_atom(evaluate(t, x, RIGHT), mass)
     out_pieces = []
-    for p in m.pieces:
+    for p_lo, p_hi, density in pieces_of(m):
         for seg in segments(t):
-            lo = max(p.interval.lo, seg.a)
-            hi = min(p.interval.hi, seg.b)
+            lo = max(p_lo, seg.a)
+            hi = min(p_hi, seg.b)
             if not lo < hi:
                 continue
             if seg.slope == 0:
@@ -625,11 +665,11 @@ def _pushforward_by_pairs(m, t):
                 if not is_finite(length):
                     raise NotLocallyFinite(
                         "a flat of infinite length carries infinite mass to one point")
-                add_atom(seg.u, p.density * length)
+                add_atom(seg.u, density * length)
             else:
                 u = evaluate(t, lo, RIGHT) if is_finite(lo) else seg.u
                 v = evaluate(t, hi, LEFT) if is_finite(hi) else seg.v
-                out_pieces.append((open_iv(u, v), p.density / seg.slope))
+                out_pieces.append((open_iv(u, v), density / seg.slope))
     atoms = tuple(sorted(out_atoms.items()))
     return PiecewiseMeasure(inverse_domain(t), atoms, tuple(out_pieces))
 

@@ -17,7 +17,6 @@ from monoinv.laws import GenConfig, gen_monotone
 from monoinv.monotone import (
     LEFT,
     RIGHT,
-    Breakpoint,
     PiecewiseMonotone,
     _probe_point,
     constancy_set,
@@ -46,13 +45,15 @@ def equal_up_to_shift(g1, g2):
         return False
     if g1.xs != g2.xs:
         return False
-    if g1.breaks:
-        d = g1.breaks[0].left - g2.breaks[0].left
-        return all(
-            a.left - b.left == d and a.right - b.right == d
-            for a, b in zip(g1.breaks, g2.breaks)
-        )
+    if g1.xs:
+        d = g1.lefts[0] - g2.lefts[0]
+        return all(a - b == d for a, b in zip(g1.lefts + g1.rights, g2.lefts + g2.rights))
     return True
+
+
+def knots_by_evaluate(g):
+    """The knots of g as (x, left, right), each limit read through evaluate."""
+    return [(x, evaluate(g, x, LEFT), evaluate(g, x, RIGHT)) for x in g.xs]
 
 
 def grid_inverse_oracle(g, t, grid):
@@ -93,14 +94,14 @@ def test_validate_rejects_constant():
 
 def test_validate_rejects_downward_jump():
     with pytest.raises(NonMonotone):
-        PiecewiseMonotone(REAL_LINE, (Breakpoint(0, 1, 0),), (0, 0), None)
+        PiecewiseMonotone(REAL_LINE, ((0, 1, 0),), (0, 0), None)
 
 
 def test_validate_rejects_unordered_breakpoints():
     with pytest.raises(UnorderedBreakpoints):
         PiecewiseMonotone(
             REAL_LINE,
-            (Breakpoint(1, 0, 0), Breakpoint(0, 1, 1)),
+            ((1, 0, 0), (0, 1, 1)),
             (1, 1, 1),
             None,
         )
@@ -110,7 +111,7 @@ def test_validate_rejects_inconsistent_limits():
     with pytest.raises(NonMonotone):
         PiecewiseMonotone(
             REAL_LINE,
-            (Breakpoint(0, 0, 0), Breakpoint(1, 5, 5)),  # slope 1 cannot reach 5
+            ((0, 0, 0), (1, 5, 5)),  # slope 1 cannot reach 5
             (1, 1, 1),
             None,
         )
@@ -122,8 +123,8 @@ def test_validate_is_idempotent(fixa):
 
 
 def test_canonicalization_drops_redundant_knot():
-    g = PiecewiseMonotone(REAL_LINE, (Breakpoint(0, 0, 0),), (1, 1), None)
-    assert not g.breaks
+    g = PiecewiseMonotone(REAL_LINE, ((0, 0, 0),), (1, 1), None)
+    assert not g.xs
     assert g.slopes == (rat(1),)
 
 
@@ -179,7 +180,7 @@ def test_inverse_of_embedded_identity_restricts_to_identity(fixb):
 def test_inverse_fixa_explicit(fixa):
     q = generalized_inverse(fixa)
     assert q.domain == open_iv(0, 1)
-    assert [(b.x, b.left, b.right) for b in q.breaks] == [(rat(1, 2), rat(1, 2), rat(3, 2))]
+    assert list(zip(q.xs, q.lefts, q.rights)) == [(rat(1, 2), rat(1, 2), rat(3, 2))]
     assert q.slopes == (rat(1), rat(1))
     for t in fine_grid(rat(1, 16), rat(7, 16), rat(1, 16)):
         assert evaluate(q, t, LEFT) == t
@@ -197,7 +198,7 @@ def test_inverse_fixd_against_grid_oracle(fixd):
         assert abs(want - got) <= step
     # and the exact structure: slope 2, flat at 1/2, slope 2
     assert q.slopes == (rat(2), rat(0), rat(2))
-    assert [b.x for b in q.breaks] == [rat(1, 4), rat(3, 4)]
+    assert q.xs == (rat(1, 4), rat(3, 4))
 
 
 def test_inverse_of_dirac_is_excluded_constant(fixc):
@@ -308,7 +309,7 @@ def test_versions_equal_ignores_jump_values(fixa):
     # the class stores no value at the jump, so re-building it is the same class
     q1 = generalized_inverse(fixa)
     q2 = PiecewiseMonotone(open_iv(0, 1),
-                           (Breakpoint(rat(1, 2), rat(1, 2), rat(3, 2)),),
+                           ((rat(1, 2), rat(1, 2), rat(3, 2)),),
                            (1, 1), None)
     assert versions_equal(q1, q2)
 
@@ -421,23 +422,22 @@ def instances(draw):
 
 def _segments_from_scratch(g):
     lo, hi = g.domain.lo, g.domain.hi
-    if not g.breaks:
+    knots = knots_by_evaluate(g)
+    if not knots:
         ax, av = g.anchor
         s = g.slopes[0]
         u = av - s * (ax - lo) if is_finite(lo) else (av if s == 0 else NEG_INF)
         v = av + s * (hi - ax) if is_finite(hi) else (av if s == 0 else POS_INF)
         return [mono.Segment(lo, hi, u, v, s)]
     out = []
-    first, s = g.breaks[0], g.slopes[0]
-    u = first.left - s * (first.x - lo) if is_finite(lo) else (
-        first.left if s == 0 else NEG_INF)
-    out.append(mono.Segment(lo, first.x, u, first.left, s))
-    for bp, nxt, s in zip(g.breaks, g.breaks[1:], g.slopes[1:]):
-        out.append(mono.Segment(bp.x, nxt.x, bp.right, nxt.left, s))
-    last, s = g.breaks[-1], g.slopes[-1]
-    v = last.right + s * (hi - last.x) if is_finite(hi) else (
-        last.right if s == 0 else POS_INF)
-    out.append(mono.Segment(last.x, hi, last.right, v, s))
+    (x, left, _), s = knots[0], g.slopes[0]
+    u = left - s * (x - lo) if is_finite(lo) else (left if s == 0 else NEG_INF)
+    out.append(mono.Segment(lo, x, u, left, s))
+    for (x, _, right), (nx, nleft, _), s in zip(knots, knots[1:], g.slopes[1:]):
+        out.append(mono.Segment(x, nx, right, nleft, s))
+    (x, _, right), s = knots[-1], g.slopes[-1]
+    v = right + s * (hi - x) if is_finite(hi) else (right if s == 0 else POS_INF)
+    out.append(mono.Segment(x, hi, right, v, s))
     return out
 
 
@@ -461,6 +461,7 @@ def _inverse_tokens(g):
     lo, hi = g.domain.lo, g.domain.hi
     segs = []
     knots = []
+    g_knots = knots_by_evaluate(g)
     if is_finite(lo):
         segs.append((NEG_INF, m, ZERO, m, lo))
     gsegs = segments(g)
@@ -478,9 +479,9 @@ def _inverse_tokens(g):
                 anchor_x, anchor_t = g.anchor
             segs.append((seg.u, seg.v, inv_slope, anchor_t, anchor_x))
         if i < len(gsegs) - 1:
-            b = g.breaks[i]
-            if b.left < b.right:
-                segs.append((b.left, b.right, ZERO, b.left, b.x))
+            x, left, right = g_knots[i]
+            if left < right:
+                segs.append((left, right, ZERO, left, x))
     if is_finite(hi):
         segs.append((M, POS_INF, ZERO, M, hi))
     return dom, segs, knots
@@ -506,7 +507,7 @@ def _generalized_inverse_by_tokens(g):
             lx, rx = jump_at[t]
         else:
             lx = rx = x_at(prev, t)
-        breaks.append(Breakpoint(t, lx, rx))
+        breaks.append((t, lx, rx))
         slopes.append(cur[2])
     anchor = None
     if not breaks:
@@ -520,9 +521,9 @@ def _canonical_by_restarts(breaks, slopes):
     """Remove one removable knot at a time, rescanning from the left."""
     removed = None
     while True:
-        for j, b in enumerate(breaks):
-            if b.left == b.right and slopes[j] == slopes[j + 1]:
-                removed = b
+        for j, (_, left, right) in enumerate(breaks):
+            if left == right and slopes[j] == slopes[j + 1]:
+                removed = breaks[j]
                 breaks = breaks[:j] + breaks[j + 1:]
                 slopes = slopes[:j] + slopes[j + 1:]
                 break
@@ -531,20 +532,19 @@ def _canonical_by_restarts(breaks, slopes):
 
 
 def _restrict_by_scan(g, iv):
-    inner = [b for b in g.breaks if iv.contains(b.x)]
+    knots = knots_by_evaluate(g)
+    inner = [i for i, (x, _, _) in enumerate(knots) if iv.contains(x)]
     first_idx = 0
     for i, seg in enumerate(segments(g)):
         if seg.a <= iv.lo and iv.lo < seg.b:
             first_idx = i
             break
-    slopes = [g.slopes[first_idx]]
-    for b in inner:
-        slopes.append(g.slopes[g.breaks.index(b) + 1])
+    slopes = [g.slopes[first_idx]] + [g.slopes[i + 1] for i in inner]
     anchor = None
     if not inner:
         probe = _probe_point(iv)
         anchor = (probe, evaluate(g, probe, RIGHT))
-    return PiecewiseMonotone(iv, tuple(inner), tuple(slopes), anchor)
+    return PiecewiseMonotone(iv, tuple(knots[i] for i in inner), tuple(slopes), anchor)
 
 
 def _outcome(fn, *args):
@@ -559,10 +559,9 @@ def _outcome(fn, *args):
 def test_cached_tables_equal_tables_built_from_scratch(g):
     assert segments(g) == tuple(_segments_from_scratch(g))
     assert segments(g) is segments(g)
-    # the listing gives the columns back
-    assert [(b.x, b.left, b.right) for b in g.breaks] == list(zip(g.xs, g.lefts, g.rights))
     # the caches are not part of the value
-    rebuilt = PiecewiseMonotone(g.domain, g.breaks, g.slopes, g.anchor)
+    rebuilt = PiecewiseMonotone(g.domain, tuple(zip(g.xs, g.lefts, g.rights)), g.slopes,
+                                g.anchor)
     assert rebuilt == g and hash(rebuilt) == hash(g) and repr(rebuilt) == repr(g)
 
 
@@ -598,24 +597,25 @@ def test_single_pass_canonicalisation_equals_restarts(g, data):
     # split segments at up to two interior continuity points each: knots
     # that change nothing
     breaks, slopes = [], [g.slopes[0]]
+    knots = knots_by_evaluate(g)
     for i, seg in enumerate(segments(g)):
         a = seg.a
         for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
             x = _probe_point(open_iv(a, seg.b))
             v = evaluate(g, x, RIGHT)
-            breaks.append(mono.Breakpoint(x, v, v))
+            breaks.append((x, v, v))
             slopes.append(seg.slope)
             a = x
-        if i < len(g.breaks):
-            breaks.append(g.breaks[i])
+        if i < len(knots):
+            breaks.append(knots[i])
             slopes.append(g.slopes[i + 1])
     anchor = None if breaks else g.anchor
     got = PiecewiseMonotone(g.domain, tuple(breaks), tuple(slopes), anchor)
     want_breaks, want_slopes, removed = _canonical_by_restarts(tuple(breaks), tuple(slopes))
-    assert got.breaks == want_breaks
+    assert tuple(zip(got.xs, got.lefts, got.rights)) == want_breaks
     assert got.slopes == want_slopes
     if not want_breaks and anchor is None:
-        assert got.anchor == (removed.x, removed.left)
+        assert got.anchor == removed[:2]
     assert versions_equal(got, g)
 
 

@@ -11,13 +11,16 @@ measure, without a spec document in between.  Objects the library derives
 itself skip the public constructors, so exactnum.as_q, which converts the
 ints a caller may pass, and Interval's checks run a fixed number of times
 per command; functions and measures keep their knots, atoms and density
-as columns, so no Breakpoint, Atom or UniformPiece is made at all.  The
+as columns, so the functions, measures and step classes a command makes,
+through the public constructors or the trusted path, are as many for 4k
+points as for 1k, and ingest checks its spec in one measure.  The
 inverse's segment table is built once per function, whichever of
 classify, generalized_inverse and quantile_density asks first.  Reports
 are written from the columns as they are formatted, each entry formatted
 once, so writing one holds little memory.
 """
 
+import dataclasses
 import fractions
 import hashlib
 import json
@@ -124,37 +127,57 @@ def test_interval_checks_do_not_grow_with_points(tmp_path, monkeypatch, command)
     assert per_size[1000] == per_size[4000]
 
 
-@pytest.mark.parametrize("command", ["classify", "invert", "qdensity"])
-def test_sample_commands_make_no_pieces(tmp_path, monkeypatch, command):
-    # no knot, atom or piece object, through the public constructor or the
-    # trusted path alike; the tied sample has atoms and jumps
-    classes = (monotone.Breakpoint, measure.Atom, measure.UniformPiece)
+def _peaked_samples(path, n):
+    """n = 2N points whose gap k is (|k - N| + 1)/1000: the interpolated
+    density strictly rises, then falls, so the distribution is unimodal."""
+    x, lines = 0, ["0"]
+    for k in range(1, n):
+        x += abs(k - n // 2) + 1
+        lines.append(f"{x}/1000")
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("command", ["classify", "invert", "qdensity", "decompose", "ingest"])
+def test_constructions_do_not_grow_with_points(tmp_path, monkeypatch, command):
+    # per class of monotone and measure, the instances made through the
+    # public constructor plus those made through the trusted path.  The tied
+    # sample has atoms and jumps; the peaked samples take classify's
+    # rise-and-fall branch
+    classes = [cls for mod in (monotone, measure) for cls in vars(mod).values()
+               if dataclasses.is_dataclass(cls) and cls.__module__ == mod.__name__]
     made = dict.fromkeys(classes, 0)
     for cls in classes:
-        def counting_init(self, cls=cls, checked=cls.__post_init__):
-            made[cls] += 1
-            checked(self)
+        def counting_init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            made[_cls] += 1
+            _init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__post_init__", counting_init)
+        monkeypatch.setattr(cls, "__init__", counting_init)
     trusted = monotone._trusted
 
     def counting_trusted(cls, **fields):
-        if cls in made:
-            made[cls] += 1
+        made[cls] += 1
         return trusted(cls, **fields)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("monoinv") and getattr(mod, "_trusted", None) is trusted:
             monkeypatch.setattr(mod, "_trusted", counting_trusted)
-    paths = [os.path.join(os.path.dirname(__file__), "data", "tied_gauss_300.csv")]
-    for n in (1000, 4000):
-        paths.append(tmp_path / f"{n}.txt")
-        _gaussian_samples(paths[-1], n, seed=n)
-    for path in paths:
+
+    def counts(path, codes):
+        for cls in made:
+            made[cls] = 0
         result = CliRunner().invoke(cli.main, [command, "--samples", str(path)])
-        assert result.exit_code in (0, 3), result.output
-        assert {cls.__name__: count for cls, count in made.items()} == {
-            "Breakpoint": 0, "Atom": 0, "UniformPiece": 0}, path
+        assert result.exit_code in codes, result.output
+        return {cls.__name__: count for cls, count in made.items()}
+
+    paths = {"tied": os.path.join(os.path.dirname(__file__), "data", "tied_gauss_300.csv")}
+    for n in (1000, 4000):
+        paths[n], paths["peaked", n] = tmp_path / f"{n}.txt", tmp_path / f"peaked{n}.txt"
+        _gaussian_samples(paths[n], n, seed=n)
+        _peaked_samples(paths["peaked", n], n)
+    gaussian = counts(paths[1000], (0, 3))
+    assert gaussian["PiecewiseMeasure"] > 0
+    assert counts(paths[4000], (0, 3)) == counts(paths["tied"], (0, 3)) == gaussian
+    assert counts(paths["peaked", 1000], (0,)) == counts(paths["peaked", 4000], (0,))
 
 
 def test_report_is_streamed_from_the_columns(tmp_path, monkeypatch):

@@ -1,9 +1,9 @@
 """Objects the library builds itself equal their rebuild through the public constructors.
 
 Functions and measures hold their knots and atoms as columns (xs, lefts,
-rights; atom_xs, atom_masses); Breakpoint, Atom and UniformPiece are only
-the forms the public constructors take and `breaks`, `atoms` and `pieces`
-list.  Builders whose output is canonical by construction
+rights; atom_xs, atom_masses), and a measure's pieces as the cells of its
+density (abs_density); the public constructors take them as plain tuples.
+Builders whose output is canonical by construction
 (distribution_function, generalized_inverse, lebesgue_decompose, density)
 fill the columns through monotone._trusted, which runs no check; those
 whose cells may repeat a
@@ -11,13 +11,13 @@ density (associated_measure, lebesgue_on, pushforward, the sample measure,
 step_of_slopes, inverse_slope_step) run only the cell merge they share with
 the public constructors.  The oracle rebuilds each result through the
 public constructors (monotone.validate, rebuild_measure, rebuild_step),
-fed from the listings, which raise on invalid data and canonicalise: a
+fed from the columns, which raise on invalid data and canonicalise: a
 result equal to its rebuild, down to the types of its numbers, is valid
 and canonical.
 
 The public PiecewiseMeasure constructor turns its pieces into the cells of
-a step class, and `pieces` lists them back; a second oracle holds those
-listed pieces to a merge of the given pieces written here, which shares no
+a step class; a second oracle holds the nonzero cells of that class to a
+merge of the given pieces written here, which shares no
 code with the cell merge, so a merge that joins pieces it must not (across
 a gap) shows there even though the public rebuild makes the same mistake.
 """
@@ -36,7 +36,6 @@ from monoinv.laws import GenConfig, gen_monotone
 from monoinv.measure import (
     PiecewiseMeasure,
     StepFunction,
-    UniformPiece,
     associated_measure,
     density,
     distribution_function,
@@ -57,15 +56,17 @@ from monoinv.monotone import (
     mass_interval,
     validate,
 )
+from test_measure import atoms_of, pieces_of
 
 oracle_settings = settings(max_examples=150, deadline=None,
                            suppress_health_check=[HealthCheck.too_slow])
 
 
 def rebuild_measure(m: PiecewiseMeasure) -> PiecewiseMeasure:
-    """m rebuilt through the public constructors of the measure, its atoms and its pieces."""
-    return PiecewiseMeasure(m.carrier, tuple((a.x, a.mass) for a in m.atoms),
-                            tuple((p.interval, p.density) for p in m.pieces))
+    """m rebuilt through the public constructor from its atoms and the nonzero
+    cells of its density."""
+    return PiecewiseMeasure(m.carrier, tuple(atoms_of(m)),
+                            tuple((Interval(lo, hi), d) for lo, hi, d in pieces_of(m)))
 
 
 def rebuild_step(f: StepFunction) -> StepFunction:
@@ -91,9 +92,9 @@ def same_as_public(obj) -> bool:
 def _anchors(m: PiecewiseMeasure) -> list:
     """Anchors for distribution_function inside m's carrier: a probe point,
     every atom (the anchor may sit on one) and every finite piece end."""
-    points = {_probe_point(m.carrier), *(a.x for a in m.atoms)}
-    for p in m.pieces:
-        points.update(e for e in (p.interval.lo, p.interval.hi) if is_finite(e))
+    points = {_probe_point(m.carrier), *m.atom_xs}
+    for lo, hi, _ in pieces_of(m):
+        points.update(e for e in (lo, hi) if is_finite(e))
     return sorted(x for x in points if m.carrier.contains(x))
 
 
@@ -131,22 +132,22 @@ def trusted_results(g: PiecewiseMonotone):
     return out
 
 
-def naive_merge(pieces) -> tuple:
-    """Pieces sorted by their lower end, with touching neighbours of equal
-    density joined."""
+def naive_merge(pieces) -> list:
+    """The (interval, density) pieces as (lo, hi, density), sorted by their
+    lower end, with touching neighbours of equal density joined."""
     out = []
-    for p in sorted(pieces, key=lambda p: p.interval.lo):
-        if out and out[-1].interval.hi == p.interval.lo and out[-1].density == p.density:
-            out[-1] = UniformPiece(Interval(out[-1].interval.lo, p.interval.hi), p.density)
+    for iv, d in sorted(pieces, key=lambda p: p[0].lo):
+        if out and out[-1][1] == iv.lo and out[-1][2] == d:
+            out[-1] = (out[-1][0], iv.hi, d)
         else:
-            out.append(p)
-    return tuple(out)
+            out.append((iv.lo, iv.hi, d))
+    return out
 
 
 def pieces_are_merged(carrier, pieces) -> bool:
-    """Does the measure of pieces on carrier list them back merged as naive_merge merges them?"""
-    pieces = [UniformPiece(iv, d) for iv, d in pieces]
-    return PiecewiseMeasure(carrier, (), tuple(pieces)).pieces == naive_merge(pieces)
+    """Are the nonzero cells of the measure of pieces on carrier the pieces
+    as naive_merge merges them?"""
+    return pieces_of(PiecewiseMeasure(carrier, (), tuple(pieces))) == naive_merge(pieces)
 
 
 @st.composite
@@ -226,13 +227,13 @@ def test_public_pieces_equal_naive_merge(parts):
 def test_oracle_catches_associated_measure_without_merge(monkeypatch):
     g = EQUAL_SLOPES_ACROSS_JUMP
     assert same_as_public(associated_measure(g))
-    assert len(associated_measure(g).pieces) == 1
+    assert len(pieces_of(associated_measure(g))) == 1
 
     def unmerged(g):
         return _trusted(StepFunction, carrier=g.domain, knots=g.xs, values=g.slopes)
 
     monkeypatch.setattr(measure, "step_of_slopes", unmerged)
-    assert len(associated_measure(g).pieces) == 2
+    assert len(pieces_of(associated_measure(g))) == 2
     assert not same_as_public(associated_measure(g))
 
 
@@ -249,7 +250,7 @@ def test_oracle_catches_a_removable_knot():
 def test_oracle_catches_a_merge_across_a_gap(monkeypatch):
     g = EQUAL_SLOPES_ACROSS_FLAT
     assert pieces_are_merged(*GAP_BETWEEN_EQUAL_DENSITIES)
-    assert len(associated_measure(g).pieces) == 2
+    assert len(pieces_of(associated_measure(g))) == 2
 
     def drops_gaps_between_equal_cells(knots, values):
         """_merge_cells, except that a zero cell between two cells of equal
@@ -267,7 +268,7 @@ def test_oracle_catches_a_merge_across_a_gap(monkeypatch):
         return tuple(ks), tuple(vs)
 
     monkeypatch.setattr(measure, "_merge_cells", drops_gaps_between_equal_cells)
-    assert len(associated_measure(g).pieces) == 1
+    assert len(pieces_of(associated_measure(g))) == 1
     # the public rebuild runs the same merge; only the naive merge tells
     assert same_as_public(associated_measure(g))
     assert not pieces_are_merged(*GAP_BETWEEN_EQUAL_DENSITIES)
