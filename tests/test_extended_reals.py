@@ -154,6 +154,11 @@ BOUNDARY = {
     "PiecewiseMeasure-atom": lambda v: PiecewiseMeasure(REAL_LINE, ((v, 1),), ()),
     "PiecewiseMeasure-mass": lambda v: PiecewiseMeasure(REAL_LINE, ((0, v),), ()),
     "PiecewiseMeasure-density": lambda v: PiecewiseMeasure(REAL_LINE, (), ((open_iv(0, 1), v),)),
+    # the open mass or density in a later tuple of an unsorted list, so it
+    # passes the sort and, for the atom, the merge with a coinciding atom
+    "Atom": lambda v: PiecewiseMeasure(REAL_LINE, ((1, 1), (0, 1), (0, v)), ()),
+    "UniformPiece": lambda v: PiecewiseMeasure(
+        REAL_LINE, ((0, 1),), ((open_iv(1, 2), 1), (open_iv(0, 1), v))),
     "StepFunction-knot": lambda v: StepFunction(open_iv(0, 2), (v,), (1, 2)),
     "StepFunction-value": lambda v: StepFunction(open_iv(0, 1), (), (v,)),
     "Interval": lambda v: Interval(0, v),
