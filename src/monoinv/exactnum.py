@@ -117,6 +117,14 @@ def as_q(x):
 ZERO = rat(0)
 ONE = rat(1)
 MAX_DIGITS = 4300  # Python's default int-to-str limit
+MAX_SHOWN = 100
+
+
+def shown(value) -> str:
+    """repr(value) for an error message: its first MAX_SHOWN characters and
+    '...' when it is longer, so that echoing an input keeps the message short."""
+    text = repr(value)
+    return text if len(text) <= MAX_SHOWN else text[:MAX_SHOWN] + "..."
 
 
 def parse_ratio_parts(text):
@@ -137,24 +145,24 @@ def parse_ratio_parts(text):
         num = int(num_s.strip())
         den = int(den_s.strip())
         if den <= 0:
-            raise ValueError(f"denominator must be positive in {text!r}")
+            raise ValueError(f"denominator must be positive in {shown(text)}")
         return num, den
     neg = s.startswith("-")
     if s[0] in "+-":
         s = s[1:]
     if not s:
-        raise ValueError(f"not a number: {text!r}")
+        raise ValueError(f"not a number: {shown(text)}")
     if "." in s:
         int_part, frac_part = s.split(".", 1)
         if not (int_part or frac_part):
-            raise ValueError(f"not a number: {text!r}")
+            raise ValueError(f"not a number: {shown(text)}")
         if (int_part and not int_part.isdigit()) or (frac_part and not frac_part.isdigit()):
-            raise ValueError(f"not a decimal: {text!r}")
+            raise ValueError(f"not a decimal: {shown(text)}")
         scale = 10 ** len(frac_part)
         value = int(int_part or "0") * scale + int(frac_part or "0")
         return (-value if neg else value), scale
     if not s.isdigit():
-        raise ValueError(f"not a number: {text!r}")
+        raise ValueError(f"not a number: {shown(text)}")
     value = int(s)
     return (-value if neg else value), 1
 

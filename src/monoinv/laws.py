@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from monoinv import monotone as mono
@@ -303,23 +304,26 @@ def _check_galois(g):
         raise _Skip
     xs = refine_grid(structural_xs(g) + structural_values(h))
     ts = refine_grid(structural_values(g) + structural_xs(h))
-    gl = [(x, evaluate(g, x, LEFT)) for x in xs]
-    hr = [(t, evaluate(h, t, RIGHT)) for t in ts]
-    for x, glx in gl:
-        for t, hrt in hr:
-            above = glx > t
-            right = x > hrt
-            if above != right:
-                raise LawFailure(
-                    f"G_l({x}) > {t} <=> {x} > H_r({t})",
-                    f"{glx} > {t} is {above} but {x} > {hrt} is {right}",
-                    "strict form")
-            at_most = glx <= t
-            left_of = x <= hrt
-            if at_most != left_of:
-                raise LawFailure(
-                    f"G_l({x}) <= {t} <=> {x} <= H_r({t})",
-                    f"{at_most} vs {left_of}", "weak form")
+    hr = [evaluate(h, t, RIGHT) for t in ts]
+    for k in range(1, len(ts)):
+        if hr[k - 1] > hr[k]:
+            raise LawFailure(f"H_r({ts[k - 1]}) <= H_r({ts[k]})",
+                             f"{hr[k - 1]} > {hr[k]}", "H_r non-decreasing on the t grid")
+    # over the sorted t grid, G_l(x) > t holds on a prefix, and so does
+    # x > H_r(t) once H_r is non-decreasing there: every (x, t) pair agrees
+    # iff the two prefixes have the same length.  On the totally ordered
+    # extended line the weak form (<= on both sides) is the pointwise
+    # negation of the strict form, so it holds with it.
+    for x in xs:
+        glx = evaluate(g, x, LEFT)
+        na, nb = bisect_left(ts, glx), bisect_left(hr, x)
+        if na != nb:
+            # the smallest t of the grid on which the two sides disagree
+            t, hrt = ts[min(na, nb)], hr[min(na, nb)]
+            raise LawFailure(
+                f"G_l({x}) > {t} <=> {x} > H_r({t})",
+                f"{glx} > {t} is {glx > t} but {x} > {hrt} is {x > hrt}",
+                "strict form")
 
 
 def _check_double_inv(g):

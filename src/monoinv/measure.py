@@ -275,28 +275,38 @@ def step_compose(f: StepFunction, g: PiecewiseMonotone) -> StepFunction:
 
 def associated_measure(g: PiecewiseMonotone) -> PiecewiseMeasure:
     """Atoms from the jumps of g; the density of the absolutely continuous
-    part is the step class of g's slopes (0 on its flats)."""
+    part is the step class of g's slopes (0 on its flats).  Built once per
+    instance."""
+    return mono._cached(g, "_associated_measure", _build_associated_measure)
+
+
+def _build_associated_measure(g: PiecewiseMonotone) -> PiecewiseMeasure:
     at = jumps(g)
     return _measure(g.domain, tuple(g.xs[i] for i in at),
                     tuple(g.rights[i] - g.lefts[i] for i in at), step_of_slopes(g))
 
 
 def measure_of_open(m: PiecewiseMeasure, lo, hi):
-    """Exact mass of an open interval (lo, hi); POS_INF when infinite."""
+    """Exact mass of an open interval (lo, hi); POS_INF when infinite.
+
+    Bisection finds the atoms inside (lo, hi) and the cells of the density
+    that meet it, so a probe costs the log of the measure's size plus the
+    number of atoms and cells it covers.
+    """
     iv = open_iv(lo, hi)
     if iv.is_empty:
         return ZERO
     total = ZERO
-    for x, mass in zip(m.atom_xs, m.atom_masses):
-        if iv.lo < x < iv.hi:
-            total = total + mass
-    for c_lo, c_hi, v in m.abs_density.cells():
-        if v == 0:
-            continue
-        lo2 = max(iv.lo, c_lo)
-        hi2 = min(iv.hi, c_hi)
-        if lo2 < hi2:
-            length = hi2 - lo2
+    i, j = mono._between(m.atom_xs, iv.lo, iv.hi)
+    for mass in m.atom_masses[i:j]:
+        total = total + mass
+    dens = m.abs_density
+    # cells i..j meet (lo, hi); clipped to it, they run between these ends
+    i, j = mono._between(dens.knots, iv.lo, iv.hi)
+    ends = (max(iv.lo, dens.carrier.lo), *dens.knots[i:j], min(iv.hi, dens.carrier.hi))
+    for a, b, v in zip(ends, ends[1:], dens.values[i:j + 1]):
+        if v != 0 and a < b:
+            length = b - a
             if is_finite(length):
                 total = total + v * length
             else:
@@ -383,9 +393,9 @@ def is_abs_cont_wrt(a: PiecewiseMeasure, b: PiecewiseMeasure) -> bool:
     of cells that overlap on an interval of positive length: the walk
     leaves the cell that ends first, or both when they end together.
     """
-    if a.carrier != b.carrier:
+    if a.carrier is not b.carrier and a.carrier != b.carrier:
         raise CarrierMismatch("absolute continuity needs a common carrier")
-    if not set(a.atom_xs) <= set(b.atom_xs):
+    if a.atom_xs and not set(a.atom_xs) <= set(b.atom_xs):
         return False
     av, bv = a.abs_density.values, b.abs_density.values
     a_ends = (*a.abs_density.knots, a.carrier.hi)
@@ -440,8 +450,9 @@ def pushforward(m: PiecewiseMeasure, t: PiecewiseMonotone) -> PiecewiseMeasure:
                         "a flat of infinite length carries infinite mass to one point")
                 out_atoms[seg.u] += d * length
             else:
-                u = evaluate(t, lo, RIGHT) if is_finite(lo) else seg.u
-                v = evaluate(t, hi, LEFT) if is_finite(hi) else seg.v
+                # the segment table holds the limits at the segment's own ends
+                u = evaluate(t, lo, RIGHT) if seg.a < lo else seg.u
+                v = evaluate(t, hi, LEFT) if hi < seg.b else seg.v
                 out_pieces.append((u, v, d / seg.slope))
 
     carrier = inverse_domain(t)
@@ -464,13 +475,23 @@ def pushforward(m: PiecewiseMeasure, t: PiecewiseMonotone) -> PiecewiseMeasure:
 
 def step_of_slopes(g: PiecewiseMonotone) -> StepFunction:
     """The slopes of g as a step class on its regular domain: the density of
-    the absolutely continuous part of the associated measure."""
+    the absolutely continuous part of the associated measure.  Built once
+    per instance."""
+    return mono._cached(g, "_step_of_slopes", _build_step_of_slopes)
+
+
+def _build_step_of_slopes(g: PiecewiseMonotone) -> StepFunction:
     return _canonical_step(g.domain, g.xs, g.slopes)
 
 
 def inverse_slope_step(g: PiecewiseMonotone) -> StepFunction:
     """Slopes of the generalized inverse of g, as a step class on the
-    inverse's regular domain (the density of the inverse's abs. cont. part)."""
+    inverse's regular domain (the density of the inverse's abs. cont. part).
+    Built once per instance."""
+    return mono._cached(g, "_inverse_slope_step", _build_inverse_slope_step)
+
+
+def _build_inverse_slope_step(g: PiecewiseMonotone) -> StepFunction:
     segs = mono._inverse_segments(g)
     return _canonical_step(inverse_domain(g), [seg.a for seg in segs[1:]],
                            [seg.slope for seg in segs])

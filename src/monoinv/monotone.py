@@ -24,6 +24,8 @@ import enum
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import lt
 from typing import NamedTuple
 
 from monoinv.errors import (
@@ -172,6 +174,11 @@ def _cached(g: PiecewiseMonotone, name: str, build):
 
     Instances are immutable, so a table never goes stale; it lives outside
     the dataclass fields and takes no part in equality, hashing or repr.
+    Every table is an immutable value.  The tables: segments,
+    _inverse_segments, jumps, flats and inverse_domain here;
+    step_of_slopes, associated_measure and inverse_slope_step in measure;
+    the verdict inverse_abs_cont in unimodal.  Each is built by the function
+    of the same name with a _build_ prefix.
     """
     table = g.__dict__.get(name)
     if table is None:
@@ -328,13 +335,18 @@ def _level_x(g: PiecewiseMonotone, seg: Segment, t):
 
 
 def inverse_domain(g: PiecewiseMonotone) -> Interval:
-    """Regular domain of the generalized inverse class, from g alone.
+    """Regular domain of the generalized inverse class, from g alone (built
+    once per instance).
 
     Where the domain of g has a finite endpoint the embedded function jumps
     to -inf/+inf there, so the inverse stays real (a constant tail) beyond
     the corresponding value bound; where the endpoint is infinite the
     inverse's domain stops at the value bound.
     """
+    return _cached(g, "_inverse_domain", _build_inverse_domain)
+
+
+def _build_inverse_domain(g: PiecewiseMonotone) -> Interval:
     m, M = value_bounds(g)
     lo = NEG_INF if is_finite(g.domain.lo) else m
     hi = POS_INF if is_finite(g.domain.hi) else M
@@ -372,9 +384,14 @@ def supporting_interval(g: PiecewiseMonotone) -> Interval:
 # structure queries
 
 
-def flats(g: PiecewiseMonotone) -> list[tuple[Interval, object]]:
-    """Maximal open intervals where g is constant, with the constant value."""
-    return [(Interval(seg.a, seg.b), seg.u) for seg in segments(g) if seg.slope == 0]
+def flats(g: PiecewiseMonotone) -> tuple[tuple[Interval, object], ...]:
+    """Maximal open intervals where g is constant, with the constant value
+    (built once per instance)."""
+    return _cached(g, "_flats", _build_flats)
+
+
+def _build_flats(g: PiecewiseMonotone) -> tuple[tuple[Interval, object], ...]:
+    return tuple((Interval(seg.a, seg.b), seg.u) for seg in segments(g) if seg.slope == 0)
 
 
 def constancy_set(g: PiecewiseMonotone, within: Interval | None = None) -> list[Interval]:
@@ -391,9 +408,14 @@ def constancy_set(g: PiecewiseMonotone, within: Interval | None = None) -> list[
     return out
 
 
-def jumps(g: PiecewiseMonotone) -> list[int]:
-    """Indices of the interior jump knots: the i with g.lefts[i] < g.rights[i]."""
-    return [i for i, (left, right) in enumerate(zip(g.lefts, g.rights)) if left < right]
+def jumps(g: PiecewiseMonotone) -> tuple[int, ...]:
+    """Indices of the interior jump knots: the i with g.lefts[i] < g.rights[i]
+    (built once per instance)."""
+    return _cached(g, "_jumps", _build_jumps)
+
+
+def _build_jumps(g: PiecewiseMonotone) -> tuple[int, ...]:
+    return tuple(compress(range(len(g.xs)), map(lt, g.lefts, g.rights)))
 
 
 def jump_count_extended(g: PiecewiseMonotone) -> int:
@@ -425,6 +447,7 @@ def _inverse_segments(g: PiecewiseMonotone) -> tuple[Segment, ...]:
 def _build_inverse_segments(g: PiecewiseMonotone) -> tuple[Segment, ...]:
     gsegs = segments(g)
     xs, lefts, rights = g.xs, g.lefts, g.rights
+    at = set(jumps(g))
     out = []
     if is_finite(g.domain.lo):
         out.append(Segment(NEG_INF, gsegs[0].u, g.domain.lo, g.domain.lo, ZERO))
@@ -434,7 +457,7 @@ def _build_inverse_segments(g: PiecewiseMonotone) -> tuple[Segment, ...]:
         if s != 0:
             # the reciprocal of s > 0, without the number type's reflected 1 / s
             out.append(Segment(seg.u, seg.v, seg.a, seg.b, rat(s.denominator, s.numerator)))
-        if i < len(xs) and lefts[i] < rights[i]:
+        if i in at:
             out.append(Segment(lefts[i], rights[i], xs[i], xs[i], ZERO))
     if is_finite(g.domain.hi):
         out.append(Segment(gsegs[-1].v, POS_INF, g.domain.hi, g.domain.hi, ZERO))
@@ -452,10 +475,9 @@ def generalized_inverse(g: PiecewiseMonotone) -> PiecewiseMonotone:
     removable, and the result skips the public constructor.
     """
     segs = _inverse_segments(g)
-    slopes = tuple(seg.slope for seg in segs)
-    lefts = tuple(seg.v for seg in segs[:-1])
-    rights = tuple(seg.u for seg in segs[1:])
-    if all(s == 0 for s in slopes) and lefts == rights:
+    starts, _, us, vs, slopes = zip(*segs)  # the table's columns
+    lefts, rights = vs[:-1], us[1:]
+    if not any(slopes) and lefts == rights:
         raise ConstantFunction("the generalized inverse would be constant")
 
     anchor = None
@@ -464,7 +486,7 @@ def generalized_inverse(g: PiecewiseMonotone) -> PiecewiseMonotone:
         probe = _probe_point(Interval(segs[0].a, segs[0].b))
         anchor = (probe, _level_x(g, next(seg for seg in segments(g) if seg.slope != 0), probe))
     return _trusted(PiecewiseMonotone, domain=inverse_domain(g), slopes=slopes, anchor=anchor,
-                    xs=tuple(seg.a for seg in segs[1:]), lefts=lefts, rights=rights)
+                    xs=starts[1:], lefts=lefts, rights=rights)
 
 
 def _probe_point(iv: Interval):
@@ -579,29 +601,40 @@ def _knot_limits(xs, jumps, slopes, x0, v0) -> tuple[list, list]:
 
 
 def structural_xs(g: PiecewiseMonotone) -> list:
-    """Finite x-coordinates where the structure of g changes."""
-    pts = [*g.xs, g.domain.lo, g.domain.hi]
-    if g.anchor is not None:
-        pts.append(g.anchor[0])
-    return sorted({x for x in pts if is_finite(x)})
+    """Finite x-coordinates where the structure of g changes, increasing:
+    the finite ends of its domain and its knots, or its anchor when it has
+    no knots."""
+    inner = g.xs if g.anchor is None else (g.anchor[0],)
+    return [x for x in (g.domain.lo, *inner, g.domain.hi) if is_finite(x)]
 
 
 def structural_values(g: PiecewiseMonotone) -> list:
-    """Finite values attained or approached at the structure points of g."""
-    vals = [*g.lefts, *g.rights, *value_bounds(g)]
-    if g.anchor is not None:
-        vals.append(g.anchor[1])
-    return sorted({v for v in vals if is_finite(v)})
+    """Finite values attained or approached at the structure points of g,
+    increasing.
+
+    Read left to right, g's bounds, its limits at the knots (or its anchor
+    value when it has no knots) never decrease, so equal values are
+    neighbours: one pass drops them, with no sort.
+    """
+    m, M = value_bounds(g)
+    inner = chain.from_iterable(zip(g.lefts, g.rights)) if g.anchor is None else (g.anchor[1],)
+    return _distinct(v for v in (m, *inner, M) if is_finite(v))
+
+
+def _distinct(ordered) -> list:
+    """The non-decreasing values of ordered, each once."""
+    out = []
+    for v in ordered:
+        if not (out and out[-1] == v):
+            out.append(v)
+    return out
 
 
 def refine_grid(points: list) -> list:
     """Sorted distinct points, plus midpoints, plus one step past each end."""
-    pts = sorted(set(points))
-    if not pts:
-        pts = [rat(0)]
-    out = set(pts)
+    pts = _distinct(sorted(points)) or [rat(0)]
+    out = [pts[0] - 1]
     for a, b in zip(pts, pts[1:]):
-        out.add((a + b) / 2)
-    out.add(pts[0] - 1)
-    out.add(pts[-1] + 1)
-    return sorted(out)
+        out += (a, (a + b) / 2)
+    out += (pts[-1], pts[-1] + 1)
+    return out

@@ -8,7 +8,7 @@ never emitted as JSON floats, so serialized values round-trip bit-exactly.
 from __future__ import annotations
 
 from monoinv.errors import CarrierMismatch
-from monoinv.exactnum import fmt_ratio, parse_ratio
+from monoinv.exactnum import fmt_ratio, parse_ratio, shown
 from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, Interval, is_finite
 from monoinv.measure import PiecewiseMeasure, StepFunction
 from monoinv.monotone import PiecewiseMonotone
@@ -124,7 +124,7 @@ def _number(raw, what, parse=parse_ratio):
     """The string raw read by parse; what names the field in the error."""
     if not isinstance(raw, str):
         kind = "" if parse is str_to_er else " ('p/q' or decimal)"
-        raise _ParseError(f"{what} must be a string{kind}, got {raw!r}")
+        raise _ParseError(f"{what} must be a string{kind}, got {shown(raw)}")
     try:
         return parse(raw)
     except ValueError as e:

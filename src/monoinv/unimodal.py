@@ -23,7 +23,13 @@ from monoinv.measure import (
     inverse_slope_step,
     step_of_slopes,
 )
-from monoinv.monotone import PiecewiseMonotone, extend_to_real_line, inverse_domain, jumps
+from monoinv.monotone import (
+    PiecewiseMonotone,
+    _cached,
+    extend_to_real_line,
+    inverse_domain,
+    jumps,
+)
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,17 @@ def _slope_hull(g: PiecewiseMonotone, rise_first: bool) -> ModalInterval | None:
     return _switch_hull(g.slopes, [g.domain.lo, *g.xs, g.domain.hi], rise_first)
 
 
+def inverse_abs_cont(g: PiecewiseMonotone) -> bool:
+    """Is the generalized inverse of g absolutely continuous on its whole
+    regular domain?  Decided once per instance, for classify and
+    quantile_density alike."""
+    return _cached(g, "_inverse_abs_cont", _build_inverse_abs_cont)
+
+
+def _build_inverse_abs_cont(g: PiecewiseMonotone) -> bool:
+    return gen_inverse_abs_cont(g, inverse_domain(g))
+
+
 @dataclass(frozen=True)
 class Classification:
     """Unimodality verdicts for a distribution-function-shaped class.
@@ -172,7 +189,7 @@ def classify(f: PiecewiseMonotone) -> Classification:
 
     dens_ok, _ = is_quasi_concave(step_of_slopes(g), extend_by_zero=True)
 
-    qf_ac = gen_inverse_abs_cont(g, inverse_domain(g))
+    qf_ac = inverse_abs_cont(g)
     if qf_ac:
         qdens = inverse_slope_step(g)
         quantile_unimodal, quantile_modes = is_quasi_convex(qdens)
@@ -217,7 +234,7 @@ def quantile_density(f: PiecewiseMonotone) -> StepFunction:
     of the inverse's slopes.
     """
     g = extend_to_real_line(f)
-    if not gen_inverse_abs_cont(g, inverse_domain(g)):
+    if not inverse_abs_cont(g):
         raise QfNotAbsolutelyContinuous(
             "the generalized inverse has an interior jump; no quantile density exists")
     return inverse_slope_step(g)

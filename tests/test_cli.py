@@ -208,6 +208,26 @@ def test_json_number_cap(spec_file, doc, digits, code, stderr):
     assert len(r.stderr) <= 200
 
 
+@pytest.mark.parametrize("source", ["samples", "spec"])
+def test_error_lines_show_the_start_of_a_long_input(tmp_path, spec_file, source):
+    # an input echoed in an error line is cut to the first 100 characters of
+    # its repr; shorter ones are echoed whole (test_spec_errors_name_the_fault)
+    if source == "samples":
+        path = tmp_path / "samples.txt"
+        path.write_text("0\n1\n" + "x" * 300_000 + "\n")
+        args = ["--samples", str(path)]
+        stderr = "error: line 3: not a number: '" + "x" * 99 + "...\n"
+    else:
+        args = ["--spec", spec_file({"atoms": [{"x": [1] * 100_000, "mass": "1"}]})]
+        stderr = ("error: atom #0 x must be a string ('p/q' or decimal), got ["
+                  + "1, " * 33 + "...\n")
+    started = time.perf_counter()
+    r = CliRunner().invoke(cli.main, ["classify", *args])
+    assert time.perf_counter() - started < 1
+    assert (r.exit_code, r.stdout, r.stderr) == (1, "", stderr)
+    assert len(r.stderr) <= 200
+
+
 @pytest.mark.parametrize("command", ["classify", "invert", "qdensity", "decompose", "ingest",
                                      "verify"])
 def test_unwritable_out_names_the_file(spec_file, tmp_path, command):

@@ -9,6 +9,10 @@ The cases of tied_gauss_300 (300 values round(gauss(0, 1), 2) from
 random.Random(14), written with two decimals: ties, uneven gaps and one
 "-0.00") were recorded by the CLI just before measures stored their
 density as a step class instead of a list of pieces.
+The cases of peaked_1000 were recorded by the CLI just before the derived
+tables of a function were memoized.  Its 1000 points need no seed: point 0
+is 0 and gap k is (|k - 500| + 1)/1000, so the interpolated density strictly
+rises, then falls, and classify takes its unimodal branch at sample scale.
 A case may carry extra command-line `args` (`--plot-points N`); its report
 then lives in `<input>.<command>.<args>.out`, e.g.
 `bimodal.invert.plot-points_7.out`.

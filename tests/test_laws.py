@@ -1,9 +1,15 @@
+import os
+import random
+
 import pytest
 
+from monoinv import laws
+from monoinv.cli import read_samples, samples_to_measure
 from monoinv.errors import UnknownLaw
-from monoinv.exactnum import parse_ratio
+from monoinv.exactnum import parse_ratio, rat
 from monoinv.intervals import Interval, is_finite
 from monoinv.laws import LAW_IDS, CheckReport, GenConfig, gen_monotone, run_law
+from monoinv.measure import distribution_function
 from monoinv.monotone import (
     PiecewiseMonotone,
     flats,
@@ -157,3 +163,36 @@ def test_inverse_rule_runs_through_step_compose(monkeypatch):
     assert rep.eligible > 0
     assert not rep.passed
     assert rep.failures[0]["note"].startswith("inverse-function rule")
+
+
+def test_ac_equiv_builds_one_associated_measure_per_instance(count_calls):
+    # each of AC_EQUIV's up to six intervals reads the same associated measure
+    from monoinv import measure
+
+    calls = count_calls(measure, "_build_associated_measure")
+    rep = run_law("AC_EQUIV", 50, GenConfig(seed=20260808))
+    assert rep.passed and rep.eligible == 50
+    assert 0 < calls[0] <= 50
+
+
+def test_every_law_holds_at_sample_scale(tmp_path):
+    # every check on the distribution function of three sample files: the
+    # uniform grid (one flat density), the single-peaked file (a density
+    # that strictly rises, then falls) and 2,000 Gaussian values.  QF_AC and
+    # DECOMP skip a function that is not unimodal, but no law skips all three.
+    data = os.path.join(os.path.dirname(__file__), "data")
+    gauss = tmp_path / "gauss_2000.txt"
+    rng = random.Random(2000)
+    gauss.write_text("".join(f"{rng.gauss(0.0, 1.0):.6f}\n" for _ in range(2000)))
+    ran = {law: [] for law in LAW_IDS}
+    for path in (os.path.join(data, "uniform_grid_1000.csv"),
+                 os.path.join(data, "peaked_1000.csv"), str(gauss)):
+        f = distribution_function(samples_to_measure(read_samples(path, header=False),
+                                                     allow_degenerate=False), rat(0))
+        for law in LAW_IDS:
+            try:
+                laws._REGISTRY[law][1](f)
+            except laws._Skip:
+                continue
+            ran[law].append(os.path.basename(path))
+    assert all(ran.values()), ran

@@ -1,0 +1,332 @@
+"""The memoized tables and the two fast law checks, against slow references.
+
+A PiecewiseMonotone keeps each table derived from it (monotone._cached):
+every one must equal its builder applied to a fresh copy of the function,
+and a second call must return the same object.
+
+GALOIS compares two prefix lengths per grid point x by bisection, and
+measure.measure_of_open bisects to the atoms and cells that can meet its
+interval.  The loops they replaced are kept here as oracles: the check of
+every (x, t) pair of the grids, and the scan of every atom and cell.  The
+fast paths must give the same verdicts and the same failure texts, also
+with a fault planted in what the check reads, and a one-point mutant of
+each fast path must be told apart from its oracle.
+"""
+
+import contextlib
+import glob
+import json
+import os
+
+from bisect import bisect_right
+from unittest import mock
+
+import pytest
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from monoinv import laws, measure, monotone, unimodal
+from monoinv.cli import _default_anchor
+from monoinv.errors import ConstantFunction
+from monoinv.exactnum import ZERO
+from monoinv.intervals import NEG_INF, POS_INF, is_finite, open_iv
+from monoinv.laws import GenConfig, LawFailure, gen_monotone
+from monoinv.measure import (
+    associated_measure,
+    distribution_function,
+    lebesgue_decompose,
+    lebesgue_on,
+    measure_of_open,
+)
+from monoinv.monotone import (
+    LEFT,
+    RIGHT,
+    PiecewiseMonotone,
+    generalized_inverse,
+    mass_interval,
+    refine_grid,
+    structural_values,
+    structural_xs,
+    validate,
+)
+from monoinv.serialize import spec_to_measure
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
+
+oracle_settings = settings(max_examples=150, deadline=None,
+                           suppress_health_check=[HealthCheck.too_slow])
+
+# (public accessor, builder) of every memoized table
+TABLES = [
+    (monotone.segments, monotone._build_segments),
+    (monotone._inverse_segments, monotone._build_inverse_segments),
+    (monotone.jumps, monotone._build_jumps),
+    (monotone.flats, monotone._build_flats),
+    (monotone.inverse_domain, monotone._build_inverse_domain),
+    (measure.step_of_slopes, measure._build_step_of_slopes),
+    (measure.associated_measure, measure._build_associated_measure),
+    (measure.inverse_slope_step, measure._build_inverse_slope_step),
+    (unimodal.inverse_abs_cont, unimodal._build_inverse_abs_cont),
+]
+
+
+@st.composite
+def instances(draw):
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    max_knots = draw(st.integers(min_value=1, max_value=12))
+    unimodal = draw(st.booleans())
+    return gen_monotone(GenConfig(seed=seed, max_knots=max_knots, force_unimodal=unimodal))
+
+
+def seeded_instances(count=60):
+    """Law-generator instances at fixed seeds, half of them unimodal."""
+    return [gen_monotone(GenConfig(seed=seed, max_knots=8, force_unimodal=seed % 2 == 1))
+            for seed in range(count)]
+
+
+def golden_functions():
+    """The distribution function of each golden spec and its generalized inverse."""
+    out = []
+    for path in sorted(glob.glob(os.path.join(GOLDEN, "*.json"))):
+        if path.endswith("cases.json"):
+            continue
+        with open(path, encoding="utf-8") as fh:
+            m = spec_to_measure(json.load(fh))
+        f = distribution_function(m, _default_anchor(m.carrier))
+        out.append(f)
+        try:
+            out.append(generalized_inverse(f))
+        except ConstantFunction:
+            pass
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the memo
+
+
+def test_golden_specs_are_read():
+    assert len(golden_functions()) >= 6
+
+
+@pytest.mark.parametrize("source", ["laws", "golden"])
+def test_each_table_is_its_builder_on_a_fresh_copy_and_is_kept(source):
+    functions = seeded_instances() if source == "laws" else golden_functions()
+    for g in functions:
+        for table, build in TABLES:
+            kept = table(g)
+            fresh = build(validate(g))  # an equal instance that holds no tables
+            assert kept == fresh and repr(kept) == repr(fresh), (table.__name__, g)
+            assert table(g) is kept, table.__name__
+
+
+def test_tables_take_no_part_in_equality_hash_or_repr():
+    for g in seeded_instances(20):
+        bare = validate(g)
+        before = repr(g)
+        for table, _ in TABLES:
+            table(g)
+        assert g == bare and hash(g) == hash(bare) and repr(g) == repr(bare) == before
+
+
+def grids_by_sets(g):
+    """structural_xs, structural_values and refine_grid of the first, as
+    sorted sets of every candidate point."""
+    xs = [*g.xs, g.domain.lo, g.domain.hi]
+    values = [*g.lefts, *g.rights, *monotone.value_bounds(g)]
+    if g.anchor is not None:
+        xs.append(g.anchor[0])
+        values.append(g.anchor[1])
+    xs = sorted({x for x in xs if is_finite(x)})
+    values = sorted({v for v in values if is_finite(v)})
+    pts = sorted(set(xs)) or [ZERO]
+    refined = set(pts) | {(a + b) / 2 for a, b in zip(pts, pts[1:])}
+    return xs, values, sorted(refined | {pts[0] - 1, pts[-1] + 1})
+
+
+@pytest.mark.parametrize("source", ["laws", "golden"])
+def test_structure_grids_equal_their_set_definitions(source):
+    # the grids are read off the columns in order, with no set and no sort
+    for g in seeded_instances() if source == "laws" else golden_functions():
+        xs = structural_xs(g)
+        assert (xs, structural_values(g), refine_grid(xs)) == grids_by_sets(g)
+
+
+# ---------------------------------------------------------------------------
+# GALOIS
+
+
+def galois_all_pairs(g):
+    """laws._check_galois as the loop over every (x, t) pair of the grids
+    states it, reading the inverse and the evaluations from laws."""
+    h = laws._materialized_inverse(g)
+    if h is None:
+        raise laws._Skip
+    xs = refine_grid(structural_xs(g) + structural_values(h))
+    ts = refine_grid(structural_values(g) + structural_xs(h))
+    gl = [(x, laws.evaluate(g, x, LEFT)) for x in xs]
+    hr = [(t, laws.evaluate(h, t, RIGHT)) for t in ts]
+    for x, glx in gl:
+        for t, hrt in hr:
+            above = glx > t
+            right = x > hrt
+            if above != right:
+                raise LawFailure(
+                    f"G_l({x}) > {t} <=> {x} > H_r({t})",
+                    f"{glx} > {t} is {above} but {x} > {hrt} is {right}",
+                    "strict form")
+            at_most = glx <= t
+            left_of = x <= hrt
+            if at_most != left_of:
+                raise LawFailure(
+                    f"G_l({x}) <= {t} <=> {x} <= H_r({t})",
+                    f"{at_most} vs {left_of}", "weak form")
+
+
+def outcome(check, g):
+    """'pass', 'skip', or the text of the LawFailure check(g) raises."""
+    try:
+        check(g)
+    except laws._Skip:
+        return "skip"
+    except LawFailure as failure:
+        return str(failure)
+    return "pass"
+
+
+def _right_for_left(g, x, version=RIGHT):
+    return monotone.evaluate(g, x, RIGHT)
+
+
+def _shifted_inverse(g):
+    """The generalized inverse of g + 1 in place of that of g."""
+    lefts, rights = (tuple(v + 1 for v in col) for col in (g.lefts, g.rights))
+    anchor = None if g.anchor is None else (g.anchor[0], g.anchor[1] + 1)
+    try:
+        return generalized_inverse(PiecewiseMonotone(
+            g.domain, tuple(zip(g.xs, lefts, rights)), g.slopes, anchor))
+    except ConstantFunction:
+        return None
+
+
+# faults planted in what the check reads; each keeps H_r non-decreasing
+FAULTS = {
+    "none": {},
+    "left-version-read-as-right": {"evaluate": _right_for_left},
+    "inverse-of-a-shifted-function": {"_materialized_inverse": _shifted_inverse},
+}
+
+
+def planted(fault):
+    if not FAULTS[fault]:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(laws, **FAULTS[fault])
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@oracle_settings
+@given(g=instances())
+def test_galois_agrees_with_all_pairs(fault, g):
+    with planted(fault):
+        assert outcome(laws._check_galois, g) == outcome(galois_all_pairs, g)
+
+
+@pytest.mark.parametrize("fault", [f for f in FAULTS if f != "none"])
+def test_planted_faults_fail_galois_with_the_same_text(fault):
+    failed = 0
+    with planted(fault):
+        for g in seeded_instances():
+            got = outcome(laws._check_galois, g)
+            assert got == outcome(galois_all_pairs, g)
+            failed += got not in ("pass", "skip")
+    assert failed >= 10
+
+
+def test_galois_names_a_decreasing_pair_of_the_inverse():
+    def reversed_right(g, x, version=RIGHT):
+        value = monotone.evaluate(g, x, version)
+        return -value if version is RIGHT else value
+
+    g = next(g for g in seeded_instances() if laws._materialized_inverse(g) is not None)
+    with mock.patch.object(laws, "evaluate", reversed_right):
+        with pytest.raises(LawFailure) as failure:
+            laws._check_galois(g)
+    assert failure.value.note == "H_r non-decreasing on the t grid"
+    assert failure.value.expected.startswith("H_r(")
+
+
+def test_galois_mutant_is_caught_by_all_pairs(monkeypatch):
+    # bisect_right counts the t <= G_l(x) and the H_r(t) <= x: the prefixes
+    # of the weak form, one step off wherever G_l(x) or x is on the grid
+    monkeypatch.setattr(laws, "bisect_left", bisect_right)
+    told_apart = sum(outcome(laws._check_galois, g) != outcome(galois_all_pairs, g)
+                     for g in seeded_instances())
+    assert told_apart >= 10
+
+
+# ---------------------------------------------------------------------------
+# measure_of_open
+
+
+def measure_of_open_full_scan(m, lo, hi):
+    """measure_of_open as a scan of every atom and every cell."""
+    iv = open_iv(lo, hi)
+    if iv.is_empty:
+        return ZERO
+    total = ZERO
+    for x, mass in zip(m.atom_xs, m.atom_masses):
+        if iv.lo < x < iv.hi:
+            total = total + mass
+    for c_lo, c_hi, v in m.abs_density.cells():
+        if v == 0:
+            continue
+        lo2 = max(iv.lo, c_lo)
+        hi2 = min(iv.hi, c_hi)
+        if lo2 < hi2:
+            length = hi2 - lo2
+            if is_finite(length):
+                total = total + v * length
+            else:
+                return POS_INF
+    return total
+
+
+def probes(g):
+    """Measures made from g, and the open intervals between points of a
+    grid through its structure points, its domain's ends and beyond."""
+    mu = associated_measure(g)
+    measures = [mu, *lebesgue_decompose(mu), lebesgue_on(mass_interval(g), g.domain)]
+    pts = [NEG_INF, *refine_grid(structural_xs(g)), POS_INF]
+    return measures, [(a, b) for i, a in enumerate(pts) for b in pts[i + 1:]]
+
+
+def mismatches(g):
+    measures, intervals = probes(g)
+    return sum(measure_of_open(m, a, b) != measure_of_open_full_scan(m, a, b)
+               for m in measures for a, b in intervals)
+
+
+@settings(oracle_settings, max_examples=60)
+@given(instances())
+@example(PiecewiseMonotone(open_iv(0, 4), ((1, 0, 1), (2, 2, 2)), (1, 1, 0)))
+def test_measure_of_open_agrees_with_the_full_scan(g):
+    measures, intervals = probes(g)
+    for m in measures:
+        for a, b in intervals:
+            got = measure_of_open(m, a, b)
+            want = measure_of_open_full_scan(m, a, b)
+            assert got == want and repr(got) == repr(want), (m, a, b)
+
+
+def test_measure_of_open_mutant_is_caught_by_the_full_scan(monkeypatch):
+    # one cell short at the upper end of the range: the last cell that
+    # meets (lo, hi) is read as running to hi, and the last atom is missed
+    between = monotone._between
+
+    def short_by_one(xs, lo, hi):
+        i, j = between(xs, lo, hi)
+        return i, max(i, j - 1)
+
+    monkeypatch.setattr(monotone, "_between", short_by_one)
+    assert sum(mismatches(g) > 0 for g in seeded_instances(20)) >= 10

@@ -26,6 +26,7 @@ import hashlib
 import json
 import os
 import random
+import subprocess
 import sys
 import tracemalloc
 
@@ -77,6 +78,10 @@ def test_table_builds_do_not_grow_with_points(tmp_path, build_counts, command):
     ("classify", measure, "inverse_slope_step", 1),
     ("classify", monotone, "extend_to_real_line", 1),
     ("classify", monotone, "_build_inverse_segments", 1),
+    ("classify", monotone, "_build_jumps", 1),
+    ("classify", monotone, "_build_flats", 1),
+    ("classify", measure, "_build_step_of_slopes", 1),
+    ("classify", measure, "_build_associated_measure", 1),
     ("invert", monotone, "_build_inverse_segments", 1),
     ("qdensity", monotone, "_build_inverse_segments", 1),
     ("classify", cli, "spec_to_measure", 0),
@@ -242,18 +247,25 @@ def _comb(n):
     return a, b
 
 
-def test_abs_cont_comparisons_grow_linearly(monkeypatch):
-    # the walk meets each pair of overlapping cells once; a scan of all of
-    # b's pieces per piece of a makes n * n / 2 comparisons.  The measures
-    # stay on Fraction, whose comparisons can be counted, on either backend.
-    monkeypatch.setattr(exactnum, "Q", fractions.Fraction)
+def count_fraction_comparisons(set_attribute=setattr):
+    """From now on, count the comparisons of Fraction values, patching
+    Fraction through set_attribute; returns the count, a one-element list."""
     calls = [0]
     for name in ("_richcmp", "__eq__"):
         def counting(self, *args, compare=getattr(fractions.Fraction, name)):
             calls[0] += 1
             return compare(self, *args)
 
-        monkeypatch.setattr(fractions.Fraction, name, counting)
+        set_attribute(fractions.Fraction, name, counting)
+    return calls
+
+
+def test_abs_cont_comparisons_grow_linearly(monkeypatch):
+    # the walk meets each pair of overlapping cells once; a scan of all of
+    # b's pieces per piece of a makes n * n / 2 comparisons.  The measures
+    # stay on Fraction, whose comparisons can be counted, on either backend.
+    monkeypatch.setattr(exactnum, "Q", fractions.Fraction)
+    calls = count_fraction_comparisons(monkeypatch.setattr)
     per_size = {}
     for n in (1000, 4000):
         a, b = _comb(n)
@@ -262,6 +274,46 @@ def test_abs_cont_comparisons_grow_linearly(monkeypatch):
         assert not measure.is_abs_cont_wrt(b, a)
         per_size[n] = calls[0]
     assert per_size[4000] <= 4 * per_size[1000] + 16
+
+
+# prints the comparisons laws.<argv[1]> makes on the distribution function
+# of each sample file argv[2:], one line each
+_COUNT_CHECK_COMPARISONS = """
+import sys
+from monoinv import cli, exactnum, laws, measure
+from test_scaling import count_fraction_comparisons
+check = getattr(laws, sys.argv[1])
+calls = count_fraction_comparisons()
+for path in sys.argv[2:]:
+    m = cli.samples_to_measure(cli.read_samples(path, header=False), False)
+    f = measure.distribution_function(m, exactnum.rat(0))
+    calls[0] = 0
+    check(f)
+    print(calls[0])
+"""
+
+
+@pytest.mark.parametrize("check", ["_check_galois", "_check_cont_equiv"])
+def test_law_check_comparisons_grow_with_n_log_n(tmp_path, check):
+    # GALOIS bisects once into the t grid and once into the H_r values per
+    # point x of its grid, and CONT_EQUIV's measure_of_open bisects to the
+    # atoms and cells of each probe; comparing every (x, t) pair, or every
+    # cell per probe, grows four-fold when the points double.  The count
+    # runs on the pure backend, in a fresh interpreter: its numbers are
+    # Fractions, whose comparisons can be counted, whichever backend this
+    # process runs.
+    paths = []
+    for n in (1000, 2000):
+        paths.append(tmp_path / f"{n}.txt")
+        _gaussian_samples(paths[-1], n, seed=n)
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, MONOINV_BACKEND="pure", PYTHONPATH=os.pathsep.join(
+        [os.path.join(here, "..", "src"), here, os.environ.get("PYTHONPATH", "")]))
+    r = subprocess.run([sys.executable, "-c", _COUNT_CHECK_COMPARISONS, check, *map(str, paths)],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    small, large = map(int, r.stdout.split())
+    assert large <= 2.5 * small, (small, large)
 
 
 def _primes(count):

@@ -158,10 +158,24 @@ def instances(draw):
     return gen_monotone(GenConfig(seed=seed, max_knots=max_knots, force_unimodal=unimodal))
 
 
-# slope 1 on both sides of a unit jump: two touching pieces of density 1
-EQUAL_SLOPES_ACROSS_JUMP = from_knot_data(REAL_LINE, [0], [1], [1, 1], -1, 0)
-# slope 1 on both sides of a flat: two pieces of density 1 with a gap between
-EQUAL_SLOPES_ACROSS_FLAT = from_knot_data(REAL_LINE, [0, 1], [0, 0], [1, 0, 1], -1, 0)
+def equal_slopes_across_jump():
+    """Slope 1 on both sides of a unit jump: two touching pieces of density 1.
+
+    Each call makes a fresh instance.  A function keeps the tables it has
+    derived (associated_measure among them), so a test that patches a
+    builder needs an instance no earlier call has derived a table from.
+    """
+    return from_knot_data(REAL_LINE, [0], [1], [1, 1], -1, 0)
+
+
+def equal_slopes_across_flat():
+    """Slope 1 on both sides of a flat: two pieces of density 1 with a gap
+    between; a fresh instance on each call."""
+    return from_knot_data(REAL_LINE, [0, 1], [0, 0], [1, 0, 1], -1, 0)
+
+
+EQUAL_SLOPES_ACROSS_JUMP = equal_slopes_across_jump()
+EQUAL_SLOPES_ACROSS_FLAT = equal_slopes_across_flat()
 
 
 @oracle_settings
@@ -225,7 +239,7 @@ def test_public_pieces_equal_naive_merge(parts):
 
 
 def test_oracle_catches_associated_measure_without_merge(monkeypatch):
-    g = EQUAL_SLOPES_ACROSS_JUMP
+    g = equal_slopes_across_jump()
     assert same_as_public(associated_measure(g))
     assert len(pieces_of(associated_measure(g))) == 1
 
@@ -233,6 +247,7 @@ def test_oracle_catches_associated_measure_without_merge(monkeypatch):
         return _trusted(StepFunction, carrier=g.domain, knots=g.xs, values=g.slopes)
 
     monkeypatch.setattr(measure, "step_of_slopes", unmerged)
+    g = equal_slopes_across_jump()
     assert len(pieces_of(associated_measure(g))) == 2
     assert not same_as_public(associated_measure(g))
 
@@ -248,7 +263,7 @@ def test_oracle_catches_a_removable_knot():
 
 
 def test_oracle_catches_a_merge_across_a_gap(monkeypatch):
-    g = EQUAL_SLOPES_ACROSS_FLAT
+    g = equal_slopes_across_flat()
     assert pieces_are_merged(*GAP_BETWEEN_EQUAL_DENSITIES)
     assert len(pieces_of(associated_measure(g))) == 2
 
@@ -268,6 +283,7 @@ def test_oracle_catches_a_merge_across_a_gap(monkeypatch):
         return tuple(ks), tuple(vs)
 
     monkeypatch.setattr(measure, "_merge_cells", drops_gaps_between_equal_cells)
+    g = equal_slopes_across_flat()
     assert len(pieces_of(associated_measure(g))) == 1
     # the public rebuild runs the same merge; only the naive merge tells
     assert same_as_public(associated_measure(g))
