@@ -8,9 +8,10 @@ report is written to its sink as it is formatted, once the analysis is done.
 
 A sample file (--samples) is parsed once, line by line, to integer
 numerators and denominators, sorted into runs of tied values in one pass
-(read_samples), and built straight into the empirical measure
-(samples_to_measure); ingest prints the same runs as a spec
-(samples_to_spec).
+(read_samples), and built straight into the empirical distribution function
+from prefix counts (samples_to_function; classify, invert, qdensity) or into
+the empirical measure (samples_to_measure; decompose); ingest prints the
+same runs as a spec (samples_to_spec).
 
 Exit codes:
   0  success (classify: the distribution is unimodal)
@@ -36,7 +37,8 @@ import json
 import os
 import sys
 
-from itertools import groupby
+from bisect import bisect_right
+from itertools import accumulate, groupby
 
 import click
 
@@ -54,6 +56,7 @@ from monoinv.measure import (
     PiecewiseMeasure,
     _canonical_step,
     _measure,
+    associated_measure,
     density,
     distribution_function,
     lebesgue_decompose,
@@ -61,6 +64,7 @@ from monoinv.measure import (
 from monoinv.monotone import (
     PiecewiseMonotone,
     _probe_point,
+    _trusted,
     generalized_inverse,
     inverse_domain,
     inverse_mass_interval,
@@ -204,6 +208,39 @@ def samples_to_measure(samples, allow_degenerate: bool) -> PiecewiseMeasure:
                     tuple(rat(c - 1, n1) for _, c in tied), dens)
 
 
+def samples_to_function(samples, anchor) -> PiecewiseMonotone:
+    """The distribution function of samples_to_measure(samples), anchored
+    to 0 at the rational anchor, from read_samples' runs of two or more
+    distinct values.
+
+    With S samples below a value v of c samples, F(v-) = S/(n-1) and
+    F(v+) = (S + c - 1)/(n-1), less F(anchor): one rational from integers
+    each.  A value is a knot iff it is tied or its two gap densities differ,
+    so the result is canonical by construction.
+    """
+    values, counts, densities = samples
+    n1 = sum(counts) - 1
+    below = [0, *accumulate(counts)]  # below[k] samples lie below values[k]
+    # F(anchor) = p/q unshifted: the right limit at the last value at or
+    # below the anchor, plus the rise along the gap it lies in
+    i = bisect_right(values, anchor)
+    shift = rat(below[i] - 1, n1) if i else ZERO
+    if 0 < i < len(values) and values[i - 1] != anchor:
+        shift += densities[i - 1] * (anchor - values[i - 1])
+    q = shift.denominator
+    pn, den = shift.numerator * n1, n1 * q  # a limit S/(n-1) - p/q is (S q - p (n-1)) / den
+    last = len(values) - 1
+    keep = [0, *(k for k in range(1, last)
+                 if counts[k] > 1 or densities[k - 1] != densities[k]), last]
+    lefts = [rat(below[k] * q - pn, den) for k in keep]
+    # an untied value is no jump: its two limits are one rational
+    rights = [left if counts[k] == 1 else rat((below[k + 1] - 1) * q - pn, den)
+              for k, left in zip(keep, lefts)]
+    return _trusted(PiecewiseMonotone, domain=REAL_LINE,
+                    slopes=(ZERO, *(densities[k] for k in keep[:-1]), ZERO), anchor=None,
+                    xs=tuple(values[k] for k in keep), lefts=tuple(lefts), rights=tuple(rights))
+
+
 def samples_to_spec(samples, allow_degenerate: bool) -> dict:
     """samples_to_measure as a spec document, one piece of mass 1/(n-1)
     per gap."""
@@ -223,14 +260,6 @@ def samples_to_spec(samples, allow_degenerate: bool) -> dict:
 
 def _default_anchor(carrier: Interval):
     return rat(0) if carrier.contains(rat(0)) else _probe_point(carrier)
-
-
-def _load_measure(spec_path, samples_path, header, allow_degenerate):
-    if (spec_path is None) == (samples_path is None):
-        _fail(1, "give exactly one of --spec FILE or --samples FILE")
-    if spec_path is not None:
-        return spec_to_measure(_load_json(spec_path))
-    return samples_to_measure(read_samples(samples_path, header), allow_degenerate)
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -342,8 +371,7 @@ def _decomposition_block(m: PiecewiseMeasure) -> dict:
     }
 
 
-def _build_report(m: PiecewiseMeasure, anchor) -> tuple[dict, bool]:
-    f = distribution_function(m, anchor)
+def _build_report(m: PiecewiseMeasure, anchor, f: PiecewiseMonotone) -> tuple[dict, bool]:
     c = classify(f)
     warnings = []
     if m.carrier != REAL_LINE:
@@ -406,17 +434,33 @@ def _emit_or_plot(report, out, stamp, plot_points, g: PiecewiseMonotone):
     sys.exit(0)
 
 
-def _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str):
+def _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str, function=True):
+    """The input's measure, the anchor and, with function, the distribution
+    function anchored to 0 there (else None).  Sample runs of two or more
+    values go straight to that function, and the measure is its own."""
+    if (spec_path is None) == (samples_path is None):
+        _fail(1, "give exactly one of --spec FILE or --samples FILE")
+    runs = None
     try:
-        m = _load_measure(spec_path, samples_path, header, allow_degenerate)
-        anchor = parse_ratio(anchor_str) if anchor_str else _default_anchor(m.carrier)
-        if not m.carrier.contains(anchor):
+        if spec_path is not None:
+            m = spec_to_measure(_load_json(spec_path))
+        else:
+            runs = read_samples(samples_path, header)
+            if _degenerate(runs[0], allow_degenerate) or not function:
+                m, runs = samples_to_measure(runs, allow_degenerate), None
+        carrier = REAL_LINE if runs else m.carrier
+        anchor = parse_ratio(anchor_str) if anchor_str else _default_anchor(carrier)
+        if not carrier.contains(anchor):
             raise _SpecError(f"anchor {fmt_ratio(anchor)} outside carrier")
     except (_ParseError, ValueError) as e:
         _fail(1, str(e))
     except _SpecError as e:
         _fail(2, str(e))
-    return m, anchor
+    if not function:
+        return m, anchor, None
+    with _analysis_errors():
+        f = distribution_function(m, anchor) if runs is None else samples_to_function(runs, anchor)
+    return (m if runs is None else associated_measure(f)), anchor, f
 
 
 @click.group()
@@ -433,9 +477,9 @@ def main():
 @_input_options
 def cmd_classify(spec_path, samples_path, header, allow_degenerate, anchor_str, out, stamp):
     """Classify unimodality; exit 0 when unimodal, 3 when not."""
-    m, anchor = _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str)
+    m, anchor, f = _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str)
     with _analysis_errors():
-        report, unimodal = _build_report(m, anchor)
+        report, unimodal = _build_report(m, anchor, f)
     _emit(report, out, stamp)
     sys.exit(0 if unimodal else 3)
 
@@ -452,9 +496,8 @@ def cmd_invert(spec_path, samples_path, header, allow_degenerate, anchor_str, ou
     --allow-degenerate): its quantile function is constant, a class the
     library excludes.
     """
-    m, anchor = _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str)
+    m, anchor, f = _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str)
     with _analysis_errors():
-        f = distribution_function(m, anchor)
         q = generalized_inverse(f)
         report = _report(m, anchor, inverse=monotone_to_json(q, lazy=True),
                          intervals={"F": _interval_block(f), "Q": _interval_block(q)})
@@ -465,7 +508,8 @@ def cmd_invert(spec_path, samples_path, header, allow_degenerate, anchor_str, ou
 @_input_options
 def cmd_decompose(spec_path, samples_path, header, allow_degenerate, anchor_str, out, stamp):
     """Split the measure into its absolutely continuous and atomic parts."""
-    m, anchor = _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str)
+    m, anchor, _ = _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str,
+                             function=False)
     _emit(_report(m, anchor, decomposition=_decomposition_block(m)), out, stamp)
     sys.exit(0)
 
@@ -477,9 +521,8 @@ def cmd_decompose(spec_path, samples_path, header, allow_degenerate, anchor_str,
 def cmd_qdensity(spec_path, samples_path, header, allow_degenerate, anchor_str, out, stamp,
                  plot_points):
     """Emit the quantile density; exit 4 when it does not exist."""
-    m, anchor = _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str)
+    m, anchor, f = _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str)
     with _analysis_errors():
-        f = distribution_function(m, anchor)
         try:
             q = quantile_density(f)
         except QfNotAbsolutelyContinuous as e:

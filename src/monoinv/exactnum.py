@@ -142,8 +142,10 @@ def parse_ratio_parts(text):
         raise ValueError(f"a number of more than {MAX_DIGITS} digits")
     if "/" in s:
         num_s, den_s = s.split("/", 1)
-        num = int(num_s.strip())
-        den = int(den_s.strip())
+        try:
+            num, den = int(num_s), int(den_s)
+        except ValueError:
+            raise ValueError(f"not a number: {shown(text)}") from None
         if den <= 0:
             raise ValueError(f"denominator must be positive in {shown(text)}")
         return num, den

@@ -46,7 +46,6 @@ from monoinv.monotone import (
     inverse_domain,
     jumps,
     preimage_interior,
-    segments,
 )
 
 
@@ -233,19 +232,16 @@ def step_compose(f: StepFunction, g: PiecewiseMonotone) -> StepFunction:
     if target.is_empty:
         raise CarrierMismatch("g never enters the carrier of f")
 
-    segs = segments(g)
+    starts, ends, us, vs = mono._segment_columns(g)
     cut = {g.xs[i] for i in jumps(g) if target.contains(g.xs[i])}
-    for seg in segs:
-        lo = max(seg.a, target.lo)
-        hi = min(seg.b, target.hi)
-        if not lo < hi:
-            continue
-        for end in (lo, hi):
+    first, last = mono._between(g.xs, target.lo, target.hi)
+    for seg in range(first, last + 1):  # the segments that meet the target
+        for end in (max(starts[seg], target.lo), min(ends[seg], target.hi)):
             if is_finite(end) and target.contains(end):
                 cut.add(end)
-        if seg.slope == 0:
+        if g.slopes[seg] == 0:
             continue
-        i, j = mono._between(f.knots, seg.u, seg.v)
+        i, j = mono._between(f.knots, us[seg], vs[seg])
         for k in f.knots[i:j]:
             x = mono._level_x(g, seg, k)
             if target.contains(x):
@@ -256,9 +252,9 @@ def step_compose(f: StepFunction, g: PiecewiseMonotone) -> StepFunction:
     values = []
     for a, b in zip(bounds, bounds[1:]):
         probe = mono._probe_point(Interval(a, b))
-        gseg = segs[bisect_right(g.xs, probe)]
-        if gseg.slope == 0:
-            c = gseg.u
+        seg = bisect_right(g.xs, probe)
+        if g.slopes[seg] == 0:
+            c = us[seg]
             i = bisect_left(f.knots, c)
             if i < len(f.knots) and f.knots[i] == c:
                 raise AmbiguousComposition(
@@ -434,26 +430,26 @@ def pushforward(m: PiecewiseMeasure, t: PiecewiseMonotone) -> PiecewiseMeasure:
                 f"atom at {x} sits on a jump of the map; the image depends on the version")
         out_atoms[evaluate(t, x, RIGHT)] += mass
 
-    segs = segments(t)
+    starts, ends, us, vs = mono._segment_columns(t)
     out_pieces = []
     for c_lo, c_hi, d in m.abs_density.cells():
         if d == 0:
             continue
         i, j = mono._between(t.xs, c_lo, c_hi)
-        for seg in segs[i:j + 1]:
-            lo = max(c_lo, seg.a)
-            hi = min(c_hi, seg.b)
-            if seg.slope == 0:
+        for seg in range(i, j + 1):
+            lo = max(c_lo, starts[seg])
+            hi = min(c_hi, ends[seg])
+            if t.slopes[seg] == 0:
                 length = hi - lo
                 if not is_finite(length):
                     raise NotLocallyFinite(
                         "a flat of infinite length carries infinite mass to one point")
-                out_atoms[seg.u] += d * length
+                out_atoms[us[seg]] += d * length
             else:
-                # the segment table holds the limits at the segment's own ends
-                u = evaluate(t, lo, RIGHT) if seg.a < lo else seg.u
-                v = evaluate(t, hi, LEFT) if hi < seg.b else seg.v
-                out_pieces.append((u, v, d / seg.slope))
+                # the columns hold the limits at the segment's own ends
+                u = evaluate(t, lo, RIGHT) if starts[seg] < lo else us[seg]
+                v = evaluate(t, hi, LEFT) if hi < ends[seg] else vs[seg]
+                out_pieces.append((u, v, d / t.slopes[seg]))
 
     carrier = inverse_domain(t)
     atom_xs = tuple(sorted(out_atoms))
@@ -492,9 +488,8 @@ def inverse_slope_step(g: PiecewiseMonotone) -> StepFunction:
 
 
 def _build_inverse_slope_step(g: PiecewiseMonotone) -> StepFunction:
-    segs = mono._inverse_segments(g)
-    return _canonical_step(inverse_domain(g), [seg.a for seg in segs[1:]],
-                           [seg.slope for seg in segs])
+    xs, _, _, slopes = mono._inverse_columns(g)
+    return _canonical_step(inverse_domain(g), xs, slopes)
 
 
 def gen_inverse_abs_cont(g: PiecewiseMonotone, iv: Interval) -> bool:

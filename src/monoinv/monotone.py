@@ -24,9 +24,7 @@ import enum
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress
-from operator import lt
-from typing import NamedTuple
+from itertools import chain
 
 from monoinv.errors import (
     ConstantFunction,
@@ -89,9 +87,9 @@ class PiecewiseMonotone:
     checks and canonicalises their columns in _checked_columns; invalid data
     raises the dedicated errors.  The columns are the only way to read the
     knots back.  Builders whose output is canonical by construction
-    (distribution_function, generalized_inverse) skip the checks through
-    _trusted; the tests pin each such result to its rebuild through this
-    constructor (validate).
+    (distribution_function, cli.samples_to_function, generalized_inverse)
+    skip the checks through _trusted; the tests pin each such result to its
+    rebuild through this constructor (validate).
     """
 
     domain: Interval
@@ -174,8 +172,8 @@ def _cached(g: PiecewiseMonotone, name: str, build):
 
     Instances are immutable, so a table never goes stale; it lives outside
     the dataclass fields and takes no part in equality, hashing or repr.
-    Every table is an immutable value.  The tables: segments,
-    _inverse_segments, jumps, flats and inverse_domain here;
+    Every table is an immutable value.  The tables: value_bounds,
+    _inverse_columns, jumps, flats and inverse_domain here;
     step_of_slopes, associated_measure and inverse_slope_step in measure;
     the verdict inverse_abs_cont in unimodal.  Each is built by the function
     of the same name with a _build_ prefix.
@@ -188,9 +186,8 @@ def _cached(g: PiecewiseMonotone, name: str, build):
 
 def _between(xs, lo, hi) -> tuple[int, int]:
     """(i, j) such that xs[i:j] are the points of the sorted rationals xs
-    strictly between the extended reals lo and hi.  For xs = g.xs,
-    segments(g)[i:j + 1] are then the segments of g that meet the open
-    interval (lo, hi)."""
+    strictly between the extended reals lo and hi.  For xs = g.xs, the
+    segments i..j of g are then those that meet the open interval (lo, hi)."""
     i = bisect_right(xs, lo) if is_finite(lo) else 0
     j = bisect_left(xs, hi) if is_finite(hi) else len(xs)
     return i, j
@@ -203,45 +200,36 @@ def validate(g: PiecewiseMonotone) -> PiecewiseMonotone:
 
 
 # ---------------------------------------------------------------------------
-# segment table
-
-
-class Segment(NamedTuple):
-    """One open affine piece: x-interval (a, b), limits u = g(a+), v = g(b-),
-    each an extended real."""
-
-    a: object
-    b: object
-    u: object
-    v: object
-    slope: object
-
-
-def segments(g: PiecewiseMonotone) -> tuple[Segment, ...]:
-    """The open affine pieces of g, left to right (built once per instance)."""
-    return _cached(g, "_segments", _build_segments)
-
-
-def _build_segments(g: PiecewiseMonotone) -> tuple[Segment, ...]:
-    lo, hi = g.domain.lo, g.domain.hi
-    xs, lefts, rights, slopes = g.xs, g.lefts, g.rights, g.slopes
-    # the first segment runs to lo from (x0, v0), the last to hi from (x1, v1)
-    (x0, v0), (x1, v1) = ((xs[0], lefts[0]), (xs[-1], rights[-1])) if xs else (g.anchor,) * 2
-    s = slopes[0]
-    u = v0 - s * (x0 - lo) if is_finite(lo) else (v0 if s == 0 else NEG_INF)
-    s = slopes[-1]
-    v = v1 + s * (hi - x1) if is_finite(hi) else (v1 if s == 0 else POS_INF)
-    if not xs:
-        return (Segment(lo, hi, u, v, s),)
-    return (Segment(lo, xs[0], u, lefts[0], slopes[0]),
-            *map(Segment, xs, xs[1:], rights, lefts[1:], slopes[1:]),
-            Segment(xs[-1], hi, rights[-1], v, s))
+# segments as columns
 
 
 def value_bounds(g: PiecewiseMonotone) -> tuple:
-    """(inf, sup) of g over its regular domain."""
-    segs = segments(g)
-    return segs[0].u, segs[-1].v
+    """(inf, sup) of g over its regular domain, the extended reals g(lo+)
+    and g(hi-) at the ends of the domain (built once per instance)."""
+    return _cached(g, "_value_bounds", _build_value_bounds)
+
+
+def _build_value_bounds(g: PiecewiseMonotone) -> tuple:
+    lo, hi, xs = g.domain.lo, g.domain.hi, g.xs
+    # the first segment runs to lo from (x0, v0), the last to hi from (x1, v1)
+    (x0, v0), (x1, v1) = ((xs[0], g.lefts[0]), (xs[-1], g.rights[-1])) if xs else (g.anchor,) * 2
+    s, t = g.slopes[0], g.slopes[-1]
+    return (v0 - s * (x0 - lo) if is_finite(lo) else (v0 if s == 0 else NEG_INF),
+            v1 + t * (hi - x1) if is_finite(hi) else (v1 if t == 0 else POS_INF))
+
+
+def _segment_columns(g: PiecewiseMonotone) -> tuple:
+    """The columns of g's open affine pieces, left to right: starts a, ends
+    b, and the limits u = g(a+) and v = g(b-); piece i has slope g.slopes[i]."""
+    m, M = value_bounds(g)
+    return (g.domain.lo, *g.xs), (*g.xs, g.domain.hi), (m, *g.rights), (*g.lefts, M)
+
+
+def _level_x(g: PiecewiseMonotone, i: int, t):
+    """The x where the rising segment i of g reaches the finite level t, from
+    its left knot, else its right knot, else g's anchor (a lone segment)."""
+    x, v = (g.xs[i - 1], g.rights[i - 1]) if i else (g.xs[0], g.lefts[0]) if g.xs else g.anchor
+    return x + (t - v) / g.slopes[i]
 
 
 # ---------------------------------------------------------------------------
@@ -253,27 +241,18 @@ def evaluate(g: PiecewiseMonotone, x, version: Version = RIGHT):
     the embedding (an infinite value there)."""
     x = as_q(x)
     lo, hi = g.domain.lo, g.domain.hi
-    if is_finite(lo):
-        if x < lo:
-            return NEG_INF
-        if x == lo:
-            return NEG_INF if version is LEFT else segments(g)[0].u
-    if is_finite(hi):
-        if x > hi:
-            return POS_INF
-        if x == hi:
-            return POS_INF if version is RIGHT else segments(g)[-1].v
-
+    if is_finite(lo) and x <= lo:
+        return value_bounds(g)[0] if x == lo and version is RIGHT else NEG_INF
+    if is_finite(hi) and x >= hi:
+        return value_bounds(g)[1] if x == hi and version is LEFT else POS_INF
     xs = g.xs
-    if not xs:
-        ax, av = g.anchor
-        return av + g.slopes[0] * (x - ax)
     i = bisect_left(xs, x)
     if i < len(xs) and xs[i] == x:
         return g.lefts[i] if version is LEFT else g.rights[i]
-    if i == 0:
-        return g.lefts[0] - g.slopes[0] * (xs[0] - x)
-    return g.rights[i - 1] + g.slopes[i] * (x - xs[i - 1])
+    if i:
+        return g.rights[i - 1] + g.slopes[i] * (x - xs[i - 1])
+    x0, v0 = (xs[0], g.lefts[0]) if xs else g.anchor
+    return v0 + g.slopes[0] * (x - x0)
 
 
 def limits_at(g: PiecewiseMonotone, x) -> tuple:
@@ -285,49 +264,36 @@ def limits_at(g: PiecewiseMonotone, x) -> tuple:
 
 
 def last_x_with_right_le(g: PiecewiseMonotone, c):
-    """sup{x : G_r(x) <= c} over the extended line."""
+    """sup{x : G_r(x) <= c} over the extended line.  Only one segment can
+    cross the level c: the last that starts at or below it."""
     if c is NEG_INF:
         return g.domain.lo
     if c is POS_INF:
         return POS_INF
-    e = g.domain.lo
-    for seg in segments(g):
-        if seg.u > c:
-            break
-        if seg.slope == 0 or seg.v <= c:
-            e = seg.b
-            continue
-        e = _level_x(g, seg, c)  # strictly rising segment crossing level c
-        break
-    return e
+    m, M = value_bounds(g)
+    if m > c:
+        return g.domain.lo
+    k = bisect_right(g.rights, c)
+    last = k == len(g.xs)
+    if g.slopes[k] == 0 or (M if last else g.lefts[k]) <= c:
+        return g.domain.hi if last else g.xs[k]
+    return _level_x(g, k, c)
 
 
 def first_x_with_left_ge(g: PiecewiseMonotone, c):
-    """inf{x : G_l(x) >= c} over the extended line."""
+    """inf{x : G_l(x) >= c} over the extended line.  Only one segment can
+    cross the level c: the first that ends at or above it."""
     if c is POS_INF:
         return g.domain.hi
     if c is NEG_INF:
         return NEG_INF
-    e = g.domain.hi
-    for seg in reversed(segments(g)):
-        if seg.v < c:
-            break
-        if seg.slope == 0 or seg.u >= c:
-            e = seg.a
-            continue
-        e = _level_x(g, seg, c)
-        break
-    return e
-
-
-def _level_x(g: PiecewiseMonotone, seg: Segment, t):
-    """The x where the rising segment seg of g reaches the finite level t."""
-    if is_finite(seg.a):
-        return seg.a + (t - seg.u) / seg.slope
-    if is_finite(seg.b):
-        return seg.b - (seg.v - t) / seg.slope
-    ax, av = g.anchor  # a single segment spanning the line
-    return ax + (t - av) / seg.slope
+    m, M = value_bounds(g)
+    if M < c:
+        return g.domain.hi
+    j = bisect_left(g.lefts, c)
+    if g.slopes[j] == 0 or (g.rights[j - 1] if j else m) >= c:
+        return g.xs[j - 1] if j else g.domain.lo
+    return _level_x(g, j, c)
 
 
 # ---------------------------------------------------------------------------
@@ -391,21 +357,17 @@ def flats(g: PiecewiseMonotone) -> tuple[tuple[Interval, object], ...]:
 
 
 def _build_flats(g: PiecewiseMonotone) -> tuple[tuple[Interval, object], ...]:
-    return tuple((Interval(seg.a, seg.b), seg.u) for seg in segments(g) if seg.slope == 0)
+    starts, ends, us, _ = _segment_columns(g)
+    return tuple((Interval(starts[i], ends[i]), us[i])
+                 for i, s in enumerate(g.slopes) if s == 0)
 
 
 def constancy_set(g: PiecewiseMonotone, within: Interval | None = None) -> list[Interval]:
     """Maximal open flat pieces, optionally clipped to an open interval."""
-    out = []
-    for iv, _ in flats(g):
-        if within is not None:
-            lo = max(iv.lo, within.lo)
-            hi = min(iv.hi, within.hi)
-            if not lo < hi:
-                continue
-            iv = Interval(lo, hi)
-        out.append(iv)
-    return out
+    if within is None:
+        return [iv for iv, _ in flats(g)]
+    clipped = ((max(iv.lo, within.lo), min(iv.hi, within.hi)) for iv, _ in flats(g))
+    return [Interval(lo, hi) for lo, hi in clipped if lo < hi]
 
 
 def jumps(g: PiecewiseMonotone) -> tuple[int, ...]:
@@ -415,7 +377,9 @@ def jumps(g: PiecewiseMonotone) -> tuple[int, ...]:
 
 
 def _build_jumps(g: PiecewiseMonotone) -> tuple[int, ...]:
-    return tuple(compress(range(len(g.xs)), map(lt, g.lefts, g.rights)))
+    # limits that are one object (a sample function's, off its ties) need no comparison
+    return tuple(i for i, (left, right) in enumerate(zip(g.lefts, g.rights))
+                 if left is not right and left < right)
 
 
 def jump_count_extended(g: PiecewiseMonotone) -> int:
@@ -431,37 +395,34 @@ def flat_count(g: PiecewiseMonotone) -> int:
 # generalized inverse
 
 
-def _inverse_segments(g: PiecewiseMonotone) -> tuple[Segment, ...]:
-    """The segment table of the generalized inverse of g, in value order
-    (built once per instance).
-
-    Each rising segment of g appears mirrored, each jump of g as a flat, and
-    each finite end of g's domain as a clamp beyond g's values.  A flat of g
-    is the gap between two neighbouring rows (prev.v < cur.u), so it becomes
-    a jump of the inverse; a flat reaching an infinite domain end only
-    shapes the boundary of the inverse's domain.
-    """
-    return _cached(g, "_inverse_segments", _build_inverse_segments)
+def _inverse_columns(g: PiecewiseMonotone) -> tuple:
+    """The columns (xs, lefts, rights, slopes) of the generalized inverse of
+    g (built once per instance).  Its pieces in value order are g's rising
+    segments mirrored, g's jumps as flats and the finite ends of g's domain
+    as clamps beyond g's values.  A flat of g is the gap between two
+    neighbouring pieces, so it becomes a jump of the inverse; a flat
+    reaching an infinite domain end only shapes the inverse's domain."""
+    return _cached(g, "_inverse_columns", _build_inverse_columns)
 
 
-def _build_inverse_segments(g: PiecewiseMonotone) -> tuple[Segment, ...]:
-    gsegs = segments(g)
-    xs, lefts, rights = g.xs, g.lefts, g.rights
-    at = set(jumps(g))
-    out = []
-    if is_finite(g.domain.lo):
-        out.append(Segment(NEG_INF, gsegs[0].u, g.domain.lo, g.domain.lo, ZERO))
-    # segment i ends at knot i; a jump there is a flat of the inverse
-    for i, seg in enumerate(gsegs):
-        s = seg.slope
+def _build_inverse_columns(g: PiecewiseMonotone) -> tuple:
+    lo, hi = g.domain.lo, g.domain.hi
+    starts, ends, us, _ = _segment_columns(g)
+    xs, lefts, at = g.xs, g.lefts, set(jumps(g))
+    # (value where the piece starts, x there, x where it ends, slope); the
+    # reciprocal of s > 0 is made without the number type's reflected 1 / s
+    pieces = [(NEG_INF, lo, lo, ZERO)] if is_finite(lo) else []
+    for i, s in enumerate(g.slopes):  # segment i ends at knot i
         if s != 0:
-            # the reciprocal of s > 0, without the number type's reflected 1 / s
-            out.append(Segment(seg.u, seg.v, seg.a, seg.b, rat(s.denominator, s.numerator)))
+            pieces.append((us[i], starts[i], ends[i], rat(s.denominator, s.numerator)))
         if i in at:
-            out.append(Segment(lefts[i], rights[i], xs[i], xs[i], ZERO))
-    if is_finite(g.domain.hi):
-        out.append(Segment(gsegs[-1].v, POS_INF, g.domain.hi, g.domain.hi, ZERO))
-    return tuple(out)
+            pieces.append((lefts[i], xs[i], xs[i], ZERO))
+    if is_finite(hi):
+        pieces.append((value_bounds(g)[1], hi, hi, ZERO))
+    # neighbouring pieces meet at a knot: the left limit is the x where the
+    # first ends, the right limit the x where the next starts
+    ts, x_starts, x_ends, slopes = zip(*pieces)
+    return ts[1:], x_ends[:-1], x_starts[1:], slopes
 
 
 def generalized_inverse(g: PiecewiseMonotone) -> PiecewiseMonotone:
@@ -470,23 +431,21 @@ def generalized_inverse(g: PiecewiseMonotone) -> PiecewiseMonotone:
     Raises ConstantFunction when the inverse would be constant (g a pure
     single-jump staircase), since constant classes are excluded.
 
-    Canonical by construction: neighbouring rows of the inverse's segment
-    table differ in slope or meet at a jump (a flat of g), so no knot is
-    removable, and the result skips the public constructor.
+    Canonical by construction: neighbouring pieces of the inverse differ in
+    slope or meet at a jump (a flat of g), so no knot is removable, and the
+    result skips the public constructor.
     """
-    segs = _inverse_segments(g)
-    starts, _, us, vs, slopes = zip(*segs)  # the table's columns
-    lefts, rights = vs[:-1], us[1:]
+    xs, lefts, rights, slopes = _inverse_columns(g)
     if not any(slopes) and lefts == rights:
         raise ConstantFunction("the generalized inverse would be constant")
 
     anchor = None
-    if len(segs) == 1:
+    if not xs:
         # the mirror of g's only segment that rises
-        probe = _probe_point(Interval(segs[0].a, segs[0].b))
-        anchor = (probe, _level_x(g, next(seg for seg in segments(g) if seg.slope != 0), probe))
+        probe = _probe_point(inverse_domain(g))
+        anchor = (probe, _level_x(g, next(i for i, s in enumerate(g.slopes) if s != 0), probe))
     return _trusted(PiecewiseMonotone, domain=inverse_domain(g), slopes=slopes, anchor=anchor,
-                    xs=starts[1:], lefts=lefts, rights=rights)
+                    xs=xs, lefts=lefts, rights=rights)
 
 
 def _probe_point(iv: Interval):
@@ -540,14 +499,12 @@ def extend_to_real_line(g: PiecewiseMonotone) -> PiecewiseMonotone:
     """
     if g.domain == REAL_LINE:
         return g
-    segs = segments(g)
+    u, v = value_bounds(g)
     columns = [list(g.xs), list(g.lefts), list(g.rights), list(g.slopes)]
     if is_finite(g.domain.lo):
-        u = segs[0].u
         for column, value in zip(columns, (g.domain.lo, u, u, ZERO)):
             column.insert(0, value)
     if is_finite(g.domain.hi):
-        v = segs[-1].v
         for column, value in zip(columns, (g.domain.hi, v, v, ZERO)):
             column.append(value)
     return _from_columns(REAL_LINE, *columns, None)

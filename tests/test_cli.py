@@ -208,13 +208,13 @@ def test_json_number_cap(spec_file, doc, digits, code, stderr):
     assert len(r.stderr) <= 200
 
 
-@pytest.mark.parametrize("source", ["samples", "spec"])
+@pytest.mark.parametrize("source", ["samples", "ratio", "spec"])
 def test_error_lines_show_the_start_of_a_long_input(tmp_path, spec_file, source):
     # an input echoed in an error line is cut to the first 100 characters of
     # its repr; shorter ones are echoed whole (test_spec_errors_name_the_fault)
-    if source == "samples":
+    if source in ("samples", "ratio"):
         path = tmp_path / "samples.txt"
-        path.write_text("0\n1\n" + "x" * 300_000 + "\n")
+        path.write_text("0\n1\n" + "x" * 300_000 + ("/1\n" if source == "ratio" else "\n"))
         args = ["--samples", str(path)]
         stderr = "error: line 3: not a number: '" + "x" * 99 + "...\n"
     else:

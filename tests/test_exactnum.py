@@ -33,7 +33,8 @@ def test_parse_ratio_parts_keeps_the_written_denominator():
     assert parse_ratio_parts("1.") == (1, 1)
     for bad, message in (("", "empty number"), ("+", "not a number: '+'"),
                          (".", "not a number: '.'"), ("x", "not a number: 'x'"),
-                         ("1.x", "not a decimal: '1.x'"),
+                         ("1.x", "not a decimal: '1.x'"), ("1/x", "not a number: '1/x'"),
+                         ("1/2/3", "not a number: '1/2/3'"),
                          ("1/-2", "denominator must be positive in '1/-2'")):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_ratio_parts(bad)

@@ -13,9 +13,15 @@ The cases of peaked_1000 were recorded by the CLI just before the derived
 tables of a function were memoized.  Its 1000 points need no seed: point 0
 is 0 and gap k is (|k - 500| + 1)/1000, so the interpolated density strictly
 rises, then falls, and classify takes its unimodal branch at sample scale.
-A case may carry extra command-line `args` (`--plot-points N`); its report
-then lives in `<input>.<command>.<args>.out`, e.g.
-`bimodal.invert.plot-points_7.out`.
+The cases of peaked_atom_1001 (peaked_1000 with its middle point 501/4
+repeated, an atom at the mode) and peaked_swap_1000 (peaked_1000 with gaps
+201 and 202 swapped: classify exits 3, yet the quantile density exists), and
+the --anchor cases of tied_gauss_300 (below every sample, above every
+sample, on a five-fold tie and inside a gap), were recorded by the CLI just
+before sample files were read straight into their distribution function.
+A case may carry extra command-line `args` (`--plot-points N`, `--anchor
+P/Q`); its report then lives in `<input>.<command>.<args>.out`, e.g.
+`bimodal.invert.plot-points_7.out` or `tied_gauss_300.invert.anchor_1_7.out`.
 """
 
 import json
@@ -51,8 +57,8 @@ def case_id(case):
 
 def golden_report(case):
     """The recorded stdout of a golden case; '--plot-points', '7' adds
-    'plot-points_7.' to the file name."""
-    tag = "".join(a.lstrip("-") + "_" if a.startswith("-") else a + "."
+    'plot-points_7.' to the file name, '--anchor', '1/7' adds 'anchor_1_7.'."""
+    tag = "".join(a.lstrip("-") + "_" if a.startswith("--") else a.replace("/", "_") + "."
                   for a in case.get("args", []))
     with open(os.path.join(GOLDEN, f"{case['input']}.{case['command']}.{tag}out"), "rb") as fh:
         return fh.read()

@@ -4,12 +4,11 @@ import random
 import pytest
 
 from monoinv import laws
-from monoinv.cli import read_samples, samples_to_measure
+from monoinv.cli import read_samples, samples_to_function
 from monoinv.errors import UnknownLaw
 from monoinv.exactnum import parse_ratio, rat
 from monoinv.intervals import Interval, is_finite
 from monoinv.laws import LAW_IDS, CheckReport, GenConfig, gen_monotone, run_law
-from monoinv.measure import distribution_function
 from monoinv.monotone import (
     PiecewiseMonotone,
     flats,
@@ -176,19 +175,21 @@ def test_ac_equiv_builds_one_associated_measure_per_instance(count_calls):
 
 
 def test_every_law_holds_at_sample_scale(tmp_path):
-    # every check on the distribution function of three sample files: the
-    # uniform grid (one flat density), the single-peaked file (a density
-    # that strictly rises, then falls) and 2,000 Gaussian values.  QF_AC and
-    # DECOMP skip a function that is not unimodal, but no law skips all three.
+    # every check on the distribution function of five sample files, built
+    # as classify, invert and qdensity build it: the uniform grid (one flat
+    # density), the single-peaked file (a density that strictly rises, then
+    # falls), its two variants (an atom at the mode; two gaps swapped, so
+    # not unimodal although the quantile density exists) and 2,000 Gaussian
+    # values.  QF_AC and DECOMP skip a function that is not unimodal, but no
+    # law skips all five.
     data = os.path.join(os.path.dirname(__file__), "data")
     gauss = tmp_path / "gauss_2000.txt"
     rng = random.Random(2000)
     gauss.write_text("".join(f"{rng.gauss(0.0, 1.0):.6f}\n" for _ in range(2000)))
     ran = {law: [] for law in LAW_IDS}
-    for path in (os.path.join(data, "uniform_grid_1000.csv"),
-                 os.path.join(data, "peaked_1000.csv"), str(gauss)):
-        f = distribution_function(samples_to_measure(read_samples(path, header=False),
-                                                     allow_degenerate=False), rat(0))
+    names = ("uniform_grid_1000", "peaked_1000", "peaked_atom_1001", "peaked_swap_1000")
+    for path in (*(os.path.join(data, f"{name}.csv") for name in names), str(gauss)):
+        f = samples_to_function(read_samples(path, header=False), rat(0))
         for law in LAW_IDS:
             try:
                 laws._REGISTRY[law][1](f)

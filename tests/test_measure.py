@@ -57,11 +57,10 @@ from monoinv.monotone import (
     mass_interval,
     preimage_interior,
     refine_grid,
-    segments,
     structural_values,
     structural_xs,
 )
-from test_monotone import _inverse_tokens, equal_up_to_shift
+from test_monotone import _inverse_tokens, equal_up_to_shift, segment_table
 
 
 def atoms_of(m):
@@ -617,8 +616,9 @@ def test_level_crossings_of_a_segment_spanning_the_line():
 #
 # Each function below is the earlier implementation, kept here only as an
 # oracle for the index-range pushforward, the bisecting step lookups, the
-# inverse's slopes read from its segment table and the inverse rule checked
-# through step_compose.
+# inverse's slopes read from its columns and the inverse rule checked
+# through step_compose.  The oracles read g's segments from test_monotone's
+# segment_table, a table built through evaluate.
 
 oracle_settings = settings(max_examples=60, deadline=None,
                            suppress_health_check=[HealthCheck.too_slow])
@@ -655,7 +655,7 @@ def _pushforward_by_pairs(m, t):
         add_atom(evaluate(t, x, RIGHT), mass)
     out_pieces = []
     for p_lo, p_hi, density in pieces_of(m):
-        for seg in segments(t):
+        for seg in segment_table(t):
             lo = max(p_lo, seg.a)
             hi = min(p_hi, seg.b)
             if not lo < hi:
@@ -694,7 +694,7 @@ def _inverse_rule_by_probes(g):
         return True
     hstep = _inverse_slope_step_by_tokens(g)
     ok = True
-    for seg in segments(g):
+    for seg in segment_table(g):
         lo = max(seg.a, m_int.lo)
         hi = min(seg.b, m_int.hi)
         if not lo < hi:
@@ -728,7 +728,8 @@ def _step_compose_by_scan(f, g):
     for x in (g.xs[i] for i in mono.jumps(g)):
         if target.contains(x):
             cut.add(x)
-    for seg in segments(g):
+    segs = segment_table(g)
+    for seg in segs:
         lo = max(seg.a, target.lo)
         hi = min(seg.b, target.hi)
         if not lo < hi:
@@ -754,7 +755,7 @@ def _step_compose_by_scan(f, g):
     values = []
     for a, b in zip(bounds, bounds[1:]):
         probe = mono._probe_point(Interval(a, b))
-        gseg = next(seg for seg in segments(g) if seg.a <= probe < seg.b)
+        gseg = next(seg for seg in segs if seg.a <= probe < seg.b)
         if gseg.slope == 0:
             c = gseg.u
             if c in f.knots:

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import pytest
 
 from hypothesis import HealthCheck, example, given, settings
@@ -30,7 +32,6 @@ from monoinv.monotone import (
     mass_interval,
     refine_grid,
     restrict,
-    segments,
     structural_values,
     structural_xs,
     supporting_interval,
@@ -406,8 +407,10 @@ def test_from_knot_data_anchor_walks_both_ways():
 #
 # Each function below is the earlier, slower implementation, kept here only
 # as an oracle: the cached tables, the single-pass canonicalisation, the
-# jump rows of the inverse walk, the inverse built from its segment table
-# and the index-range restriction must agree with it on generated instances.
+# jump rows of the inverse walk, the inverse built from its columns and the
+# index-range restriction must agree with it on generated instances.  Where
+# an oracle reads g's segments it reads them from segment_table, a table
+# built through evaluate.
 
 oracle_settings = settings(max_examples=60, deadline=None,
                            suppress_health_check=[HealthCheck.too_slow])
@@ -420,7 +423,21 @@ def instances(draw):
     return gen_monotone(GenConfig(seed=seed, max_knots=max_knots))
 
 
-def _segments_from_scratch(g):
+class Segment(NamedTuple):
+    """One open affine piece of a function: x-interval (a, b), limits
+    u = g(a+), v = g(b-), each an extended real."""
+
+    a: object
+    b: object
+    u: object
+    v: object
+    slope: object
+
+
+def segment_table(g):
+    """The open affine pieces of g, left to right, each knot's limits read
+    through evaluate and the ends of the domain reached along the slopes:
+    a reading of g independent of the library's column arithmetic."""
     lo, hi = g.domain.lo, g.domain.hi
     knots = knots_by_evaluate(g)
     if not knots:
@@ -428,27 +445,28 @@ def _segments_from_scratch(g):
         s = g.slopes[0]
         u = av - s * (ax - lo) if is_finite(lo) else (av if s == 0 else NEG_INF)
         v = av + s * (hi - ax) if is_finite(hi) else (av if s == 0 else POS_INF)
-        return [mono.Segment(lo, hi, u, v, s)]
+        return [Segment(lo, hi, u, v, s)]
     out = []
     (x, left, _), s = knots[0], g.slopes[0]
     u = left - s * (x - lo) if is_finite(lo) else (left if s == 0 else NEG_INF)
-    out.append(mono.Segment(lo, x, u, left, s))
+    out.append(Segment(lo, x, u, left, s))
     for (x, _, right), (nx, nleft, _), s in zip(knots, knots[1:], g.slopes[1:]):
-        out.append(mono.Segment(x, nx, right, nleft, s))
+        out.append(Segment(x, nx, right, nleft, s))
     (x, _, right), s = knots[-1], g.slopes[-1]
     v = right + s * (hi - x) if is_finite(hi) else (right if s == 0 else POS_INF)
-    out.append(mono.Segment(x, hi, right, v, s))
+    out.append(Segment(x, hi, right, v, s))
     return out
 
 
 def _inverse_jump_rows_by_limits(g):
-    """The inverse's flat rows from g's jumps, reading each jump by limits_at."""
+    """The inverse's flats from g's jumps, as (start, end, value), reading
+    each jump by limits_at."""
     rows = []
-    for seg in segments(g)[:-1]:
+    for seg in segment_table(g)[:-1]:
         x = seg.b
         l, r = limits_at(g, x)
         if l < r:
-            rows.append(mono.Segment(l, r, x, x, rat(0)))
+            rows.append((l, r, x))
     return rows
 
 
@@ -464,7 +482,7 @@ def _inverse_tokens(g):
     g_knots = knots_by_evaluate(g)
     if is_finite(lo):
         segs.append((NEG_INF, m, ZERO, m, lo))
-    gsegs = segments(g)
+    gsegs = segment_table(g)
     for i, seg in enumerate(gsegs):
         if seg.slope == 0:
             if seg.a is not NEG_INF and seg.b is not POS_INF:
@@ -535,7 +553,7 @@ def _restrict_by_scan(g, iv):
     knots = knots_by_evaluate(g)
     inner = [i for i, (x, _, _) in enumerate(knots) if iv.contains(x)]
     first_idx = 0
-    for i, seg in enumerate(segments(g)):
+    for i, seg in enumerate(segment_table(g)):
         if seg.a <= iv.lo and iv.lo < seg.b:
             first_idx = i
             break
@@ -557,8 +575,11 @@ def _outcome(fn, *args):
 @oracle_settings
 @given(instances())
 def test_cached_tables_equal_tables_built_from_scratch(g):
-    assert segments(g) == tuple(_segments_from_scratch(g))
-    assert segments(g) is segments(g)
+    segs = segment_table(g)
+    assert mono.value_bounds(g) == (segs[0].u, segs[-1].v)
+    assert mono.value_bounds(g) is mono.value_bounds(g)
+    assert mono.flats(g) == tuple((open_iv(seg.a, seg.b), seg.u) for seg in segs
+                                  if seg.slope == 0)
     # the caches are not part of the value
     rebuilt = PiecewiseMonotone(g.domain, tuple(zip(g.xs, g.lefts, g.rights)), g.slopes,
                                 g.anchor)
@@ -568,12 +589,18 @@ def test_cached_tables_equal_tables_built_from_scratch(g):
 @oracle_settings
 @given(instances())
 def test_inverse_jump_rows_equal_limits_at(g):
-    # flat rows with two finite ends come from jumps; the others are the
-    # clamps beyond finite domain ends
-    rows = mono._inverse_segments(g)
-    jump_rows = [row for row in rows
-                 if row.slope == 0 and is_finite(row.a) and is_finite(row.b)]
-    assert jump_rows == _inverse_jump_rows_by_limits(g)
+    # flats of the inverse with two finite ends come from jumps; the others
+    # are the clamps beyond finite domain ends
+    xs, lefts, rights, slopes = mono._inverse_columns(g)
+    dom = inverse_domain(g)
+    ends = (dom.lo, *xs, dom.hi)
+    # a flat's value is the left limit at its upper end, or the right limit
+    # at its lower end; a lone flat is the constant inverse, and no column
+    # holds its value
+    pieces = zip(ends, ends[1:], (*lefts, *rights[-1:], None), slopes)
+    jump_rows = [(a, b, x) for a, b, x, s in pieces if s == 0 and is_finite(a) and is_finite(b)]
+    want = _inverse_jump_rows_by_limits(g)
+    assert jump_rows == (want if xs else [(l, r, None) for l, r, _ in want])
 
 
 @oracle_settings
@@ -598,7 +625,7 @@ def test_single_pass_canonicalisation_equals_restarts(g, data):
     # that change nothing
     breaks, slopes = [], [g.slopes[0]]
     knots = knots_by_evaluate(g)
-    for i, seg in enumerate(segments(g)):
+    for i, seg in enumerate(segment_table(g)):
         a = seg.a
         for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
             x = _probe_point(open_iv(a, seg.b))

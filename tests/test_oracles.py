@@ -1,16 +1,18 @@
-"""The memoized tables and the two fast law checks, against slow references.
+"""The memoized tables, the fast law checks and scans, against slow references.
 
 A PiecewiseMonotone keeps each table derived from it (monotone._cached):
 every one must equal its builder applied to a fresh copy of the function,
 and a second call must return the same object.
 
-GALOIS compares two prefix lengths per grid point x by bisection, and
+GALOIS compares two prefix lengths per grid point x by bisection,
 measure.measure_of_open bisects to the atoms and cells that can meet its
-interval.  The loops they replaced are kept here as oracles: the check of
-every (x, t) pair of the grids, and the scan of every atom and cell.  The
-fast paths must give the same verdicts and the same failure texts, also
-with a fault planted in what the check reads, and a one-point mutant of
-each fast path must be told apart from its oracle.
+interval, and the threshold scans last_x_with_right_le and
+first_x_with_left_ge bisect to the one segment that can cross their level.
+The loops they replaced are kept here as oracles: the check of every
+(x, t) pair of the grids, the scan of every atom and cell, and the walk
+along the segments.  The fast paths must give the same verdicts and the
+same failure texts, also with a fault planted in what the check reads, and
+a one-point mutant of each fast path must be told apart from its oracle.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ import glob
 import json
 import os
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from unittest import mock
 
 import pytest
@@ -30,7 +32,7 @@ from monoinv import laws, measure, monotone, unimodal
 from monoinv.cli import _default_anchor
 from monoinv.errors import ConstantFunction
 from monoinv.exactnum import ZERO
-from monoinv.intervals import NEG_INF, POS_INF, is_finite, open_iv
+from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, is_finite, open_iv
 from monoinv.laws import GenConfig, LawFailure, gen_monotone
 from monoinv.measure import (
     associated_measure,
@@ -43,7 +45,9 @@ from monoinv.monotone import (
     LEFT,
     RIGHT,
     PiecewiseMonotone,
+    first_x_with_left_ge,
     generalized_inverse,
+    last_x_with_right_le,
     mass_interval,
     refine_grid,
     structural_values,
@@ -51,6 +55,7 @@ from monoinv.monotone import (
     validate,
 )
 from monoinv.serialize import spec_to_measure
+from test_monotone import segment_table
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 
@@ -59,8 +64,8 @@ oracle_settings = settings(max_examples=150, deadline=None,
 
 # (public accessor, builder) of every memoized table
 TABLES = [
-    (monotone.segments, monotone._build_segments),
-    (monotone._inverse_segments, monotone._build_inverse_segments),
+    (monotone.value_bounds, monotone._build_value_bounds),
+    (monotone._inverse_columns, monotone._build_inverse_columns),
     (monotone.jumps, monotone._build_jumps),
     (monotone.flats, monotone._build_flats),
     (monotone.inverse_domain, monotone._build_inverse_domain),
@@ -330,3 +335,88 @@ def test_measure_of_open_mutant_is_caught_by_the_full_scan(monkeypatch):
 
     monkeypatch.setattr(monotone, "_between", short_by_one)
     assert sum(mismatches(g) > 0 for g in seeded_instances(20)) >= 10
+
+
+# ---------------------------------------------------------------------------
+# threshold scans
+
+
+def last_x_with_right_le_by_walk(g, c):
+    """last_x_with_right_le as the walk along the segments from the left."""
+    if c is NEG_INF:
+        return g.domain.lo
+    if c is POS_INF:
+        return POS_INF
+    e = g.domain.lo
+    for seg in segment_table(g):
+        if seg.u > c:
+            break
+        if seg.slope == 0 or seg.v <= c:
+            e = seg.b
+            continue
+        return _level_x_of(g, seg, c)  # a strictly rising segment crossing level c
+    return e
+
+
+def first_x_with_left_ge_by_walk(g, c):
+    """first_x_with_left_ge as the walk along the segments from the right."""
+    if c is POS_INF:
+        return g.domain.hi
+    if c is NEG_INF:
+        return NEG_INF
+    e = g.domain.hi
+    for seg in reversed(segment_table(g)):
+        if seg.v < c:
+            break
+        if seg.slope == 0 or seg.u >= c:
+            e = seg.a
+            continue
+        return _level_x_of(g, seg, c)
+    return e
+
+
+def _level_x_of(g, seg, t):
+    """The x where the rising segment seg of g reaches the finite level t."""
+    if is_finite(seg.a):
+        return seg.a + (t - seg.u) / seg.slope
+    if is_finite(seg.b):
+        return seg.b - (seg.v - t) / seg.slope
+    ax, av = g.anchor  # a single segment spanning the line
+    return ax + (t - av) / seg.slope
+
+
+SCANS = {"last_x_with_right_le": (last_x_with_right_le, last_x_with_right_le_by_walk),
+         "first_x_with_left_ge": (first_x_with_left_ge, first_x_with_left_ge_by_walk)}
+
+
+def levels(g):
+    """The levels between and beyond g's structure values, and the infinities."""
+    return [NEG_INF, *refine_grid(structural_values(g)), POS_INF]
+
+
+@oracle_settings
+@given(instances())
+@example(PiecewiseMonotone(open_iv(0, 4), ((1, 0, 1), (2, 2, 2)), (1, 1, 0)))
+@example(PiecewiseMonotone(REAL_LINE, (), (2,), (0, 1)))  # one segment spanning the line
+def test_threshold_scans_agree_with_the_segment_walk(g):
+    for scan, walk in SCANS.values():
+        for c in levels(g):
+            got, want = scan(g, c), walk(g, c)
+            assert got == want and repr(got) == repr(want), (scan.__name__, c)
+
+
+@pytest.mark.parametrize("scan, bisection, mutant", [
+    ("last_x_with_right_le", "bisect_right", bisect_left),
+    ("first_x_with_left_ge", "bisect_left", bisect_right),
+])
+def test_threshold_scan_mutant_is_caught_by_the_walk(monkeypatch, scan, bisection, mutant):
+    # the other bisection puts a knot whose limit equals the level on the
+    # wrong side of it, so the scan stops at the wrong end of a flat at
+    # that level.  The walk reads g through evaluate, which bisects too, so
+    # it runs before the mutant is planted.
+    fast, walk = SCANS[scan]
+    cases = [(g, levels(g)) for g in seeded_instances()]
+    want = [[walk(g, c) for c in cs] for g, cs in cases]
+    monkeypatch.setattr(monotone, bisection, mutant)
+    told_apart = sum([fast(g, c) for c in cs] != w for (g, cs), w in zip(cases, want))
+    assert told_apart >= 10

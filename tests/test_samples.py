@@ -11,6 +11,11 @@ lengths, `p/q` lines, decimals mixed with `p/q` lines, pairwise coprime
 denominators and one long decimal among short ones (where the samples sort
 as rationals, not integers) and blank lines, with and without --header and
 --allow-degenerate.
+
+classify, invert and qdensity read the runs straight into the distribution
+function (samples_to_function); the distribution function of
+samples_to_measure's measure is its oracle, at anchors below, on, between
+and above the samples, and its associated measure must be that measure.
 """
 
 import json
@@ -21,6 +26,8 @@ from hypothesis import strategies as st
 
 from monoinv import cli
 from monoinv.exactnum import fmt_ratio, parse_ratio, rat
+from monoinv.measure import associated_measure, distribution_function
+from monoinv.monotone import validate
 from monoinv.serialize import measure_to_spec_json
 
 
@@ -122,11 +129,11 @@ one_line = st.one_of(decimals, decimals, ratios, coprime, spellings, huge, blank
 
 
 @st.composite
-def sample_files(draw):
+def sample_files(draw, faulty=True):
     # a small pool of values drawn with repetition makes ties common
     pool = draw(st.lists(one_line, min_size=1, max_size=6))
     lines = draw(st.lists(st.one_of(st.sampled_from(pool), one_line), max_size=25))
-    if draw(st.integers(min_value=0, max_value=9)) == 0:
+    if faulty and draw(st.integers(min_value=0, max_value=9)) == 0:
         lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(bad))
     return lines
 
@@ -164,3 +171,28 @@ def test_library_route_matches_the_spec_round_trip(tmp_path, lines, header, dege
         assert ingest.stdout == json.dumps(spec, indent=2) + "\n"
         assert decompose.exit_code == 0
         assert json.loads(decompose.stdout)["echo"] == measure_to_spec_json(measure)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(lines=sample_files(faulty=False))
+@example(lines=["1/2", "1/3", "1/5", "2/7", "0.25", "0.3", "0.3"])
+@example(lines=["0.5", "1/2", "2/4", "7", "-3.125", "-3.125", "1.5"])
+@example(lines=["0", "1", "2", "3", "3", "4", "5", "7"])
+def test_samples_to_function_is_the_distribution_function_of_the_measure(tmp_path, lines):
+    path = tmp_path / "samples.txt"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        samples = cli.read_samples(str(path), header=False)
+    except cli._SpecError:  # no samples
+        return
+    values = samples[0]
+    if len(values) < 2:
+        return
+    m = cli.samples_to_measure(samples, False)
+    mids = [(a + b) / 2 for a, b in zip(values, values[1:])]
+    for z in (values[0] - 1, *values, *mids, values[-1] + 1):
+        got, want = cli.samples_to_function(samples, z), distribution_function(m, z)
+        assert got == want and repr(got) == repr(want), z
+        assert validate(got) == got
+        assert associated_measure(got) == m

@@ -1,23 +1,23 @@
 """Derived tables and objects are built a fixed number of times per command.
 
-Every PiecewiseMonotone builds its segment table and its inverse's at most
-once, so the number of builds per classify / invert / qdensity depends on
-how many classes the command makes, not on how many points its input has.
+Every PiecewiseMonotone builds its value bounds and its inverse's columns at
+most once, so the number of builds per classify / invert / qdensity depends
+on how many classes the command makes, not on how many points its input has.
 Counting builds is the deterministic stand-in for a wall-clock scaling
 bound, which would flake on a host whose speed drifts.  Each command also
-derives the generalized inverse and the quantile density of its
-distribution function once, and a sample file goes straight to its
-measure, without a spec document in between.  Objects the library derives
-itself skip the public constructors, so exactnum.as_q, which converts the
-ints a caller may pass, and Interval's checks run a fixed number of times
-per command; functions and measures keep their knots, atoms and density
-as columns, so the functions, measures and step classes a command makes,
-through the public constructors or the trusted path, are as many for 4k
-points as for 1k, and ingest checks its spec in one measure.  The
-inverse's segment table is built once per function, whichever of
-classify, generalized_inverse and quantile_density asks first.  Reports
-are written from the columns as they are formatted, each entry formatted
-once, so writing one holds little memory.
+derives the generalized inverse and the quantile density of its distribution
+function once, and a sample file goes straight to its distribution function,
+without a measure's knot walk or a spec document in between.  Objects the
+library derives itself skip the public constructors, so exactnum.as_q, which
+converts the ints a caller may pass, and Interval's checks run a fixed
+number of times per command; functions and measures keep their knots, atoms
+and density as columns, so the functions, measures and step classes a
+command makes, through the public constructors or the trusted path, are as
+many for 4k points as for 1k, and ingest checks its spec in one measure.
+The inverse's columns are built once per function, whichever of classify,
+generalized_inverse and quantile_density asks first.  Reports are written
+from the columns as they are formatted, each entry formatted once, so
+writing one holds little memory.
 """
 
 import dataclasses
@@ -37,7 +37,7 @@ from click.testing import CliRunner
 from monoinv import cli, exactnum, measure, monotone
 from monoinv.intervals import REAL_LINE, Interval
 
-BUILDERS = ("_build_segments", "_build_inverse_segments")
+BUILDERS = ("_build_value_bounds", "_build_inverse_columns")
 
 
 @pytest.fixture
@@ -69,7 +69,7 @@ def test_table_builds_do_not_grow_with_points(tmp_path, build_counts, command):
         assert result.exit_code in (0, 3), result.output
         per_size[n] = dict(build_counts)
     assert per_size[1000] == per_size[4000]
-    assert 0 < per_size[1000]["_build_segments"] <= 10
+    assert 0 < per_size[1000]["_build_value_bounds"] <= 10
 
 
 @pytest.mark.parametrize("command, module, name, want", [
@@ -77,16 +77,22 @@ def test_table_builds_do_not_grow_with_points(tmp_path, build_counts, command):
     ("classify", measure, "gen_inverse_abs_cont", 1),
     ("classify", measure, "inverse_slope_step", 1),
     ("classify", monotone, "extend_to_real_line", 1),
-    ("classify", monotone, "_build_inverse_segments", 1),
+    ("classify", monotone, "_build_inverse_columns", 1),
     ("classify", monotone, "_build_jumps", 1),
     ("classify", monotone, "_build_flats", 1),
     ("classify", measure, "_build_step_of_slopes", 1),
     ("classify", measure, "_build_associated_measure", 1),
-    ("invert", monotone, "_build_inverse_segments", 1),
-    ("qdensity", monotone, "_build_inverse_segments", 1),
+    ("invert", monotone, "_build_inverse_columns", 1),
+    ("qdensity", monotone, "_build_inverse_columns", 1),
     ("classify", cli, "spec_to_measure", 0),
     ("invert", cli, "spec_to_measure", 0),
     ("qdensity", cli, "spec_to_measure", 0),
+    ("classify", measure, "distribution_function", 0),
+    ("invert", measure, "distribution_function", 0),
+    ("qdensity", measure, "distribution_function", 0),
+    ("classify", monotone, "_knot_limits", 0),
+    ("invert", monotone, "_knot_limits", 0),
+    ("qdensity", monotone, "_knot_limits", 0),
 ])
 def test_each_derived_object_is_built_once(tmp_path, count_calls, command, module, name, want):
     path = tmp_path / "samples.txt"
@@ -226,7 +232,7 @@ def test_fmt_ratio_calls_per_knot_do_not_grow(tmp_path, count_calls):
 def test_main_equiv_builds_one_inverse_table_per_function(count_calls):
     # classify, quantile_density and the materialized inverse of each
     # generated function share its table
-    calls = count_calls(monotone, "_build_inverse_segments")
+    calls = count_calls(monotone, "_build_inverse_columns")
     result = CliRunner().invoke(cli.main, ["verify", "--law", "MAIN_EQUIV", "--n", "50",
                                            "--seed", "20260808"])
     assert result.exit_code == 0, result.output

@@ -4,7 +4,8 @@ Functions and measures hold their knots and atoms as columns (xs, lefts,
 rights; atom_xs, atom_masses), and a measure's pieces as the cells of its
 density (abs_density); the public constructors take them as plain tuples.
 Builders whose output is canonical by construction
-(distribution_function, generalized_inverse, lebesgue_decompose, density)
+(distribution_function, the sample function cli.samples_to_function,
+generalized_inverse, lebesgue_decompose, density)
 fill the columns through monotone._trusted, which runs no check; those
 whose cells may repeat a
 density (associated_measure, lebesgue_on, pushforward, the sample measure,
@@ -201,6 +202,8 @@ def test_sample_measure_equals_public_rebuild(samples):
     assert same_as_public(m)
     for z in _anchors(m):
         assert same_as_public(distribution_function(m, z))
+        if len(parsed[0]) >= 2:
+            assert same_as_public(cli.samples_to_function(parsed, z))
 
 
 @st.composite
