@@ -11,10 +11,9 @@ from monoinv.intervals import (
     NEG_INF,
     POS_INF,
     REAL_LINE,
+    ClosedInterval,
     Interval,
-    closed_iv,
     is_finite,
-    open_iv,
 )
 from monoinv.monotone import (
     LEFT,
@@ -53,7 +52,6 @@ from monoinv.measure import (
 )
 from monoinv.unimodal import (
     Classification,
-    ModalInterval,
     classify,
     is_quasi_concave,
     is_quasi_convex,

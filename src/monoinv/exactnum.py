@@ -10,8 +10,8 @@ The backend is chosen once at import time.  Set ``MONOINV_BACKEND`` to
 compiled kernel when present.  Results are bit-identical either way; only
 speed differs (perfbench/run.py times both).
 
-The infinities NEG_INF and POS_INF live here too, so that as_q knows every
-exact value of the extended line.
+The infinities NEG_INF and POS_INF live here too, beside the rational type.
+as_q refuses them: only an interval's end may be infinite.
 """
 
 import os
@@ -104,10 +104,10 @@ def rat(num, den=1):
 
 
 def as_q(x):
-    """x as an exact value of the extended line: an int or a Fraction
-    becomes the backend's rational, which passes unchanged, as do the
-    infinities; anything else (a float, a Decimal, a str) raises TypeError."""
-    if x.__class__ is Q or x.__class__ is _Infinity:
+    """x as an exact finite rational: an int or a Fraction becomes the
+    backend's rational, which passes unchanged; anything else (NEG_INF,
+    POS_INF, a float, a Decimal, a str) raises TypeError."""
+    if x.__class__ is Q:
         return x
     if isinstance(x, (int, Fraction)):
         return Q(x.numerator, x.denominator)

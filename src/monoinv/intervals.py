@@ -6,6 +6,11 @@ type), which order below and above every rational.
 Comparisons between finite points go straight to the rationals; a rational
 meeting a sentinel defers to it, because both backends' number types
 return NotImplemented for an operand they do not know.
+
+Every interval the library takes or derives is open (Interval): regular
+domains, carriers, pieces, mass intervals and preimage interiors.  The
+two closed results, the hull of a support and an interval of admissible
+modes, are ClosedInterval.
 """
 
 from __future__ import annotations
@@ -21,20 +26,24 @@ def is_finite(x) -> bool:
     return x.__class__ is not _Infinity
 
 
+def _end(x):
+    """x as a point of the extended line: a sentinel as it is, anything
+    else as exactnum.as_q converts it."""
+    return x if x.__class__ is _Infinity else as_q(x)
+
+
 @dataclass(frozen=True)
 class Interval:
-    """An interval of the extended real line.
+    """The open interval (lo, hi) of the extended real line.
 
     The ends convert as exactnum.as_q converts (ints and Fractions to the
-    backend's rational; a float raises TypeError).  Infinite endpoints are
-    never closed.  The empty interval is normalized to the open (0, 0), so
-    equality on intervals is structural.
+    backend's rational; a float raises TypeError) or are NEG_INF / POS_INF.
+    The empty interval is normalized to (0, 0), so equality on intervals is
+    structural.
     """
 
     lo: object
     hi: object
-    lo_closed: bool = False
-    hi_closed: bool = False
 
     # A rational compared with a sentinel takes the number type's slow
     # NotImplemented path, so the methods below skip the comparisons whose
@@ -43,75 +52,61 @@ class Interval:
     def __post_init__(self):
         lo, hi = self.lo, self.hi
         if lo.__class__ not in (Q, _Infinity) or hi.__class__ not in (Q, _Infinity):
-            lo, hi = as_q(lo), as_q(hi)  # an int or a Fraction from a caller
+            lo, hi = _end(lo), _end(hi)  # an int or a Fraction from a caller
             object.__setattr__(self, "lo", lo)
             object.__setattr__(self, "hi", hi)
-        if self.lo_closed and not is_finite(lo):
-            raise ValueError("infinite endpoint cannot be closed")
-        if self.hi_closed and not is_finite(hi):
-            raise ValueError("infinite endpoint cannot be closed")
         if (lo is NEG_INF and hi is not NEG_INF) or (hi is POS_INF and lo is not POS_INF):
             return  # in order and nonempty
         if lo > hi:
             raise ValueError("interval endpoints out of order")
-        if lo == hi and not (self.lo_closed and self.hi_closed):
+        if lo == hi:
             object.__setattr__(self, "lo", ZERO)
             object.__setattr__(self, "hi", ZERO)
-            object.__setattr__(self, "lo_closed", False)
-            object.__setattr__(self, "hi_closed", False)
 
     @property
     def is_empty(self):
-        return not self.lo_closed and self.lo == ZERO and self.hi == ZERO
+        return self.lo == ZERO and self.hi == ZERO
 
     def contains(self, x) -> bool:
-        # infinite ends are never closed, so no interval holds an infinity
-        if self.is_empty or not is_finite(x):
-            return False
-        lo, hi = self.lo, self.hi
-        if lo is not NEG_INF and (x < lo or (x == lo and not self.lo_closed)):
-            return False
-        if hi is not POS_INF and (x > hi or (x == hi and not self.hi_closed)):
-            return False
-        return True
+        return is_finite(x) and (self.lo is NEG_INF or self.lo < x) and (
+            self.hi is POS_INF or x < self.hi)
 
     def contains_interval(self, other: "Interval") -> bool:
-        if other.is_empty:
-            return True
-        lo, hi = self.lo, self.hi
-        if lo is not NEG_INF and (
-                other.lo < lo or (other.lo == lo and other.lo_closed and not self.lo_closed)):
-            return False
-        if hi is not POS_INF and (
-                other.hi > hi or (other.hi == hi and other.hi_closed and not self.hi_closed)):
-            return False
-        return True
-
-    def closure(self) -> "Interval":
-        return self if self.is_empty else closed_iv(self.lo, self.hi)
+        return other.is_empty or (
+            (self.lo is NEG_INF or self.lo <= other.lo)
+            and (self.hi is POS_INF or other.hi <= self.hi))
 
     def __repr__(self):
-        if self.is_empty:
-            return "Interval(empty)"
-        lb = "[" if self.lo_closed else "("
-        rb = "]" if self.hi_closed else ")"
-        return f"Interval{lb}{self.lo}, {self.hi}{rb}"
+        return "Interval(empty)" if self.is_empty else f"Interval({self.lo}, {self.hi})"
+
+
+@dataclass(frozen=True)
+class ClosedInterval:
+    """The closed hull [lo, hi] of a support or of a set of modes, lo <= hi;
+    an infinite end leaves that side unbounded (and open)."""
+
+    lo: object
+    hi: object
+
+    def __post_init__(self):
+        object.__setattr__(self, "lo", _end(self.lo))
+        object.__setattr__(self, "hi", _end(self.hi))
+        if self.lo > self.hi:
+            raise ValueError("interval endpoints out of order")
+
+    def contains(self, x) -> bool:
+        return self.lo <= x <= self.hi
+
+    def __repr__(self):
+        return f"ClosedInterval[{self.lo}, {self.hi}]"
 
 
 REAL_LINE = Interval(NEG_INF, POS_INF)
 EMPTY = Interval(ZERO, ZERO)
 
 
-def open_iv(lo, hi) -> Interval:
-    return Interval(lo, hi)
-
-
-def closed_iv(lo, hi) -> Interval:
-    return Interval(lo, hi, is_finite(lo), is_finite(hi))
-
-
 def require_open_nonempty(iv: Interval, what: str = "interval") -> None:
+    if iv.__class__ is not Interval:
+        raise ValueError(f"{what} must be open")
     if iv.is_empty:
         raise EmptyInterval(f"{what} is empty")
-    if iv.lo_closed or iv.hi_closed:
-        raise ValueError(f"{what} must be open")

@@ -71,31 +71,12 @@ from monoinv.unimodal import (
     quantile_density,
 )
 
-LAW_IDS = (
-    "GALOIS",
-    "DOUBLE_INV",
-    "PUSH_FWD",
-    "PUSH_CONT",
-    "CONT_EQUIV",
-    "RN_LEMMA",
-    "AC_EQUIV",
-    "INV_RULE",
-    "QF_AC",
-    "MAIN_EQUIV",
-    "DECOMP",
-    "GEN_LOCFIN",
-)
-
-
 @dataclass(frozen=True)
 class GenConfig:
     """Knobs of the instance generator; identical seeds give identical runs."""
 
     seed: int = 0
     max_knots: int = 12
-    allow_jumps: bool = True
-    allow_flats: bool = True
-    allow_infinite_domain: bool = True
     force_unimodal: bool = False
     value_bound: int = 1000
 
@@ -148,8 +129,8 @@ def _rand_rat(rng, bound, den_max=8):
     return rat(rng.randint(-bound, bound), rng.randint(1, den_max))
 
 
-def _rand_slope(rng, allow_zero):
-    if allow_zero and rng.random() < 0.35:
+def _rand_slope(rng):
+    if rng.random() < 0.35:
         return ZERO
     return rat(rng.randint(1, 16), rng.randint(1, 6))
 
@@ -157,7 +138,7 @@ def _rand_slope(rng, allow_zero):
 def _rand_domain(rng, xs, kind):
     if kind == "real":
         return REAL_LINE
-    pick = rng.randrange(4) if kind == "any" else 3
+    pick = rng.randrange(4)
     lo_ref = xs[0] if xs else rat(0)
     hi_ref = xs[-1] if xs else rat(0)
     lo = lo_ref - rng.randint(1, 3)
@@ -193,17 +174,17 @@ def _random_instance(rng, cfg, domain_kind, finite_mass):
     if finite_mass and k < 2:
         k = 2
     xs = _rand_xs(rng, cfg, k)
-    slopes = [_rand_slope(rng, cfg.allow_flats) for _ in range(k + 1)]
+    slopes = [_rand_slope(rng) for _ in range(k + 1)]
     jump_sizes = [
         rat(rng.randint(1, 12), rng.randint(1, 6))
-        if cfg.allow_jumps and rng.random() < 0.35 else ZERO
+        if rng.random() < 0.35 else ZERO
         for _ in range(k)
     ]
     if finite_mass:
         slopes[0] = ZERO
         slopes[-1] = ZERO
     if all(s == 0 for s in slopes) and all(j == 0 for j in jump_sizes):
-        if cfg.allow_jumps and k:
+        if k:
             jump_sizes[k // 2] = rat(1)
         else:
             slopes[len(slopes) // 2] = rat(1)
@@ -219,9 +200,9 @@ def _unimodal_instance(rng, cfg, finite_mass=True, perturb=False):
     k = rng.randint(low, max(cfg.max_knots, low))
     xs = _rand_xs(rng, cfg, k)
     peak = rng.randint(0, k)
-    up = sorted(_rand_slope(rng, cfg.allow_flats) for _ in range(peak + 1))
+    up = sorted(_rand_slope(rng) for _ in range(peak + 1))
     down = sorted(
-        (_rand_slope(rng, cfg.allow_flats) for _ in range(k - peak)), reverse=True)
+        (_rand_slope(rng) for _ in range(k - peak)), reverse=True)
     cap = up[-1]
     down = [min(d, cap) for d in down]
     slopes = up + down
@@ -230,7 +211,7 @@ def _unimodal_instance(rng, cfg, finite_mass=True, perturb=False):
         slopes[0] = ZERO
         slopes[-1] = ZERO
     jump_sizes = [ZERO] * k
-    if cfg.allow_jumps and k and rng.random() < 0.55:
+    if k and rng.random() < 0.55:
         if all(s == 0 for s in slopes):
             j = rng.randrange(k)
         else:
@@ -242,7 +223,7 @@ def _unimodal_instance(rng, cfg, finite_mass=True, perturb=False):
         if k and rng.random() < 0.5:
             jump_sizes[rng.randrange(k)] = rat(rng.randint(1, 5))
         else:
-            slopes[rng.randrange(len(slopes))] = _rand_slope(rng, True)
+            slopes[rng.randrange(len(slopes))] = _rand_slope(rng)
     if all(s == 0 for s in slopes) and all(j == 0 for j in jump_sizes):
         if k:
             jump_sizes[rng.randrange(k)] = rat(1)
@@ -252,8 +233,7 @@ def _unimodal_instance(rng, cfg, finite_mass=True, perturb=False):
 
 
 def _gen_any(rng, cfg):
-    kind = "any" if cfg.allow_infinite_domain else "finite"
-    return _random_instance(rng, cfg, kind, finite_mass=False)
+    return _random_instance(rng, cfg, "any", finite_mass=False)
 
 
 def _gen_cdf_like(rng, cfg):
@@ -556,6 +536,7 @@ _REGISTRY = {
     "DECOMP": (_gen_cdf_like, _check_decomp),
     "GEN_LOCFIN": (_gen_locally_finite, _check_gen_locfin),
 }
+LAW_IDS = tuple(_REGISTRY)
 
 
 # ---------------------------------------------------------------------------

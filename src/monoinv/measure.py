@@ -34,7 +34,6 @@ from monoinv.intervals import (
     POS_INF,
     Interval,
     is_finite,
-    open_iv,
     require_open_nonempty,
 )
 from monoinv.monotone import (
@@ -289,7 +288,7 @@ def measure_of_open(m: PiecewiseMeasure, lo, hi):
     that meet it, so a probe costs the log of the measure's size plus the
     number of atoms and cells it covers.
     """
-    iv = open_iv(lo, hi)
+    iv = Interval(lo, hi)
     if iv.is_empty:
         return ZERO
     total = ZERO

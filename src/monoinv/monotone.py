@@ -38,8 +38,8 @@ from monoinv.intervals import (
     NEG_INF,
     POS_INF,
     REAL_LINE,
+    ClosedInterval,
     Interval,
-    closed_iv,
     is_finite,
     require_open_nonempty,
 )
@@ -340,10 +340,10 @@ def inverse_mass_interval(g: PiecewiseMonotone) -> Interval:
     return Interval(*value_bounds(g))
 
 
-def supporting_interval(g: PiecewiseMonotone) -> Interval:
+def supporting_interval(g: PiecewiseMonotone) -> ClosedInterval:
     """Closed convex hull of the support of the associated measure."""
     m, M = value_bounds(g)
-    return closed_iv(last_x_with_right_le(g, m), first_x_with_left_ge(g, M))
+    return ClosedInterval(last_x_with_right_le(g, m), first_x_with_left_ge(g, M))
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +466,6 @@ def _probe_point(iv: Interval):
 
 def restrict(g: PiecewiseMonotone, iv: Interval) -> PiecewiseMonotone:
     """The real part of g on an open subinterval, re-embedded."""
-    if iv.is_empty:
-        raise EmptyInterval("cannot restrict to the empty interval")
     require_open_nonempty(iv, "restriction interval")
     if not g.domain.contains_interval(iv):
         raise EmptyInterval("restriction interval must lie inside the regular domain")

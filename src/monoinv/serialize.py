@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from monoinv.errors import CarrierMismatch
 from monoinv.exactnum import fmt_ratio, parse_ratio, shown
-from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, Interval, is_finite
+from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, ClosedInterval, Interval, is_finite
 from monoinv.measure import PiecewiseMeasure, StepFunction
 from monoinv.monotone import PiecewiseMonotone
 
@@ -39,13 +39,15 @@ def str_to_er(s: str):
     return parse_ratio(s)
 
 
-def interval_to_json(iv: Interval) -> dict:
-    if iv.is_empty:
+def interval_to_json(iv: Interval | ClosedInterval) -> dict:
+    """{"lo", "hi"}; a closed interval adds whether each end is closed (each
+    finite end is) unless both ends are infinite."""
+    if iv.__class__ is Interval and iv.is_empty:
         return {"empty": True}
     out = {"lo": er_to_str(iv.lo), "hi": er_to_str(iv.hi)}
-    if iv.lo_closed or iv.hi_closed:
-        out["lo_closed"] = iv.lo_closed
-        out["hi_closed"] = iv.hi_closed
+    if iv.__class__ is ClosedInterval and (is_finite(iv.lo) or is_finite(iv.hi)):
+        out["lo_closed"] = is_finite(iv.lo)
+        out["hi_closed"] = is_finite(iv.hi)
     return out
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from monoinv.errors import InternalInconsistency, QfNotAbsolutelyContinuous
 from monoinv.exactnum import ZERO
-from monoinv.intervals import NEG_INF, POS_INF, is_finite
+from monoinv.intervals import NEG_INF, POS_INF, ClosedInterval, is_finite
 from monoinv.measure import (
     StepFunction,
     gen_inverse_abs_cont,
@@ -32,25 +32,7 @@ from monoinv.monotone import (
 )
 
 
-@dataclass(frozen=True)
-class ModalInterval:
-    """Closed interval of admissible modes; endpoints may be infinite."""
-
-    lo: object
-    hi: object
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("modal interval endpoints out of order")
-
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
-    def __repr__(self):
-        return f"ModalInterval[{self.lo}, {self.hi}]"
-
-
-def _switch_hull(values, bounds, rise_first: bool) -> ModalInterval | None:
+def _switch_hull(values, bounds, rise_first: bool) -> ClosedInterval | None:
     """Where a sequence of cell values switches direction.
 
     Cell i spans (bounds[i], bounds[i + 1]).  With rise_first the values
@@ -71,7 +53,7 @@ def _switch_hull(values, bounds, rise_first: bool) -> ModalInterval | None:
     switch = [i for i in range(n) if prefix[i] and suffix[i]]
     if not switch:
         return None
-    return ModalInterval(bounds[switch[0]], bounds[switch[-1] + 1])
+    return ClosedInterval(bounds[switch[0]], bounds[switch[-1] + 1])
 
 
 def _step_cells(f: StepFunction, extend_by_zero: bool):
@@ -89,7 +71,7 @@ def _step_cells(f: StepFunction, extend_by_zero: bool):
     return values, bounds
 
 
-def is_quasi_concave(f: StepFunction, extend_by_zero: bool) -> tuple[bool, ModalInterval | None]:
+def is_quasi_concave(f: StepFunction, extend_by_zero: bool) -> tuple[bool, ClosedInterval | None]:
     """Does some a.e. version of f satisfy the superlevel-interval property?
 
     For a step class this is: cell values non-decreasing, then
@@ -100,7 +82,7 @@ def is_quasi_concave(f: StepFunction, extend_by_zero: bool) -> tuple[bool, Modal
     return hull is not None, hull
 
 
-def is_quasi_convex(f: StepFunction) -> tuple[bool, ModalInterval | None]:
+def is_quasi_convex(f: StepFunction) -> tuple[bool, ClosedInterval | None]:
     """Dual of is_quasi_concave: non-increasing then non-decreasing cells;
     modal interval is the argmin closure.  No zero extension: quantile
     densities are unconstrained at the boundary."""
@@ -112,7 +94,7 @@ def is_quasi_convex(f: StepFunction) -> tuple[bool, ModalInterval | None]:
 # shape analysis of the function itself
 
 
-def _slope_hull(g: PiecewiseMonotone, rise_first: bool) -> ModalInterval | None:
+def _slope_hull(g: PiecewiseMonotone, rise_first: bool) -> ClosedInterval | None:
     """_switch_hull of the slopes of g over its segments."""
     return _switch_hull(g.slopes, [g.domain.lo, *g.xs, g.domain.hi], rise_first)
 
@@ -137,10 +119,10 @@ class Classification:
     """
 
     cdf_unimodal: bool
-    modes: ModalInterval | None
+    modes: ClosedInterval | None
     dens_unimodal_abs_part: bool
     quantile_unimodal: bool
-    quantile_modes: ModalInterval | None
+    quantile_modes: ClosedInterval | None
     atom_at_mode: tuple | None
     qf_absolutely_continuous: bool
     quantile_density: StepFunction | None = None
@@ -184,7 +166,7 @@ def classify(f: PiecewiseMonotone) -> Classification:
             x = g.xs[i]
             if hull.contains(x):
                 cdf_unimodal = True
-                modes = ModalInterval(x, x)
+                modes = ClosedInterval(x, x)
                 atom_at_mode = (x, g.rights[i] - g.lefts[i])
 
     dens_ok, _ = is_quasi_concave(step_of_slopes(g), extend_by_zero=True)
@@ -209,7 +191,7 @@ def classify(f: PiecewiseMonotone) -> Classification:
     )
 
 
-def qf_shape_check(q: PiecewiseMonotone) -> tuple[bool, ModalInterval | None]:
+def qf_shape_check(q: PiecewiseMonotone) -> tuple[bool, ClosedInterval | None]:
     """Is q concave up to some point and convex after it, as a function?
 
     Slopes must be non-increasing then non-decreasing, and q must be

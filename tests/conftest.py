@@ -9,7 +9,7 @@ import sysconfig
 import pytest
 
 from monoinv.exactnum import rat
-from monoinv.intervals import REAL_LINE, open_iv
+from monoinv.intervals import REAL_LINE, Interval
 from monoinv.measure import PiecewiseMeasure, distribution_function
 from monoinv.monotone import PiecewiseMonotone, from_knot_data
 
@@ -32,19 +32,19 @@ def fixa_measure():
     return PiecewiseMeasure(
         REAL_LINE,
         (),
-        ((open_iv(0, rat(1, 2)), 1), (open_iv(rat(3, 2), 2), 1)),
+        ((Interval(0, rat(1, 2)), 1), (Interval(rat(3, 2), 2), 1)),
     )
 
 
 @pytest.fixture
 def fixb():
     """The identity on (0,1), embedded with -inf/+inf outside."""
-    return PiecewiseMonotone(open_iv(0, 1), (), (1,), (rat(1, 2), rat(1, 2)))
+    return PiecewiseMonotone(Interval(0, 1), (), (1,), (rat(1, 2), rat(1, 2)))
 
 
 @pytest.fixture
 def fixb_measure():
-    return PiecewiseMeasure(open_iv(0, 1), (), ((open_iv(0, 1), 1),))
+    return PiecewiseMeasure(Interval(0, 1), (), ((Interval(0, 1), 1),))
 
 
 @pytest.fixture
@@ -64,7 +64,7 @@ def fixd_measure():
     return PiecewiseMeasure(
         REAL_LINE,
         ((rat(1, 2), rat(1, 2)),),
-        ((open_iv(0, 1), rat(1, 2)),),
+        ((Interval(0, 1), rat(1, 2)),),
     )
 
 

@@ -8,7 +8,8 @@ for Fraction always and for Rat when the kernel can be built here.
 
 Every entry point that takes numbers from a caller converts ints and
 Fractions to the backend's rational and refuses anything else, so no float
-flows into an exact value.
+flows into an exact value.  Only an interval's end may be NEG_INF or
+POS_INF, and every entry that takes an interval refuses a ClosedInterval.
 """
 
 import re
@@ -24,17 +25,17 @@ from monoinv.intervals import (
     NEG_INF,
     POS_INF,
     REAL_LINE,
+    ClosedInterval,
     Interval,
-    closed_iv,
     is_finite,
-    open_iv,
 )
 from monoinv.measure import (
     PiecewiseMeasure,
     StepFunction,
     distribution_function,
+    gen_inverse_abs_cont,
 )
-from monoinv.monotone import PiecewiseMonotone, evaluate, from_knot_data
+from monoinv.monotone import PiecewiseMonotone, evaluate, from_knot_data, restrict
 
 BIG = 10**400
 NUMBERS = [(0, 1), (1, 3), (-1, 3), (BIG, 1), (-BIG, 1), (1, BIG), (-1, BIG)]
@@ -128,15 +129,17 @@ def test_sentinels_are_immutable():
 
 
 def test_intervals_mix_rationals_and_sentinels(Q, q):
-    right = open_iv(q, POS_INF)
+    right = Interval(q, POS_INF)
     assert right.contains(q + 1) and not right.contains(q) and not right.contains(POS_INF)
     assert Interval(NEG_INF, POS_INF).contains_interval(right)
     assert not right.contains_interval(Interval(NEG_INF, q))
-    with pytest.raises(ValueError, match="infinite endpoint"):
-        Interval(q, POS_INF, True, True)
     with pytest.raises(ValueError, match="out of order"):
         Interval(POS_INF, q)
-    assert Interval(q, q).is_empty
+    assert Interval(q, q).is_empty and not Interval(q, q).contains(q)
+    hull = ClosedInterval(q, POS_INF)
+    assert hull.contains(q) and hull.contains(q + 1) and not hull.contains(q - 1)
+    with pytest.raises(ValueError, match="out of order"):
+        ClosedInterval(POS_INF, q)
 
 
 def _unit_atom():
@@ -153,17 +156,17 @@ BOUNDARY = {
     "PiecewiseMonotone-right": lambda v: PiecewiseMonotone(REAL_LINE, ((0, 0, v),), (1, 1)),
     "PiecewiseMeasure-atom": lambda v: PiecewiseMeasure(REAL_LINE, ((v, 1),), ()),
     "PiecewiseMeasure-mass": lambda v: PiecewiseMeasure(REAL_LINE, ((0, v),), ()),
-    "PiecewiseMeasure-density": lambda v: PiecewiseMeasure(REAL_LINE, (), ((open_iv(0, 1), v),)),
+    "PiecewiseMeasure-density": lambda v: PiecewiseMeasure(REAL_LINE, (), ((Interval(0, 1), v),)),
     # the open mass or density in a later tuple of an unsorted list, so it
     # passes the sort and, for the atom, the merge with a coinciding atom
     "Atom": lambda v: PiecewiseMeasure(REAL_LINE, ((1, 1), (0, 1), (0, v)), ()),
     "UniformPiece": lambda v: PiecewiseMeasure(
-        REAL_LINE, ((0, 1),), ((open_iv(1, 2), 1), (open_iv(0, 1), v))),
-    "StepFunction-knot": lambda v: StepFunction(open_iv(0, 2), (v,), (1, 2)),
-    "StepFunction-value": lambda v: StepFunction(open_iv(0, 1), (), (v,)),
+        REAL_LINE, ((0, 1),), ((Interval(1, 2), 1), (Interval(0, 1), v))),
+    "StepFunction-knot": lambda v: StepFunction(Interval(0, 2), (v,), (1, 2)),
+    "StepFunction-value": lambda v: StepFunction(Interval(0, 1), (), (v,)),
     "Interval": lambda v: Interval(0, v),
-    "open_iv": lambda v: open_iv(v, 1),
-    "closed_iv": lambda v: closed_iv(0, v),
+    "Interval-lo": lambda v: Interval(v, 1),
+    "ClosedInterval": lambda v: ClosedInterval(0, v),
     "evaluate": lambda v: evaluate(PiecewiseMonotone(REAL_LINE, (), (1,), (0, 0)), v),
     "from_knot_data": lambda v: from_knot_data(REAL_LINE, [0], [v], [1, 1], -1, 0),
     "distribution_function-anchor": lambda v: distribution_function(_unit_atom(), v),
@@ -177,6 +180,19 @@ def test_boundary_refuses_inexact_numbers(entry, value):
         entry(value)
 
 
+# only an interval may have an infinite end; every other number a caller
+# gives is a finite rational
+FINITE_ONLY = {name: entry for name, entry in BOUNDARY.items()
+               if name not in ("Interval", "Interval-lo", "ClosedInterval")}
+
+
+@pytest.mark.parametrize("entry", list(FINITE_ONLY.values()), ids=list(FINITE_ONLY))
+def test_boundary_refuses_infinities(entry):
+    for value in (NEG_INF, POS_INF):
+        with pytest.raises(TypeError, match=f"not an exact rational: {value!r};"):
+            entry(value)
+
+
 @pytest.mark.parametrize("entry", list(BOUNDARY.values()), ids=list(BOUNDARY))
 def test_boundary_converts_ints_and_fractions(entry):
     # a Fraction becomes the backend's rational as an int does, so no value
@@ -186,7 +202,32 @@ def test_boundary_converts_ints_and_fractions(entry):
     rational = exactnum.Q
     assert type(as_q(Fraction(1, 2))) is type(as_q(1)) is rational
     x = rational(1, 3)
-    assert as_q(x) is x and as_q(NEG_INF) is NEG_INF and as_q(POS_INF) is POS_INF
+    assert as_q(x) is x
     g = PiecewiseMonotone(REAL_LINE, (), (Fraction(1, 2),), (0, 0))
     assert type(evaluate(g, 1)) is rational
     assert type(distribution_function(_unit_atom(), Fraction(-1, 2)).lefts[0]) is rational
+
+
+def _line():
+    return PiecewiseMonotone(REAL_LINE, (), (1,), (0, 0))
+
+
+# each entry that takes an interval from a caller, with the name its
+# refusal gives that interval
+CLOSED_REFUSED = {
+    "PiecewiseMonotone-domain": (lambda iv: PiecewiseMonotone(iv, (), (1,), (1, 0)),
+                                 "regular domain"),
+    "PiecewiseMeasure-carrier": (lambda iv: PiecewiseMeasure(iv, ((1, 1),), ()), "carrier"),
+    "PiecewiseMeasure-piece": (lambda iv: PiecewiseMeasure(REAL_LINE, (), ((iv, 1),)),
+                               "uniform piece"),
+    "StepFunction-carrier": (lambda iv: StepFunction(iv, (), (1,)), "carrier"),
+    "restrict": (lambda iv: restrict(_line(), iv), "restriction interval"),
+    "gen_inverse_abs_cont": (lambda iv: gen_inverse_abs_cont(_line(), iv), "interval"),
+}
+
+
+@pytest.mark.parametrize("entry, what", list(CLOSED_REFUSED.values()), ids=list(CLOSED_REFUSED))
+def test_entries_refuse_closed_intervals(entry, what):
+    with pytest.raises(ValueError) as raised:
+        entry(ClosedInterval(0, 2))
+    assert type(raised.value) is ValueError and str(raised.value) == f"{what} must be open"

@@ -19,6 +19,10 @@ repeated, an atom at the mode) and peaked_swap_1000 (peaked_1000 with gaps
 the --anchor cases of tied_gauss_300 (below every sample, above every
 sample, on a five-fold tie and inside a gap), were recorded by the CLI just
 before sample files were read straight into their distribution function.
+The cases of half_line (density 1 on (0, inf)) and real_line (density 1/2
+on the whole line), the only ones whose supporting and modal intervals
+have infinite ends, were recorded by the CLI just before intervals lost
+their closed-end flags.
 A case may carry extra command-line `args` (`--plot-points N`, `--anchor
 P/Q`); its report then lives in `<input>.<command>.<args>.out`, e.g.
 `bimodal.invert.plot-points_7.out` or `tied_gauss_300.invert.anchor_1_7.out`.

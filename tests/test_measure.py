@@ -22,10 +22,9 @@ from monoinv.intervals import (
     NEG_INF,
     POS_INF,
     REAL_LINE,
+    ClosedInterval,
     Interval,
-    closed_iv,
     is_finite,
-    open_iv,
 )
 from monoinv.laws import GenConfig, gen_monotone
 from monoinv.measure import (
@@ -178,10 +177,10 @@ def test_distribution_function_round_trip_random():
 
 def test_distribution_function_errors(fixd_measure):
     with pytest.raises(ZeroMeasure):
-        distribution_function(PiecewiseMeasure(open_iv(0, 1), (), ()), rat(1, 2))
+        distribution_function(PiecewiseMeasure(Interval(0, 1), (), ()), rat(1, 2))
     with pytest.raises(AnchorOutsideCarrier):
         distribution_function(
-            PiecewiseMeasure(open_iv(0, 1), (), ((open_iv(0, 1), 1),)), 5)
+            PiecewiseMeasure(Interval(0, 1), (), ((Interval(0, 1), 1),)), 5)
 
 
 def test_anchor_shift_invariance(fixd_measure):
@@ -192,7 +191,7 @@ def test_anchor_shift_invariance(fixd_measure):
 
 
 def test_distribution_function_with_atom_at_anchor():
-    m = PiecewiseMeasure(REAL_LINE, ((0, 1),), ((open_iv(0, 1), 1),))
+    m = PiecewiseMeasure(REAL_LINE, ((0, 1),), ((Interval(0, 1), 1),))
     f = distribution_function(m, 0)
     # the right version vanishes at the anchor; the atom shows up on the left
     assert evaluate(f, 0, RIGHT) == rat(0)
@@ -261,7 +260,7 @@ def measure_parts(draw):
     pieces = []
     for lo, hi in zip(ends, ends[1:]):
         if draw(st.integers(min_value=0, max_value=3)):
-            pieces.append((open_iv(lo, hi), draw(densities)))
+            pieces.append((Interval(lo, hi), draw(densities)))
     if ends and draw(st.booleans()):
         pieces.append((Interval(NEG_INF, ends[0]), draw(densities)))
     if ends and draw(st.booleans()):
@@ -281,26 +280,26 @@ def test_canonical_form_matches_dict_and_sort(parts):
 
 def test_canonical_form_errors():
     with pytest.raises(ValueError, match="pairwise disjoint"):
-        PiecewiseMeasure(REAL_LINE, (), ((open_iv(0, 2), 1), (open_iv(0, 1), 1)))
+        PiecewiseMeasure(REAL_LINE, (), ((Interval(0, 2), 1), (Interval(0, 1), 1)))
     with pytest.raises(ValueError, match="pairwise disjoint"):
-        PiecewiseMeasure(REAL_LINE, (), ((open_iv(1, 3), 1), (open_iv(0, 2), 1)))
+        PiecewiseMeasure(REAL_LINE, (), ((Interval(1, 3), 1), (Interval(0, 2), 1)))
     with pytest.raises(CarrierMismatch, match="atom at 2"):
-        PiecewiseMeasure(open_iv(0, 1), ((rat(1, 2), 1), (2, 1)), ())
+        PiecewiseMeasure(Interval(0, 1), ((rat(1, 2), 1), (2, 1)), ())
     with pytest.raises(CarrierMismatch, match="piece"):
-        PiecewiseMeasure(open_iv(0, 1), (), ((open_iv(rat(1, 2), 2), 1),))
+        PiecewiseMeasure(Interval(0, 1), (), ((Interval(rat(1, 2), 2), 1),))
     with pytest.raises(ValueError, match="atom mass"):
         PiecewiseMeasure(REAL_LINE, ((0, 0),), ())
     with pytest.raises(ValueError, match="density"):
-        PiecewiseMeasure(REAL_LINE, (), ((open_iv(0, 1), -1),))
+        PiecewiseMeasure(REAL_LINE, (), ((Interval(0, 1), -1),))
 
 
 @pytest.mark.parametrize("atoms, pieces, error, message", [
     ((), ((EMPTY, 1),), EmptyInterval, "uniform piece is empty"),
     ((), ((Interval(1, 1), 1),), EmptyInterval, "uniform piece is empty"),
-    ((), ((closed_iv(0, 1), 1),), ValueError, "uniform piece must be open"),
-    ((), ((Interval(0, 1, True, False), 1),), ValueError, "uniform piece must be open"),
-    ((), ((open_iv(0, 1), 0),), ValueError, "piece density must be positive"),
-    ((), ((open_iv(0, 1), rat(-1, 2)),), ValueError, "piece density must be positive"),
+    ((), ((ClosedInterval(0, 1), 1),), ValueError, "uniform piece must be open"),
+    ((), ((ClosedInterval(NEG_INF, 1), 1),), ValueError, "uniform piece must be open"),
+    ((), ((Interval(0, 1), 0),), ValueError, "piece density must be positive"),
+    ((), ((Interval(0, 1), rat(-1, 2)),), ValueError, "piece density must be positive"),
     (((0, 0),), (), ValueError, "atom mass must be positive"),
     (((0, -1),), (), ValueError, "atom mass must be positive"),
 ])
@@ -385,7 +384,7 @@ def test_density_of_lebesgue_constant_one():
 def test_pushforward_uniform_through_fixa_inverse(fixa, fixa_measure):
     q = generalized_inverse(fixa)
     lam_q = lebesgue_restricted(fixa)
-    assert lam_q.carrier == open_iv(0, 1)
+    assert lam_q.carrier == Interval(0, 1)
     got = pushforward(lam_q, q)
     assert got == fixa_measure
 
@@ -399,9 +398,9 @@ def test_pushforward_uniform_through_fixd_inverse(fixd, fixd_measure):
 
 
 def test_pushforward_identity_map(fixb_measure):
-    ident = PiecewiseMonotone(open_iv(0, 1), (), (1,), (rat(1, 2), rat(1, 2)))
+    ident = PiecewiseMonotone(Interval(0, 1), (), (1,), (rat(1, 2), rat(1, 2)))
     assert pushforward(fixb_measure, ident) == PiecewiseMeasure(
-        REAL_LINE, (), ((open_iv(0, 1), 1),))
+        REAL_LINE, (), ((Interval(0, 1), 1),))
 
 
 def test_pushforward_atom_on_jump_is_ambiguous(fixd):
@@ -441,14 +440,14 @@ def test_pushforward_against_probe_oracle():
 
 def test_lebesgue_restricted_fixa(fixa):
     lam = lebesgue_restricted(fixa)
-    assert lam.carrier == open_iv(0, 1)
+    assert lam.carrier == Interval(0, 1)
     assert pieces_of(lam) == [(rat(0), rat(1), rat(1))]
 
 
 def test_lebesgue_restricted_dirac(fixc):
     # the inverse sweeps (0,1); its mass interval carries the whole unit mass
     lam = lebesgue_restricted(fixc)
-    assert lam.carrier == open_iv(0, 1)
+    assert lam.carrier == Interval(0, 1)
     assert pieces_of(lam) == [(rat(0), rat(1), rat(1))]
 
 
@@ -463,14 +462,14 @@ def test_lebesgue_restricted_identity_is_lebesgue():
 
 
 def test_abs_cont_gap_counterexample(fixa, fixa_measure):
-    lam = lebesgue_on(open_iv(0, 2), REAL_LINE)
+    lam = lebesgue_on(Interval(0, 2), REAL_LINE)
     assert not is_abs_cont_wrt(lam, fixa_measure)  # the gap (1/2,3/2) is null for the measure
     assert is_abs_cont_wrt(fixa_measure, lam)
 
 
 def test_abs_cont_abs_part_of_fixd(fixd_measure):
     abs_part, _ = lebesgue_decompose(fixd_measure)
-    lam = lebesgue_on(open_iv(0, 1), REAL_LINE)
+    lam = lebesgue_on(Interval(0, 1), REAL_LINE)
     assert is_abs_cont_wrt(abs_part, lam)
 
 
@@ -486,8 +485,8 @@ def test_abs_cont_requires_common_carrier(fixb_measure, fixc_measure):
 
 
 def test_abs_cont_point_gaps_are_null():
-    a = lebesgue_on(open_iv(0, 2), REAL_LINE)
-    b = PiecewiseMeasure(REAL_LINE, (), ((open_iv(0, 1), 1), (open_iv(1, 2), 2)))
+    a = lebesgue_on(Interval(0, 2), REAL_LINE)
+    b = PiecewiseMeasure(REAL_LINE, (), ((Interval(0, 1), 1), (Interval(1, 2), 2)))
     assert is_abs_cont_wrt(a, b)
 
 
@@ -529,27 +528,27 @@ def test_merge_walk_abs_cont_equals_scan(parts_a, parts_b, data):
 
 
 def test_gen_inverse_abs_cont_fixa(fixa):
-    assert not gen_inverse_abs_cont(fixa, open_iv(0, 1))
+    assert not gen_inverse_abs_cont(fixa, Interval(0, 1))
 
 
 def test_gen_inverse_abs_cont_fixd(fixd):
-    assert gen_inverse_abs_cont(fixd, open_iv(0, 1))
+    assert gen_inverse_abs_cont(fixd, Interval(0, 1))
 
 
 def test_gen_inverse_abs_cont_dirac(fixc):
     # singleton image: every characterization holds trivially
-    assert gen_inverse_abs_cont(fixc, open_iv(0, 1))
+    assert gen_inverse_abs_cont(fixc, Interval(0, 1))
 
 
 def test_gen_inverse_abs_cont_subintervals(fixa):
     # away from the flat's level the inverse is fine
-    assert gen_inverse_abs_cont(fixa, open_iv(0, rat(1, 2)))
-    assert not gen_inverse_abs_cont(fixa, open_iv(rat(1, 4), rat(3, 4)))
+    assert gen_inverse_abs_cont(fixa, Interval(0, rat(1, 2)))
+    assert not gen_inverse_abs_cont(fixa, Interval(rat(1, 4), rat(3, 4)))
 
 
 def test_gen_inverse_abs_cont_requires_subinterval(fixd):
     with pytest.raises(PreconditionFailed):
-        gen_inverse_abs_cont(fixd, open_iv(-5, 5))
+        gen_inverse_abs_cont(fixd, Interval(-5, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -559,14 +558,14 @@ def test_gen_inverse_abs_cont_requires_subinterval(fixd):
 def test_inverse_rule_identity(fixb):
     composed, reciprocal = inverse_rule_check(fixb)
     assert composed == reciprocal
-    assert reciprocal == StepFunction(open_iv(0, 1), (), (rat(1),))
+    assert reciprocal == StepFunction(Interval(0, 1), (), (rat(1),))
 
 
 def test_inverse_rule_fixd(fixd):
     # slope 1/2 on both sides of the atom at 1/2, inverse slope 2 on both flanks
     composed, reciprocal = inverse_rule_check(fixd)
     assert composed == reciprocal
-    assert reciprocal == StepFunction(open_iv(0, 1), (), (rat(2),))
+    assert reciprocal == StepFunction(Interval(0, 1), (), (rat(2),))
 
 
 def test_inverse_rule_two_slopes():
@@ -574,8 +573,8 @@ def test_inverse_rule_two_slopes():
     composed, reciprocal = inverse_rule_check(g)
     assert composed == reciprocal
     # g' = 1 then 3 on the mass interval (0, 2); the inverse's slopes 1 and 1/3
-    assert reciprocal == StepFunction(open_iv(0, 2), (rat(1),), (rat(1), rat(1, 3)))
-    assert inverse_slope_step(g) == StepFunction(open_iv(0, 4), (rat(1),), (rat(1), rat(1, 3)))
+    assert reciprocal == StepFunction(Interval(0, 2), (rat(1),), (rat(1), rat(1, 3)))
+    assert inverse_slope_step(g) == StepFunction(Interval(0, 4), (rat(1),), (rat(1), rat(1, 3)))
 
 
 def test_inverse_rule_empty_mass_interval(fixc):
@@ -605,10 +604,10 @@ def test_level_crossings_of_a_segment_spanning_the_line():
     # one rising segment over the whole line has no finite end to measure
     # from; where it reaches a level comes from the anchor g(0) = 1
     g = PiecewiseMonotone(REAL_LINE, (), (2,), (0, 1))
-    assert preimage_interior(g, open_iv(0, 5)) == open_iv(rat(-1, 2), 2)
-    assert gen_inverse_abs_cont(g, open_iv(0, 5))
-    f = StepFunction(open_iv(0, 5), (rat(1),), (rat(1), rat(2)))
-    assert step_compose(f, g) == StepFunction(open_iv(rat(-1, 2), 2), (rat(0),), (rat(1), rat(2)))
+    assert preimage_interior(g, Interval(0, 5)) == Interval(rat(-1, 2), 2)
+    assert gen_inverse_abs_cont(g, Interval(0, 5))
+    f = StepFunction(Interval(0, 5), (rat(1),), (rat(1), rat(2)))
+    assert step_compose(f, g) == StepFunction(Interval(rat(-1, 2), 2), (rat(0),), (rat(1), rat(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +668,7 @@ def _pushforward_by_pairs(m, t):
             else:
                 u = evaluate(t, lo, RIGHT) if is_finite(lo) else seg.u
                 v = evaluate(t, hi, LEFT) if is_finite(hi) else seg.v
-                out_pieces.append((open_iv(u, v), density / seg.slope))
+                out_pieces.append((Interval(u, v), density / seg.slope))
     atoms = tuple(sorted(out_atoms.items()))
     return PiecewiseMeasure(inverse_domain(t), atoms, tuple(out_pieces))
 
@@ -699,7 +698,7 @@ def _inverse_rule_by_probes(g):
         hi = min(seg.b, m_int.hi)
         if not lo < hi:
             continue
-        hprime = hstep.value_at(mono._probe_point(open_iv(seg.u, seg.v)))
+        hprime = hstep.value_at(mono._probe_point(Interval(seg.u, seg.v)))
         ok = ok and 1 / hprime == seg.slope
     return ok
 

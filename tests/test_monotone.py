@@ -14,7 +14,7 @@ from monoinv.errors import (
     UnorderedBreakpoints,
 )
 from monoinv.exactnum import ZERO, rat
-from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, is_finite, open_iv
+from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, ClosedInterval, Interval, is_finite
 from monoinv.laws import GenConfig, gen_monotone
 from monoinv.monotone import (
     LEFT,
@@ -84,7 +84,7 @@ def test_validate_identity_cdf_ok(fixb):
 
 def test_validate_rejects_negative_slope():
     with pytest.raises(NonMonotone):
-        PiecewiseMonotone(open_iv(0, 1), (), (-1,), (rat(1, 2), 0))
+        PiecewiseMonotone(Interval(0, 1), (), (-1,), (rat(1, 2), 0))
 
 
 def test_validate_rejects_constant():
@@ -172,7 +172,7 @@ def test_inverse_of_embedded_identity_restricts_to_identity(fixb):
     q = generalized_inverse(fixb)
     # the honest inverse clamps outside (0,1); its real part there is the identity
     assert q.domain == REAL_LINE
-    assert versions_equal(restrict(q, open_iv(0, 1)), fixb)
+    assert versions_equal(restrict(q, Interval(0, 1)), fixb)
     assert evaluate(q, rat(1, 2), LEFT) == rat(1, 2)
     assert evaluate(q, -5, RIGHT) == rat(0)
     assert evaluate(q, 5, RIGHT) == rat(1)
@@ -180,7 +180,7 @@ def test_inverse_of_embedded_identity_restricts_to_identity(fixb):
 
 def test_inverse_fixa_explicit(fixa):
     q = generalized_inverse(fixa)
-    assert q.domain == open_iv(0, 1)
+    assert q.domain == Interval(0, 1)
     assert list(zip(q.xs, q.lefts, q.rights)) == [(rat(1, 2), rat(1, 2), rat(3, 2))]
     assert q.slopes == (rat(1), rat(1))
     for t in fine_grid(rat(1, 16), rat(7, 16), rat(1, 16)):
@@ -236,21 +236,18 @@ def test_definitional_oracle_on_random_instances():
 
 def test_intervals_fixa(fixa):
     assert fixa.domain == REAL_LINE
-    assert mass_interval(fixa) == open_iv(0, 2)
-    assert supporting_interval(fixa).lo == rat(0)
-    assert supporting_interval(fixa).hi == rat(2)
-    assert supporting_interval(fixa).lo_closed and supporting_interval(fixa).hi_closed
+    assert mass_interval(fixa) == Interval(0, 2)
+    assert supporting_interval(fixa) == ClosedInterval(0, 2)
     q = generalized_inverse(fixa)
-    assert q.domain == open_iv(0, 1)
-    assert mass_interval(q) == open_iv(0, 1)
+    assert q.domain == Interval(0, 1)
+    assert mass_interval(q) == Interval(0, 1)
     s = supporting_interval(q)
     assert (s.lo, s.hi) == (rat(0), rat(1))
 
 
 def test_intervals_dirac(fixc):
     assert mass_interval(fixc).is_empty
-    s = supporting_interval(fixc)
-    assert s.lo == s.hi == rat(0) and s.lo_closed
+    assert supporting_interval(fixc) == ClosedInterval(0, 0)
 
 
 def test_intervals_identity_on_line():
@@ -266,8 +263,7 @@ def test_mass_inside_domain_supporting_inside_closure():
         g = gen_monotone(GenConfig(seed=seed, max_knots=6))
         assert g.domain.contains_interval(mass_interval(g))
         s = supporting_interval(g)
-        cl = g.domain.closure()
-        assert cl.contains_interval(s)
+        assert g.domain.lo <= s.lo <= s.hi <= g.domain.hi
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +272,13 @@ def test_mass_inside_domain_supporting_inside_closure():
 
 def test_restrict_fixa_inverse_to_first_half(fixa):
     q = generalized_inverse(fixa)
-    r = restrict(q, open_iv(0, rat(1, 2)))
-    ident = PiecewiseMonotone(open_iv(0, rat(1, 2)), (), (1,), (rat(1, 4), rat(1, 4)))
+    r = restrict(q, Interval(0, rat(1, 2)))
+    ident = PiecewiseMonotone(Interval(0, rat(1, 2)), (), (1,), (rat(1, 4), rat(1, 4)))
     assert versions_equal(r, ident)
 
 
 def test_restrict_keeps_real_part(fixb):
-    assert versions_equal(restrict(fixb, open_iv(0, 1)), fixb)
+    assert versions_equal(restrict(fixb, Interval(0, 1)), fixb)
 
 
 def test_restrict_to_full_domain_is_identity(fixa, fixd):
@@ -299,7 +295,7 @@ def test_restrict_to_empty_interval_fails(fixb):
 
 def test_restrict_to_flat_region_is_excluded(fixa):
     with pytest.raises(ConstantFunction):
-        restrict(fixa, open_iv(rat(3, 4), rat(5, 4)))
+        restrict(fixa, Interval(rat(3, 4), rat(5, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +305,14 @@ def test_restrict_to_flat_region_is_excluded(fixa):
 def test_versions_equal_ignores_jump_values(fixa):
     # the class stores no value at the jump, so re-building it is the same class
     q1 = generalized_inverse(fixa)
-    q2 = PiecewiseMonotone(open_iv(0, 1),
+    q2 = PiecewiseMonotone(Interval(0, 1),
                            ((rat(1, 2), rat(1, 2), rat(3, 2)),),
                            (1, 1), None)
     assert versions_equal(q1, q2)
 
 
 def test_versions_not_equal_after_value_shift(fixb):
-    shifted = PiecewiseMonotone(open_iv(0, 1), (), (1,), (rat(1, 2), rat(3, 2)))
+    shifted = PiecewiseMonotone(Interval(0, 1), (), (1,), (rat(1, 2), rat(3, 2)))
     assert not versions_equal(fixb, shifted)
     assert equal_up_to_shift(fixb, shifted)
 
@@ -347,15 +343,15 @@ def test_double_inverse_random():
 
 def test_constancy_set_fixd_inverse(fixd):
     q = generalized_inverse(fixd)
-    assert constancy_set(q) == [open_iv(rat(1, 4), rat(3, 4))]
+    assert constancy_set(q) == [Interval(rat(1, 4), rat(3, 4))]
 
 
 def test_constancy_set_identity_empty(fixb):
-    assert constancy_set(fixb, within=open_iv(0, 1)) == []
+    assert constancy_set(fixb, within=Interval(0, 1)) == []
 
 
 def test_constancy_set_fixa_inside_mass_interval(fixa):
-    assert constancy_set(fixa, within=mass_interval(fixa)) == [open_iv(rat(1, 2), rat(3, 2))]
+    assert constancy_set(fixa, within=mass_interval(fixa)) == [Interval(rat(1, 2), rat(3, 2))]
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +385,7 @@ def test_continuity_lemma_left_inverse(fixd):
 
 def test_inverse_domain_embedding_cases(fixb, fixc):
     assert inverse_domain(fixb) == REAL_LINE  # finite domain ends clamp
-    assert inverse_domain(fixc) == open_iv(0, 1)
+    assert inverse_domain(fixc) == Interval(0, 1)
 
 
 def test_from_knot_data_anchor_walks_both_ways():
@@ -530,7 +526,7 @@ def _generalized_inverse_by_tokens(g):
     anchor = None
     if not breaks:
         t_lo, t_hi, slope, anchor_t, anchor_x = segs[0]
-        probe = _probe_point(open_iv(t_lo, t_hi))
+        probe = _probe_point(Interval(t_lo, t_hi))
         anchor = (probe, anchor_x + slope * (probe - anchor_t))
     return PiecewiseMonotone(dom, tuple(breaks), tuple(slopes), anchor)
 
@@ -578,7 +574,7 @@ def test_cached_tables_equal_tables_built_from_scratch(g):
     segs = segment_table(g)
     assert mono.value_bounds(g) == (segs[0].u, segs[-1].v)
     assert mono.value_bounds(g) is mono.value_bounds(g)
-    assert mono.flats(g) == tuple((open_iv(seg.a, seg.b), seg.u) for seg in segs
+    assert mono.flats(g) == tuple((Interval(seg.a, seg.b), seg.u) for seg in segs
                                   if seg.slope == 0)
     # the caches are not part of the value
     rebuilt = PiecewiseMonotone(g.domain, tuple(zip(g.xs, g.lefts, g.rights)), g.slopes,
@@ -628,7 +624,7 @@ def test_single_pass_canonicalisation_equals_restarts(g, data):
     for i, seg in enumerate(segment_table(g)):
         a = seg.a
         for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
-            x = _probe_point(open_iv(a, seg.b))
+            x = _probe_point(Interval(a, seg.b))
             v = evaluate(g, x, RIGHT)
             breaks.append((x, v, v))
             slopes.append(seg.slope)
@@ -653,5 +649,5 @@ def test_restrict_by_index_range_equals_scan(g, data):
     ends = sorted(set(pts + [g.domain.lo, g.domain.hi]))
     i = data.draw(st.integers(min_value=0, max_value=len(ends) - 2))
     j = data.draw(st.integers(min_value=i + 1, max_value=len(ends) - 1))
-    iv = open_iv(ends[i], ends[j])
+    iv = Interval(ends[i], ends[j])
     assert _outcome(restrict, g, iv) == _outcome(_restrict_by_scan, g, iv)

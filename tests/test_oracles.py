@@ -32,7 +32,7 @@ from monoinv import laws, measure, monotone, unimodal
 from monoinv.cli import _default_anchor
 from monoinv.errors import ConstantFunction
 from monoinv.exactnum import ZERO
-from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, is_finite, open_iv
+from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, Interval, is_finite
 from monoinv.laws import GenConfig, LawFailure, gen_monotone
 from monoinv.measure import (
     associated_measure,
@@ -276,7 +276,7 @@ def test_galois_mutant_is_caught_by_all_pairs(monkeypatch):
 
 def measure_of_open_full_scan(m, lo, hi):
     """measure_of_open as a scan of every atom and every cell."""
-    iv = open_iv(lo, hi)
+    iv = Interval(lo, hi)
     if iv.is_empty:
         return ZERO
     total = ZERO
@@ -314,7 +314,7 @@ def mismatches(g):
 
 @settings(oracle_settings, max_examples=60)
 @given(instances())
-@example(PiecewiseMonotone(open_iv(0, 4), ((1, 0, 1), (2, 2, 2)), (1, 1, 0)))
+@example(PiecewiseMonotone(Interval(0, 4), ((1, 0, 1), (2, 2, 2)), (1, 1, 0)))
 def test_measure_of_open_agrees_with_the_full_scan(g):
     measures, intervals = probes(g)
     for m in measures:
@@ -396,7 +396,7 @@ def levels(g):
 
 @oracle_settings
 @given(instances())
-@example(PiecewiseMonotone(open_iv(0, 4), ((1, 0, 1), (2, 2, 2)), (1, 1, 0)))
+@example(PiecewiseMonotone(Interval(0, 4), ((1, 0, 1), (2, 2, 2)), (1, 1, 0)))
 @example(PiecewiseMonotone(REAL_LINE, (), (2,), (0, 1)))  # one segment spanning the line
 def test_threshold_scans_agree_with_the_segment_walk(g):
     for scan, walk in SCANS.values():

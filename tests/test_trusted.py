@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from monoinv import cli, measure
 from monoinv.errors import ConstantFunction, MonoinvError
 from monoinv.exactnum import rat
-from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, Interval, is_finite, open_iv
+from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, Interval, is_finite
 from monoinv.laws import GenConfig, gen_monotone
 from monoinv.measure import (
     PiecewiseMeasure,
@@ -216,11 +216,11 @@ def carrier_and_pieces(draw):
     ends = [rat(k, 2) for k in ends]
     carrier = REAL_LINE
     if len(ends) >= 2 and draw(st.booleans()):
-        carrier = open_iv(ends[0], ends[-1])
+        carrier = Interval(ends[0], ends[-1])
     pieces = []
     for lo, hi in zip(ends, ends[1:]):
         if draw(st.integers(min_value=0, max_value=3)):
-            pieces.append((open_iv(lo, hi), draw(st.sampled_from([rat(1), rat(2), rat(1, 3)]))))
+            pieces.append((Interval(lo, hi), draw(st.sampled_from([rat(1), rat(2), rat(1, 3)]))))
     if carrier is REAL_LINE and ends:
         if draw(st.booleans()):
             pieces.append((Interval(NEG_INF, ends[0]), rat(1)))
@@ -230,13 +230,13 @@ def carrier_and_pieces(draw):
 
 
 # density 1 on (0, 1) and on (2, 3), with a gap between them
-GAP_BETWEEN_EQUAL_DENSITIES = (REAL_LINE, [(open_iv(0, 1), rat(1)), (open_iv(2, 3), rat(1))])
+GAP_BETWEEN_EQUAL_DENSITIES = (REAL_LINE, [(Interval(0, 1), rat(1)), (Interval(2, 3), rat(1))])
 
 
 @oracle_settings
 @given(carrier_and_pieces())
 @example(GAP_BETWEEN_EQUAL_DENSITIES)
-@example((open_iv(0, 2), [(open_iv(0, 1), rat(1)), (open_iv(1, 2), rat(1))]))
+@example((Interval(0, 2), [(Interval(0, 1), rat(1)), (Interval(1, 2), rat(1))]))
 def test_public_pieces_equal_naive_merge(parts):
     assert pieces_are_merged(*parts)
 

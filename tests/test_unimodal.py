@@ -4,7 +4,7 @@ import pytest
 
 from monoinv.errors import AmbiguousComposition, CarrierMismatch, QfNotAbsolutelyContinuous
 from monoinv.exactnum import rat
-from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, open_iv
+from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, ClosedInterval, Interval
 from monoinv.laws import GenConfig, gen_monotone
 from monoinv.measure import StepFunction, step_compose, step_of_slopes
 from monoinv.monotone import PiecewiseMonotone, from_knot_data, generalized_inverse
@@ -43,7 +43,7 @@ def brute_quasi_convex(values):
 
 
 def step(values, knots=None, carrier=None):
-    carrier = carrier or open_iv(0, len(values))
+    carrier = carrier or Interval(0, len(values))
     knots = knots if knots is not None else list(range(1, len(values)))
     return StepFunction(carrier, tuple(knots), tuple(rat(v) if isinstance(v, int) else v
                                                      for v in values))
@@ -54,7 +54,7 @@ def step(values, knots=None, carrier=None):
 
 
 def test_quasi_concave_plateau():
-    f = step([1, 2, 2, 1], knots=[1, 2, 3], carrier=open_iv(0, 4))
+    f = step([1, 2, 2, 1], knots=[1, 2, 3], carrier=Interval(0, 4))
     assert brute_quasi_concave([1, 2, 2, 1])
     ok, modal = is_quasi_concave(f, extend_by_zero=False)
     assert ok
@@ -68,7 +68,7 @@ def test_quasi_concave_rejects_fixa_density(fixa):
 
 
 def test_quasi_concave_constant():
-    f = step([1], knots=[], carrier=open_iv(0, 1))
+    f = step([1], knots=[], carrier=Interval(0, 1))
     ok, modal = is_quasi_concave(f, extend_by_zero=False)
     assert ok and (modal.lo, modal.hi) == (rat(0), rat(1))
 
@@ -86,7 +86,7 @@ def test_quasi_convex_rejects_peak():
 
 
 def test_quasi_convex_single_cell():
-    ok, modal = is_quasi_convex(step([5], knots=[], carrier=open_iv(0, 1)))
+    ok, modal = is_quasi_convex(step([5], knots=[], carrier=Interval(0, 1)))
     assert ok and (modal.lo, modal.hi) == (rat(0), rat(1))
 
 
@@ -108,7 +108,7 @@ def test_zero_extension_changes_nothing_for_concavity_but_is_semantic():
         f = step(values)
         assert (is_quasi_concave(f, True)[0] == is_quasi_concave(f, False)[0])
     # but it does widen the modal interval of an all-zero density to the line
-    f0 = step([0], knots=[], carrier=open_iv(0, 1))
+    f0 = step([0], knots=[], carrier=Interval(0, 1))
     _, modal = is_quasi_concave(f0, extend_by_zero=True)
     assert (modal.lo, modal.hi) == (NEG_INF, POS_INF)
 
@@ -205,9 +205,9 @@ def test_classify_two_atoms_never_unimodal():
 
 def test_classification_invariants_enforced():
     from monoinv.errors import InternalInconsistency
-    from monoinv.unimodal import Classification, ModalInterval
+    from monoinv.unimodal import Classification
 
-    point = ModalInterval(rat(0), rat(0))
+    point = ClosedInterval(0, 0)
     with pytest.raises(InternalInconsistency):
         Classification(
             cdf_unimodal=True,
@@ -252,13 +252,13 @@ def test_qf_shape_identity(fixb):
 def test_quantile_density_uniform(fixb):
     # the measure generated by the embedded identity is uniform on (0,1)
     q = quantile_density(fixb)
-    assert q.carrier == open_iv(0, 1)
+    assert q.carrier == Interval(0, 1)
     assert q.knots == () and q.values == (rat(1),)
 
 
 def test_quantile_density_fixd(fixd):
     q = quantile_density(fixd)
-    assert q.carrier == open_iv(0, 1)
+    assert q.carrier == Interval(0, 1)
     assert q.knots == (rat(1, 4), rat(3, 4))
     assert q.values == (rat(2), rat(0), rat(2))
 
@@ -273,10 +273,10 @@ def test_quantile_density_fixa_errors(fixa):
 
 
 def test_step_compose_fixd(fixd):
-    f = StepFunction(open_iv(0, 1), (rat(1, 4), rat(3, 4)), (rat(2), rat(0), rat(2)))
+    f = StepFunction(Interval(0, 1), (rat(1, 4), rat(3, 4)), (rat(2), rat(0), rat(2)))
     got = step_compose(f, fixd)
     # a.e. on the interior of the support the composition is constant 2
-    assert got.carrier == open_iv(0, 1)
+    assert got.carrier == Interval(0, 1)
     assert got.knots == () and got.values == (rat(2),)
 
 
@@ -294,7 +294,7 @@ def test_step_compose_with_identity():
 
 
 def test_step_compose_carrier_mismatch(fixb):
-    f = StepFunction(open_iv(10, 11), (), (rat(1),))
+    f = StepFunction(Interval(10, 11), (), (rat(1),))
     with pytest.raises(CarrierMismatch):
         step_compose(f, fixb)
 
