@@ -42,8 +42,9 @@ class _Infinity:
     """-inf (sign -1) or +inf (sign 1).  Immutable; equal only to itself.
 
     Ordering against anything that is not a sentinel treats it as finite.
-    Adding or subtracting a finite value leaves the sentinel unchanged;
-    inf - inf is undefined and raises ValueError.
+    A sentinel takes part in no arithmetic: a sum, difference or negation
+    with one raises TypeError, so a caller tests an end with
+    intervals.is_finite before it measures a length.
     """
 
     __slots__ = ("_sign",)
@@ -71,24 +72,6 @@ class _Infinity:
 
     def __ge__(self, other):
         return self._sign >= (other._sign if other.__class__ is _Infinity else 0)
-
-    def __neg__(self):
-        return POS_INF if self is NEG_INF else NEG_INF
-
-    def __add__(self, other):
-        if other.__class__ is _Infinity and other is not self:
-            raise ValueError("inf - inf is undefined")
-        return self
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if other is self:
-            raise ValueError("inf - inf is undefined")
-        return self
-
-    def __rsub__(self, other):
-        return -self
 
     def __repr__(self):
         return "inf" if self._sign > 0 else "-inf"

@@ -504,7 +504,7 @@ def _check_decomp(g):
     if len(atom_xs) > 1:
         raise LawFailure("at most one atom", len(atom_xs), "singular part of a unimodal measure")
     if atom_xs:
-        ok, modal = is_quasi_concave(step_of_slopes(g), extend_by_zero=True)
+        ok, modal = is_quasi_concave(step_of_slopes(g))
         if not ok:
             raise LawFailure("quasi-concave density part", "not quasi-concave", "decomposition")
         if not modal.contains(atom_xs[0]):

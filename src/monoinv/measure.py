@@ -301,11 +301,9 @@ def measure_of_open(m: PiecewiseMeasure, lo, hi):
     ends = (max(iv.lo, dens.carrier.lo), *dens.knots[i:j], min(iv.hi, dens.carrier.hi))
     for a, b, v in zip(ends, ends[1:], dens.values[i:j + 1]):
         if v != 0 and a < b:
-            length = b - a
-            if is_finite(length):
-                total = total + v * length
-            else:
+            if not (is_finite(a) and is_finite(b)):
                 return POS_INF
+            total = total + v * (b - a)
     return total
 
 
@@ -439,11 +437,10 @@ def pushforward(m: PiecewiseMeasure, t: PiecewiseMonotone) -> PiecewiseMeasure:
             lo = max(c_lo, starts[seg])
             hi = min(c_hi, ends[seg])
             if t.slopes[seg] == 0:
-                length = hi - lo
-                if not is_finite(length):
+                if not (is_finite(lo) and is_finite(hi)):
                     raise NotLocallyFinite(
                         "a flat of infinite length carries infinite mass to one point")
-                out_atoms[us[seg]] += d * length
+                out_atoms[us[seg]] += d * (hi - lo)
             else:
                 # the columns hold the limits at the segment's own ends
                 u = evaluate(t, lo, RIGHT) if starts[seg] < lo else us[seg]

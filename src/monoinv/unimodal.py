@@ -6,6 +6,12 @@ class this is a statement about the sequence of slopes plus a placement
 rule for at most one jump, and it is equivalent to shape statements about
 the generalized inverse; the verification harness replays those
 equivalences exhaustively.
+
+Every shape check here is one scan, _switch_hull: the slopes of a
+distribution function rise then fall, the slopes of an inverse and the
+cells of a quantile density fall then rise.  A function is extended by
+zero to the whole line once, by extend_to_real_line; step classes are
+scanned on their own carriers and never extended.
 """
 
 from __future__ import annotations
@@ -15,8 +21,7 @@ import operator
 from dataclasses import dataclass
 
 from monoinv.errors import InternalInconsistency, QfNotAbsolutelyContinuous
-from monoinv.exactnum import ZERO
-from monoinv.intervals import NEG_INF, POS_INF, ClosedInterval, is_finite
+from monoinv.intervals import ClosedInterval
 from monoinv.measure import (
     StepFunction,
     gen_inverse_abs_cont,
@@ -32,71 +37,51 @@ from monoinv.monotone import (
 )
 
 
-def _switch_hull(values, bounds, rise_first: bool) -> ClosedInterval | None:
+def _switch_hull(values, knots, carrier, rise_first: bool) -> ClosedInterval | None:
     """Where a sequence of cell values switches direction.
 
-    Cell i spans (bounds[i], bounds[i + 1]).  With rise_first the values
+    Cell i spans (knots[i - 1], knots[i]), reading carrier.lo before the
+    first knot and carrier.hi after the last.  With rise_first the values
     must be non-decreasing up to some cell and non-increasing from it on
     (non-increasing, then non-decreasing without rise_first).  The cells
-    where that switch can happen form the run of maximal (minimal) values;
-    returns the closed hull of that run, or None when the sequence has no
-    such shape.
+    where that switch can happen lie between the first order break from the
+    left and the last one from the right; returns their closed hull, or
+    None when the sequence has no such shape.
     """
     ordered = operator.le if rise_first else operator.ge
     n = len(values)
-    prefix = [True] * n
-    for i in range(1, n):
-        prefix[i] = prefix[i - 1] and ordered(values[i - 1], values[i])
-    suffix = [True] * n
-    for i in range(n - 2, -1, -1):
-        suffix[i] = suffix[i + 1] and ordered(values[i + 1], values[i])
-    switch = [i for i in range(n) if prefix[i] and suffix[i]]
-    if not switch:
+    last = 0  # cells 0..last are ordered from the left
+    while last + 1 < n and ordered(values[last], values[last + 1]):
+        last += 1
+    first = n - 1  # cells first..n-1 are ordered from the right
+    while first > 0 and ordered(values[first], values[first - 1]):
+        first -= 1
+    if first > last:
         return None
-    return ClosedInterval(bounds[switch[0]], bounds[switch[-1] + 1])
+    return ClosedInterval(knots[first - 1] if first else carrier.lo,
+                          knots[last] if last + 1 < n else carrier.hi)
 
 
-def _step_cells(f: StepFunction, extend_by_zero: bool):
-    """Values and bounds of the cells of the step class, optionally bracketed
-    by zero-valued cells where the carrier has finite ends."""
-    values = list(f.values)
-    bounds = [f.carrier.lo, *f.knots, f.carrier.hi]
-    if extend_by_zero:
-        if is_finite(f.carrier.lo):
-            values.insert(0, ZERO)
-            bounds.insert(0, NEG_INF)
-        if is_finite(f.carrier.hi):
-            values.append(ZERO)
-            bounds.append(POS_INF)
-    return values, bounds
-
-
-def is_quasi_concave(f: StepFunction, extend_by_zero: bool) -> tuple[bool, ClosedInterval | None]:
+def is_quasi_concave(f: StepFunction) -> tuple[bool, ClosedInterval | None]:
     """Does some a.e. version of f satisfy the superlevel-interval property?
 
     For a step class this is: cell values non-decreasing, then
     non-increasing.  Returns the closed modal interval (argmax closure)
     when true.
     """
-    hull = _switch_hull(*_step_cells(f, extend_by_zero), rise_first=True)
+    hull = _switch_hull(f.values, f.knots, f.carrier, rise_first=True)
     return hull is not None, hull
 
 
 def is_quasi_convex(f: StepFunction) -> tuple[bool, ClosedInterval | None]:
     """Dual of is_quasi_concave: non-increasing then non-decreasing cells;
-    modal interval is the argmin closure.  No zero extension: quantile
-    densities are unconstrained at the boundary."""
-    hull = _switch_hull(*_step_cells(f, extend_by_zero=False), rise_first=False)
+    modal interval is the argmin closure."""
+    hull = _switch_hull(f.values, f.knots, f.carrier, rise_first=False)
     return hull is not None, hull
 
 
 # ---------------------------------------------------------------------------
 # shape analysis of the function itself
-
-
-def _slope_hull(g: PiecewiseMonotone, rise_first: bool) -> ClosedInterval | None:
-    """_switch_hull of the slopes of g over its segments."""
-    return _switch_hull(g.slopes, [g.domain.lo, *g.xs, g.domain.hi], rise_first)
 
 
 def inverse_abs_cont(g: PiecewiseMonotone) -> bool:
@@ -152,7 +137,7 @@ def classify(f: PiecewiseMonotone) -> Classification:
 
     # admissible modes by the slopes alone: non-decreasing left of the mode,
     # non-increasing right of it
-    hull = _slope_hull(g, rise_first=True)
+    hull = _switch_hull(g.slopes, g.xs, g.domain, rise_first=True)
     gjumps = jumps(g)
     cdf_unimodal = False
     modes = None
@@ -169,7 +154,7 @@ def classify(f: PiecewiseMonotone) -> Classification:
                 modes = ClosedInterval(x, x)
                 atom_at_mode = (x, g.rights[i] - g.lefts[i])
 
-    dens_ok, _ = is_quasi_concave(step_of_slopes(g), extend_by_zero=True)
+    dens_ok, _ = is_quasi_concave(step_of_slopes(g))
 
     qf_ac = inverse_abs_cont(g)
     if qf_ac:
@@ -201,7 +186,7 @@ def qf_shape_check(q: PiecewiseMonotone) -> tuple[bool, ClosedInterval | None]:
     """
     if jumps(q):
         return False, None
-    hull = _slope_hull(q, rise_first=False)
+    hull = _switch_hull(q.slopes, q.xs, q.domain, rise_first=False)
     return hull is not None, hull
 
 

@@ -23,6 +23,10 @@ The cases of half_line (density 1 on (0, inf)) and real_line (density 1/2
 on the whole line), the only ones whose supporting and modal intervals
 have infinite ends, were recorded by the CLI just before intervals lost
 their closed-end flags.
+The verify case (`verify --law all --n 200 --seed 20260808`, no input
+file) was recorded by the CLI just before the quasi-concavity and
+quasi-convexity scans became one two-index scan; it pins every law's
+verdict and eligible count at that seed.
 A case may carry extra command-line `args` (`--plot-points N`, `--anchor
 P/Q`); its report then lives in `<input>.<command>.<args>.out`, e.g.
 `bimodal.invert.plot-points_7.out` or `tied_gauss_300.invert.anchor_1_7.out`.
@@ -44,6 +48,8 @@ with open(os.path.join(GOLDEN, "cases.json"), encoding="utf-8") as _fh:
 
 
 def _input_args(name):
+    if name is None:
+        return []  # verify draws its own instances
     spec = os.path.join(GOLDEN, f"{name}.json")
     if os.path.exists(spec):
         return ["--spec", spec]
@@ -52,19 +58,22 @@ def _input_args(name):
 
 def case_argv(case):
     """The CLI arguments of a golden case: command, input, extra args."""
-    return [case["command"], *_input_args(case["input"]), *case.get("args", [])]
+    return [case["command"], *_input_args(case.get("input")), *case.get("args", [])]
 
 
 def case_id(case):
-    return f"{case['input']}-{case['command']}" + "".join(case.get("args", []))
+    prefix = f"{case['input']}-" if "input" in case else ""
+    return f"{prefix}{case['command']}" + "".join(case.get("args", []))
 
 
 def golden_report(case):
     """The recorded stdout of a golden case; '--plot-points', '7' adds
-    'plot-points_7.' to the file name, '--anchor', '1/7' adds 'anchor_1_7.'."""
+    'plot-points_7.' to the file name, '--anchor', '1/7' adds 'anchor_1_7.'.
+    A case without an input file names its report after the command alone."""
     tag = "".join(a.lstrip("-") + "_" if a.startswith("--") else a.replace("/", "_") + "."
                   for a in case.get("args", []))
-    with open(os.path.join(GOLDEN, f"{case['input']}.{case['command']}.{tag}out"), "rb") as fh:
+    stem = f"{case['input']}.{case['command']}" if "input" in case else case["command"]
+    with open(os.path.join(GOLDEN, f"{stem}.{tag}out"), "rb") as fh:
         return fh.read()
 
 

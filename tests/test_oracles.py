@@ -8,16 +8,19 @@ GALOIS compares two prefix lengths per grid point x by bisection,
 measure.measure_of_open bisects to the atoms and cells that can meet its
 interval, and the threshold scans last_x_with_right_le and
 first_x_with_left_ge bisect to the one segment that can cross their level.
+unimodal._switch_hull stops at the first order break from each end.
 The loops they replaced are kept here as oracles: the check of every
-(x, t) pair of the grids, the scan of every atom and cell, and the walk
-along the segments.  The fast paths must give the same verdicts and the
-same failure texts, also with a fault planted in what the check reads, and
-a one-point mutant of each fast path must be told apart from its oracle.
+(x, t) pair of the grids, the scan of every atom and cell, the walk
+along the segments, and the prefix and suffix flags of every cell.  The
+fast paths must give the same verdicts and the same failure texts, also
+with a fault planted in what the check reads, and a one-point mutant of
+each fast path must be told apart from its oracle.
 """
 
 import contextlib
 import glob
 import json
+import operator
 import os
 
 from bisect import bisect_left, bisect_right
@@ -31,8 +34,8 @@ from hypothesis import strategies as st
 from monoinv import laws, measure, monotone, unimodal
 from monoinv.cli import _default_anchor
 from monoinv.errors import ConstantFunction
-from monoinv.exactnum import ZERO
-from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, Interval, is_finite
+from monoinv.exactnum import ZERO, rat
+from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, ClosedInterval, Interval, is_finite
 from monoinv.laws import GenConfig, LawFailure, gen_monotone
 from monoinv.measure import (
     associated_measure,
@@ -289,11 +292,9 @@ def measure_of_open_full_scan(m, lo, hi):
         lo2 = max(iv.lo, c_lo)
         hi2 = min(iv.hi, c_hi)
         if lo2 < hi2:
-            length = hi2 - lo2
-            if is_finite(length):
-                total = total + v * length
-            else:
+            if not (is_finite(lo2) and is_finite(hi2)):
                 return POS_INF
+            total = total + v * (hi2 - lo2)
     return total
 
 
@@ -420,3 +421,48 @@ def test_threshold_scan_mutant_is_caught_by_the_walk(monkeypatch, scan, bisectio
     monkeypatch.setattr(monotone, bisection, mutant)
     told_apart = sum([fast(g, c) for c in cs] != w for (g, cs), w in zip(cases, want))
     assert told_apart >= 10
+
+
+# ---------------------------------------------------------------------------
+# the switch scan
+
+
+def switch_hull_by_flags(values, bounds, rise_first):
+    """unimodal._switch_hull as a flag per cell: ordered from the left,
+    ordered from the right.  Cell i spans (bounds[i], bounds[i + 1])."""
+    ordered = operator.le if rise_first else operator.ge
+    n = len(values)
+    prefix = [True] * n
+    for i in range(1, n):
+        prefix[i] = prefix[i - 1] and ordered(values[i - 1], values[i])
+    suffix = [True] * n
+    for i in range(n - 2, -1, -1):
+        suffix[i] = suffix[i + 1] and ordered(values[i + 1], values[i])
+    switch = [i for i in range(n) if prefix[i] and suffix[i]]
+    if not switch:
+        return None
+    return ClosedInterval(bounds[switch[0]], bounds[switch[-1] + 1])
+
+
+@st.composite
+def cell_sequences(draw):
+    """Nonnegative cell values with ties, their knots, and a finite,
+    half-line or whole-line carrier around them."""
+    values = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=8))
+    knots = sorted(draw(st.sets(st.integers(min_value=-20, max_value=20),
+                                min_size=len(values) - 1, max_size=len(values) - 1)))
+    ends = draw(st.sampled_from(["finite", "lower half-line", "upper half-line", "line"]))
+    lo = NEG_INF if ends in ("lower half-line", "line") else (knots[0] if knots else 0) - 1
+    hi = POS_INF if ends in ("upper half-line", "line") else (knots[-1] if knots else 0) + 1
+    return [rat(v) for v in values], tuple(rat(k) for k in knots), Interval(lo, hi)
+
+
+@oracle_settings
+@given(cells=cell_sequences(), rise_first=st.booleans())
+@example(cells=([rat(1), rat(2), rat(2), rat(1)], (rat(1), rat(2), rat(3)), Interval(0, 4)),
+         rise_first=True)  # a plateau: its hull is [1, 3]
+def test_switch_hull_agrees_with_the_cell_flags(cells, rise_first):
+    values, knots, carrier = cells
+    want = switch_hull_by_flags(values, [carrier.lo, *knots, carrier.hi], rise_first)
+    got = unimodal._switch_hull(values, knots, carrier, rise_first)
+    assert got == want and repr(got) == repr(want)

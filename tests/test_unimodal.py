@@ -56,7 +56,7 @@ def step(values, knots=None, carrier=None):
 def test_quasi_concave_plateau():
     f = step([1, 2, 2, 1], knots=[1, 2, 3], carrier=Interval(0, 4))
     assert brute_quasi_concave([1, 2, 2, 1])
-    ok, modal = is_quasi_concave(f, extend_by_zero=False)
+    ok, modal = is_quasi_concave(f)
     assert ok
     assert (modal.lo, modal.hi) == (rat(1), rat(3))
 
@@ -64,12 +64,12 @@ def test_quasi_concave_plateau():
 def test_quasi_concave_rejects_fixa_density(fixa):
     f = step_of_slopes(fixa)
     assert not brute_quasi_concave(list(f.values))
-    assert is_quasi_concave(f, extend_by_zero=True) == (False, None)
+    assert is_quasi_concave(f) == (False, None)
 
 
 def test_quasi_concave_constant():
     f = step([1], knots=[], carrier=Interval(0, 1))
-    ok, modal = is_quasi_concave(f, extend_by_zero=False)
+    ok, modal = is_quasi_concave(f)
     assert ok and (modal.lo, modal.hi) == (rat(0), rat(1))
 
 
@@ -96,21 +96,23 @@ def test_quasi_checks_match_brute_force_oracle():
         n = rng.randint(1, 7)
         values = [rng.randint(0, 3) for _ in range(n)]
         f = step(values)
-        assert is_quasi_concave(f, extend_by_zero=False)[0] == brute_quasi_concave(f.values)
+        assert is_quasi_concave(f)[0] == brute_quasi_concave(f.values)
         assert is_quasi_convex(f)[0] == brute_quasi_convex(f.values)
 
 
 def test_zero_extension_changes_nothing_for_concavity_but_is_semantic():
-    # bracketing nonnegative cells with zeros never flips quasi-concavity
+    # bracketing nonnegative cells with zero cells on the whole line never
+    # flips quasi-concavity, and keeps the modal interval unless every cell
+    # is zero: why step classes are never extended
     rng = random.Random(11)
     for _ in range(200):
         values = [rng.randint(0, 3) for _ in range(rng.randint(1, 6))]
         f = step(values)
-        assert (is_quasi_concave(f, True)[0] == is_quasi_concave(f, False)[0])
-    # but it does widen the modal interval of an all-zero density to the line
-    f0 = step([0], knots=[], carrier=Interval(0, 1))
-    _, modal = is_quasi_concave(f0, extend_by_zero=True)
-    assert (modal.lo, modal.hi) == (NEG_INF, POS_INF)
+        bracketed = step([0, *values, 0], knots=range(len(values) + 1), carrier=REAL_LINE)
+        ok, modal = is_quasi_concave(bracketed)
+        assert ok == is_quasi_concave(f)[0]
+        if any(values):
+            assert modal == is_quasi_concave(f)[1]
 
 
 def test_duality_negate_and_shift():
@@ -121,7 +123,7 @@ def test_duality_negate_and_shift():
         top = max(values)
         mirrored = step([top - v for v in values])
         ok1, m1 = is_quasi_convex(f)
-        ok2, m2 = is_quasi_concave(mirrored, extend_by_zero=False)
+        ok2, m2 = is_quasi_concave(mirrored)
         assert ok1 == ok2
         if ok1:
             assert (m1.lo, m1.hi) == (m2.lo, m2.hi)
@@ -134,7 +136,7 @@ def test_monotone_steps_are_both():
         if rng.random() < 0.5:
             values.reverse()
         f = step(values)
-        assert is_quasi_concave(f, extend_by_zero=False)[0]
+        assert is_quasi_concave(f)[0]
         assert is_quasi_convex(f)[0]
 
 
