@@ -57,9 +57,7 @@ from monoinv.measure import (
     _canonical_step,
     _measure,
     associated_measure,
-    density,
     distribution_function,
-    lebesgue_decompose,
 )
 from monoinv.monotone import (
     PiecewiseMonotone,
@@ -364,10 +362,9 @@ def _report(m: PiecewiseMeasure, anchor, **blocks) -> dict:
 
 
 def _decomposition_block(m: PiecewiseMeasure) -> dict:
-    abs_part, sing = lebesgue_decompose(m)
     return {
-        "atoms": atoms_to_json(sing, lazy=True),
-        "abs_density": step_to_json(density(abs_part), lazy=True),
+        "atoms": atoms_to_json(m, lazy=True),
+        "abs_density": step_to_json(m.abs_density, lazy=True),
     }
 
 

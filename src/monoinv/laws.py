@@ -24,7 +24,6 @@ from monoinv import serialize
 from monoinv.errors import (
     ConstantFunction,
     PreconditionFailed,
-    QfNotAbsolutelyContinuous,
     UnknownLaw,
 )
 from monoinv.exactnum import ZERO, rat
@@ -66,9 +65,7 @@ from monoinv.monotone import (
 from monoinv.unimodal import (
     classify,
     is_quasi_concave,
-    is_quasi_convex,
     qf_shape_check,
-    quantile_density,
 )
 
 @dataclass(frozen=True)
@@ -482,11 +479,10 @@ def _check_qf_ac(g, c=None):
 
 def _check_main_equiv(g, c=None):
     """c, when given, is classify(g)."""
-    route_a = (classify(g) if c is None else c).cdf_unimodal
-    try:
-        route_b = is_quasi_convex(quantile_density(g))[0]
-    except QfNotAbsolutelyContinuous:
-        route_b = False
+    if c is None:
+        c = classify(g)
+    route_a = c.cdf_unimodal
+    route_b = c.quantile_unimodal
     h = _materialized_inverse(extend_to_real_line(g))
     route_c = True if h is None else qf_shape_check(h)[0]
     if not (route_a == route_b == route_c):
@@ -504,6 +500,8 @@ def _check_decomp(g):
     if len(atom_xs) > 1:
         raise LawFailure("at most one atom", len(atom_xs), "singular part of a unimodal measure")
     if atom_xs:
+        # a scan of its own: with classify's hull, the atom check would only
+        # restate classify's own hull.contains(x)
         ok, modal = is_quasi_concave(step_of_slopes(g))
         if not ok:
             raise LawFailure("quasi-concave density part", "not quasi-concave", "decomposition")

@@ -173,10 +173,9 @@ def _cached(g: PiecewiseMonotone, name: str, build):
     Instances are immutable, so a table never goes stale; it lives outside
     the dataclass fields and takes no part in equality, hashing or repr.
     Every table is an immutable value.  The tables: value_bounds,
-    _inverse_columns, jumps, flats and inverse_domain here;
-    step_of_slopes, associated_measure and inverse_slope_step in measure;
-    the verdict inverse_abs_cont in unimodal.  Each is built by the function
-    of the same name with a _build_ prefix.
+    _inverse_columns, jumps, flats and inverse_domain here; step_of_slopes,
+    associated_measure and inverse_slope_step in measure.  Each is built by
+    the function of the same name with a _build_ prefix.
     """
     table = g.__dict__.get(name)
     if table is None:

@@ -9,9 +9,10 @@ equivalences exhaustively.
 
 Every shape check here is one scan, _switch_hull: the slopes of a
 distribution function rise then fall, the slopes of an inverse and the
-cells of a quantile density fall then rise.  A function is extended by
-zero to the whole line once, by extend_to_real_line; step classes are
-scanned on their own carriers and never extended.
+cells of a quantile density fall then rise; classify reads its mode hull
+and its density verdict off the one scan of the slopes.  A function is
+extended by zero to the whole line once, by extend_to_real_line; step
+classes are scanned on their own carriers and never extended.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ from monoinv.measure import (
     StepFunction,
     gen_inverse_abs_cont,
     inverse_slope_step,
-    step_of_slopes,
 )
 from monoinv.monotone import (
     PiecewiseMonotone,
-    _cached,
     extend_to_real_line,
     inverse_domain,
     jumps,
@@ -84,15 +83,9 @@ def is_quasi_convex(f: StepFunction) -> tuple[bool, ClosedInterval | None]:
 # shape analysis of the function itself
 
 
-def inverse_abs_cont(g: PiecewiseMonotone) -> bool:
-    """Is the generalized inverse of g absolutely continuous on its whole
-    regular domain?  Decided once per instance, for classify and
-    quantile_density alike."""
-    return _cached(g, "_inverse_abs_cont", _build_inverse_abs_cont)
-
-
-def _build_inverse_abs_cont(g: PiecewiseMonotone) -> bool:
-    return gen_inverse_abs_cont(g, inverse_domain(g))
+def _quantile_step(g: PiecewiseMonotone) -> StepFunction | None:
+    """quantile_density of g, a function on the whole line; None where none exists."""
+    return inverse_slope_step(g) if gen_inverse_abs_cont(g, inverse_domain(g)) else None
 
 
 @dataclass(frozen=True)
@@ -128,10 +121,11 @@ def classify(f: PiecewiseMonotone) -> Classification:
     """Classify the measure generated by f (zero-extended to the whole line
     when the regular domain is smaller).
 
-    cdf_unimodal comes from the slope sequence and the jump placement rule
-    alone; the quantile fields come from the generalized inverse; the
-    density field from the abs-part step.  The equivalences among them are
-    theorems and are asserted, not assumed.
+    cdf_unimodal comes from the slope scan and the jump placement rule; the
+    density field from the slope scan alone, since merging equal neighbours
+    into cells changes neither its verdict nor its hull; the quantile fields
+    from the generalized inverse.  The equivalences among them are theorems
+    and are asserted, not assumed.
     """
     g = extend_to_real_line(f)
 
@@ -154,24 +148,17 @@ def classify(f: PiecewiseMonotone) -> Classification:
                 modes = ClosedInterval(x, x)
                 atom_at_mode = (x, g.rights[i] - g.lefts[i])
 
-    dens_ok, _ = is_quasi_concave(step_of_slopes(g))
-
-    qf_ac = inverse_abs_cont(g)
-    if qf_ac:
-        qdens = inverse_slope_step(g)
-        quantile_unimodal, quantile_modes = is_quasi_convex(qdens)
-    else:
-        qdens = None
-        quantile_unimodal, quantile_modes = False, None
+    qdens = _quantile_step(g)
+    qhull = None if qdens is None else is_quasi_convex(qdens)[1]
 
     return Classification(
         cdf_unimodal=cdf_unimodal,
         modes=modes,
-        dens_unimodal_abs_part=dens_ok,
-        quantile_unimodal=quantile_unimodal,
-        quantile_modes=quantile_modes,
+        dens_unimodal_abs_part=hull is not None,
+        quantile_unimodal=qhull is not None,
+        quantile_modes=qhull,
         atom_at_mode=atom_at_mode,
-        qf_absolutely_continuous=qf_ac,
+        qf_absolutely_continuous=qdens is not None,
         quantile_density=qdens,
     )
 
@@ -200,9 +187,9 @@ def quantile_density(f: PiecewiseMonotone) -> StepFunction:
     absolutely continuous on its regular domain; it is then the step class
     of the inverse's slopes.
     """
-    g = extend_to_real_line(f)
-    if not inverse_abs_cont(g):
+    q = _quantile_step(extend_to_real_line(f))
+    if q is None:
         raise QfNotAbsolutelyContinuous(
             "the generalized inverse has an interior jump; no quantile density exists")
-    return inverse_slope_step(g)
+    return q
 

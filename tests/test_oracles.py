@@ -15,6 +15,11 @@ along the segments, and the prefix and suffix flags of every cell.  The
 fast paths must give the same verdicts and the same failure texts, also
 with a fault planted in what the check reads, and a one-point mutant of
 each fast path must be told apart from its oracle.
+
+classify reads its density verdict off its scan of the slopes and decides
+the quantile density through the helper quantile_density uses; the routes
+it replaced, a scan of the merged density step and a decision of absolute
+continuity of its own, must give the same verdicts.
 """
 
 import contextlib
@@ -33,23 +38,27 @@ from hypothesis import strategies as st
 
 from monoinv import laws, measure, monotone, unimodal
 from monoinv.cli import _default_anchor
-from monoinv.errors import ConstantFunction
+from monoinv.errors import ConstantFunction, QfNotAbsolutelyContinuous
 from monoinv.exactnum import ZERO, rat
 from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, ClosedInterval, Interval, is_finite
 from monoinv.laws import GenConfig, LawFailure, gen_monotone
 from monoinv.measure import (
     associated_measure,
     distribution_function,
+    gen_inverse_abs_cont,
     lebesgue_decompose,
     lebesgue_on,
     measure_of_open,
+    step_of_slopes,
 )
 from monoinv.monotone import (
     LEFT,
     RIGHT,
     PiecewiseMonotone,
+    extend_to_real_line,
     first_x_with_left_ge,
     generalized_inverse,
+    inverse_domain,
     last_x_with_right_le,
     mass_interval,
     refine_grid,
@@ -75,7 +84,6 @@ TABLES = [
     (measure.step_of_slopes, measure._build_step_of_slopes),
     (measure.associated_measure, measure._build_associated_measure),
     (measure.inverse_slope_step, measure._build_inverse_slope_step),
-    (unimodal.inverse_abs_cont, unimodal._build_inverse_abs_cont),
 ]
 
 
@@ -466,3 +474,28 @@ def test_switch_hull_agrees_with_the_cell_flags(cells, rise_first):
     want = switch_hull_by_flags(values, [carrier.lo, *knots, carrier.hi], rise_first)
     got = unimodal._switch_hull(values, knots, carrier, rise_first)
     assert got == want and repr(got) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# classify's verdicts
+
+
+def _quantile_density_or_none(g):
+    try:
+        return unimodal.quantile_density(g)
+    except QfNotAbsolutelyContinuous:
+        return None
+
+
+@pytest.mark.parametrize("source", ["laws", "golden"])
+def test_classify_agrees_with_the_routes_it_replaced(source):
+    for g in seeded_instances() if source == "laws" else golden_functions():
+        c = unimodal.classify(g)
+        e = extend_to_real_line(g)
+        merged = unimodal.is_quasi_concave(step_of_slopes(e))
+        assert c.dens_unimodal_abs_part == merged[0], g
+        # merging equal neighbouring slopes moves no end of the hull either
+        assert unimodal._switch_hull(e.slopes, e.xs, e.domain, rise_first=True) == merged[1], g
+        assert c.qf_absolutely_continuous == gen_inverse_abs_cont(e, inverse_domain(e)), g
+        want = _quantile_density_or_none(g)
+        assert c.quantile_density == want and repr(c.quantile_density) == repr(want), g

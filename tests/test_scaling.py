@@ -75,6 +75,7 @@ def test_table_builds_do_not_grow_with_points(tmp_path, build_counts, command):
 @pytest.mark.parametrize("command, module, name, want", [
     ("invert", monotone, "generalized_inverse", 1),
     ("classify", measure, "gen_inverse_abs_cont", 1),
+    ("qdensity", measure, "gen_inverse_abs_cont", 1),
     ("classify", measure, "inverse_slope_step", 1),
     ("classify", monotone, "extend_to_real_line", 1),
     ("classify", monotone, "_build_inverse_columns", 1),

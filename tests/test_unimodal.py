@@ -9,6 +9,7 @@ from monoinv.laws import GenConfig, gen_monotone
 from monoinv.measure import StepFunction, step_compose, step_of_slopes
 from monoinv.monotone import PiecewiseMonotone, from_knot_data, generalized_inverse
 from monoinv.unimodal import (
+    _switch_hull,
     classify,
     is_quasi_concave,
     is_quasi_convex,
@@ -59,6 +60,12 @@ def test_quasi_concave_plateau():
     ok, modal = is_quasi_concave(f)
     assert ok
     assert (modal.lo, modal.hi) == (rat(1), rat(3))
+    # a step class merges the plateau into one cell, so only the scan itself
+    # sees equal neighbours, as it does in the slopes of a function
+    knots = tuple(map(rat, (1, 2, 3)))
+    for values, rise_first in (((1, 2, 2, 1), True), ((2, 1, 1, 2), False)):
+        hull = _switch_hull(tuple(map(rat, values)), knots, Interval(0, 4), rise_first)
+        assert hull == ClosedInterval(1, 3)
 
 
 def test_quasi_concave_rejects_fixa_density(fixa):
