@@ -18,8 +18,8 @@ Exit codes:
   1  unreadable / unparseable input (bad JSON shapes, bytes that are not
      UTF-8, JSON nested too deeply, numbers of over 4,300 digits), or an
      --out file that cannot be written; verify: an unknown law id, --n or
-     --max-knots below 1, or a non-integer MONOINV_SEED; invert / qdensity:
-     --plot-points below 1, or a plotted value beyond the range of a float
+     --max-knots below 1, --max-knots over 2,001, or a non-integer MONOINV_SEED;
+     invert / qdensity: --plot-points below 1, or a plotted value beyond a float's range
   2  invalid specification (overlapping pieces, nonpositive mass, zero
      measure, bad anchor, too few samples); invert: a pure atom, whose
      quantile function is constant
@@ -563,6 +563,9 @@ def cmd_verify(law_id, n, seed, max_knots, out, stamp):
         _fail(1, "--n must be at least 1")
     if max_knots < 1:
         _fail(1, "--max-knots must be at least 1")
+    most = 2 * GenConfig.value_bound + 1  # the distinct knots the generator can draw
+    if max_knots > most:
+        _fail(1, f"--max-knots must be at most {most}")
     if seed is None:
         try:
             seed = int(os.environ.get("MONOINV_SEED", "0"))

@@ -80,6 +80,8 @@ class GenConfig:
     def __post_init__(self):
         if self.max_knots < 1:
             raise ValueError("max_knots must be at least 1")
+        if self.max_knots > 2 * self.value_bound + 1:  # _rand_xs draws distinct numerators
+            raise ValueError(f"max_knots must be at most {2 * self.value_bound + 1}")
 
 
 class _Skip(Exception):
@@ -154,7 +156,7 @@ def _rand_xs(rng, cfg, k):
         return []
     den = rng.choice([1, 1, 2, 3, 4, 6])
     nums = rng.sample(range(-cfg.value_bound, cfg.value_bound + 1), k)
-    return sorted(rat(n, den) for n in nums)
+    return [rat(n, den) for n in sorted(nums)]
 
 
 def _assemble(rng, cfg, domain, xs, jump_sizes, slopes):
@@ -163,7 +165,7 @@ def _assemble(rng, cfg, domain, xs, jump_sizes, slopes):
     else:
         anchor_x = mono._probe_point(domain)
     anchor_value = _rand_rat(rng, min(cfg.value_bound, 50))
-    return from_knot_data(domain, xs, jump_sizes, slopes, anchor_x, anchor_value)
+    return mono._assembled(domain, xs, jump_sizes, slopes, anchor_x, anchor_value)
 
 
 def _random_instance(rng, cfg, domain_kind, finite_mass):
@@ -248,7 +250,7 @@ def _gen_locally_finite(rng, cfg):
     r = rng.random()
     if r < 0.04:
         s = rat(rng.randint(1, 5), rng.randint(1, 3))
-        return PiecewiseMonotone(REAL_LINE, (), (s,), (rat(0), _rand_rat(rng, 10)))
+        return mono._assembled(REAL_LINE, [], [], [s], rat(0), _rand_rat(rng, 10))
     if r < 0.45:
         return _unimodal_instance(rng, cfg, finite_mass=False)
     if r < 0.6:

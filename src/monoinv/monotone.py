@@ -84,12 +84,13 @@ class PiecewiseMonotone:
 
     Instances are immutable and canonical (no removable knots).  The public
     constructor takes the knots as `breaks`, (x, left, right) triples, and
-    checks and canonicalises their columns in _checked_columns; invalid data
-    raises the dedicated errors.  The columns are the only way to read the
-    knots back.  Builders whose output is canonical by construction
-    (distribution_function, cli.samples_to_function, generalized_inverse)
-    skip the checks through _trusted; the tests pin each such result to its
-    rebuild through this constructor (validate).
+    checks their columns in _check_columns and canonicalises them in
+    _canonical_columns; invalid data raises the dedicated errors.  The
+    columns are the only way to read the knots back.  Builders whose output
+    is canonical by construction (distribution_function,
+    cli.samples_to_function, generalized_inverse, and the law generators
+    through _assembled) skip the checks through _trusted; the tests pin each
+    such result to its rebuild through this constructor (validate).
     """
 
     domain: Interval
@@ -108,20 +109,14 @@ class PiecewiseMonotone:
         if anchor is not None:
             anchor = (as_q(anchor[0]), as_q(anchor[1]))
         slopes = [as_q(s) for s in slopes]
-        for name, value in _checked_columns(domain, xs, lefts, rights, slopes, anchor).items():
+        _check_columns(domain, xs, lefts, rights, slopes)
+        for name, value in _canonical_columns(domain, xs, lefts, rights, slopes, anchor).items():
             object.__setattr__(self, name, value)
 
 
-def _checked_columns(domain: Interval, xs, lefts, rights, slopes, anchor) -> dict:
-    """The fields of the canonical class on domain with these columns of
-    rationals, in the order __init__ sets them, once every invariant holds.
-
-    Canonical form drops the knots that change nothing.  Whether a knot is
-    removable depends only on its own jump and its two slopes, which a
-    removal elsewhere leaves as they are, so one pass finds them all.  The
-    public constructor, from_knot_data, restrict and extend_to_real_line
-    share these checks.
-    """
+def _check_columns(domain: Interval, xs, lefts, rights, slopes) -> None:
+    """Raise unless these columns of rationals make a non-decreasing class on
+    domain (for the public constructor and _from_columns)."""
     require_open_nonempty(domain, "regular domain")
     if len(slopes) != len(xs) + 1:
         raise ValueError("need exactly one slope per segment")
@@ -141,6 +136,12 @@ def _checked_columns(domain: Interval, xs, lefts, rights, slopes, anchor) -> dic
             if left != right + s * (b - a):
                 raise NonMonotone("segment limits inconsistent with slope")
 
+
+def _canonical_columns(domain: Interval, xs, lefts, rights, slopes, anchor) -> dict:
+    """The fields, in the order __init__ sets them, of the canonical class on
+    domain with these valid columns: without the knots that change nothing.
+    Whether a knot is removable depends only on its own jump and its two
+    slopes, which a removal elsewhere leaves as they are: one pass suffices."""
     keep = [j for j in range(len(xs)) if lefts[j] != rights[j] or slopes[j] != slopes[j + 1]]
     if keep:
         anchor = None
@@ -163,8 +164,9 @@ def _checked_columns(domain: Interval, xs, lefts, rights, slopes, anchor) -> dic
 def _from_columns(domain: Interval, xs, lefts, rights, slopes, anchor) -> PiecewiseMonotone:
     """The canonical class with these columns of rationals, checked as the
     public constructor checks them, without first zipping them into triples."""
+    _check_columns(domain, xs, lefts, rights, slopes)
     return _trusted(PiecewiseMonotone,
-                    **_checked_columns(domain, xs, lefts, rights, slopes, anchor))
+                    **_canonical_columns(domain, xs, lefts, rights, slopes, anchor))
 
 
 def _cached(g: PiecewiseMonotone, name: str, build):
@@ -524,6 +526,14 @@ def from_knot_data(domain: Interval, xs, jumps, slopes, anchor_x, anchor_value) 
     lefts, rights = _knot_limits(xs, jumps_, slopes, anchor_x, anchor_value)
     return _from_columns(domain, xs, lefts, rights, slopes,
                          None if xs else (anchor_x, anchor_value))
+
+
+def _assembled(domain: Interval, xs, jumps, slopes, anchor_x, anchor_value) -> PiecewiseMonotone:
+    """from_knot_data without conversion or checks, for columns of rationals
+    valid by construction (the law generators'): only the knot drop."""
+    lefts, rights = _knot_limits(xs, jumps, slopes, anchor_x, anchor_value)
+    return _trusted(PiecewiseMonotone, **_canonical_columns(
+        domain, xs, lefts, rights, slopes, None if xs else (anchor_x, anchor_value)))
 
 
 def _knot_limits(xs, jumps, slopes, x0, v0) -> tuple[list, list]:

@@ -552,6 +552,23 @@ def test_verify_argument_below_one_exit1(args, message):
     assert result.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("max_knots", ["2002", "3000", str(10**30)])
+def test_verify_too_many_knots_exit1(max_knots):
+    # the generator draws distinct knot numerators from -1000..1000
+    result = CliRunner().invoke(cli.main, ["verify", "--law", "DOUBLE_INV", "--n", "20",
+                                           "--max-knots", max_knots, "--seed", "1"])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == "error: --max-knots must be at most 2001\n"
+
+
+def test_verify_at_most_knots():
+    r = run_cli("verify", "--law", "DOUBLE_INV", "--n", "3", "--max-knots", "2001", "--seed", "1")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["passed"] is True
+
+
 def test_verify_bad_env_seed_exit1():
     result = CliRunner().invoke(cli.main, ["verify", "--law", "GALOIS", "--n", "1"],
                                 env={"MONOINV_SEED": "seven"})

@@ -202,9 +202,12 @@ seeds = st.one_of(st.integers(min_value=-5, max_value=5),
 
 @fuzz_settings
 @given(law=law_ids, n=st.integers(min_value=-3, max_value=3), seed=seeds,
-       max_knots=st.integers(min_value=-3, max_value=3))
+       max_knots=st.one_of(st.integers(min_value=-3, max_value=3),
+                           st.sampled_from([2002, 3000, 10**30])))
+@example(law="DOUBLE_INV", n=3, seed=1, max_knots=2002)
 def test_hostile_verify_arguments(law, n, seed, max_knots):
-    # n and max_knots stay at most 3, so that `--law all` runs 36 small instances
+    # n stays at most 3 and an accepted max_knots at most 3, so that
+    # `--law all` runs 36 small instances
     args = ["verify", "--law", law, "--n", str(n), "--seed", str(seed),
             "--max-knots", str(max_knots)]
     _check(CliRunner().invoke(cli.main, args), "verify")

@@ -3,7 +3,8 @@
 A mutant is one small change to one library function, planted with
 monkeypatch.  Its test runs the unmutated library through the named check
 first, then the mutant, which the check must fail.  The laws run at a fixed
-seed with n <= 200.
+seed with n <= 200; where some of them let a mutant through, a test records
+which.
 """
 
 import operator
@@ -11,8 +12,10 @@ import types
 
 import pytest
 
-from monoinv import measure, unimodal
-from monoinv.laws import GenConfig, run_law
+from monoinv import measure, monotone, unimodal
+from monoinv.laws import LAW_IDS, GenConfig, run_law
+from monoinv.monotone import PiecewiseMonotone, _knot_limits, _trusted
+import test_trusted
 import test_unimodal
 
 SEED = 20260808
@@ -51,3 +54,28 @@ def test_density_for_quantile_density_is_killed_by_main_equiv(monkeypatch):
     assert run_law("MAIN_EQUIV", 200, GenConfig(seed=SEED)).passed
     monkeypatch.setattr(unimodal, "inverse_slope_step", measure.step_of_slopes)
     assert not run_law("MAIN_EQUIV", 200, GenConfig(seed=SEED)).passed
+
+
+def _keeps_every_knot(domain, xs, jumps, slopes, anchor_x, anchor_value):
+    # monotone._assembled without the knot drop
+    lefts, rights = _knot_limits(xs, jumps, slopes, anchor_x, anchor_value)
+    return _trusted(PiecewiseMonotone, domain=domain, slopes=tuple(slopes),
+                    anchor=None if xs else (anchor_x, anchor_value),
+                    xs=tuple(xs), lefts=tuple(lefts), rights=tuple(rights))
+
+
+def test_generation_keeping_every_knot_is_killed_by_the_generator_oracle(monkeypatch):
+    test_trusted.test_generated_instances_equal_public_rebuild()
+    monkeypatch.setattr(monotone, "_assembled", _keeps_every_knot)
+    with pytest.raises(AssertionError):
+        test_trusted.test_generated_instances_equal_public_rebuild()
+
+
+def test_generation_keeping_every_knot_is_killed_by_double_inv_alone(monkeypatch):
+    # the golden verify case pins every law passing at this seed and n.  A
+    # removable knot changes no class, so the laws that compare classes,
+    # measures or verdicts all hold; only DOUBLE_INV compares g's columns
+    # with those of its canonical double inverse
+    monkeypatch.setattr(monotone, "_assembled", _keeps_every_knot)
+    killed = [law for law in LAW_IDS if not run_law(law, 200, GenConfig(seed=SEED)).passed]
+    assert killed == ["DOUBLE_INV"]

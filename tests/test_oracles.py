@@ -20,6 +20,11 @@ classify reads its density verdict off its scan of the slopes and decides
 the quantile density through the helper quantile_density uses; the routes
 it replaced, a scan of the merged density step and a decision of absolute
 continuity of its own, must give the same verdicts.
+
+The law generators build their instances through monotone._assembled,
+which keeps the knot drop but runs no conversion and no check; built
+through from_knot_data instead, on the same random streams, every instance
+must come out the same.
 """
 
 import contextlib
@@ -27,6 +32,7 @@ import glob
 import json
 import operator
 import os
+import random
 
 from bisect import bisect_left, bisect_right
 from unittest import mock
@@ -499,3 +505,46 @@ def test_classify_agrees_with_the_routes_it_replaced(source):
         assert c.qf_absolutely_continuous == gen_inverse_abs_cont(e, inverse_domain(e)), g
         want = _quantile_density_or_none(g)
         assert c.quantile_density == want and repr(c.quantile_density) == repr(want), g
+
+
+# ---------------------------------------------------------------------------
+# law instances
+
+
+def law_instances(law_id, n, cfg, assemble=None):
+    """The n instances run_law(law_id, n, cfg) checks, recorded by a check
+    that skips them all; built through assemble in place of
+    monotone._assembled when given."""
+    gen, _ = laws._REGISTRY[law_id]
+    seen = []
+
+    def record(g):
+        seen.append(g)
+        raise laws._Skip
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.dict(laws._REGISTRY, {law_id: (gen, record)}))
+        if assemble is not None:
+            stack.enter_context(mock.patch.object(monotone, "_assembled", assemble))
+        laws.run_law(law_id, n, cfg)
+    return seen
+
+
+def assert_trusted_generation_is_checked(law_id, n, cfg):
+    trusted = law_instances(law_id, n, cfg)
+    checked = law_instances(law_id, n, cfg, assemble=monotone.from_knot_data)
+    assert len(trusted) == len(checked) == n
+    for g, want in zip(trusted, checked):
+        assert g == want and repr(g) == repr(want), (law_id, want)
+
+
+@pytest.mark.parametrize("law_id", laws.LAW_IDS)
+def test_generated_instances_equal_the_checked_route(law_id):
+    assert_trusted_generation_is_checked(law_id, 200, GenConfig(seed=20260808))
+
+
+@settings(oracle_settings, max_examples=40)
+@given(law_id=st.sampled_from(laws.LAW_IDS), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       max_knots=st.integers(min_value=1, max_value=40))
+def test_generated_instances_equal_the_checked_route_at_drawn_seeds(law_id, seed, max_knots):
+    assert_trusted_generation_is_checked(law_id, 10, GenConfig(seed=seed, max_knots=max_knots))

@@ -15,9 +15,10 @@ and density as columns, so the functions, measures and step classes a
 command makes, through the public constructors or the trusted path, are as
 many for 4k points as for 1k, and ingest checks its spec in one measure.
 The inverse's columns are built once per function, whichever of classify,
-generalized_inverse and quantile_density asks first.  Reports are written
-from the columns as they are formatted, each entry formatted once, so
-writing one holds little memory.
+generalized_inverse and quantile_density asks first.  The law generators
+build their instances without exactnum.as_q or the public checks.  Reports
+are written from the columns as they are formatted, each entry formatted
+once, so writing one holds little memory.
 """
 
 import dataclasses
@@ -34,7 +35,7 @@ import pytest
 
 from click.testing import CliRunner
 
-from monoinv import cli, exactnum, measure, monotone
+from monoinv import cli, exactnum, laws, measure, monotone
 from monoinv.intervals import REAL_LINE, Interval
 
 BUILDERS = ("_build_value_bounds", "_build_inverse_columns")
@@ -238,6 +239,16 @@ def test_main_equiv_builds_one_inverse_table_per_function(count_calls):
                                            "--seed", "20260808"])
     assert result.exit_code == 0, result.output
     assert 0 < calls[0] <= 50
+
+
+@pytest.mark.parametrize("module, name", [(monotone, "_check_columns"), (exactnum, "as_q")])
+def test_law_generators_run_no_checks(count_calls, module, name):
+    # their columns are rationals valid by construction: only the knot drop runs
+    calls = count_calls(module, name)
+    for gen in dict.fromkeys(gen for gen, _ in laws._REGISTRY.values()):
+        for seed in range(200):
+            gen(random.Random(seed), laws.GenConfig())
+    assert calls[0] == 0
 
 
 def _comb(n):

@@ -5,7 +5,8 @@ rights; atom_xs, atom_masses), and a measure's pieces as the cells of its
 density (abs_density); the public constructors take them as plain tuples.
 Builders whose output is canonical by construction
 (distribution_function, the sample function cli.samples_to_function,
-generalized_inverse, lebesgue_decompose, density)
+generalized_inverse, lebesgue_decompose, density, and the law generators
+through monotone._assembled, which keeps only the knot drop)
 fill the columns through monotone._trusted, which runs no check; those
 whose cells may repeat a
 density (associated_measure, lebesgue_on, pushforward, the sample measure,
@@ -24,16 +25,17 @@ a gap) shows there even though the public rebuild makes the same mistake.
 """
 
 import os
+import random
 import tempfile
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from monoinv import cli, measure
+from monoinv import cli, laws, measure
 from monoinv.errors import ConstantFunction, MonoinvError
 from monoinv.exactnum import rat
 from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, Interval, is_finite
-from monoinv.laws import GenConfig, gen_monotone
+from monoinv.laws import GenConfig
 from monoinv.measure import (
     PiecewiseMeasure,
     StepFunction,
@@ -151,12 +153,26 @@ def pieces_are_merged(carrier, pieces) -> bool:
     return pieces_of(PiecewiseMeasure(carrier, (), tuple(pieces))) == naive_merge(pieces)
 
 
+# the instance generators of the registered laws
+GENERATORS = (laws._gen_any, laws._gen_cdf_like, laws._gen_locally_finite)
+GENERATED_SEEDS = range(300)
+
+
 @st.composite
 def instances(draw):
+    gen = draw(st.sampled_from(GENERATORS))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     max_knots = draw(st.integers(min_value=1, max_value=12))
-    unimodal = draw(st.booleans())
-    return gen_monotone(GenConfig(seed=seed, max_knots=max_knots, force_unimodal=unimodal))
+    return gen(random.Random(seed), GenConfig(max_knots=max_knots))
+
+
+def generated():
+    """Instances of every law generator at fixed seeds.  Each generator picks
+    its branch with its rng's first draw; these seeds reach every branch, the
+    lone segment of _gen_locally_finite (a first draw below 0.04) among them."""
+    for gen in GENERATORS:
+        for seed in GENERATED_SEEDS:
+            yield gen(random.Random(seed), GenConfig(max_knots=1 + seed % 12))
 
 
 def equal_slopes_across_jump():
@@ -184,8 +200,15 @@ EQUAL_SLOPES_ACROSS_FLAT = equal_slopes_across_flat()
 @example(EQUAL_SLOPES_ACROSS_JUMP)
 @example(EQUAL_SLOPES_ACROSS_FLAT)
 def test_trusted_builders_equal_public_rebuild(g):
+    assert same_as_public(g)
     for name, obj in trusted_results(g):
         assert same_as_public(obj), (name, obj)
+
+
+def test_generated_instances_equal_public_rebuild():
+    assert 5 <= sum(random.Random(seed).random() < 0.04 for seed in GENERATED_SEEDS)
+    for g in generated():
+        assert same_as_public(g), g
 
 
 @oracle_settings
