@@ -368,7 +368,7 @@ def _decomposition_block(m: PiecewiseMeasure) -> dict:
     }
 
 
-def _build_report(m: PiecewiseMeasure, anchor, f: PiecewiseMonotone) -> tuple[dict, bool]:
+def _classify_report(m: PiecewiseMeasure, anchor, f: PiecewiseMonotone) -> tuple[dict, bool]:
     c = classify(f)
     warnings = []
     if m.carrier != REAL_LINE:
@@ -476,7 +476,7 @@ def cmd_classify(spec_path, samples_path, header, allow_degenerate, anchor_str, 
     """Classify unimodality; exit 0 when unimodal, 3 when not."""
     m, anchor, f = _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str)
     with _analysis_errors():
-        report, unimodal = _build_report(m, anchor, f)
+        report, unimodal = _classify_report(m, anchor, f)
     _emit(report, out, stamp)
     sys.exit(0 if unimodal else 3)
 

@@ -268,14 +268,11 @@ def step_compose(f: StepFunction, g: PiecewiseMonotone) -> StepFunction:
 # measure <-> distribution function
 
 
+@mono._cached
 def associated_measure(g: PiecewiseMonotone) -> PiecewiseMeasure:
     """Atoms from the jumps of g; the density of the absolutely continuous
     part is the step class of g's slopes (0 on its flats).  Built once per
     instance."""
-    return mono._cached(g, "_associated_measure", _build_associated_measure)
-
-
-def _build_associated_measure(g: PiecewiseMonotone) -> PiecewiseMeasure:
     at = jumps(g)
     return _measure(g.domain, tuple(g.xs[i] for i in at),
                     tuple(g.rights[i] - g.lefts[i] for i in at), step_of_slopes(g))
@@ -373,6 +370,9 @@ def density(m: PiecewiseMeasure) -> StepFunction:
 def lebesgue_on(iv: Interval, carrier: Interval) -> PiecewiseMeasure:
     """Lebesgue measure restricted to an open interval iv, carried on an open
     carrier that contains iv."""
+    require_open_nonempty(carrier, "carrier")
+    if not carrier.contains_interval(iv):
+        raise CarrierMismatch(f"interval {iv} outside carrier {carrier}")
     pieces = () if iv.is_empty else ((iv.lo, iv.hi, ONE),)
     return _measure(carrier, (), (), _density_step(carrier, pieces))
 
@@ -465,25 +465,19 @@ def pushforward(m: PiecewiseMeasure, t: PiecewiseMonotone) -> PiecewiseMeasure:
 # absolute continuity of the generalized inverse, and the inverse rule
 
 
+@mono._cached
 def step_of_slopes(g: PiecewiseMonotone) -> StepFunction:
     """The slopes of g as a step class on its regular domain: the density of
     the absolutely continuous part of the associated measure.  Built once
     per instance."""
-    return mono._cached(g, "_step_of_slopes", _build_step_of_slopes)
-
-
-def _build_step_of_slopes(g: PiecewiseMonotone) -> StepFunction:
     return _canonical_step(g.domain, g.xs, g.slopes)
 
 
+@mono._cached
 def inverse_slope_step(g: PiecewiseMonotone) -> StepFunction:
     """Slopes of the generalized inverse of g, as a step class on the
     inverse's regular domain (the density of the inverse's abs. cont. part).
     Built once per instance."""
-    return mono._cached(g, "_inverse_slope_step", _build_inverse_slope_step)
-
-
-def _build_inverse_slope_step(g: PiecewiseMonotone) -> StepFunction:
     xs, _, _, slopes = mono._inverse_columns(g)
     return _canonical_step(inverse_domain(g), xs, slopes)
 

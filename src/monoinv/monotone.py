@@ -21,6 +21,7 @@ becomes a rise with the reciprocal slope, a jump a flat, a flat a jump.
 from __future__ import annotations
 
 import enum
+import functools
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -85,12 +86,14 @@ class PiecewiseMonotone:
     Instances are immutable and canonical (no removable knots).  The public
     constructor takes the knots as `breaks`, (x, left, right) triples, and
     checks their columns in _check_columns and canonicalises them in
-    _canonical_columns; invalid data raises the dedicated errors.  The
-    columns are the only way to read the knots back.  Builders whose output
-    is canonical by construction (distribution_function,
-    cli.samples_to_function, generalized_inverse, and the law generators
-    through _assembled) skip the checks through _trusted; the tests pin each
-    such result to its rebuild through this constructor (validate).
+    _canonical_columns; invalid data raises the dedicated errors.  It is
+    the one checked route, also for restrict, extend_to_real_line and
+    from_knot_data.  The columns are the only way to read the knots back.
+    Builders whose output is canonical by construction
+    (distribution_function, cli.samples_to_function, generalized_inverse,
+    and the law generators through _assembled) skip the checks through
+    _trusted; the tests pin each such result to its rebuild through this
+    constructor (validate).
     """
 
     domain: Interval
@@ -116,7 +119,7 @@ class PiecewiseMonotone:
 
 def _check_columns(domain: Interval, xs, lefts, rights, slopes) -> None:
     """Raise unless these columns of rationals make a non-decreasing class on
-    domain (for the public constructor and _from_columns)."""
+    domain (for the public constructor)."""
     require_open_nonempty(domain, "regular domain")
     if len(slopes) != len(xs) + 1:
         raise ValueError("need exactly one slope per segment")
@@ -161,27 +164,29 @@ def _canonical_columns(domain: Interval, xs, lefts, rights, slopes, anchor) -> d
             "lefts": tuple(lefts[j] for j in keep), "rights": tuple(rights[j] for j in keep)}
 
 
-def _from_columns(domain: Interval, xs, lefts, rights, slopes, anchor) -> PiecewiseMonotone:
-    """The canonical class with these columns of rationals, checked as the
-    public constructor checks them, without first zipping them into triples."""
-    _check_columns(domain, xs, lefts, rights, slopes)
-    return _trusted(PiecewiseMonotone,
-                    **_canonical_columns(domain, xs, lefts, rights, slopes, anchor))
-
-
-def _cached(g: PiecewiseMonotone, name: str, build):
-    """The derived table `name` of g, built on first use and kept on the instance.
+def _cached(build):
+    """Decorator: the derived table build(g) of g, built on first use and
+    kept on the instance.
 
     Instances are immutable, so a table never goes stale; it lives outside
     the dataclass fields and takes no part in equality, hashing or repr.
     Every table is an immutable value.  The tables: value_bounds,
     _inverse_columns, jumps, flats and inverse_domain here; step_of_slopes,
-    associated_measure and inverse_slope_step in measure.  Each is built by
-    the function of the same name with a _build_ prefix.
+    associated_measure and inverse_slope_step in measure.  Each is kept
+    under its function's name with one leading underscore (its key).  The
+    undecorated body is the builder, __wrapped__, looked up on every miss
+    so that a test can count or replace it.
     """
-    table = g.__dict__.get(name)
-    if table is None:
-        table = g.__dict__[name] = build(g)
+    key = "_" + build.__name__.lstrip("_")
+
+    @functools.wraps(build)
+    def table(g):
+        value = g.__dict__.get(key)
+        if value is None:
+            value = g.__dict__[key] = table.__wrapped__(g)
+        return value
+
+    table.key = key
     return table
 
 
@@ -204,13 +209,10 @@ def validate(g: PiecewiseMonotone) -> PiecewiseMonotone:
 # segments as columns
 
 
+@_cached
 def value_bounds(g: PiecewiseMonotone) -> tuple:
     """(inf, sup) of g over its regular domain, the extended reals g(lo+)
     and g(hi-) at the ends of the domain (built once per instance)."""
-    return _cached(g, "_value_bounds", _build_value_bounds)
-
-
-def _build_value_bounds(g: PiecewiseMonotone) -> tuple:
     lo, hi, xs = g.domain.lo, g.domain.hi, g.xs
     # the first segment runs to lo from (x0, v0), the last to hi from (x1, v1)
     (x0, v0), (x1, v1) = ((xs[0], g.lefts[0]), (xs[-1], g.rights[-1])) if xs else (g.anchor,) * 2
@@ -301,6 +303,7 @@ def first_x_with_left_ge(g: PiecewiseMonotone, c):
 # canonical intervals
 
 
+@_cached
 def inverse_domain(g: PiecewiseMonotone) -> Interval:
     """Regular domain of the generalized inverse class, from g alone (built
     once per instance).
@@ -310,10 +313,6 @@ def inverse_domain(g: PiecewiseMonotone) -> Interval:
     the corresponding value bound; where the endpoint is infinite the
     inverse's domain stops at the value bound.
     """
-    return _cached(g, "_inverse_domain", _build_inverse_domain)
-
-
-def _build_inverse_domain(g: PiecewiseMonotone) -> Interval:
     m, M = value_bounds(g)
     lo = NEG_INF if is_finite(g.domain.lo) else m
     hi = POS_INF if is_finite(g.domain.hi) else M
@@ -351,13 +350,10 @@ def supporting_interval(g: PiecewiseMonotone) -> ClosedInterval:
 # structure queries
 
 
+@_cached
 def flats(g: PiecewiseMonotone) -> tuple[tuple[Interval, object], ...]:
     """Maximal open intervals where g is constant, with the constant value
     (built once per instance)."""
-    return _cached(g, "_flats", _build_flats)
-
-
-def _build_flats(g: PiecewiseMonotone) -> tuple[tuple[Interval, object], ...]:
     starts, ends, us, _ = _segment_columns(g)
     return tuple((Interval(starts[i], ends[i]), us[i])
                  for i, s in enumerate(g.slopes) if s == 0)
@@ -371,13 +367,10 @@ def constancy_set(g: PiecewiseMonotone, within: Interval | None = None) -> list[
     return [Interval(lo, hi) for lo, hi in clipped if lo < hi]
 
 
+@_cached
 def jumps(g: PiecewiseMonotone) -> tuple[int, ...]:
     """Indices of the interior jump knots: the i with g.lefts[i] < g.rights[i]
     (built once per instance)."""
-    return _cached(g, "_jumps", _build_jumps)
-
-
-def _build_jumps(g: PiecewiseMonotone) -> tuple[int, ...]:
     # limits that are one object (a sample function's, off its ties) need no comparison
     return tuple(i for i, (left, right) in enumerate(zip(g.lefts, g.rights))
                  if left is not right and left < right)
@@ -396,6 +389,7 @@ def flat_count(g: PiecewiseMonotone) -> int:
 # generalized inverse
 
 
+@_cached
 def _inverse_columns(g: PiecewiseMonotone) -> tuple:
     """The columns (xs, lefts, rights, slopes) of the generalized inverse of
     g (built once per instance).  Its pieces in value order are g's rising
@@ -403,10 +397,6 @@ def _inverse_columns(g: PiecewiseMonotone) -> tuple:
     as clamps beyond g's values.  A flat of g is the gap between two
     neighbouring pieces, so it becomes a jump of the inverse; a flat
     reaching an infinite domain end only shapes the inverse's domain."""
-    return _cached(g, "_inverse_columns", _build_inverse_columns)
-
-
-def _build_inverse_columns(g: PiecewiseMonotone) -> tuple:
     lo, hi = g.domain.lo, g.domain.hi
     starts, ends, us, _ = _segment_columns(g)
     xs, lefts, at = g.xs, g.lefts, set(jumps(g))
@@ -476,7 +466,8 @@ def restrict(g: PiecewiseMonotone, iv: Interval) -> PiecewiseMonotone:
     if i == j:
         probe = _probe_point(iv)
         anchor = (probe, evaluate(g, probe, RIGHT))
-    return _from_columns(iv, g.xs[i:j], g.lefts[i:j], g.rights[i:j], g.slopes[i:j + 1], anchor)
+    return PiecewiseMonotone(iv, zip(g.xs[i:j], g.lefts[i:j], g.rights[i:j]), g.slopes[i:j + 1],
+                             anchor)
 
 
 def versions_equal(g1: PiecewiseMonotone, g2: PiecewiseMonotone) -> bool:
@@ -506,7 +497,7 @@ def extend_to_real_line(g: PiecewiseMonotone) -> PiecewiseMonotone:
     if is_finite(g.domain.hi):
         for column, value in zip(columns, (g.domain.hi, v, v, ZERO)):
             column.append(value)
-    return _from_columns(REAL_LINE, *columns, None)
+    return PiecewiseMonotone(REAL_LINE, zip(*columns[:3]), columns[3])
 
 
 def from_knot_data(domain: Interval, xs, jumps, slopes, anchor_x, anchor_value) -> PiecewiseMonotone:
@@ -524,8 +515,8 @@ def from_knot_data(domain: Interval, xs, jumps, slopes, anchor_x, anchor_value) 
     if anchor_x in xs:
         raise ValueError("anchor must not sit on a knot")
     lefts, rights = _knot_limits(xs, jumps_, slopes, anchor_x, anchor_value)
-    return _from_columns(domain, xs, lefts, rights, slopes,
-                         None if xs else (anchor_x, anchor_value))
+    return PiecewiseMonotone(domain, zip(xs, lefts, rights), slopes,
+                             None if xs else (anchor_x, anchor_value))
 
 
 def _assembled(domain: Interval, xs, jumps, slopes, anchor_x, anchor_value) -> PiecewiseMonotone:

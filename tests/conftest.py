@@ -75,17 +75,20 @@ def fixd(fixd_measure):
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """count_calls(module, name) counts the calls of module.name, through
-    every monoinv namespace that binds it, in a one-element list."""
+    """count_calls(owner, name) counts the calls of owner.name, in a
+    one-element list: for a module, through every monoinv namespace that
+    binds it; for a memoized table and the name "__wrapped__", the builds
+    of the table."""
 
-    def install(module, name):
-        original = getattr(module, name)
+    def install(owner, name):
+        original = getattr(owner, name)
         counter = [0]
 
         def counting(*args, **kwargs):
             counter[0] += 1
             return original(*args, **kwargs)
 
+        monkeypatch.setattr(owner, name, counting)
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("monoinv") and getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counting)

@@ -156,7 +156,7 @@ def test_ac_equiv_builds_one_associated_measure_per_instance(count_calls):
     # each of AC_EQUIV's up to six intervals reads the same associated measure
     from monoinv import measure
 
-    calls = count_calls(measure, "_build_associated_measure")
+    calls = count_calls(measure.associated_measure, "__wrapped__")
     rep = run_law("AC_EQUIV", 50, GenConfig(seed=20260808))
     assert rep.passed and rep.eligible == 50
     assert 0 < calls[0] <= 50

@@ -482,6 +482,29 @@ def test_abs_cont_atom_vs_lebesgue(fixc_measure):
     assert is_abs_cont_wrt(lam, lam)
 
 
+def test_lebesgue_on_empty_interval_is_the_zero_measure_on_its_carrier():
+    # gen_inverse_abs_cont passes the preimage interior, empty when its
+    # interval lies inside a jump
+    lam = lebesgue_on(EMPTY, Interval(1, 2))
+    assert lam.is_zero and lam.carrier == Interval(1, 2)
+
+
+@pytest.mark.parametrize("iv, carrier, error, text", [
+    (Interval(3, 5), Interval(1, 2), CarrierMismatch, "outside carrier"),
+    (Interval(0, 3), Interval(1, 2), CarrierMismatch, "outside carrier"),
+    (Interval(1, 3), Interval(1, 2), CarrierMismatch, "outside carrier"),
+    (REAL_LINE, Interval(0, 1), CarrierMismatch, "outside carrier"),
+    (EMPTY, EMPTY, EmptyInterval, "carrier is empty"),
+    (Interval(0, 1), EMPTY, EmptyInterval, "carrier is empty"),
+    (Interval(0, 1), ClosedInterval(0, 1), ValueError, "carrier must be open"),
+])
+def test_lebesgue_on_refuses_a_bad_carrier(iv, carrier, error, text):
+    # without the checks, (3, 5) on the carrier (1, 2) gave Lebesgue
+    # measure on all of (1, 2), and an empty carrier a step class on it
+    with pytest.raises(error, match=text):
+        lebesgue_on(iv, carrier)
+
+
 def test_abs_cont_requires_common_carrier(fixb_measure, fixc_measure):
     with pytest.raises(CarrierMismatch):
         is_abs_cont_wrt(fixb_measure, fixc_measure)

@@ -8,6 +8,7 @@ which.
 """
 
 import operator
+import sys
 import types
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from monoinv import measure, monotone, unimodal
 from monoinv.laws import LAW_IDS, GenConfig, run_law
 from monoinv.monotone import PiecewiseMonotone, _knot_limits, _trusted
+import test_oracles
 import test_trusted
 import test_unimodal
 
@@ -79,3 +81,35 @@ def test_generation_keeping_every_knot_is_killed_by_double_inv_alone(monkeypatch
     monkeypatch.setattr(monotone, "_assembled", _keeps_every_knot)
     killed = [law for law in LAW_IDS if not run_law(law, 200, GenConfig(seed=SEED)).passed]
     assert killed == ["DOUBLE_INV"]
+
+
+def _slopes_under_the_inverse_slopes_key(monkeypatch):
+    # measure.step_of_slopes memoized under inverse_slope_step's key: of
+    # the two step classes, whichever a function asks for first, the other
+    # reads it back
+    original, build = measure.step_of_slopes, measure.step_of_slopes.__wrapped__
+
+    def inverse_slope_step(g):  # the name _cached keys the table by
+        return build(g)
+
+    mutant = monotone._cached(inverse_slope_step)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("monoinv") and getattr(module, "step_of_slopes", None) is original:
+            monkeypatch.setattr(module, "step_of_slopes", mutant)
+
+
+def test_table_under_another_tables_key_is_killed_by_the_tables_oracle(monkeypatch):
+    test_oracles.test_tables_are_every_memoized_table_each_under_its_own_key()
+    _slopes_under_the_inverse_slopes_key(monkeypatch)
+    with pytest.raises(AssertionError):
+        test_oracles.test_tables_are_every_memoized_table_each_under_its_own_key()
+
+
+def test_table_under_another_tables_key_is_killed_by_five_laws(monkeypatch):
+    # the golden verify case pins every law passing at this seed and n.  The
+    # five read the inverse's slope step, through classify or
+    # inverse_rule_check; the others read step_of_slopes alone, which still
+    # gives its own table
+    _slopes_under_the_inverse_slopes_key(monkeypatch)
+    killed = [law for law in LAW_IDS if not run_law(law, 200, GenConfig(seed=SEED)).passed]
+    assert killed == ["INV_RULE", "QF_AC", "MAIN_EQUIV", "DECOMP", "GEN_LOCFIN"]

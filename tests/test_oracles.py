@@ -1,8 +1,11 @@
 """The memoized tables, the fast law checks and scans, against slow references.
 
-A PiecewiseMonotone keeps each table derived from it (monotone._cached):
-every one must equal its builder applied to a fresh copy of the function,
-and a second call must return the same object.
+A PiecewiseMonotone keeps each table derived from it; each is declared
+once, with the monotone._cached decorator.  Every table must equal its
+builder, the undecorated body (__wrapped__), applied to a fresh copy of the
+function, and a second call must return the same object.  TABLES lists
+exactly the decorated functions of monotone and measure, each stored under
+a key of its own that no dataclass field uses.
 
 GALOIS compares two prefix lengths per grid point x by bisection,
 measure.measure_of_open bisects to the atoms and cells that can meet its
@@ -28,6 +31,7 @@ must come out the same.
 """
 
 import contextlib
+import dataclasses
 import glob
 import json
 import operator
@@ -80,16 +84,16 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 oracle_settings = settings(max_examples=150, deadline=None,
                            suppress_health_check=[HealthCheck.too_slow])
 
-# (public accessor, builder) of every memoized table
+# every memoized table; its builder is its __wrapped__
 TABLES = [
-    (monotone.value_bounds, monotone._build_value_bounds),
-    (monotone._inverse_columns, monotone._build_inverse_columns),
-    (monotone.jumps, monotone._build_jumps),
-    (monotone.flats, monotone._build_flats),
-    (monotone.inverse_domain, monotone._build_inverse_domain),
-    (measure.step_of_slopes, measure._build_step_of_slopes),
-    (measure.associated_measure, measure._build_associated_measure),
-    (measure.inverse_slope_step, measure._build_inverse_slope_step),
+    monotone.value_bounds,
+    monotone._inverse_columns,
+    monotone.jumps,
+    monotone.flats,
+    monotone.inverse_domain,
+    measure.step_of_slopes,
+    measure.associated_measure,
+    measure.inverse_slope_step,
 ]
 
 
@@ -136,9 +140,9 @@ def test_golden_specs_are_read():
 def test_each_table_is_its_builder_on_a_fresh_copy_and_is_kept(source):
     functions = seeded_instances() if source == "laws" else golden_functions()
     for g in functions:
-        for table, build in TABLES:
+        for table in TABLES:
             kept = table(g)
-            fresh = build(validate(g))  # an equal instance that holds no tables
+            fresh = table.__wrapped__(validate(g))  # an equal instance that holds no tables
             assert kept == fresh and repr(kept) == repr(fresh), (table.__name__, g)
             assert table(g) is kept, table.__name__
 
@@ -147,9 +151,23 @@ def test_tables_take_no_part_in_equality_hash_or_repr():
     for g in seeded_instances(20):
         bare = validate(g)
         before = repr(g)
-        for table, _ in TABLES:
+        for table in TABLES:
             table(g)
         assert g == bare and hash(g) == hash(bare) and repr(g) == repr(bare) == before
+
+
+def test_tables_are_every_memoized_table_each_under_its_own_key():
+    # a key shared by two tables would hand one table's value to the other
+    decorated = {fn for module in (monotone, measure) for fn in vars(module).values()
+                 if hasattr(fn, "__wrapped__")}
+    assert decorated == set(TABLES)
+    keys = [table.key for table in TABLES]
+    fields = {f.name for f in dataclasses.fields(PiecewiseMonotone)}
+    assert len(set(keys)) == len(keys) and not fields & set(keys)
+    for g in seeded_instances(20):
+        for table in TABLES:
+            kept = table(g)
+            assert g.__dict__[table.key] is kept, table.__name__
 
 
 def grids_by_sets(g):

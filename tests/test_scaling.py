@@ -3,6 +3,8 @@
 Every PiecewiseMonotone builds its value bounds and its inverse's columns at
 most once, so the number of builds per classify / invert / qdensity depends
 on how many classes the command makes, not on how many points its input has.
+A table's builds are the calls of its builder, the __wrapped__ of the
+memoized table, which conftest.count_calls counts.
 Counting builds is the deterministic stand-in for a wall-clock scaling
 bound, which would flake on a host whose speed drifts.  Each command also
 derives the generalized inverse and the quantile density of its distribution
@@ -38,54 +40,41 @@ from click.testing import CliRunner
 from monoinv import cli, exactnum, laws, measure, monotone
 from monoinv.intervals import REAL_LINE, Interval
 
-BUILDERS = ("_build_value_bounds", "_build_inverse_columns")
-
-
-@pytest.fixture
-def build_counts(monkeypatch):
-    counts = dict.fromkeys(BUILDERS, 0)
-    for name in BUILDERS:
-        def counting(g, build=getattr(monotone, name), name=name):
-            counts[name] += 1
-            return build(g)
-
-        monkeypatch.setattr(monotone, name, counting)
-    return counts
-
-
 def _gaussian_samples(path, n, seed):
     rng = random.Random(seed)
     path.write_text("\n".join(f"{rng.gauss(0.0, 1.0):.6f}" for _ in range(n)) + "\n")
 
 
 @pytest.mark.parametrize("command", ["classify", "invert", "qdensity"])
-def test_table_builds_do_not_grow_with_points(tmp_path, build_counts, command):
+def test_table_builds_do_not_grow_with_points(tmp_path, count_calls, command):
+    builds = {table.__name__: count_calls(table, "__wrapped__")
+              for table in (monotone.value_bounds, monotone._inverse_columns)}
     per_size = {}
     for n in (1000, 4000):
         path = tmp_path / f"{n}.txt"
         _gaussian_samples(path, n, seed=n)
-        for name in BUILDERS:
-            build_counts[name] = 0
+        for counter in builds.values():
+            counter[0] = 0
         result = CliRunner().invoke(cli.main, [command, "--samples", str(path)])
         assert result.exit_code in (0, 3), result.output
-        per_size[n] = dict(build_counts)
+        per_size[n] = {name: counter[0] for name, counter in builds.items()}
     assert per_size[1000] == per_size[4000]
-    assert 0 < per_size[1000]["_build_value_bounds"] <= 10
+    assert 0 < per_size[1000]["value_bounds"] <= 10
 
 
-@pytest.mark.parametrize("command, module, name, want", [
+@pytest.mark.parametrize("command, owner, name, want", [
     ("invert", monotone, "generalized_inverse", 1),
     ("classify", measure, "gen_inverse_abs_cont", 1),
     ("qdensity", measure, "gen_inverse_abs_cont", 1),
     ("classify", measure, "inverse_slope_step", 1),
     ("classify", monotone, "extend_to_real_line", 1),
-    ("classify", monotone, "_build_inverse_columns", 1),
-    ("classify", monotone, "_build_jumps", 1),
-    ("classify", monotone, "_build_flats", 1),
-    ("classify", measure, "_build_step_of_slopes", 1),
-    ("classify", measure, "_build_associated_measure", 1),
-    ("invert", monotone, "_build_inverse_columns", 1),
-    ("qdensity", monotone, "_build_inverse_columns", 1),
+    ("classify", monotone._inverse_columns, "__wrapped__", 1),
+    ("classify", monotone.jumps, "__wrapped__", 1),
+    ("classify", monotone.flats, "__wrapped__", 1),
+    ("classify", measure.step_of_slopes, "__wrapped__", 1),
+    ("classify", measure.associated_measure, "__wrapped__", 1),
+    ("invert", monotone._inverse_columns, "__wrapped__", 1),
+    ("qdensity", monotone._inverse_columns, "__wrapped__", 1),
     ("classify", cli, "spec_to_measure", 0),
     ("invert", cli, "spec_to_measure", 0),
     ("qdensity", cli, "spec_to_measure", 0),
@@ -96,10 +85,10 @@ def test_table_builds_do_not_grow_with_points(tmp_path, build_counts, command):
     ("invert", monotone, "_knot_limits", 0),
     ("qdensity", monotone, "_knot_limits", 0),
 ])
-def test_each_derived_object_is_built_once(tmp_path, count_calls, command, module, name, want):
+def test_each_derived_object_is_built_once(tmp_path, count_calls, command, owner, name, want):
     path = tmp_path / "samples.txt"
     _gaussian_samples(path, 1000, seed=1000)
-    calls = count_calls(module, name)
+    calls = count_calls(owner, name)
     result = CliRunner().invoke(cli.main, [command, "--samples", str(path)])
     assert result.exit_code in (0, 3), result.output
     assert calls[0] == want
@@ -234,7 +223,7 @@ def test_fmt_ratio_calls_per_knot_do_not_grow(tmp_path, count_calls):
 def test_main_equiv_builds_one_inverse_table_per_function(count_calls):
     # classify, quantile_density and the materialized inverse of each
     # generated function share its table
-    calls = count_calls(monotone, "_build_inverse_columns")
+    calls = count_calls(monotone._inverse_columns, "__wrapped__")
     result = CliRunner().invoke(cli.main, ["verify", "--law", "MAIN_EQUIV", "--n", "50",
                                            "--seed", "20260808"])
     assert result.exit_code == 0, result.output
