@@ -27,6 +27,11 @@ The verify case (`verify --law all --n 200 --seed 20260808`, no input
 file) was recorded by the CLI just before the quasi-concavity and
 quasi-convexity scans became one two-index scan; it pins every law's
 verdict and eligible count at that seed.
+The cases of thirds_sevenths_28 (28 thirds and sevenths, with "1/3", "2/6"
+and "1/3" one three-fold tie and "3/3" and "1" another) were recorded by
+the CLI just before the sample code moved out of the CLI.  Its
+denominators do not all divide the largest, so it is the one sample file
+that is sorted as rationals, not as integer keys over one denominator.
 A case may carry extra command-line `args` (`--plot-points N`, `--anchor
 P/Q`); its report then lives in `<input>.<command>.<args>.out`, e.g.
 `bimodal.invert.plot-points_7.out` or `tied_gauss_300.invert.anchor_1_7.out`.
