@@ -6,14 +6,10 @@ timestamps, so identical inputs give byte-identical output; --stamp wraps
 the body in an envelope that carries the timestamp outside of it.  A
 report is written to its sink as it is formatted, once the analysis is done.
 
-A sample file (--samples) is parsed once, line by line, to integer
-numerators and denominators, sorted into runs of tied values in one pass
-(read_samples), and built straight into the empirical distribution function
-from prefix counts (samples_to_function; classify, invert, qdensity) or into
-the empirical measure (samples_to_measure; decompose); ingest prints the
-same runs as a spec (samples_to_spec).
+A sample file (--samples) is read by monoinv.samples.
 
-Exit codes:
+Exit codes, each carried by its error class (monoinv.errors) for the
+library's errors:
   0  success (classify: the distribution is unimodal)
   1  unreadable / unparseable input (bad JSON shapes, bytes that are not
      UTF-8, JSON nested too deeply, numbers of over 4,300 digits), or an
@@ -31,38 +27,21 @@ Exit codes:
 
 from __future__ import annotations
 
-import contextlib
 import datetime
 import json
 import os
 import sys
 
-from bisect import bisect_right
-from itertools import accumulate, groupby
-
 import click
 
-from monoinv.errors import (
-    ConstantFunction,
-    InternalInconsistency,
-    MonoinvError,
-    QfNotAbsolutelyContinuous,
-    UnknownLaw,
-)
-from monoinv.exactnum import ONE, ZERO, fmt_ratio, parse_ratio, parse_ratio_parts, rat
-from monoinv.intervals import POS_INF, REAL_LINE, Interval, is_finite
+from monoinv.errors import ConstantFunction, MonoinvError, ParseError, SpecError
+from monoinv.exactnum import fmt_ratio, parse_ratio, rat
+from monoinv.intervals import REAL_LINE, Interval, is_finite
 from monoinv.laws import GenConfig, LAW_IDS, run_law
-from monoinv.measure import (
-    PiecewiseMeasure,
-    _canonical_step,
-    _measure,
-    associated_measure,
-    distribution_function,
-)
+from monoinv.measure import PiecewiseMeasure, associated_measure, distribution_function
 from monoinv.monotone import (
     PiecewiseMonotone,
     _probe_point,
-    _trusted,
     generalized_inverse,
     inverse_domain,
     inverse_mass_interval,
@@ -73,8 +52,6 @@ from monoinv.monotone import (
 )
 from monoinv.serialize import (  # spec_to_measure is re-exported
     Rows,
-    _ParseError,
-    _SpecError,
     atoms_to_json,
     interval_to_json,
     measure_to_spec_json,
@@ -83,27 +60,19 @@ from monoinv.serialize import (  # spec_to_measure is re-exported
     spec_to_measure,
     step_to_json,
 )
+from monoinv.samples import (
+    _degenerate,
+    read_samples,
+    samples_to_function,
+    samples_to_measure,
+    samples_to_spec,
+)
 from monoinv.unimodal import classify, quantile_density
 
 
 def _fail(code, message):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
-
-
-@contextlib.contextmanager
-def _analysis_errors():
-    """Exit 6 on a failed internal consistency check, 2 on any other library error."""
-    try:
-        yield
-    except InternalInconsistency as e:
-        _fail(6, f"internal consistency check failed (a bug in monoinv): {e}")
-    except MonoinvError as e:
-        _fail(2, str(e))
-
-
-# ---------------------------------------------------------------------------
-# input handling
 
 
 class _LongInt:
@@ -125,135 +94,11 @@ def _load_json(path):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_int=_json_int)
     except (OSError, UnicodeDecodeError) as e:
-        raise _ParseError(f"cannot read {path}: {e}") from e
+        raise ParseError(f"cannot read {path}: {e}") from e
     except RecursionError as e:
-        raise _ParseError(f"cannot read {path}: JSON nested too deeply") from e
+        raise ParseError(f"cannot read {path}: JSON nested too deeply") from e
     except json.JSONDecodeError as e:
-        raise _ParseError(f"{path} is not valid JSON: {e}") from e
-
-
-def read_samples(path, header: bool):
-    """Parse a sample file and sort it into runs of tied values.
-
-    Returns the distinct samples in increasing order, the count of each, and
-    the density 1/((n-1)(b-a)) of the piece between neighbours a < b.
-
-    Each line is parsed once, to an integer numerator and denominator.  When
-    every denominator divides the largest, D, the samples sort as the
-    integers num * (D // den).  Otherwise, and when D is far longer than the
-    denominators are on average (every key would be that long), they sort as
-    rationals.  No lcm is formed: over coprime denominators it grows with
-    every line.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as e:
-        raise _ParseError(f"cannot read {path}: {e}") from e
-    parts = []
-    for lineno, line in enumerate(lines[1:] if header else lines, start=2 if header else 1):
-        s = line.strip()
-        if not s:
-            continue
-        try:
-            parts.append(parse_ratio_parts(s))
-        except ValueError as e:
-            raise _ParseError(f"line {lineno}: {e}") from e
-    if not parts:
-        raise _SpecError("no samples")
-
-    n1 = len(parts) - 1
-    big = max(den for _, den in parts)
-    short = big.bit_length() * len(parts) <= sum(
-        2 * den.bit_length() + 64 for _, den in parts)
-    if short and all(big % den == 0 for _, den in parts):
-        keys, counts = _runs([num * (big // den) for num, den in parts])
-        values = [rat(k, big) for k in keys]
-        densities = [rat(big, n1 * (b - a)) for a, b in zip(keys, keys[1:])]
-    else:
-        values, counts = _runs([rat(num, den) for num, den in parts])
-        densities = [1 / (n1 * (b - a)) for a, b in zip(values, values[1:])]
-    return values, counts, densities
-
-
-def _runs(keys):
-    """The distinct keys in increasing order, and how often each occurs."""
-    runs = [(k, sum(1 for _ in group)) for k, group in groupby(sorted(keys))]
-    return [k for k, _ in runs], [c for _, c in runs]
-
-
-def _degenerate(values, allow_degenerate):
-    """True when the samples take a single value; an error unless allowed."""
-    if len(values) < 2 and not allow_degenerate:
-        raise _SpecError(
-            "fewer than 2 distinct samples; pass --allow-degenerate for a pure atom")
-    return len(values) < 2
-
-
-def samples_to_measure(samples, allow_degenerate: bool) -> PiecewiseMeasure:
-    """The linear-interpolation empirical measure of read_samples' runs:
-    each gap between adjacent order statistics carries mass 1/(n-1), and
-    k tied samples become an atom of mass (k-1)/(n-1)."""
-    values, counts, densities = samples
-    if _degenerate(values, allow_degenerate):
-        return PiecewiseMeasure(REAL_LINE, ((values[0], ONE),), ())
-    n1 = sum(counts) - 1
-    tied = [(x, c) for x, c in zip(values, counts) if c > 1]
-    # the distinct samples are the knots; equal gaps give neighbouring cells
-    # of equal density, which the merge joins
-    dens = _canonical_step(REAL_LINE, values, [ZERO, *densities, ZERO])
-    return _measure(REAL_LINE, tuple(x for x, _ in tied),
-                    tuple(rat(c - 1, n1) for _, c in tied), dens)
-
-
-def samples_to_function(samples, anchor) -> PiecewiseMonotone:
-    """The distribution function of samples_to_measure(samples), anchored
-    to 0 at the rational anchor, from read_samples' runs of two or more
-    distinct values.
-
-    With S samples below a value v of c samples, F(v-) = S/(n-1) and
-    F(v+) = (S + c - 1)/(n-1), less F(anchor): one rational from integers
-    each.  A value is a knot iff it is tied or its two gap densities differ,
-    so the result is canonical by construction.
-    """
-    values, counts, densities = samples
-    n1 = sum(counts) - 1
-    below = [0, *accumulate(counts)]  # below[k] samples lie below values[k]
-    # F(anchor) = p/q unshifted: the right limit at the last value at or
-    # below the anchor, plus the rise along the gap it lies in
-    i = bisect_right(values, anchor)
-    shift = rat(below[i] - 1, n1) if i else ZERO
-    if 0 < i < len(values) and values[i - 1] != anchor:
-        shift += densities[i - 1] * (anchor - values[i - 1])
-    q = shift.denominator
-    pn, den = shift.numerator * n1, n1 * q  # a limit S/(n-1) - p/q is (S q - p (n-1)) / den
-    last = len(values) - 1
-    keep = [0, *(k for k in range(1, last)
-                 if counts[k] > 1 or densities[k - 1] != densities[k]), last]
-    lefts = [rat(below[k] * q - pn, den) for k in keep]
-    # an untied value is no jump: its two limits are one rational
-    rights = [left if counts[k] == 1 else rat((below[k + 1] - 1) * q - pn, den)
-              for k, left in zip(keep, lefts)]
-    return _trusted(PiecewiseMonotone, domain=REAL_LINE,
-                    slopes=(ZERO, *(densities[k] for k in keep[:-1]), ZERO), anchor=None,
-                    xs=tuple(values[k] for k in keep), lefts=tuple(lefts), rights=tuple(rights))
-
-
-def samples_to_spec(samples, allow_degenerate: bool) -> dict:
-    """samples_to_measure as a spec document, one piece of mass 1/(n-1)
-    per gap."""
-    values, counts, _ = samples
-    carrier = {"lo": "-inf", "hi": "inf"}
-    if _degenerate(values, allow_degenerate):
-        return {"carrier": carrier, "atoms": [{"x": fmt_ratio(values[0]), "mass": "1"}],
-                "uniform_pieces": []}
-    n1 = sum(counts) - 1
-    unit = fmt_ratio(rat(1, n1))
-    text = [fmt_ratio(x) for x in values]
-    atoms = [{"x": t, "mass": fmt_ratio(rat(c - 1, n1))}
-             for t, c in zip(text, counts) if c > 1]
-    pieces = [{"a": a, "b": b, "mass": unit} for a, b in zip(text, text[1:])]
-    return {"carrier": carrier, "atoms": atoms, "uniform_pieces": pieces}
+        raise ParseError(f"{path} is not valid JSON: {e}") from e
 
 
 def _default_anchor(carrier: Interval):
@@ -301,34 +146,23 @@ def _emit(body, out, stamp):
         _fail(1, f"cannot write {out}: {e}")
 
 
-def _plot_window(g: PiecewiseMonotone) -> tuple:
+def _csv_value(v):
+    return repr(float(v)) if is_finite(v) else repr(v)  # an infinity reads inf or -inf
+
+
+def _plot_rows(g: PiecewiseMonotone, npoints: int):
     lo, hi = g.domain.lo, g.domain.hi
     pts = structural_xs(g)
     if not is_finite(lo):
         lo = (pts[0] if pts else rat(0)) - 1
     if not is_finite(hi):
         hi = (pts[-1] if pts else rat(0)) + 1
-    return lo, hi
-
-
-def _csv_value(v):
-    if is_finite(v):
-        return repr(float(v))
-    return "inf" if v is POS_INF else "-inf"
-
-
-def _plot_rows(g: PiecewiseMonotone, npoints: int):
-    lo, hi = _plot_window(g)
     rows = ["x,left,right"]
     for i in range(npoints + 1):
         x = lo + (hi - lo) * i / npoints
         l, r = limits_at(g, x)
         rows.append(f"{float(x)!r},{_csv_value(l)},{_csv_value(r)}")
     return "\n".join(rows) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# report assembly
 
 
 def _interval_block(g: PiecewiseMonotone | None, f: PiecewiseMonotone | None = None) -> dict:
@@ -362,10 +196,8 @@ def _report(m: PiecewiseMeasure, anchor, **blocks) -> dict:
 
 
 def _decomposition_block(m: PiecewiseMeasure) -> dict:
-    return {
-        "atoms": atoms_to_json(m, lazy=True),
-        "abs_density": step_to_json(m.abs_density, lazy=True),
-    }
+    return {"atoms": atoms_to_json(m, lazy=True),
+            "abs_density": step_to_json(m.abs_density, lazy=True)}
 
 
 def _classify_report(m: PiecewiseMeasure, anchor, f: PiecewiseMonotone) -> tuple[dict, bool]:
@@ -382,19 +214,14 @@ def _classify_report(m: PiecewiseMeasure, anchor, f: PiecewiseMonotone) -> tuple
         q = generalized_inverse(f)
     except ConstantFunction:
         q = None
-    report = _report(
+    return _report(
         m, anchor,
         classification=_classification_block(c),
         intervals={"F": _interval_block(f), "Q": _interval_block(q, f)},
         decomposition=_decomposition_block(m),
         quantile_density=qdens,
         warnings=warnings,
-    )
-    return report, c.cdf_unimodal
-
-
-# ---------------------------------------------------------------------------
-# commands
+    ), c.cdf_unimodal
 
 
 def _input_options(fn):
@@ -438,29 +265,35 @@ def _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str, fun
     if (spec_path is None) == (samples_path is None):
         _fail(1, "give exactly one of --spec FILE or --samples FILE")
     runs = None
-    try:
-        if spec_path is not None:
-            m = spec_to_measure(_load_json(spec_path))
-        else:
-            runs = read_samples(samples_path, header)
-            if _degenerate(runs[0], allow_degenerate) or not function:
-                m, runs = samples_to_measure(runs, allow_degenerate), None
-        carrier = REAL_LINE if runs else m.carrier
-        anchor = parse_ratio(anchor_str) if anchor_str else _default_anchor(carrier)
-        if not carrier.contains(anchor):
-            raise _SpecError(f"anchor {fmt_ratio(anchor)} outside carrier")
-    except (_ParseError, ValueError) as e:
-        _fail(1, str(e))
-    except _SpecError as e:
-        _fail(2, str(e))
+    if spec_path is not None:
+        m = spec_to_measure(_load_json(spec_path))
+    else:
+        runs = read_samples(samples_path, header)
+        if _degenerate(runs, allow_degenerate) or not function:
+            m, runs = samples_to_measure(runs), None
+    carrier = REAL_LINE if runs else m.carrier
+    anchor = parse_ratio(anchor_str) if anchor_str else _default_anchor(carrier)
+    if not carrier.contains(anchor):
+        raise SpecError(f"anchor {fmt_ratio(anchor)} outside carrier")
     if not function:
         return m, anchor, None
-    with _analysis_errors():
-        f = distribution_function(m, anchor) if runs is None else samples_to_function(runs, anchor)
+    f = distribution_function(m, anchor) if runs is None else samples_to_function(runs, anchor)
     return (m if runs is None else associated_measure(f)), anchor, f
 
 
-@click.group()
+class _Main(click.Group):
+    """A library error ends any command with one `error:` line and its
+    class's exit code, through sys.exit: with standalone_mode=False click
+    would re-raise a ClickException, not exit."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except MonoinvError as e:
+            _fail(e.exit_code, e.prefix + str(e))
+
+
+@click.group(cls=_Main)
 def main():
     """Exact classification of piecewise-affine distributions and replay of
     the monotone-inverse calculus."""
@@ -475,8 +308,7 @@ def main():
 def cmd_classify(spec_path, samples_path, header, allow_degenerate, anchor_str, out, stamp):
     """Classify unimodality; exit 0 when unimodal, 3 when not."""
     m, anchor, f = _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str)
-    with _analysis_errors():
-        report, unimodal = _classify_report(m, anchor, f)
+    report, unimodal = _classify_report(m, anchor, f)
     _emit(report, out, stamp)
     sys.exit(0 if unimodal else 3)
 
@@ -494,10 +326,9 @@ def cmd_invert(spec_path, samples_path, header, allow_degenerate, anchor_str, ou
     library excludes.
     """
     m, anchor, f = _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str)
-    with _analysis_errors():
-        q = generalized_inverse(f)
-        report = _report(m, anchor, inverse=monotone_to_json(q, lazy=True),
-                         intervals={"F": _interval_block(f), "Q": _interval_block(q)})
+    q = generalized_inverse(f)
+    report = _report(m, anchor, inverse=monotone_to_json(q, lazy=True),
+                     intervals={"F": _interval_block(f), "Q": _interval_block(q)})
     _emit_or_plot(report, out, stamp, plot_points, q)
 
 
@@ -519,11 +350,7 @@ def cmd_qdensity(spec_path, samples_path, header, allow_degenerate, anchor_str, 
                  plot_points):
     """Emit the quantile density; exit 4 when it does not exist."""
     m, anchor, f = _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str)
-    with _analysis_errors():
-        try:
-            q = quantile_density(f)
-        except QfNotAbsolutelyContinuous as e:
-            _fail(4, str(e))
+    q = quantile_density(f)
     _emit_or_plot(_report(m, anchor, quantile_density=step_to_json(q, lazy=True)), out, stamp,
                   plot_points, f)
 
@@ -538,13 +365,10 @@ def cmd_qdensity(spec_path, samples_path, header, allow_degenerate, anchor_str, 
 @click.option("--stamp", is_flag=True)
 def cmd_ingest(samples_path, header, allow_degenerate, out, stamp):
     """Turn samples into the linear-interpolation empirical spec."""
-    try:
-        spec = samples_to_spec(read_samples(samples_path, header), allow_degenerate)
-        spec_to_measure(spec)  # sanity: the emitted spec must itself be valid
-    except _ParseError as e:
-        _fail(1, str(e))
-    except _SpecError as e:
-        _fail(2, str(e))
+    runs = read_samples(samples_path, header)
+    _degenerate(runs, allow_degenerate)
+    spec = samples_to_spec(runs)
+    spec_to_measure(spec)  # sanity: the emitted spec must itself be valid
     _emit(spec, out, stamp)
     sys.exit(0)
 
@@ -573,10 +397,7 @@ def cmd_verify(law_id, n, seed, max_knots, out, stamp):
             _fail(1, f"MONOINV_SEED must be an integer, got {os.environ['MONOINV_SEED']!r}")
     cfg = GenConfig(seed=seed, max_knots=max_knots)
     law_list = list(LAW_IDS) if law_id == "all" else [law_id]
-    try:
-        reports = [run_law(law, n, cfg) for law in law_list]
-    except UnknownLaw as e:
-        _fail(1, str(e))
+    reports = [run_law(law, n, cfg) for law in law_list]
     body = {
         "seed": seed,
         "max_knots": max_knots,

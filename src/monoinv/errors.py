@@ -2,7 +2,21 @@
 
 
 class MonoinvError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; exit_code is the CLI's exit code
+    for the class (2: an invalid input), prefix the lead of its error line."""
+
+    exit_code = 2
+    prefix = ""
+
+
+class ParseError(MonoinvError, ValueError):
+    """The input could not be read: a file, a spec or a number."""
+
+    exit_code = 1
+
+
+class SpecError(MonoinvError):
+    """The input parses but does not describe a valid measure."""
 
 
 class NonMonotone(MonoinvError):
@@ -56,10 +70,17 @@ class PreconditionFailed(MonoinvError):
 class QfNotAbsolutelyContinuous(MonoinvError):
     """The generalized inverse has an interior jump; no quantile density exists."""
 
+    exit_code = 4
+
 
 class InternalInconsistency(MonoinvError):
     """Independent characterizations that must agree disagreed; implementation bug."""
 
+    exit_code = 6
+    prefix = "internal consistency check failed (a bug in monoinv): "
+
 
 class UnknownLaw(MonoinvError):
     """Law identifier not in the registry."""
+
+    exit_code = 1

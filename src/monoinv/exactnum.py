@@ -19,6 +19,8 @@ import sys
 
 from fractions import Fraction
 
+from monoinv.errors import ParseError
+
 _requested = os.environ.get("MONOINV_BACKEND", "auto").strip().lower()
 if _requested not in ("auto", "compiled", "pure"):
     raise RuntimeError(f"MONOINV_BACKEND must be auto, compiled or pure, got {_requested!r}")
@@ -114,40 +116,41 @@ def parse_ratio_parts(text):
     """Parse 'p/q', an integer string, or a plain decimal string into an
     integer (numerator, denominator) pair, not reduced, denominator > 0.
 
+    A text that is no such number raises errors.ParseError, a ValueError.
     Decimals convert without rounding: d fractional digits become a
     denominator of 10**d.  Reading d digits takes time quadratic in d, so a
     literal of more than MAX_DIGITS digits is refused before it is read.
     """
     s = text.strip()
     if not s:
-        raise ValueError("empty number")
+        raise ParseError("empty number")
     if len(s) > MAX_DIGITS and sum(map(str.isdigit, s)) > MAX_DIGITS:
-        raise ValueError(f"a number of more than {MAX_DIGITS} digits")
+        raise ParseError(f"a number of more than {MAX_DIGITS} digits")
     if "/" in s:
         num_s, den_s = s.split("/", 1)
         try:
             num, den = int(num_s), int(den_s)
         except ValueError:
-            raise ValueError(f"not a number: {shown(text)}") from None
+            raise ParseError(f"not a number: {shown(text)}") from None
         if den <= 0:
-            raise ValueError(f"denominator must be positive in {shown(text)}")
+            raise ParseError(f"denominator must be positive in {shown(text)}")
         return num, den
     neg = s.startswith("-")
     if s[0] in "+-":
         s = s[1:]
     if not s:
-        raise ValueError(f"not a number: {shown(text)}")
+        raise ParseError(f"not a number: {shown(text)}")
     if "." in s:
         int_part, frac_part = s.split(".", 1)
         if not (int_part or frac_part):
-            raise ValueError(f"not a number: {shown(text)}")
+            raise ParseError(f"not a number: {shown(text)}")
         if (int_part and not int_part.isdigit()) or (frac_part and not frac_part.isdigit()):
-            raise ValueError(f"not a decimal: {shown(text)}")
+            raise ParseError(f"not a decimal: {shown(text)}")
         scale = 10 ** len(frac_part)
         value = int(int_part or "0") * scale + int(frac_part or "0")
         return (-value if neg else value), scale
     if not s.isdigit():
-        raise ValueError(f"not a number: {shown(text)}")
+        raise ParseError(f"not a number: {shown(text)}")
     value = int(s)
     return (-value if neg else value), 1
 

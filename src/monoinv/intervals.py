@@ -105,8 +105,12 @@ REAL_LINE = Interval(NEG_INF, POS_INF)
 EMPTY = Interval(ZERO, ZERO)
 
 
-def require_open_nonempty(iv: Interval, what: str = "interval") -> None:
+def require_open(iv: Interval, what: str = "interval") -> None:
     if iv.__class__ is not Interval:
         raise ValueError(f"{what} must be open")
+
+
+def require_open_nonempty(iv: Interval, what: str = "interval") -> None:
+    require_open(iv, what)
     if iv.is_empty:
         raise EmptyInterval(f"{what} is empty")

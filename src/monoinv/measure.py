@@ -34,6 +34,7 @@ from monoinv.intervals import (
     POS_INF,
     Interval,
     is_finite,
+    require_open,
     require_open_nonempty,
 )
 from monoinv.monotone import (
@@ -370,6 +371,7 @@ def density(m: PiecewiseMeasure) -> StepFunction:
 def lebesgue_on(iv: Interval, carrier: Interval) -> PiecewiseMeasure:
     """Lebesgue measure restricted to an open interval iv, carried on an open
     carrier that contains iv."""
+    require_open(iv)
     require_open_nonempty(carrier, "carrier")
     if not carrier.contains_interval(iv):
         raise CarrierMismatch(f"interval {iv} outside carrier {carrier}")

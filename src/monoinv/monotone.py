@@ -42,6 +42,7 @@ from monoinv.intervals import (
     ClosedInterval,
     Interval,
     is_finite,
+    require_open,
     require_open_nonempty,
 )
 
@@ -90,7 +91,7 @@ class PiecewiseMonotone:
     the one checked route, also for restrict, extend_to_real_line and
     from_knot_data.  The columns are the only way to read the knots back.
     Builders whose output is canonical by construction
-    (distribution_function, cli.samples_to_function, generalized_inverse,
+    (distribution_function, samples.samples_to_function, generalized_inverse,
     and the law generators through _assembled) skip the checks through
     _trusted; the tests pin each such result to its rebuild through this
     constructor (validate).
@@ -321,6 +322,7 @@ def inverse_domain(g: PiecewiseMonotone) -> Interval:
 
 def preimage_interior(g: PiecewiseMonotone, iv: Interval) -> Interval:
     """int(G^{-1}(iv)) for an open interval iv of values."""
+    require_open(iv)
     if iv.is_empty:
         return EMPTY
     lo = last_x_with_right_le(g, iv.lo)
@@ -363,6 +365,7 @@ def constancy_set(g: PiecewiseMonotone, within: Interval | None = None) -> list[
     """Maximal open flat pieces, optionally clipped to an open interval."""
     if within is None:
         return [iv for iv, _ in flats(g)]
+    require_open(within, "clipping interval")
     clipped = ((max(iv.lo, within.lo), min(iv.hi, within.hi)) for iv, _ in flats(g))
     return [Interval(lo, hi) for lo, hi in clipped if lo < hi]
 

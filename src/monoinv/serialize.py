@@ -7,19 +7,11 @@ never emitted as JSON floats, so serialized values round-trip bit-exactly.
 
 from __future__ import annotations
 
-from monoinv.errors import CarrierMismatch
+from monoinv.errors import CarrierMismatch, ParseError, SpecError
 from monoinv.exactnum import fmt_ratio, parse_ratio, shown
 from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, ClosedInterval, Interval, is_finite
 from monoinv.measure import PiecewiseMeasure, StepFunction
 from monoinv.monotone import PiecewiseMonotone
-
-
-class _ParseError(Exception):
-    """Exit 1: the input could not be read as a spec or sample file."""
-
-
-class _SpecError(Exception):
-    """Exit 2: the input parses but does not describe a valid measure."""
 
 
 def er_to_str(x) -> str:
@@ -126,70 +118,71 @@ def _number(raw, what, parse=parse_ratio):
     """The string raw read by parse; what names the field in the error."""
     if not isinstance(raw, str):
         kind = "" if parse is str_to_er else " ('p/q' or decimal)"
-        raise _ParseError(f"{what} must be a string{kind}, got {shown(raw)}")
+        raise ParseError(f"{what} must be a string{kind}, got {shown(raw)}")
     try:
         return parse(raw)
-    except ValueError as e:
-        raise _ParseError(f"bad {what}: {e}") from e
+    except ParseError as e:
+        raise ParseError(f"bad {what}: {e}") from e
 
 
 def _list_field(doc, key):
     value = doc.get(key, [])
     if not isinstance(value, list):
-        raise _ParseError(f"{key} must be a list")
+        raise ParseError(f"{key} must be a list")
     return value
 
 
 def spec_to_measure(doc) -> PiecewiseMeasure:
     """Build the measure described by a DistributionSpec document."""
     if not isinstance(doc, dict):
-        raise _ParseError("spec must be a JSON object")
+        raise ParseError("spec must be a JSON object")
     carrier = REAL_LINE
     if doc.get("carrier") is not None:
         c = doc["carrier"]
         if not isinstance(c, dict):
-            raise _ParseError("carrier must be an object with lo/hi")
-        try:
-            carrier = Interval(_number(c.get("lo", "-inf"), "carrier.lo", str_to_er),
-                               _number(c.get("hi", "inf"), "carrier.hi", str_to_er))
+            raise ParseError("carrier must be an object with lo/hi")
+        lo = _number(c.get("lo", "-inf"), "carrier.lo", str_to_er)
+        hi = _number(c.get("hi", "inf"), "carrier.hi", str_to_er)
+        try:  # after the ends are read: a ParseError is a ValueError too
+            carrier = Interval(lo, hi)
         except ValueError as e:
-            raise _SpecError(f"bad carrier: {e}") from e
+            raise SpecError(f"bad carrier: {e}") from e
         if carrier.is_empty:
-            raise _SpecError("carrier is empty")
+            raise SpecError("carrier is empty")
 
     atoms = []
     for i, a in enumerate(_list_field(doc, "atoms")):
         if not isinstance(a, dict) or "x" not in a or "mass" not in a:
-            raise _ParseError(f"atom #{i} needs fields x and mass")
+            raise ParseError(f"atom #{i} needs fields x and mass")
         x = _number(a["x"], f"atom #{i} x")
         mass = _number(a["mass"], f"atom #{i} mass")
         if mass <= 0:
-            raise _SpecError(f"atom #{i} has nonpositive mass")
+            raise SpecError(f"atom #{i} has nonpositive mass")
         atoms.append((x, mass))
 
     pieces = []
     for i, p in enumerate(_list_field(doc, "uniform_pieces")):
         if not isinstance(p, dict) or "a" not in p or "b" not in p:
-            raise _ParseError(f"piece #{i} needs fields a and b")
+            raise ParseError(f"piece #{i} needs fields a and b")
         if ("mass" in p) == ("density" in p):
-            raise _SpecError(f"piece #{i} needs exactly one of mass or density")
+            raise SpecError(f"piece #{i} needs exactly one of mass or density")
         lo = _number(p["a"], f"piece #{i} a", str_to_er)
         hi = _number(p["b"], f"piece #{i} b", str_to_er)
         if not lo < hi:
-            raise _SpecError(f"piece #{i} has a >= b")
+            raise SpecError(f"piece #{i} has a >= b")
         key = "mass" if "mass" in p else "density"
         d = _number(p[key], f"piece #{i} {key}")
         if d <= 0:
-            raise _SpecError(f"piece #{i} has nonpositive {key}")
+            raise SpecError(f"piece #{i} has nonpositive {key}")
         if key == "mass":
             if not (is_finite(lo) and is_finite(hi)):
-                raise _SpecError(f"piece #{i}: mass on an infinite piece; give a density")
+                raise SpecError(f"piece #{i}: mass on an infinite piece; give a density")
             d = d / (hi - lo)
         pieces.append((Interval(lo, hi), d))
 
     if not atoms and not pieces:
-        raise _SpecError("the spec describes the zero measure")
+        raise SpecError("the spec describes the zero measure")
     try:
         return PiecewiseMeasure(carrier, tuple(atoms), tuple(pieces))
     except (ValueError, CarrierMismatch) as e:
-        raise _SpecError(str(e)) from e
+        raise SpecError(str(e)) from e

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monoinv import cli, serialize, unimodal
-from monoinv.errors import InternalInconsistency
+from monoinv.errors import InternalInconsistency, SpecError
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -136,6 +136,19 @@ def test_spec_errors_name_the_fault(spec_file, doc, code, message):
     path = spec_file(doc)
     r = CliRunner().invoke(cli.main, ["classify", "--spec", path])
     assert (r.exit_code, r.stdout, r.stderr) == (code, "", f"error: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("carrier, message", [
+    ({"lo": "x", "hi": "1"}, "bad carrier.lo: not a number: 'x'"),
+    ({"lo": "0", "hi": 5}, "carrier.hi must be a string, got 5"),
+])
+def test_unreadable_carrier_end_exit1(spec_file, carrier, message):
+    # a carrier end that cannot be read is a parse error (exit 1), not the
+    # invalid carrier (exit 2) of ends out of order, although a ParseError
+    # is also a ValueError
+    doc = {"carrier": carrier, "atoms": [{"x": "1/2", "mass": "1"}]}
+    r = CliRunner().invoke(cli.main, ["classify", "--spec", spec_file(doc)])
+    assert (r.exit_code, r.stdout, r.stderr) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("lines, code, message", [
@@ -262,6 +275,40 @@ def test_internal_inconsistency_exit6(spec_file, tmp_path, monkeypatch, command,
     assert r.stderr == ("error: internal consistency check failed (a bug in monoinv): "
                         "absolute-continuity characterizations disagree\n")
     assert not out.exists()
+
+
+OVERLAP_SPEC = {"uniform_pieces": [{"a": "0", "b": "2", "density": "1/4"},
+                                   {"a": "1", "b": "3", "density": "1/4"}]}
+
+
+def test_in_process_error_exits(spec_file, tmp_path, monkeypatch, capsys):
+    # the benchmark worker runs each command in-process through the names
+    # below with standalone_mode=False, where click re-raises a
+    # ClickException instead of exiting: each error code must still leave
+    # as a SystemExit, after one `error:` line
+    from monoinv.cli import main, spec_to_measure
+
+    with pytest.raises(SpecError, match="pairwise disjoint"):
+        spec_to_measure(OVERLAP_SPEC)
+    bad = tmp_path / "samples.txt"
+    bad.write_text("0\nx\n")
+    cases = [
+        (["classify", "--samples", str(bad)], 1, "line 2: not a number: 'x'"),
+        (["classify", "--spec", spec_file(OVERLAP_SPEC)], 2,
+         "uniform pieces must be pairwise disjoint"),
+        (["qdensity", "--spec", spec_file(FIXA_SPEC, "gap.json")], 4,
+         "the generalized inverse has an interior jump; no quantile density exists"),
+        (["classify", "--spec", spec_file(FIXD_SPEC, "fixd.json")], 6,
+         "internal consistency check failed (a bug in monoinv): "
+         "absolute-continuity characterizations disagree"),
+    ]
+    for args, code, message in cases:
+        if code == 6:
+            monkeypatch.setattr(unimodal, "gen_inverse_abs_cont", _broken_check)
+        with pytest.raises(SystemExit) as exited:
+            main.main(args=args, prog_name="monoinv", standalone_mode=False)
+        assert exited.value.code == code
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class _FailingFile:

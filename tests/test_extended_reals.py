@@ -13,12 +13,15 @@ flows into an exact value.  Only an interval's end may be NEG_INF or
 POS_INF, and every entry that takes an interval refuses a ClosedInterval.
 """
 
+import inspect
 import re
 
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+
+import monoinv
 
 from monoinv import exactnum
 from monoinv.exactnum import as_q
@@ -35,8 +38,16 @@ from monoinv.measure import (
     StepFunction,
     distribution_function,
     gen_inverse_abs_cont,
+    lebesgue_on,
 )
-from monoinv.monotone import PiecewiseMonotone, evaluate, from_knot_data, restrict
+from monoinv.monotone import (
+    PiecewiseMonotone,
+    constancy_set,
+    evaluate,
+    from_knot_data,
+    preimage_interior,
+    restrict,
+)
 
 BIG = 10**400
 NUMBERS = [(0, 1), (1, 3), (-1, 3), (BIG, 1), (-BIG, 1), (1, BIG), (-1, BIG)]
@@ -213,6 +224,12 @@ CLOSED_REFUSED = {
     "StepFunction-carrier": (lambda iv: StepFunction(iv, (), (1,)), "carrier"),
     "restrict": (lambda iv: restrict(_line(), iv), "restriction interval"),
     "gen_inverse_abs_cont": (lambda iv: gen_inverse_abs_cont(_line(), iv), "interval"),
+    "from_knot_data-domain": (
+        lambda iv: from_knot_data(iv, [1], [0], [1, 1], Fraction(1, 2), 0), "regular domain"),
+    "lebesgue_on-iv": (lambda iv: lebesgue_on(iv, REAL_LINE), "interval"),
+    "lebesgue_on-carrier": (lambda iv: lebesgue_on(Interval(0, 1), iv), "carrier"),
+    "constancy_set-within": (lambda iv: constancy_set(_line(), within=iv), "clipping interval"),
+    "preimage_interior": (lambda iv: preimage_interior(_line(), iv), "interval"),
 }
 
 
@@ -221,3 +238,34 @@ def test_entries_refuse_closed_intervals(entry, what):
     with pytest.raises(ValueError) as raised:
         entry(ClosedInterval(0, 2))
     assert type(raised.value) is ValueError and str(raised.value) == f"{what} must be open"
+
+
+@pytest.mark.parametrize("name", list(CLOSED_REFUSED))
+def test_entries_refuse_every_other_shape(name):
+    # a tuple, a number, a string, None or an infinity is no interval either;
+    # each is refused by name, never left to fail on a missing attribute
+    # (None is constancy_set's "no clipping")
+    entry, what = CLOSED_REFUSED[name]
+    for shape in ((0, 2), 0.5, "(0, 2)", None, POS_INF):
+        if shape is None and name == "constancy_set-within":
+            continue
+        with pytest.raises(ValueError) as raised:
+            entry(shape)
+        assert type(raised.value) is ValueError and str(raised.value) == f"{what} must be open"
+
+
+def test_every_interval_entry_is_in_the_table():
+    # each exported callable with a parameter annotated as an open Interval
+    # has a row, under its name or under name-parameter
+    missing = []
+    for name, obj in vars(monoinv).items():
+        if name.startswith("_") or not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters.values()
+        except (TypeError, ValueError):  # no introspectable signature
+            continue
+        missing += [f"{name}-{p.name}" for p in params
+                    if re.search(r"\bInterval\b", str(p.annotation))
+                    and f"{name}-{p.name}" not in CLOSED_REFUSED and name not in CLOSED_REFUSED]
+    assert missing == []

@@ -5,7 +5,6 @@ import runpy
 import pytest
 
 from monoinv import laws
-from monoinv.cli import read_samples, samples_to_function
 from monoinv.errors import UnknownLaw
 from monoinv.exactnum import parse_ratio, rat
 from monoinv.intervals import REAL_LINE, Interval
@@ -15,6 +14,7 @@ from monoinv.monotone import (
     validate,
     versions_equal,
 )
+from monoinv.samples import read_samples, samples_to_function
 from monoinv.serialize import monotone_to_json, str_to_er
 from monoinv.unimodal import classify
 

@@ -4,13 +4,13 @@ A sample file used to become a measure by way of a spec document: every
 line parsed to a rational, the values sorted and counted, every sample,
 piece and mass formatted to a `p/q` string, and the strings parsed back by
 spec_to_measure.  That route is kept here as the reference.  The library
-route (read_samples, then samples_to_measure or samples_to_spec) must give
-the same measure, the same `ingest` bytes, and the same errors and exit
-codes, on files with ties, negative and huge samples, decimals of mixed
-lengths, `p/q` lines, decimals mixed with `p/q` lines, pairwise coprime
-denominators and one long decimal among short ones (where the samples sort
-as rationals, not integers) and blank lines, with and without --header and
---allow-degenerate.
+route (read_samples, its degenerate check, then samples_to_measure or
+samples_to_spec) must give the same measure, the same `ingest` bytes, and
+the same errors and exit codes, on files with ties, negative and huge
+samples, decimals of mixed lengths, `p/q` lines, decimals mixed with `p/q`
+lines, pairwise coprime denominators and one long decimal among short ones
+(where the samples sort as rationals, not integers) and blank lines, with
+and without --header and --allow-degenerate.
 
 classify, invert and qdensity read the runs straight into the distribution
 function (samples_to_function); the distribution function of
@@ -25,9 +25,17 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from monoinv import cli
+from monoinv.errors import ParseError, SpecError
 from monoinv.exactnum import fmt_ratio, parse_ratio, rat
 from monoinv.measure import associated_measure, distribution_function
 from monoinv.monotone import validate
+from monoinv.samples import (
+    _degenerate,
+    read_samples,
+    samples_to_function,
+    samples_to_measure,
+    samples_to_spec,
+)
 from monoinv.serialize import measure_to_spec_json
 
 
@@ -44,9 +52,9 @@ def reference_read_samples(path, header):
         try:
             values.append(parse_ratio(s))
         except ValueError as e:
-            raise cli._ParseError(f"line {lineno}: {e}") from e
+            raise ParseError(f"line {lineno}: {e}") from e
     if not values:
-        raise cli._SpecError("no samples")
+        raise SpecError("no samples")
     return values
 
 
@@ -56,7 +64,7 @@ def reference_samples_to_spec(values, allow_degenerate):
     distinct = sorted(set(values))
     if len(distinct) < 2:
         if not allow_degenerate:
-            raise cli._SpecError(
+            raise SpecError(
                 "fewer than 2 distinct samples; pass --allow-degenerate for a pure atom")
         return {
             "carrier": {"lo": "-inf", "hi": "inf"},
@@ -82,9 +90,9 @@ def _outcome(build):
     """("ok", result) or ("error", exit code, message) as the CLI reports it."""
     try:
         return ("ok", build())
-    except cli._ParseError as e:
+    except ParseError as e:
         return ("error", 1, str(e))
-    except cli._SpecError as e:
+    except SpecError as e:
         return ("error", 2, str(e))
 
 
@@ -97,9 +105,9 @@ def _reference(path, header, degenerate):
 
 def _library(path, header, degenerate):
     def build():
-        samples = cli.read_samples(path, header)
-        return (cli.samples_to_spec(samples, degenerate),
-                cli.samples_to_measure(samples, degenerate))
+        runs = read_samples(path, header)
+        _degenerate(runs, degenerate)
+        return samples_to_spec(runs), samples_to_measure(runs)
     return _outcome(build)
 
 
@@ -183,16 +191,17 @@ def test_samples_to_function_is_the_distribution_function_of_the_measure(tmp_pat
     path = tmp_path / "samples.txt"
     path.write_text("\n".join(lines) + "\n")
     try:
-        samples = cli.read_samples(str(path), header=False)
-    except cli._SpecError:  # no samples
+        runs = read_samples(str(path), header=False)
+    except SpecError:  # no samples
         return
-    values = samples[0]
+    keys, _, den = runs
+    values = [rat(k, den) for k in keys]
     if len(values) < 2:
         return
-    m = cli.samples_to_measure(samples, False)
+    m = samples_to_measure(runs)
     mids = [(a + b) / 2 for a, b in zip(values, values[1:])]
     for z in (values[0] - 1, *values, *mids, values[-1] + 1):
-        got, want = cli.samples_to_function(samples, z), distribution_function(m, z)
+        got, want = samples_to_function(runs, z), distribution_function(m, z)
         assert got == want and repr(got) == repr(want), z
         assert validate(got) == got
         assert associated_measure(got) == m

@@ -287,12 +287,12 @@ def test_abs_cont_comparisons_grow_linearly(monkeypatch):
 # of each sample file argv[2:], one line each
 _COUNT_CHECK_COMPARISONS = """
 import sys
-from monoinv import cli, exactnum, laws, measure
+from monoinv import exactnum, laws, measure, samples
 from test_scaling import count_fraction_comparisons
 check = getattr(laws, sys.argv[1])
 calls = count_fraction_comparisons()
 for path in sys.argv[2:]:
-    m = cli.samples_to_measure(cli.read_samples(path, header=False), False)
+    m = samples.samples_to_measure(samples.read_samples(path, header=False))
     f = measure.distribution_function(m, exactnum.rat(0))
     calls[0] = 0
     check(f)

@@ -4,7 +4,7 @@ Functions and measures hold their knots and atoms as columns (xs, lefts,
 rights; atom_xs, atom_masses), and a measure's pieces as the cells of its
 density (abs_density); the public constructors take them as plain tuples.
 Builders whose output is canonical by construction
-(distribution_function, the sample function cli.samples_to_function,
+(distribution_function, the sample function samples.samples_to_function,
 generalized_inverse, lebesgue_decompose, density, and the law generators
 through monotone._assembled, which keeps only the knot drop)
 fill the columns through monotone._trusted, which runs no check; those
@@ -31,7 +31,7 @@ import tempfile
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from monoinv import cli, laws, measure
+from monoinv import laws, measure
 from monoinv.errors import ConstantFunction, MonoinvError
 from monoinv.exactnum import rat
 from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, Interval, is_finite
@@ -59,6 +59,7 @@ from monoinv.monotone import (
     mass_interval,
     validate,
 )
+from monoinv.samples import read_samples, samples_to_function, samples_to_measure
 from test_measure import atoms_of, pieces_of
 
 oracle_settings = settings(max_examples=150, deadline=None,
@@ -220,13 +221,13 @@ def test_sample_measure_equals_public_rebuild(samples):
         path = os.path.join(tmp, "samples.txt")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("".join(f"{num}/{den}\n" for num, den in samples))
-        parsed = cli.read_samples(path, header=False)
-    m = cli.samples_to_measure(parsed, allow_degenerate=True)
+        parsed = read_samples(path, header=False)
+    m = samples_to_measure(parsed)
     assert same_as_public(m)
     for z in _anchors(m):
         assert same_as_public(distribution_function(m, z))
         if len(parsed[0]) >= 2:
-            assert same_as_public(cli.samples_to_function(parsed, z))
+            assert same_as_public(samples_to_function(parsed, z))
 
 
 @st.composite
