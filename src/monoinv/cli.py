@@ -36,7 +36,7 @@ import click
 
 from monoinv.errors import ConstantFunction, MonoinvError, ParseError, SpecError
 from monoinv.exactnum import fmt_ratio, parse_ratio, rat
-from monoinv.intervals import REAL_LINE, Interval, is_finite
+from monoinv.intervals import POS_INF, REAL_LINE, Interval, is_finite
 from monoinv.laws import GenConfig, LAW_IDS, run_law
 from monoinv.measure import PiecewiseMeasure, associated_measure, distribution_function
 from monoinv.monotone import (
@@ -73,6 +73,10 @@ from monoinv.unimodal import classify, quantile_density
 def _fail(code, message):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+# ---------------------------------------------------------------------------
+# input handling
 
 
 class _LongInt:
@@ -146,23 +150,34 @@ def _emit(body, out, stamp):
         _fail(1, f"cannot write {out}: {e}")
 
 
-def _csv_value(v):
-    return repr(float(v)) if is_finite(v) else repr(v)  # an infinity reads inf or -inf
-
-
-def _plot_rows(g: PiecewiseMonotone, npoints: int):
+def _plot_window(g: PiecewiseMonotone) -> tuple:
     lo, hi = g.domain.lo, g.domain.hi
     pts = structural_xs(g)
     if not is_finite(lo):
         lo = (pts[0] if pts else rat(0)) - 1
     if not is_finite(hi):
         hi = (pts[-1] if pts else rat(0)) + 1
+    return lo, hi
+
+
+def _csv_value(v):
+    if is_finite(v):
+        return repr(float(v))
+    return "inf" if v is POS_INF else "-inf"
+
+
+def _plot_rows(g: PiecewiseMonotone, npoints: int):
+    lo, hi = _plot_window(g)
     rows = ["x,left,right"]
     for i in range(npoints + 1):
         x = lo + (hi - lo) * i / npoints
         l, r = limits_at(g, x)
         rows.append(f"{float(x)!r},{_csv_value(l)},{_csv_value(r)}")
     return "\n".join(rows) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# report assembly
 
 
 def _interval_block(g: PiecewiseMonotone | None, f: PiecewiseMonotone | None = None) -> dict:
@@ -196,8 +211,10 @@ def _report(m: PiecewiseMeasure, anchor, **blocks) -> dict:
 
 
 def _decomposition_block(m: PiecewiseMeasure) -> dict:
-    return {"atoms": atoms_to_json(m, lazy=True),
-            "abs_density": step_to_json(m.abs_density, lazy=True)}
+    return {
+        "atoms": atoms_to_json(m, lazy=True),
+        "abs_density": step_to_json(m.abs_density, lazy=True),
+    }
 
 
 def _classify_report(m: PiecewiseMeasure, anchor, f: PiecewiseMonotone) -> tuple[dict, bool]:
@@ -214,14 +231,19 @@ def _classify_report(m: PiecewiseMeasure, anchor, f: PiecewiseMonotone) -> tuple
         q = generalized_inverse(f)
     except ConstantFunction:
         q = None
-    return _report(
+    report = _report(
         m, anchor,
         classification=_classification_block(c),
         intervals={"F": _interval_block(f), "Q": _interval_block(q, f)},
         decomposition=_decomposition_block(m),
         quantile_density=qdens,
         warnings=warnings,
-    ), c.cdf_unimodal
+    )
+    return report, c.cdf_unimodal
+
+
+# ---------------------------------------------------------------------------
+# commands
 
 
 def _input_options(fn):

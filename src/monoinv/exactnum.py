@@ -138,21 +138,17 @@ def parse_ratio_parts(text):
     neg = s.startswith("-")
     if s[0] in "+-":
         s = s[1:]
-    if not s:
+    int_part, dot, frac_part = s.partition(".")
+    if not (int_part or frac_part):
         raise ParseError(f"not a number: {shown(text)}")
-    if "." in s:
-        int_part, frac_part = s.split(".", 1)
-        if not (int_part or frac_part):
-            raise ParseError(f"not a number: {shown(text)}")
-        if (int_part and not int_part.isdigit()) or (frac_part and not frac_part.isdigit()):
-            raise ParseError(f"not a decimal: {shown(text)}")
-        scale = 10 ** len(frac_part)
-        value = int(int_part or "0") * scale + int(frac_part or "0")
-        return (-value if neg else value), scale
-    if not s.isdigit():
-        raise ParseError(f"not a number: {shown(text)}")
-    value = int(s)
-    return (-value if neg else value), 1
+    if not (int_part + frac_part).isdigit():
+        raise ParseError(f"not a {'decimal' if dot else 'number'}: {shown(text)}")
+    scale = 10 ** len(frac_part)
+    try:  # str.isdigit holds for some digits that int does not read, such as '²'
+        value = int(int_part or "0") * scale + int(frac_part) if frac_part else int(int_part)
+    except ValueError as e:
+        raise ParseError(str(e)) from None
+    return (-value if neg else value), scale
 
 
 def parse_ratio(text):

@@ -76,12 +76,6 @@ def _degenerate(runs, allow_degenerate: bool) -> bool:
     return len(runs[0]) < 2
 
 
-def _density(den: int, n1: int, gap):
-    """1/((n-1)(b-a)) for b - a = gap / den; for a rational gap (den 1) by
-    division, as the compiled rat takes no rational denominator."""
-    return rat(den, n1 * gap) if gap.__class__ is int else 1 / (n1 * gap)
-
-
 def samples_to_measure(runs) -> PiecewiseMeasure:
     """The linear-interpolation empirical measure of the runs: each gap
     between adjacent distinct samples carries mass 1/(n-1), k tied samples
@@ -93,9 +87,11 @@ def samples_to_measure(runs) -> PiecewiseMeasure:
     n1 = sum(counts) - 1
     tied = [(x, c) for x, c in zip(values, counts) if c > 1]
     # the distinct samples are the knots; equal gaps give neighbouring cells
-    # of equal density, which the merge joins
+    # of equal density, which the merge joins; a gap g / den (g an integer or,
+    # on the rational sort, a rational) has density den / ((n-1) g)
+    gaps = (b - a for a, b in zip(keys, keys[1:]))
     dens = _canonical_step(REAL_LINE, values, [
-        ZERO, *(_density(den, n1, b - a) for a, b in zip(keys, keys[1:])), ZERO])
+        ZERO, *(rat(den * g.denominator, n1 * g.numerator) for g in gaps), ZERO])
     return _measure(REAL_LINE, tuple(x for x, _ in tied),
                     tuple(rat(c - 1, n1) for _, c in tied), dens)
 
@@ -130,7 +126,8 @@ def samples_to_function(runs, anchor) -> PiecewiseMonotone:
     rights = [left if counts[k] == 1 else rat((below[k + 1] - 1) * q - pn, d)
               for k, left in zip(keep, lefts)]
     return _trusted(PiecewiseMonotone, domain=REAL_LINE,
-                    slopes=(ZERO, *(_density(den, n1, gaps[k]) for k in keep[:-1]), ZERO),
+                    slopes=(ZERO, *(rat(den * gaps[k].denominator, n1 * gaps[k].numerator)
+                                    for k in keep[:-1]), ZERO),
                     anchor=None, xs=tuple(rat(keys[k], den) for k in keep),
                     lefts=tuple(lefts), rights=tuple(rights))
 

@@ -131,6 +131,8 @@ def test_non_list_spec_field_exit1(spec_file, doc, key):
                  "invalid start byte", id="not-utf8"),
     pytest.param(b"[" * 200_000, 1, "cannot read {path}: JSON nested too deeply",
                  id="nested-200000"),
+    ({"atoms": [{"x": "1.²", "mass": "1"}]}, 1,
+     "bad atom #0 x: invalid literal for int() with base 10: '²'"),
 ])
 def test_spec_errors_name_the_fault(spec_file, doc, code, message):
     path = spec_file(doc)
@@ -159,6 +161,8 @@ def test_unreadable_carrier_end_exit1(spec_file, carrier, message):
      "fewer than 2 distinct samples; pass --allow-degenerate for a pure atom"),
     pytest.param(b"1\n\xff\n2\n", 1, "cannot read {path}: 'utf-8' codec can't decode byte 0xff",
                  id="not-utf8"),
+    (["1", "²"], 1, "line 2: invalid literal for int() with base 10: '²'"),
+    (["1", "1.²"], 1, "line 2: invalid literal for int() with base 10: '²'"),
 ])
 def test_sample_errors_name_the_fault(tmp_path, lines, code, message):
     path = tmp_path / "samples.txt"
@@ -557,6 +561,18 @@ def test_anchor_override(spec_file):
         "atoms": [],
     }), "--anchor", "7")
     assert r2.returncode == 2  # anchor outside the carrier
+
+
+@pytest.mark.parametrize("anchor, message", [
+    ("x", "not a number: 'x'"),
+    ("²", "invalid literal for int() with base 10: '²'"),  # a digit to str.isdigit
+    ("1.²", "invalid literal for int() with base 10: '²'"),
+])
+def test_unparseable_anchor_exit1(anchor, message):
+    data = os.path.join(os.path.dirname(__file__), "data", "thirds_sevenths_28.csv")
+    for command in ("classify", "decompose"):
+        r = CliRunner().invoke(cli.main, [command, "--samples", data, "--anchor", anchor])
+        assert (r.exit_code, r.stdout, r.stderr) == (1, "", f"error: {message}\n")
 
 
 def test_carrier_spec_warns_and_classifies(spec_file):

@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from monoinv.errors import ParseError
 from monoinv.exactnum import MAX_DIGITS, fmt_ratio, parse_ratio, parse_ratio_parts, rat
 
 KERNEL_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "monoinv")
@@ -35,8 +36,11 @@ def test_parse_ratio_parts_keeps_the_written_denominator():
                          (".", "not a number: '.'"), ("x", "not a number: 'x'"),
                          ("1.x", "not a decimal: '1.x'"), ("1/x", "not a number: '1/x'"),
                          ("1/2/3", "not a number: '1/2/3'"),
-                         ("1/-2", "denominator must be positive in '1/-2'")):
-        with pytest.raises(ValueError, match=re.escape(message)):
+                         ("1/-2", "denominator must be positive in '1/-2'"),
+                         # str.isdigit holds for '²', which int() does not read
+                         ("²", "invalid literal for int() with base 10: '²'"),
+                         ("1.²", "invalid literal for int() with base 10: '²'")):
+        with pytest.raises(ParseError, match=re.escape(message)):
             parse_ratio_parts(bad)
 
 

@@ -136,6 +136,7 @@ sample_lines = st.one_of(
     st.sampled_from([str(HUGE), f"-{HUGE}", f"1/{HUGE}", f"{HUGE}.5", "0." + "0" * 399 + "1",
                      LONG, f"0.{LONG}"]),
     st.sampled_from(["abc", "1,2", "1/0", "0/0", "inf", "nan", "1e3", "--2", "1.2.3", "\t"]),
+    st.sampled_from(["²", "1.²", "²/2"]),  # digits to str.isdigit that int() does not read
     st.just("\udcff"),  # written as the byte 0xff, which is not UTF-8
 )
 
