@@ -3,8 +3,8 @@
 Subcommands: classify, invert, decompose, qdensity, ingest, verify.
 Reports are JSON with all exact quantities as 'p/q' strings and contain no
 timestamps, so identical inputs give byte-identical output; --stamp wraps
-the body in an envelope that carries the timestamp outside of it.  A
-report is written to its sink as it is formatted, once the analysis is done.
+the body in an envelope that carries the timestamp outside of it.  Once the
+analysis is done, a report is written to its sink as it is formatted, in blocks.
 
 A sample file (--samples) is read by monoinv.samples.
 
@@ -31,6 +31,8 @@ import datetime
 import json
 import os
 import sys
+
+from itertools import islice
 
 import click
 
@@ -110,23 +112,26 @@ def _default_anchor(carrier: Interval):
 
 
 _quote = json.encoder.encode_basestring_ascii
+_BLOCK_ROWS = 256  # rows per write of a Rows: few writes, and a block's text stays small
 
 
 def _write_json(o, write, indent="\n"):
     """Write o as json.dumps(o, indent=2) lays it out, byte for byte, for
     dicts with str keys, lists, tuples, iterators, Rows, str, bool, None, int
     and float; indent starts o's own line.  A list is written as its items
-    are drawn, each row of a Rows as one string."""
+    are drawn, the rows of a Rows in blocks of _BLOCK_ROWS rows, one string each."""
     if isinstance(o, str):
         return write(_quote(o))
     if o is None or isinstance(o, (bool, int, float)):
         return write(json.dumps(o))
     inner, sep, close = indent + "  ", *("{}" if isinstance(o, dict) else "[]")
     if isinstance(o, Rows):  # its fields are number strings, which need no escaping
-        row = '"%s"' if o.keys is None else "{" + ",".join(
-            inner + "  " + _quote(k) + ': "%s"' for k in o.keys) + inner + "}"
-        for fields in o.rows:
-            write(sep + inner + row % fields)
+        rows, quote = iter(o.rows), '"'  # a block of one-string rows is a single join
+        if o.keys is not None:
+            row = "{" + ",".join(inner + "  " + _quote(k) + ': "%s"' for k in o.keys) + inner + "}"
+            rows, quote = map(row.__mod__, rows), ""
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            write(sep + inner + quote + (quote + "," + inner + quote).join(block) + quote)
             sep = ","
     else:
         for key, item in o.items() if close == "}" else ((None, item) for item in o):
@@ -409,7 +414,7 @@ def cmd_verify(law_id, n, seed, max_knots, out, stamp):
         _fail(1, "--n must be at least 1")
     if max_knots < 1:
         _fail(1, "--max-knots must be at least 1")
-    most = 2 * GenConfig.value_bound + 1  # the distinct knots the generator can draw
+    most = GenConfig().knot_limit
     if max_knots > most:
         _fail(1, f"--max-knots must be at most {most}")
     if seed is None:

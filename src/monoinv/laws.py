@@ -77,11 +77,15 @@ class GenConfig:
     force_unimodal: bool = False
     value_bound: int = 1000
 
+    @property
+    def knot_limit(self) -> int:  # _rand_xs draws distinct numerators in ±value_bound
+        return 2 * self.value_bound + 1
+
     def __post_init__(self):
         if self.max_knots < 1:
             raise ValueError("max_knots must be at least 1")
-        if self.max_knots > 2 * self.value_bound + 1:  # _rand_xs draws distinct numerators
-            raise ValueError(f"max_knots must be at most {2 * self.value_bound + 1}")
+        if self.max_knots > self.knot_limit:
+            raise ValueError(f"max_knots must be at most {self.knot_limit}")
 
 
 class _Skip(Exception):

@@ -379,31 +379,32 @@ def lebesgue_on(iv: Interval, carrier: Interval) -> PiecewiseMeasure:
     return _measure(carrier, (), (), _density_step(carrier, pieces))
 
 
+def _gallop(xs, x, lo: int) -> int:
+    """bisect_left(xs, x, lo) in 2 log2(d) comparisons for the answer lo + d."""
+    step, hi = 1, lo
+    while hi < len(xs) and xs[hi] < x:
+        lo, hi, step = hi + 1, hi + step, 2 * step
+    return bisect_left(xs, x, lo, min(hi, len(xs)))
+
+
 def is_abs_cont_wrt(a: PiecewiseMeasure, b: PiecewiseMeasure) -> bool:
     """Exact decision of a << b on the representable class.
 
     Atoms of a must coincide with atoms of b, and b's density must be
-    positive almost everywhere a's is.  Both densities are step classes on
-    the common carrier, so one merge walk over their knots meets every pair
-    of cells that overlap on an interval of positive length: the walk
-    leaves the cell that ends first, or both when they end together.
+    positive almost everywhere a's is.  For each cell of a, a galloping search finds the last
+    of b's cells that meet it: O(log d) comparisons for d cells, each tested for 0 by truth value.
     """
     if a.carrier is not b.carrier and a.carrier != b.carrier:
         raise CarrierMismatch("absolute continuity needs a common carrier")
     if a.atom_xs and not set(a.atom_xs) <= set(b.atom_xs):
         return False
-    av, bv = a.abs_density.values, b.abs_density.values
-    a_ends = (*a.abs_density.knots, a.carrier.hi)
-    b_ends = (*b.abs_density.knots, b.carrier.hi)
-    i = j = 0
-    while i < len(av):
-        if av[i] != 0 and bv[j] == 0:
+    a_knots, b_knots, bv = a.abs_density.knots, b.abs_density.knots, b.abs_density.values
+    j, n = 0, len(b_knots)  # b's cells j.. end above the start of a's current cell
+    for i, v in enumerate(a.abs_density.values):
+        k = _gallop(b_knots, a_knots[i], j) if i < len(a_knots) else n
+        if v and not all(bv[j:k + 1]):  # b's cells j..k meet a's cell i
             return False
-        a_end, b_end = a_ends[i], b_ends[j]
-        if not b_end < a_end:
-            i += 1
-        if not a_end < b_end:
-            j += 1
+        j = k + (k < n and b_knots[k] == a_knots[i])
     return True
 
 

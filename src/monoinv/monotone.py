@@ -358,7 +358,7 @@ def flats(g: PiecewiseMonotone) -> tuple[tuple[Interval, object], ...]:
     (built once per instance)."""
     starts, ends, us, _ = _segment_columns(g)
     return tuple((Interval(starts[i], ends[i]), us[i])
-                 for i, s in enumerate(g.slopes) if s == 0)
+                 for i, s in enumerate(g.slopes) if not s)
 
 
 def constancy_set(g: PiecewiseMonotone, within: Interval | None = None) -> list[Interval]:
@@ -407,7 +407,7 @@ def _inverse_columns(g: PiecewiseMonotone) -> tuple:
     # reciprocal of s > 0 is made without the number type's reflected 1 / s
     pieces = [(NEG_INF, lo, lo, ZERO)] if is_finite(lo) else []
     for i, s in enumerate(g.slopes):  # segment i ends at knot i
-        if s != 0:
+        if s:  # a truth test, not a rational comparison
             pieces.append((us[i], starts[i], ends[i], rat(s.denominator, s.numerator)))
         if i in at:
             pieces.append((lefts[i], xs[i], xs[i], ZERO))

@@ -1,23 +1,26 @@
 """The empirical distribution of a sample, from integer runs.
 
-A sample file (--samples) is parsed once, line by line, to integer
-numerators and denominators (parse_lines), sorted into runs of tied values
-(sample_runs; read_samples does both), and built straight into the
-empirical distribution function from prefix counts (samples_to_function;
-classify, invert, qdensity), into the empirical measure (samples_to_measure;
-decompose) or into its spec (samples_to_spec; ingest).  Only the builders
-make rationals, but for the keys of the rational sort (sample_runs).
+A sample file (--samples) of plain decimals is read in one bulk pass (_plain_runs), any
+other line by line to integer numerators and denominators (parse_lines, which reports every
+error), into runs of tied values (sample_runs).  The runs are built straight into the
+empirical distribution function from prefix counts (samples_to_function; classify, invert,
+qdensity), into the empirical measure (samples_to_measure; decompose) or into its spec
+(samples_to_spec; ingest).  Only the builders make rationals, but for the rational sort's keys.
 """
 
 from __future__ import annotations
 
+import re
+
 from bisect import bisect_right
-from itertools import accumulate, groupby
+from collections import Counter
+from itertools import accumulate
 
 from monoinv.errors import ParseError, SpecError
-from monoinv.exactnum import ONE, ZERO, fmt_ratio, parse_ratio_parts, rat
+from monoinv.exactnum import MAX_DIGITS, ONE, ZERO, fmt_ratio, parse_ratio_parts, rat
 from monoinv.intervals import REAL_LINE
-from monoinv.measure import PiecewiseMeasure, _canonical_step, _measure
+from monoinv.measure import (PiecewiseMeasure, StepFunction, _canonical_step, _measure,
+                             step_of_slopes)
 from monoinv.monotone import PiecewiseMonotone, _trusted
 
 
@@ -33,6 +36,12 @@ def parse_lines(lines, start: int = 1) -> list:
         except ParseError as e:
             raise ParseError(f"line {lineno}: {e}") from e
     return parts
+
+
+def _runs(keys, den) -> tuple:
+    """(keys, counts, den): the distinct keys in increasing order and the count of each."""
+    keys = sorted(counts := Counter(keys))
+    return keys, list(map(counts.__getitem__, keys)), den
 
 
 def sample_runs(parts) -> tuple:
@@ -51,20 +60,36 @@ def sample_runs(parts) -> tuple:
     short = big.bit_length() * len(parts) <= sum(
         2 * den.bit_length() + 64 for _, den in parts)
     if short and all(big % den == 0 for _, den in parts):
-        keys, den = [num * (big // d) for num, d in parts], big
-    else:
-        keys, den = [rat(num, d) for num, d in parts], 1
-    runs = [(k, sum(1 for _ in group)) for k, group in groupby(sorted(keys))]
-    return [k for k, _ in runs], [c for _, c in runs], den
+        return _runs([num * (big // d) for num, d in parts], big)
+    return _runs([rat(num, d) for num, d in parts], 1)
+
+
+def _plain_runs(text):
+    """sample_runs(parse_lines(text.splitlines())) in one pass, for blank lines and plain ASCII
+    decimals of at most MAX_DIGITS characters and 19 fraction digits (integer keys); else None."""
+    if not re.fullmatch(r"[\r\n]*(?>[+-]?[0-9]+(?:\.[0-9]+)?(?:[\r\n]+|\Z))*+", text):
+        return None
+    lines = text.split()  # the text holds no whitespace but line breaks
+    fracs = [len(line.partition(".")[2]) for line in lines]
+    if not lines or max(map(len, lines)) > MAX_DIGITS or max(fracs) > 19:
+        return None
+    d, keys = max(fracs), list(map(int, text.replace(".", "").split()))
+    if min(fracs) < d:  # each line's digits, scaled to the longest fraction
+        keys = [k * 10 ** (d - f) for k, f in zip(keys, fracs)]
+    return _runs(keys, 10 ** d)
 
 
 def read_samples(path, header: bool) -> tuple:
     """The runs of a sample file; header skips its first line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from e
+    first, _, body = text.partition("\n") if header else ("", "", text)
+    if len(first.splitlines()) < 2 and (runs := _plain_runs(body)):
+        return runs
+    lines = text.splitlines()
     return sample_runs(parse_lines(lines[1:] if header else lines, 2 if header else 1))
 
 
@@ -104,7 +129,7 @@ def samples_to_function(runs, anchor) -> PiecewiseMonotone:
     F(v+) = (S + c - 1)/(n-1), less F(anchor): one rational from integers
     each.  A value is a knot iff it is tied or its two gaps differ, so the
     result is canonical by construction, and a rational is made only for a
-    kept value, limit or slope.
+    kept value, limit or slope.  Its step_of_slopes, knotted where gaps differ, is stored.
     """
     keys, counts, den = runs
     n1 = sum(counts) - 1
@@ -119,17 +144,20 @@ def samples_to_function(runs, anchor) -> PiecewiseMonotone:
         shift += (at - keys[i - 1]) / (n1 * gaps[i - 1])
     q = shift.denominator
     pn, d = shift.numerator * n1, n1 * q  # a limit S/(n-1) - p/q is (S q - p (n-1)) / d
-    last = len(keys) - 1
-    keep = [0, *(k for k in range(1, last) if counts[k] > 1 or gaps[k - 1] != gaps[k]), last]
+    bend = [True, *(a != b for a, b in zip(gaps, gaps[1:])), True]  # gaps differ either side
+    keep = [k for k, b in enumerate(bend) if b or counts[k] > 1]
+    xs = tuple(rat(keys[k], den) for k in keep)
     lefts = [rat(below[k] * q - pn, d) for k in keep]
     # an untied value is no jump: its two limits are one rational
     rights = [left if counts[k] == 1 else rat((below[k + 1] - 1) * q - pn, d)
               for k, left in zip(keep, lefts)]
-    return _trusted(PiecewiseMonotone, domain=REAL_LINE,
-                    slopes=(ZERO, *(rat(den * gaps[k].denominator, n1 * gaps[k].numerator)
-                                    for k in keep[:-1]), ZERO),
-                    anchor=None, xs=tuple(rat(keys[k], den) for k in keep),
-                    lefts=tuple(lefts), rights=tuple(rights))
+    slopes = (ZERO, *(rat(den * gaps[k].denominator, n1 * gaps[k].numerator)
+                      for k in keep[:-1]), ZERO)
+    step = _trusted(StepFunction, carrier=REAL_LINE,
+                    knots=tuple(x for x, k in zip(xs, keep) if bend[k]),
+                    values=(ZERO, *(s for s, k in zip(slopes[1:], keep) if bend[k])))
+    return _trusted(PiecewiseMonotone, domain=REAL_LINE, slopes=slopes, anchor=None, xs=xs,
+                    lefts=tuple(lefts), rights=tuple(rights), **{step_of_slopes.key: step})
 
 
 def samples_to_spec(runs) -> dict:

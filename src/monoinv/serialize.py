@@ -60,10 +60,12 @@ def _rows(keys, rows, lazy):
 
 
 def monotone_to_json(g: PiecewiseMonotone, lazy: bool = False) -> dict:
+    texts = map(fmt_ratio, g.lefts)  # as drawn; a limit object on both sides of a knot, once
     out = {
         "domain": interval_to_json(g.domain),
-        "breakpoints": _rows(("x", "left", "right"), zip(
-            map(fmt_ratio, g.xs), map(fmt_ratio, g.lefts), map(fmt_ratio, g.rights)), lazy),
+        "breakpoints": _rows(("x", "left", "right"), (
+            (fmt_ratio(x), t, t if right is left else fmt_ratio(right))
+            for x, left, right, t in zip(g.xs, g.lefts, g.rights, texts)), lazy),
         "slopes": _rows(None, map(fmt_ratio, g.slopes), lazy),
     }
     if g.anchor is not None:
@@ -72,13 +74,12 @@ def monotone_to_json(g: PiecewiseMonotone, lazy: bool = False) -> dict:
 
 
 def _piece_rows(dens: StepFunction):
-    """(a, b, density) of each nonzero cell; the bound two pieces share is
-    formatted once."""
-    a = None
-    for lo, hi, d in dens.cells():
-        b = er_to_str(hi) if d != 0 else None
-        if b:
-            yield a or er_to_str(lo), b, fmt_ratio(d)
+    """(a, b, density) of each nonzero cell; each knot bounds one (cells differ), formatted once."""
+    a, last = er_to_str(dens.carrier.lo), len(dens.knots)
+    for i, d in enumerate(dens.values):
+        b = fmt_ratio(dens.knots[i]) if i < last else er_to_str(dens.carrier.hi)
+        if d:
+            yield a, b, fmt_ratio(d)
         a = b
 
 

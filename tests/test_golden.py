@@ -32,6 +32,11 @@ and "1/3" one three-fold tie and "3/3" and "1" another) were recorded by
 the CLI just before the sample code moved out of the CLI.  Its
 denominators do not all divide the largest, so it is the one sample file
 that is sorted as rationals, not as integer keys over one denominator.
+The cases of plain_decimals_40 (40 plain decimals with fractions of 0 to 4
+digits, bare integers, "+" and "-" signs, leading zeros such as "007.125"
+and "-00.3", and ties spelled apart such as "2", "+2", "02" and "2.000")
+were recorded by the CLI just before such files were read in one bulk pass;
+the bulk pass reads this file.
 A case may carry extra command-line `args` (`--plot-points N`, `--anchor
 P/Q`); its report then lives in `<input>.<command>.<args>.out`, e.g.
 `bimodal.invert.plot-points_7.out` or `tied_gauss_300.invert.anchor_1_7.out`.

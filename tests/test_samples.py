@@ -12,6 +12,11 @@ lines, pairwise coprime denominators and one long decimal among short ones
 (where the samples sort as rationals, not integers) and blank lines, with
 and without --header and --allow-degenerate.
 
+A file of plain decimals is read in one bulk pass; parse_lines and
+sample_runs, which read every other file line by line, are its oracle: the
+same runs, or the same error and line number, with and without --header,
+for CRLF endings, a byte order mark and lines that are not plain decimals.
+
 classify, invert and qdensity read the runs straight into the distribution
 function (samples_to_function); the distribution function of
 samples_to_measure's measure is its oracle, at anchors below, on, between
@@ -19,6 +24,9 @@ and above the samples, and its associated measure must be that measure.
 """
 
 import json
+import os
+
+from unittest import mock
 
 from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
@@ -29,9 +37,12 @@ from monoinv.errors import ParseError, SpecError
 from monoinv.exactnum import fmt_ratio, parse_ratio, rat
 from monoinv.measure import associated_measure, distribution_function
 from monoinv.monotone import validate
+from monoinv import samples
 from monoinv.samples import (
     _degenerate,
+    parse_lines,
     read_samples,
+    sample_runs,
     samples_to_function,
     samples_to_measure,
     samples_to_spec,
@@ -205,3 +216,42 @@ def test_samples_to_function_is_the_distribution_function_of_the_measure(tmp_pat
         assert got == want and repr(got) == repr(want), z
         assert validate(got) == got
         assert associated_measure(got) == m
+
+
+plain = st.builds(lambda sign, zeros, whole, frac: f"{sign}{'0' * zeros}{whole}{frac}",
+                  st.sampled_from(["", "+", "-"]), st.integers(min_value=0, max_value=2),
+                  st.integers(min_value=0, max_value=3000),
+                  st.sampled_from(["", ".5", ".25", ".125", ".0625", ".0", ".30", ".999999"]))
+hostile = st.sampled_from(["²", "1_000", "1e5", ".5", "5.", "1" * 4301, "1/3", " 2.5", "-", "+.5"])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(lines=st.lists(st.one_of(plain, plain, plain, st.just("")), max_size=25),
+       odd=st.one_of(st.none(), hostile), at=st.integers(min_value=0, max_value=25),
+       header=st.booleans(), newline=st.sampled_from(["\n", "\r\n"]), bom=st.booleans())
+@example(lines=["1.5", "2"], odd="1" * 4301, at=1, header=False, newline="\n", bom=False)
+@example(lines=["1.5", "2"], odd="²", at=2, header=True, newline="\r\n", bom=False)
+def test_bulk_read_matches_the_line_parse(tmp_path, lines, odd, at, header, newline, bom):
+    if odd is not None:
+        lines.insert(at, odd)
+    text = ("\ufeff" if bom else "") + newline.join(lines) + newline
+    path = tmp_path / "samples.txt"
+    path.write_bytes(text.encode("utf-8"))
+
+    def reference():
+        rows = text.splitlines()
+        return sample_runs(parse_lines(rows[1:] if header else rows, 2 if header else 1))
+
+    with mock.patch.object(samples, "parse_ratio_parts", wraps=samples.parse_ratio_parts) as parse:
+        got = _outcome(lambda: read_samples(str(path), header))
+    assert got == _outcome(reference)
+    if odd is None and not bom:  # the bulk pass read the file
+        assert parse.call_count == 0
+
+
+def test_golden_plain_decimals_take_the_bulk_pass():
+    path = os.path.join(os.path.dirname(__file__), "data", "plain_decimals_40.csv")
+    with mock.patch.object(samples, "parse_ratio_parts", wraps=samples.parse_ratio_parts) as parse:
+        keys, counts, den = read_samples(path, header=False)
+    assert (parse.call_count, sum(counts), den) == (0, 40, 10**4)

@@ -20,7 +20,10 @@ The inverse's columns are built once per function, whichever of classify,
 generalized_inverse and quantile_density asks first.  The law generators
 build their instances without exactnum.as_q or the public checks.  Reports
 are written from the columns as they are formatted, each entry formatted
-once, so writing one holds little memory.
+once, so writing one holds little memory.  A file of plain decimals is read
+without a parse per line, a sample function carries its density step, and
+absolute continuity of Lebesgue measure on one interval against a sample's
+measure makes logarithmically many comparisons.
 """
 
 import dataclasses
@@ -37,7 +40,10 @@ import pytest
 
 from click.testing import CliRunner
 
-from monoinv import cli, exactnum, laws, measure, monotone
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from monoinv import cli, exactnum, laws, measure, monotone, samples
 from monoinv.intervals import REAL_LINE, Interval
 
 def _gaussian_samples(path, n, seed):
@@ -71,7 +77,7 @@ def test_table_builds_do_not_grow_with_points(tmp_path, count_calls, command):
     ("classify", monotone._inverse_columns, "__wrapped__", 1),
     ("classify", monotone.jumps, "__wrapped__", 1),
     ("classify", monotone.flats, "__wrapped__", 1),
-    ("classify", measure.step_of_slopes, "__wrapped__", 1),
+    ("classify", measure.step_of_slopes, "__wrapped__", 0),
     ("classify", measure.associated_measure, "__wrapped__", 1),
     ("invert", monotone._inverse_columns, "__wrapped__", 1),
     ("qdensity", monotone._inverse_columns, "__wrapped__", 1),
@@ -92,6 +98,36 @@ def test_each_derived_object_is_built_once(tmp_path, count_calls, command, owner
     result = CliRunner().invoke(cli.main, [command, "--samples", str(path)])
     assert result.exit_code in (0, 3), result.output
     assert calls[0] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(min_value=-12, max_value=12), min_size=2, max_size=30),
+       den=st.sampled_from([1, 10, 3]), anchor=st.integers(min_value=-13, max_value=13))
+def test_stored_density_step_is_the_step_of_slopes(values, den, anchor):
+    # samples_to_function stores its density step, decided on the integer
+    # gaps; the builder of the table is the oracle.  Small integer values
+    # make ties and runs of equal gaps common; den 3, with 1/7, the rational sort
+    parts = [(v, den) for v in values] + [(1, 7)] * (den == 3)
+    runs = samples.sample_runs(parts)
+    if len(runs[0]) < 2:
+        return
+    f = samples.samples_to_function(runs, exactnum.rat(anchor, 2))
+    stored = f.__dict__[measure.step_of_slopes.key]
+    want = measure.step_of_slopes.__wrapped__(f)
+    assert stored == want and repr(stored) == repr(want)
+    assert measure.step_of_slopes(f) is stored
+
+
+def test_plain_decimal_read_parses_no_line_alone(tmp_path, count_calls):
+    # a file of plain decimals is read in one bulk pass; one line of another
+    # kind sends every line through parse_ratio_parts
+    calls, path = count_calls(exactnum, "parse_ratio_parts"), tmp_path / "4000.txt"
+    _gaussian_samples(path, 4000, seed=4000)
+    _, counts, _ = samples.read_samples(str(path), header=False)
+    assert (calls[0], sum(counts)) == (0, 4000)
+    path.write_text(path.read_text() + "1/3\n")
+    _, counts, den = samples.read_samples(str(path), header=False)
+    assert (calls[0], sum(counts), den) == (4001, 4001, 1)
 
 
 def _count_per_size(tmp_path, command, counter):
@@ -281,6 +317,20 @@ def test_abs_cont_comparisons_grow_linearly(monkeypatch):
         assert not measure.is_abs_cont_wrt(b, a)
         per_size[n] = calls[0]
     assert per_size[4000] <= 4 * per_size[1000] + 16
+
+
+def test_abs_cont_on_one_cell_makes_logarithmically_many_comparisons(tmp_path, monkeypatch):
+    # gen_inverse_abs_cont checks Lebesgue on M, one cell, against a sample's
+    # measure: a galloping search over the measure's knots, not a walk
+    monkeypatch.setattr(exactnum, "Q", fractions.Fraction)
+    path = tmp_path / "4000.txt"
+    _gaussian_samples(path, 4000, seed=4000)
+    m = samples.samples_to_measure(samples.read_samples(str(path), header=False))
+    knots = m.abs_density.knots
+    a = measure.lebesgue_on(Interval(knots[0], knots[-1]), REAL_LINE)
+    calls = count_fraction_comparisons(monkeypatch.setattr)
+    assert measure.is_abs_cont_wrt(a, m)
+    assert len(knots) > 3000 and calls[0] <= 64, calls[0]
 
 
 # prints the comparisons laws.<argv[1]> makes on the distribution function
