@@ -23,6 +23,8 @@ from monoinv.measure import (PiecewiseMeasure, StepFunction, _canonical_step, _m
                              step_of_slopes)
 from monoinv.monotone import PiecewiseMonotone, _trusted
 
+_KEY_BITS = 64  # sample_runs keeps integer keys over a denominator of this many bits
+
 
 def parse_lines(lines, start: int = 1) -> list:
     """The (numerator, denominator) parts of the nonblank lines from line start."""
@@ -45,20 +47,19 @@ def _runs(keys, den) -> tuple:
 
 
 def sample_runs(parts) -> tuple:
-    """The runs of tied values among the parts: (keys, counts, den), the
-    distinct samples key / den in increasing order and the count of each.
+    """The runs of tied values among the parts: (keys, counts, den), the distinct samples
+    key / den in increasing order and the count of each.
 
-    When every denominator divides the largest, D, the keys are the
-    integers num * (D // den) over D.  Otherwise, and when D is far longer
-    than the denominators are on average (every key would be that long),
-    they are the rationals over 1.  No lcm is formed: over coprime
-    denominators it grows with every line.
+    When every denominator divides the largest, D, the keys are the integers num * (D // den)
+    over D.  Otherwise, and when D is far longer than the denominators are on average (every
+    key would be that long; a D of _KEY_BITS bits never is, as _plain_runs relies on), they
+    are the rationals over 1.  No lcm is formed: over coprime denominators it grows with each line.
     """
     if not parts:
         raise SpecError("no samples")
     big = max(den for _, den in parts)
     short = big.bit_length() * len(parts) <= sum(
-        2 * den.bit_length() + 64 for _, den in parts)
+        2 * den.bit_length() + _KEY_BITS for _, den in parts)
     if short and all(big % den == 0 for _, den in parts):
         return _runs([num * (big // d) for num, d in parts], big)
     return _runs([rat(num, d) for num, d in parts], 1)
@@ -66,12 +67,13 @@ def sample_runs(parts) -> tuple:
 
 def _plain_runs(text):
     """sample_runs(parse_lines(text.splitlines())) in one pass, for blank lines and plain ASCII
-    decimals of at most MAX_DIGITS characters and 19 fraction digits (integer keys); else None."""
-    if not re.fullmatch(r"[\r\n]*(?>[+-]?[0-9]+(?:\.[0-9]+)?(?:[\r\n]+|\Z))*+", text):
+    decimals of at most MAX_DIGITS characters over a 10^d of at most _KEY_BITS bits; else None."""
+    # linear without atomic groups: each repetition ends at a line break or the end of the text
+    if not re.fullmatch(r"[\r\n]*(?:[+-]?[0-9]+(?:\.[0-9]+)?(?:[\r\n]+|\Z))*", text):
         return None
     lines = text.split()  # the text holds no whitespace but line breaks
     fracs = [len(line.partition(".")[2]) for line in lines]
-    if not lines or max(map(len, lines)) > MAX_DIGITS or max(fracs) > 19:
+    if not lines or max(map(len, lines)) > MAX_DIGITS or 10 ** max(fracs) >= 1 << _KEY_BITS:
         return None
     d, keys = max(fracs), list(map(int, text.replace(".", "").split()))
     if min(fracs) < d:  # each line's digits, scaled to the longest fraction
@@ -122,13 +124,12 @@ def samples_to_measure(runs) -> PiecewiseMeasure:
 
 
 def samples_to_function(runs, anchor) -> PiecewiseMonotone:
-    """The distribution function of samples_to_measure(runs), anchored to 0
-    at the rational anchor, for runs of two or more distinct values.
+    """The distribution function of samples_to_measure(runs), anchored to 0 at the rational
+    anchor, for runs of two or more distinct values.
 
-    With S samples below a value v of c samples, F(v-) = S/(n-1) and
-    F(v+) = (S + c - 1)/(n-1), less F(anchor): one rational from integers
-    each.  A value is a knot iff it is tied or its two gaps differ, so the
-    result is canonical by construction, and a rational is made only for a
+    With S samples below a value v of c samples, F(v-) = S/(n-1) and F(v+) = (S + c - 1)/(n-1),
+    less F(anchor): one rational from integers each.  A value is a knot iff it is tied or its two
+    gaps differ, so the result is canonical by construction, and a rational is made only for a
     kept value, limit or slope.  Its step_of_slopes, knotted where gaps differ, is stored.
     """
     keys, counts, den = runs

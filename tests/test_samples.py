@@ -15,7 +15,8 @@ and without --header and --allow-degenerate.
 A file of plain decimals is read in one bulk pass; parse_lines and
 sample_runs, which read every other file line by line, are its oracle: the
 same runs, or the same error and line number, with and without --header,
-for CRLF endings, a byte order mark and lines that are not plain decimals.
+for CRLF endings, a byte order mark, lines that are not plain decimals and
+a fraction too long for sample_runs to keep integer keys.
 
 classify, invert and qdensity read the runs straight into the distribution
 function (samples_to_function); the distribution function of
@@ -222,7 +223,8 @@ plain = st.builds(lambda sign, zeros, whole, frac: f"{sign}{'0' * zeros}{whole}{
                   st.sampled_from(["", "+", "-"]), st.integers(min_value=0, max_value=2),
                   st.integers(min_value=0, max_value=3000),
                   st.sampled_from(["", ".5", ".25", ".125", ".0625", ".0", ".30", ".999999"]))
-hostile = st.sampled_from(["²", "1_000", "1e5", ".5", "5.", "1" * 4301, "1/3", " 2.5", "-", "+.5"])
+hostile = st.sampled_from(["²", "1_000", "1e5", ".5", "5.", "1" * 4301, "1/3", " 2.5", "-", "+.5",
+                           "0." + "1" * 20])
 
 
 @settings(max_examples=300, deadline=None,
@@ -232,6 +234,9 @@ hostile = st.sampled_from(["²", "1_000", "1e5", ".5", "5.", "1" * 4301, "1/3", 
        header=st.booleans(), newline=st.sampled_from(["\n", "\r\n"]), bom=st.booleans())
 @example(lines=["1.5", "2"], odd="1" * 4301, at=1, header=False, newline="\n", bom=False)
 @example(lines=["1.5", "2"], odd="²", at=2, header=True, newline="\r\n", bom=False)
+# over 10^20 (67 bits), 200 integers and the fraction sort as rationals in sample_runs
+@example(lines=[str(k) for k in range(200)], odd="0." + "1" * 20, at=200, header=False,
+         newline="\n", bom=False)
 def test_bulk_read_matches_the_line_parse(tmp_path, lines, odd, at, header, newline, bom):
     if odd is not None:
         lines.insert(at, odd)
