@@ -65,6 +65,7 @@ from monoinv.serialize import (  # spec_to_measure is re-exported
 from monoinv.samples import (
     _degenerate,
     read_samples,
+    read_text,
     samples_to_function,
     samples_to_measure,
     samples_to_spec,
@@ -97,10 +98,7 @@ def _json_int(s):
 
 def _load_json(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_int=_json_int)
-    except (OSError, UnicodeDecodeError) as e:
-        raise ParseError(f"cannot read {path}: {e}") from e
+        return json.loads(read_text(path), parse_int=_json_int)
     except RecursionError as e:
         raise ParseError(f"cannot read {path}: JSON nested too deeply") from e
     except json.JSONDecodeError as e:

@@ -70,8 +70,9 @@ class PiecewiseMeasure:
     carrier, disjoint) and canonicalises in one stable sort and one linear
     pass each; sorting input that is already sorted costs n-1 comparisons.
     The pieces become cells there, in _density_step.  The library's own
-    builders skip it (_measure); the tests pin each to its public rebuild.
-    The columns are the only way to read the atoms and pieces back.
+    builders (associated_measure, lebesgue_decompose, lebesgue_on, pushforward,
+    samples.samples_to_measure) skip it (_measure); the tests pin each to its
+    public rebuild.  The columns are the only way to read the atoms and pieces back.
     """
 
     carrier: Interval

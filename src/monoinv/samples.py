@@ -1,11 +1,11 @@
 """The empirical distribution of a sample, from integer runs.
 
-A sample file (--samples) of plain decimals is read in one bulk pass (_plain_runs), any
-other line by line to integer numerators and denominators (parse_lines, which reports every
-error), into runs of tied values (sample_runs).  The runs are built straight into the
-empirical distribution function from prefix counts (samples_to_function; classify, invert,
-qdensity), into the empirical measure (samples_to_measure; decompose) or into its spec
-(samples_to_spec; ingest).  Only the builders make rationals, but for the rational sort's keys.
+A sample file (--samples), less a byte order mark (read_text), becomes runs of tied values
+(sample_runs): plain decimals in one bulk pass (_plain_runs), other lines through parse_lines,
+which reports every error.  One integer pass (_knots) gives the knots and the density step: the
+distribution function adds prefix-count limits (samples_to_function; classify, invert, qdensity),
+the measure tied atoms and no cell merge (samples_to_measure; decompose).  samples_to_spec
+(ingest) writes the runs as a spec.  Only builders make rationals, but for the rational sort's keys.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from itertools import accumulate
 from monoinv.errors import ParseError, SpecError
 from monoinv.exactnum import MAX_DIGITS, ONE, ZERO, fmt_ratio, parse_ratio_parts, rat
 from monoinv.intervals import REAL_LINE
-from monoinv.measure import (PiecewiseMeasure, StepFunction, _canonical_step, _measure,
-                             step_of_slopes)
+from monoinv.measure import PiecewiseMeasure, StepFunction, _measure, step_of_slopes
 from monoinv.monotone import PiecewiseMonotone, _trusted
 
 _KEY_BITS = 64  # sample_runs keeps integer keys over a denominator of this many bits
@@ -81,13 +80,18 @@ def _plain_runs(text):
     return _runs(keys, 10 ** d)
 
 
-def read_samples(path, header: bool) -> tuple:
-    """The runs of a sample file; header skips its first line."""
+def read_text(path) -> str:
+    """The text of an input file, less a leading byte order mark; a ParseError if unreadable."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from e
+
+
+def read_samples(path, header: bool) -> tuple:
+    """The runs of a sample file; header skips its first line."""
+    text = read_text(path)
     first, _, body = text.partition("\n") if header else ("", "", text)
     if len(first.splitlines()) < 2 and (runs := _plain_runs(body)):
         return runs
@@ -103,60 +107,57 @@ def _degenerate(runs, allow_degenerate: bool) -> bool:
     return len(runs[0]) < 2
 
 
+def _knots(runs) -> tuple:
+    """(n1, keep, xs, slopes, step) for two or more distinct values: n - 1, the indices of the
+    knots (the values tied or between two gaps that differ), the knots, the density den / ((n-1) g)
+    of the gap g / den (g an integer, or a rational on the rational sort) right of each knot but
+    the last, between 0s, and the density step, knotted where the gaps differ."""
+    keys, counts, den = runs
+    n1 = sum(counts) - 1
+    gaps = [b - a for a, b in zip(keys, keys[1:])]
+    bend = [True, *(a != b for a, b in zip(gaps, gaps[1:])), True]  # gaps differ either side
+    keep = [k for k, b in enumerate(bend) if b or counts[k] > 1]
+    xs = tuple(rat(keys[k], den) for k in keep)
+    slopes = (ZERO, *(rat(den * gaps[k].denominator, n1 * gaps[k].numerator)
+                      for k in keep[:-1]), ZERO)
+    return n1, keep, xs, slopes, _trusted(
+        StepFunction, carrier=REAL_LINE, knots=tuple(x for x, k in zip(xs, keep) if bend[k]),
+        values=(ZERO, *(s for s, k in zip(slopes[1:], keep) if bend[k])))
+
+
 def samples_to_measure(runs) -> PiecewiseMeasure:
     """The linear-interpolation empirical measure of the runs: each gap
     between adjacent distinct samples carries mass 1/(n-1), k tied samples
     an atom of mass (k-1)/(n-1), and a single value is a unit atom."""
     keys, counts, den = runs
-    values = [rat(k, den) for k in keys]
-    if len(values) < 2:
-        return PiecewiseMeasure(REAL_LINE, ((values[0], ONE),), ())
-    n1 = sum(counts) - 1
-    tied = [(x, c) for x, c in zip(values, counts) if c > 1]
-    # the distinct samples are the knots; equal gaps give neighbouring cells
-    # of equal density, which the merge joins; a gap g / den (g an integer or,
-    # on the rational sort, a rational) has density den / ((n-1) g)
-    gaps = (b - a for a, b in zip(keys, keys[1:]))
-    dens = _canonical_step(REAL_LINE, values, [
-        ZERO, *(rat(den * g.denominator, n1 * g.numerator) for g in gaps), ZERO])
-    return _measure(REAL_LINE, tuple(x for x, _ in tied),
-                    tuple(rat(c - 1, n1) for _, c in tied), dens)
+    if len(keys) < 2:
+        return PiecewiseMeasure(REAL_LINE, ((rat(keys[0], den), ONE),), ())
+    n1, keep, xs, _, step = _knots(runs)
+    tied = [(x, rat(counts[k] - 1, n1)) for x, k in zip(xs, keep) if counts[k] > 1]
+    return _measure(REAL_LINE, tuple(x for x, _ in tied), tuple(m for _, m in tied), step)
 
 
 def samples_to_function(runs, anchor) -> PiecewiseMonotone:
     """The distribution function of samples_to_measure(runs), anchored to 0 at the rational
-    anchor, for runs of two or more distinct values.
-
-    With S samples below a value v of c samples, F(v-) = S/(n-1) and F(v+) = (S + c - 1)/(n-1),
-    less F(anchor): one rational from integers each.  A value is a knot iff it is tied or its two
-    gaps differ, so the result is canonical by construction, and a rational is made only for a
-    kept value, limit or slope.  Its step_of_slopes, knotted where gaps differ, is stored.
-    """
+    anchor, for runs of two or more distinct values: with S samples below a value v of c samples,
+    F(v-) = S/(n-1) and F(v+) = (S + c - 1)/(n-1), less F(anchor), one rational from integers
+    each.  Its knots, slopes and stored step_of_slopes come from _knots, so it is canonical."""
     keys, counts, den = runs
-    n1 = sum(counts) - 1
+    n1, keep, xs, slopes, step = _knots(runs)
     below = [0, *accumulate(counts)]  # below[k] samples lie below keys[k]
-    gaps = [b - a for a, b in zip(keys, keys[1:])]
     # F(anchor) = p/q unshifted: the right limit at the last value at or
     # below the anchor, plus the rise along the gap it lies in
     at = anchor * den  # the anchor on the scale of the keys
     i = bisect_right(keys, at)
     shift = rat(below[i] - 1, n1) if i else ZERO
     if 0 < i < len(keys) and keys[i - 1] != at:
-        shift += (at - keys[i - 1]) / (n1 * gaps[i - 1])
+        shift += (at - keys[i - 1]) / (n1 * (keys[i] - keys[i - 1]))
     q = shift.denominator
     pn, d = shift.numerator * n1, n1 * q  # a limit S/(n-1) - p/q is (S q - p (n-1)) / d
-    bend = [True, *(a != b for a, b in zip(gaps, gaps[1:])), True]  # gaps differ either side
-    keep = [k for k, b in enumerate(bend) if b or counts[k] > 1]
-    xs = tuple(rat(keys[k], den) for k in keep)
     lefts = [rat(below[k] * q - pn, d) for k in keep]
     # an untied value is no jump: its two limits are one rational
     rights = [left if counts[k] == 1 else rat((below[k + 1] - 1) * q - pn, d)
               for k, left in zip(keep, lefts)]
-    slopes = (ZERO, *(rat(den * gaps[k].denominator, n1 * gaps[k].numerator)
-                      for k in keep[:-1]), ZERO)
-    step = _trusted(StepFunction, carrier=REAL_LINE,
-                    knots=tuple(x for x, k in zip(xs, keep) if bend[k]),
-                    values=(ZERO, *(s for s, k in zip(slopes[1:], keep) if bend[k])))
     return _trusted(PiecewiseMonotone, domain=REAL_LINE, slopes=slopes, anchor=None, xs=xs,
                     lefts=tuple(lefts), rights=tuple(rights), **{step_of_slopes.key: step})
 

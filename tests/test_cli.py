@@ -177,6 +177,31 @@ def test_sample_errors_name_the_fault(tmp_path, lines, code, message):
         assert r.stderr.count("\n") == 1
 
 
+_BOM_INPUTS = {  # name: (source, text, flags)
+    "bulk": ("samples", "0.5\n1.25\n1.25\n3\n", []),  # plain decimals: the bulk pass
+    "lines": ("samples", "1/3\n1/2\n1/2\n2\n", []),  # p/q lines: the line parse
+    "header": ("samples", "value\n0.5\n1.25\n3\n", ["--header"]),
+    "spec": ("spec", json.dumps(FIXD_SPEC), []),
+}
+
+
+@pytest.mark.parametrize("command, name", [
+    (command, name) for name in _BOM_INPUTS for command in ("classify", "decompose", "ingest")
+    if (command, name) != ("ingest", "spec")])
+def test_byte_order_mark_is_no_part_of_the_input(tmp_path, command, name):
+    # a file that starts with a byte order mark, as spreadsheet programs save
+    # CSV, gives the report of the same file without one
+    source, text, flags = _BOM_INPUTS[name]
+    results = []
+    for bom in ("", "\ufeff"):
+        path = tmp_path / f"input{len(bom)}"
+        path.write_bytes((bom + text).encode("utf-8"))
+        r = CliRunner().invoke(cli.main, [command, f"--{source}", str(path), *flags])
+        results.append((r.exit_code, r.stdout, r.stderr))
+    assert results[0] == results[1]
+    assert results[0][0] in (0, 3) and results[0][2] == ""
+
+
 @pytest.mark.parametrize("digits", [4300, 4301, 10**6])
 @pytest.mark.parametrize("source", ["samples", "spec"])
 def test_digit_cap(tmp_path, spec_file, source, digits):

@@ -13,10 +13,15 @@ import types
 
 import pytest
 
-from monoinv import measure, monotone, unimodal
+from click.testing import CliRunner
+
+from monoinv import cli, measure, monotone, samples, unimodal
+from monoinv.exactnum import rat
 from monoinv.laws import LAW_IDS, GenConfig, run_law
 from monoinv.monotone import PiecewiseMonotone, _knot_limits, _trusted
+import test_golden
 import test_oracles
+import test_samples
 import test_trusted
 import test_unimodal
 
@@ -113,3 +118,64 @@ def test_table_under_another_tables_key_is_killed_by_five_laws(monkeypatch):
     _slopes_under_the_inverse_slopes_key(monkeypatch)
     killed = [law for law in LAW_IDS if not run_law(law, 200, GenConfig(seed=SEED)).passed]
     assert killed == ["INV_RULE", "QF_AC", "MAIN_EQUIV", "DECOMP", "GEN_LOCFIN"]
+
+
+def _ties_dropped_from_the_sample_knots(monkeypatch):
+    # samples._knots' knot rule without "or the value is tied": a tied value
+    # between two equal gaps is no knot, and its atom and jump are lost.  The
+    # rule reads counts that are 1 at every index, yet still sum to n
+    knots = samples._knots
+
+    class Untied(list):
+        def __getitem__(self, k):
+            return 1
+
+    monkeypatch.setattr(samples, "_knots", lambda runs: knots((runs[0], Untied(runs[1]), runs[2])))
+
+
+@pytest.mark.parametrize("oracle", [
+    test_samples.test_samples_to_function_is_the_distribution_function_of_the_measure,
+    test_samples.test_library_route_matches_the_spec_round_trip,
+])
+def test_tie_dropped_from_the_sample_knots_is_killed_by_the_spec_round_trip(
+        tmp_path, monkeypatch, oracle):
+    # each oracle has an example of a tie between two equal gaps
+    oracle(tmp_path)
+    _ties_dropped_from_the_sample_knots(monkeypatch)
+    with pytest.raises(AssertionError):
+        oracle(tmp_path)
+
+
+def _golden_sample_cases_that_differ():
+    differ = []
+    for case in test_golden.CASES:
+        argv = test_golden.case_argv(case)
+        if "--samples" in argv:
+            r = CliRunner().invoke(cli.main, argv)
+            if (r.exit_code, r.stdout_bytes, r.stderr) != (
+                    case["exit"], test_golden.golden_report(case), case["stderr"]):
+                differ.append(test_golden.case_id(case))
+    return differ
+
+
+def test_tie_dropped_from_the_sample_knots_is_killed_by_the_golden_sample_reports(monkeypatch):
+    # of the golden samples, only tied_gauss_300 and thirds_sevenths_28 hold a
+    # tie between two equal gaps; ingest writes the runs without the knot rule
+    assert _golden_sample_cases_that_differ() == []
+    _ties_dropped_from_the_sample_knots(monkeypatch)
+    assert _golden_sample_cases_that_differ() == [
+        test_golden.case_id(case) for case in test_golden.CASES
+        if case.get("input") in ("tied_gauss_300", "thirds_sevenths_28")
+        and case["command"] != "ingest"]
+
+
+def test_tie_dropped_from_the_sample_knots_leaves_a_canonical_measure(monkeypatch):
+    # test_trusted's public rebuild kills the mutant only through the sample
+    # function, whose slopes no longer rise across the jump it lost; the
+    # measure, short of an atom, is still canonical and equals its rebuild
+    runs = samples.sample_runs([(0, 1), (1, 1), (1, 1), (2, 1)])
+    assert test_trusted.same_as_public(samples.samples_to_function(runs, rat(0)))
+    _ties_dropped_from_the_sample_knots(monkeypatch)
+    assert samples.samples_to_measure(runs).atom_xs == ()
+    assert test_trusted.same_as_public(samples.samples_to_measure(runs))
+    assert not test_trusted.same_as_public(samples.samples_to_function(runs, rat(0)))

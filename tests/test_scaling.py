@@ -21,9 +21,10 @@ generalized_inverse and quantile_density asks first.  The law generators
 build their instances without exactnum.as_q or the public checks.  Reports
 are written from the columns as they are formatted, each entry formatted
 once, so writing one holds little memory.  A file of plain decimals is read
-without a parse per line, a sample function carries its density step, and
-absolute continuity of Lebesgue measure on one interval against a sample's
-measure makes logarithmically many comparisons.
+without a parse per line, a sample function carries its density step, a
+sample measure is built without comparing two rationals, and absolute
+continuity of Lebesgue measure on one interval against a sample's measure
+makes logarithmically many comparisons.
 """
 
 import dataclasses
@@ -331,6 +332,19 @@ def test_abs_cont_on_one_cell_makes_logarithmically_many_comparisons(tmp_path, m
     calls = count_fraction_comparisons(monkeypatch.setattr)
     assert measure.is_abs_cont_wrt(a, m)
     assert len(knots) > 3000 and calls[0] <= 64, calls[0]
+
+
+def test_sample_measure_makes_no_rational_comparison(tmp_path, monkeypatch):
+    # samples_to_measure decides its knots and density step on the integer
+    # gaps, as samples_to_function does; merging its cells would compare
+    # each pair of neighbouring densities as rationals
+    monkeypatch.setattr(exactnum, "Q", fractions.Fraction)
+    path = tmp_path / "4000.txt"
+    _gaussian_samples(path, 4000, seed=4000)
+    runs = samples.read_samples(str(path), header=False)
+    calls = count_fraction_comparisons(monkeypatch.setattr)
+    m = samples.samples_to_measure(runs)
+    assert len(m.abs_density.knots) > 3000 and calls[0] == 0, calls[0]
 
 
 # prints the comparisons laws.<argv[1]> makes on the distribution function

@@ -5,11 +5,12 @@ rights; atom_xs, atom_masses), and a measure's pieces as the cells of its
 density (abs_density); the public constructors take them as plain tuples.
 Builders whose output is canonical by construction
 (distribution_function, the sample function samples.samples_to_function,
-generalized_inverse, lebesgue_decompose, density, and the law generators
+the sample measure samples.samples_to_measure, generalized_inverse,
+lebesgue_decompose, density, and the law generators
 through monotone._assembled, which keeps only the knot drop)
 fill the columns through monotone._trusted, which runs no check; those
 whose cells may repeat a
-density (associated_measure, lebesgue_on, pushforward, the sample measure,
+density (associated_measure, lebesgue_on, pushforward,
 step_of_slopes, inverse_slope_step) run only the cell merge they share with
 the public constructors.  The oracle rebuilds each result through the
 public constructors (monotone.validate, rebuild_measure, rebuild_step),
