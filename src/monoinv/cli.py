@@ -37,7 +37,7 @@ from itertools import islice
 import click
 
 from monoinv.errors import ConstantFunction, MonoinvError, ParseError, SpecError
-from monoinv.exactnum import fmt_ratio, parse_ratio, rat
+from monoinv.exactnum import fmt_ratio, rat
 from monoinv.intervals import POS_INF, REAL_LINE, Interval, is_finite
 from monoinv.laws import GenConfig, LAW_IDS, run_law
 from monoinv.measure import PiecewiseMeasure, associated_measure, distribution_function
@@ -54,6 +54,7 @@ from monoinv.monotone import (
 )
 from monoinv.serialize import (  # spec_to_measure is re-exported
     Rows,
+    _number,
     atoms_to_json,
     interval_to_json,
     measure_to_spec_json,
@@ -297,7 +298,7 @@ def _prepared(spec_path, samples_path, header, allow_degenerate, anchor_str, fun
         if _degenerate(runs, allow_degenerate) or not function:
             m, runs = samples_to_measure(runs), None
     carrier = REAL_LINE if runs else m.carrier
-    anchor = parse_ratio(anchor_str) if anchor_str else _default_anchor(carrier)
+    anchor = _number(anchor_str, "--anchor") if anchor_str else _default_anchor(carrier)
     if not carrier.contains(anchor):
         raise SpecError(f"anchor {fmt_ratio(anchor)} outside carrier")
     if not function:

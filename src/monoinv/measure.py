@@ -43,6 +43,7 @@ from monoinv.monotone import (
     PiecewiseMonotone,
     _trusted,
     evaluate,
+    generalized_inverse,
     inverse_domain,
     jumps,
     preimage_interior,
@@ -163,7 +164,8 @@ class StepFunction:
     No values are stored at the knots; adjacent cells with equal value are
     merged, so equality of step functions is equality of a.e. classes.  The
     public constructor validates and merges; the library's own builders
-    skip the validation (_trusted, _canonical_step, _density_step).
+    skip the validation (_canonical_step, _density_step), and step_of_slopes
+    the merge too where no jump parts two equal slopes (_trusted).
     """
 
     carrier: Interval
@@ -473,17 +475,12 @@ def pushforward(m: PiecewiseMeasure, t: PiecewiseMonotone) -> PiecewiseMeasure:
 def step_of_slopes(g: PiecewiseMonotone) -> StepFunction:
     """The slopes of g as a step class on its regular domain: the density of
     the absolutely continuous part of the associated measure.  Built once
-    per instance."""
-    return _canonical_step(g.domain, g.xs, g.slopes)
-
-
-@mono._cached
-def inverse_slope_step(g: PiecewiseMonotone) -> StepFunction:
-    """Slopes of the generalized inverse of g, as a step class on the
-    inverse's regular domain (the density of the inverse's abs. cont. part).
-    Built once per instance."""
-    xs, _, _, slopes = mono._inverse_columns(g)
-    return _canonical_step(inverse_domain(g), xs, slopes)
+    per instance.  A canonical g changes slope at every knot but a jump, so
+    only a jump can part equal cells; without one, g's columns are the step's."""
+    s = g.slopes
+    if any(s[i] == s[i + 1] for i in jumps(g)):
+        return _canonical_step(g.domain, g.xs, s)
+    return _trusted(StepFunction, carrier=g.domain, knots=g.xs, values=s)
 
 
 def gen_inverse_abs_cont(g: PiecewiseMonotone, iv: Interval) -> bool:
@@ -531,4 +528,4 @@ def inverse_rule_check(g: PiecewiseMonotone) -> tuple[StepFunction, StepFunction
         return None
     i, j = mono._between(g.xs, m_int.lo, m_int.hi)
     reciprocal = StepFunction(m_int, g.xs[i:j], tuple(1 / s for s in g.slopes[i:j + 1]))
-    return step_compose(inverse_slope_step(g), g), reciprocal
+    return step_compose(step_of_slopes(generalized_inverse(g)), g), reciprocal

@@ -171,11 +171,11 @@ def _cached(build):
 
     Instances are immutable, so a table never goes stale; it lives outside
     the dataclass fields and takes no part in equality, hashing or repr.
-    Every table is an immutable value.  The tables: value_bounds,
-    _inverse_columns, jumps, flats and inverse_domain here; step_of_slopes,
-    associated_measure and inverse_slope_step in measure.  Each is kept
-    under its function's name with one leading underscore (its key).  The
-    undecorated body is the builder, __wrapped__, looked up on every miss
+    Every table is an immutable value.  The tables: value_bounds, jumps,
+    flats, inverse_domain and generalized_inverse here; step_of_slopes and
+    associated_measure in measure.  Each is kept under its function's name
+    with one leading underscore (its key); a build that raises keeps nothing.
+    The undecorated body is the builder, __wrapped__, looked up on every miss
     so that a test can count or replace it.
     """
     key = "_" + build.__name__.lstrip("_")
@@ -393,16 +393,22 @@ def flat_count(g: PiecewiseMonotone) -> int:
 
 
 @_cached
-def _inverse_columns(g: PiecewiseMonotone) -> tuple:
-    """The columns (xs, lefts, rights, slopes) of the generalized inverse of
-    g (built once per instance).  Its pieces in value order are g's rising
-    segments mirrored, g's jumps as flats and the finite ends of g's domain
-    as clamps beyond g's values.  A flat of g is the gap between two
-    neighbouring pieces, so it becomes a jump of the inverse; a flat
-    reaching an infinite domain end only shapes the inverse's domain."""
+def generalized_inverse(g: PiecewiseMonotone) -> PiecewiseMonotone:
+    """The inverse class [H], built once per instance: rises invert, jumps
+    flatten, flats jump.  Raises ConstantFunction when the inverse would be
+    constant (g a pure single-jump staircase): constant classes are excluded.
+
+    Its pieces in value order are g's rising segments mirrored, g's jumps as
+    flats and the finite ends of g's domain as clamps beyond g's values.  A
+    flat of g is the gap between two neighbouring pieces, so it becomes a
+    jump of the inverse; a flat reaching an infinite domain end only shapes
+    the inverse's domain.  Neighbouring pieces differ in slope or meet at a
+    jump, so no knot is removable: the result is canonical by construction
+    and skips the public constructor.
+    """
     lo, hi = g.domain.lo, g.domain.hi
     starts, ends, us, _ = _segment_columns(g)
-    xs, lefts, at = g.xs, g.lefts, set(jumps(g))
+    at = set(jumps(g))
     # (value where the piece starts, x there, x where it ends, slope); the
     # reciprocal of s > 0 is made without the number type's reflected 1 / s
     pieces = [(NEG_INF, lo, lo, ZERO)] if is_finite(lo) else []
@@ -410,26 +416,13 @@ def _inverse_columns(g: PiecewiseMonotone) -> tuple:
         if s:  # a truth test, not a rational comparison
             pieces.append((us[i], starts[i], ends[i], rat(s.denominator, s.numerator)))
         if i in at:
-            pieces.append((lefts[i], xs[i], xs[i], ZERO))
+            pieces.append((g.lefts[i], g.xs[i], g.xs[i], ZERO))
     if is_finite(hi):
         pieces.append((value_bounds(g)[1], hi, hi, ZERO))
     # neighbouring pieces meet at a knot: the left limit is the x where the
     # first ends, the right limit the x where the next starts
     ts, x_starts, x_ends, slopes = zip(*pieces)
-    return ts[1:], x_ends[:-1], x_starts[1:], slopes
-
-
-def generalized_inverse(g: PiecewiseMonotone) -> PiecewiseMonotone:
-    """The inverse class [H]: rises invert, jumps flatten, flats jump.
-
-    Raises ConstantFunction when the inverse would be constant (g a pure
-    single-jump staircase), since constant classes are excluded.
-
-    Canonical by construction: neighbouring pieces of the inverse differ in
-    slope or meet at a jump (a flat of g), so no knot is removable, and the
-    result skips the public constructor.
-    """
-    xs, lefts, rights, slopes = _inverse_columns(g)
+    xs, lefts, rights = ts[1:], x_ends[:-1], x_starts[1:]
     if not any(slopes) and lefts == rights:
         raise ConstantFunction("the generalized inverse would be constant")
 

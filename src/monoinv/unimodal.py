@@ -23,14 +23,11 @@ from dataclasses import dataclass
 
 from monoinv.errors import InternalInconsistency, QfNotAbsolutelyContinuous
 from monoinv.intervals import ClosedInterval
-from monoinv.measure import (
-    StepFunction,
-    gen_inverse_abs_cont,
-    inverse_slope_step,
-)
+from monoinv.measure import StepFunction, gen_inverse_abs_cont, step_of_slopes
 from monoinv.monotone import (
     PiecewiseMonotone,
     extend_to_real_line,
+    generalized_inverse,
     inverse_domain,
     jumps,
 )
@@ -85,7 +82,11 @@ def is_quasi_convex(f: StepFunction) -> tuple[bool, ClosedInterval | None]:
 
 def _quantile_step(g: PiecewiseMonotone) -> StepFunction | None:
     """quantile_density of g, a function on the whole line; None where none exists."""
-    return inverse_slope_step(g) if gen_inverse_abs_cont(g, inverse_domain(g)) else None
+    if not gen_inverse_abs_cont(g, inverse_domain(g)):
+        return None
+    if any(g.slopes):
+        return step_of_slopes(generalized_inverse(g))
+    return StepFunction(inverse_domain(g))  # no slope of g rises: the inverse is constant
 
 
 @dataclass(frozen=True)

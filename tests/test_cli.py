@@ -133,6 +133,7 @@ def test_non_list_spec_field_exit1(spec_file, doc, key):
                  id="nested-200000"),
     ({"atoms": [{"x": "1.²", "mass": "1"}]}, 1,
      "bad atom #0 x: invalid literal for int() with base 10: '²'"),
+    ({"uniform_pieces": [{"a": "0", "density": "1"}]}, 1, "piece #0 needs fields a and b"),
 ])
 def test_spec_errors_name_the_fault(spec_file, doc, code, message):
     path = spec_file(doc)
@@ -203,7 +204,7 @@ def test_byte_order_mark_is_no_part_of_the_input(tmp_path, command, name):
 
 
 @pytest.mark.parametrize("digits", [4300, 4301, 10**6])
-@pytest.mark.parametrize("source", ["samples", "spec"])
+@pytest.mark.parametrize("source", ["samples", "spec", "anchor"])
 def test_digit_cap(tmp_path, spec_file, source, digits):
     # a literal past the cap is refused before it is read, in well under the
     # seconds Python takes to convert a million digits
@@ -212,6 +213,10 @@ def test_digit_cap(tmp_path, spec_file, source, digits):
         path = tmp_path / "samples.txt"
         path.write_text(f"0\n1\n{number}\n")
         args, where = ["--samples", str(path)], "line 3"
+    elif source == "anchor":
+        path = tmp_path / "samples.txt"
+        path.write_text("0\n1\n")
+        args, where = ["--samples", str(path), "--anchor", number], "bad --anchor"
     else:
         args = ["--spec", spec_file({"atoms": [{"x": "0", "mass": "1/2"},
                                                {"x": number, "mass": "1/2"}]})]
@@ -593,12 +598,35 @@ def test_anchor_override(spec_file):
     ("x", "not a number: 'x'"),
     ("²", "invalid literal for int() with base 10: '²'"),  # a digit to str.isdigit
     ("1.²", "invalid literal for int() with base 10: '²'"),
+    ("1e3", "not a number: '1e3'"),
 ])
 def test_unparseable_anchor_exit1(anchor, message):
+    # the error names the flag, as a spec's names its field
     data = os.path.join(os.path.dirname(__file__), "data", "thirds_sevenths_28.csv")
     for command in ("classify", "decompose"):
         r = CliRunner().invoke(cli.main, [command, "--samples", data, "--anchor", anchor])
-        assert (r.exit_code, r.stdout, r.stderr) == (1, "", f"error: {message}\n")
+        assert (r.exit_code, r.stdout, r.stderr) == (1, "", f"error: bad --anchor: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["invert", "qdensity"])
+def test_plot_points_zero_exit1(spec_file, command):
+    r = CliRunner().invoke(cli.main, [command, "--spec", spec_file(FIXD_SPEC),
+                                      "--plot-points", "0"])
+    assert (r.exit_code, r.stdout, r.stderr) == (1, "", "error: --plot-points must be at least 1\n")
+
+
+@pytest.mark.parametrize("command", ["invert", "qdensity"])
+def test_plot_points_with_out_writes_the_report_to_the_file(spec_file, tmp_path, command):
+    # the CSV rows go to stdout and the report, as the command writes it
+    # without --plot-points, to the file
+    spec, out = spec_file(FIXD_SPEC), tmp_path / "report.json"
+    r = CliRunner().invoke(cli.main, [command, "--spec", spec, "--plot-points", "2",
+                                      "--out", str(out)])
+    assert (r.exit_code, r.stderr) == (0, "")
+    lines = r.stdout.splitlines()
+    assert lines[0] == "x,left,right" and len(lines) == 4
+    assert out.read_text(encoding="utf-8") == CliRunner().invoke(
+        cli.main, [command, "--spec", spec]).stdout
 
 
 def test_carrier_spec_warns_and_classifies(spec_file):

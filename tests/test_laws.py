@@ -38,6 +38,12 @@ def test_gen_config_requires_positive_max_knots():
         GenConfig(max_knots=0)
 
 
+def test_gen_config_refuses_more_knots_than_numerators():
+    # _rand_xs draws distinct knot numerators from -1000..1000
+    with pytest.raises(ValueError, match="^max_knots must be at most 2001$"):
+        GenConfig(max_knots=2002)
+
+
 def test_gen_same_seed_identical():
     cfg = GenConfig(seed=12345)
     assert versions_equal(gen_monotone(cfg), gen_monotone(cfg))

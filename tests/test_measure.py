@@ -1,6 +1,6 @@
 import pytest
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from monoinv import monotone as mono
@@ -8,6 +8,7 @@ from monoinv.errors import (
     AmbiguousComposition,
     AnchorOutsideCarrier,
     CarrierMismatch,
+    ConstantFunction,
     EmptyInterval,
     MonoinvError,
     NotAbsolutelyContinuous,
@@ -35,7 +36,6 @@ from monoinv.measure import (
     distribution_function,
     gen_inverse_abs_cont,
     inverse_rule_check,
-    inverse_slope_step,
     is_abs_cont_wrt,
     lebesgue_decompose,
     lebesgue_on,
@@ -482,6 +482,33 @@ def test_abs_cont_atom_vs_lebesgue(fixc_measure):
     assert is_abs_cont_wrt(lam, lam)
 
 
+@pytest.mark.parametrize("build, args, error, message", [
+    pytest.param(StepFunction, (REAL_LINE, (0,), (1,)), ValueError, "need one value per cell",
+                 id="value-count"),
+    pytest.param(StepFunction, (REAL_LINE, (), (-1,)), ValueError,
+                 "step values must be nonnegative", id="negative-value"),
+    pytest.param(StepFunction, (REAL_LINE, (1, 1), (1, 2, 3)), ValueError,
+                 "knots must be strictly increasing", id="repeated-knot"),
+    pytest.param(StepFunction, (Interval(0, 1), (rat(1, 2), 1), (1, 2, 3)), ValueError,
+                 "knots must be interior to the carrier", id="knot-on-the-end"),
+    pytest.param(pushforward, (PiecewiseMeasure(REAL_LINE, ((0, 1),), ()),
+                               PiecewiseMonotone(Interval(-1, 1), (), (1,), (0, 0))),
+                 CarrierMismatch, "carrier of the measure must lie inside the domain of the map",
+                 id="pushforward-carrier-outside"),
+])
+def test_builders_refuse_invalid_cells_by_name(build, args, error, message):
+    with pytest.raises(error) as raised:
+        build(*args)
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_empty_intervals_carry_no_mass_and_have_no_preimage(fixa, fixd_measure):
+    # (1/2, 1/2) is empty even where an atom sits at 1/2
+    assert measure_of_open(fixd_measure, 1, 1) == measure_of_open(fixd_measure, rat(1, 2),
+                                                                  rat(1, 2)) == 0
+    assert preimage_interior(fixa, EMPTY) == EMPTY
+
+
 def test_lebesgue_on_empty_interval_is_the_zero_measure_on_its_carrier():
     # gen_inverse_abs_cont passes the preimage interior, empty when its
     # interval lies inside a jump
@@ -600,7 +627,8 @@ def test_inverse_rule_two_slopes():
     assert composed == reciprocal
     # g' = 1 then 3 on the mass interval (0, 2); the inverse's slopes 1 and 1/3
     assert reciprocal == StepFunction(Interval(0, 2), (rat(1),), (rat(1), rat(1, 3)))
-    assert inverse_slope_step(g) == StepFunction(Interval(0, 4), (rat(1),), (rat(1), rat(1, 3)))
+    assert step_of_slopes(generalized_inverse(g)) == StepFunction(Interval(0, 4), (rat(1),),
+                                                                  (rat(1), rat(1, 3)))
 
 
 def test_inverse_rule_empty_mass_interval(fixc):
@@ -696,6 +724,15 @@ def _pushforward_by_pairs(m, t):
                 out_pieces.append((Interval(u, v), density / seg.slope))
     atoms = tuple(sorted(out_atoms.items()))
     return PiecewiseMeasure(inverse_domain(t), atoms, tuple(out_pieces))
+
+
+def inverse_step(g):
+    """The step of the slopes of g's generalized inverse; 0 on the inverse's
+    domain when that inverse is constant, which raises ConstantFunction."""
+    try:
+        return step_of_slopes(generalized_inverse(g))
+    except ConstantFunction:
+        return StepFunction(inverse_domain(g))
 
 
 def _inverse_slope_step_by_tokens(g):
@@ -806,7 +843,7 @@ def test_pushforward_by_ranges_equals_all_pairs(t):
 @oracle_settings
 @given(instances())
 def test_bisecting_value_at_equals_scan(g):
-    for f in (step_of_slopes(g), inverse_slope_step(g)):
+    for f in (step_of_slopes(g), inverse_step(g)):
         for t in refine_grid(list(f.knots) + structural_xs(g)):
             assert _outcome(f.value_at, t) == _outcome(_value_at_by_scan, f, t)
 
@@ -828,8 +865,9 @@ def test_bisecting_step_compose_equals_scan(g, data):
 
 @oracle_settings
 @given(instances())
+@example(from_knot_data(REAL_LINE, [0], [1], [0, 0], -1, 0))  # a constant inverse
 def test_inverse_slopes_from_segment_table_equal_token_walk(g):
-    got = _outcome(inverse_slope_step, g)
+    got = _outcome(inverse_step, g)
     assert got == _outcome(_inverse_slope_step_by_tokens, g)
     assert repr(got) == repr(_outcome(_inverse_slope_step_by_tokens, g))
 

@@ -118,6 +118,34 @@ def test_validate_rejects_inconsistent_limits():
         )
 
 
+UNIT = Interval(0, 1)
+LINE_ON_UNIT = PiecewiseMonotone(UNIT, (), (1,), (rat(1, 2), 0))
+
+
+@pytest.mark.parametrize("build, args, error, message", [
+    pytest.param(PiecewiseMonotone, (REAL_LINE, ((0, 0, 0),), (1,)), ValueError,
+                 "need exactly one slope per segment", id="slope-count"),
+    pytest.param(PiecewiseMonotone, (UNIT, ((1, 1, 1),), (1, 1)), UnorderedBreakpoints,
+                 "breakpoints must be interior to the domain", id="knot-on-the-end"),
+    pytest.param(PiecewiseMonotone, (REAL_LINE, (), (1,)), ValueError,
+                 "an anchor (x, value) is required when there are no breakpoints",
+                 id="no-anchor"),
+    pytest.param(PiecewiseMonotone, (UNIT, (), (1,), (2, 0)), ValueError,
+                 "anchor must lie inside the regular domain", id="anchor-outside"),
+    pytest.param(from_knot_data, (REAL_LINE, [0], [], [1, 1], -1, 0), ValueError,
+                 "need one jump per knot and one slope per segment", id="knot-data-arity"),
+    pytest.param(from_knot_data, (REAL_LINE, [0], [0], [1, 2], 0, 0), ValueError,
+                 "anchor must not sit on a knot", id="knot-data-anchor-on-knot"),
+    pytest.param(restrict, (LINE_ON_UNIT, Interval(rat(1, 2), 2)), EmptyInterval,
+                 "restriction interval must lie inside the regular domain",
+                 id="restrict-outside"),
+])
+def test_builders_refuse_invalid_columns_by_name(build, args, error, message):
+    with pytest.raises(error) as raised:
+        build(*args)
+    assert type(raised.value) is error and str(raised.value) == message
+
+
 def test_validate_is_idempotent(fixa):
     validate(fixa)
     validate(fixa)
@@ -584,10 +612,16 @@ def test_cached_tables_equal_tables_built_from_scratch(g):
 
 @oracle_settings
 @given(instances())
+@example(from_knot_data(REAL_LINE, [0], [1], [0, 0], -1, 0))  # a constant inverse
 def test_inverse_jump_rows_equal_limits_at(g):
     # flats of the inverse with two finite ends come from jumps; the others
     # are the clamps beyond finite domain ends
-    xs, lefts, rights, slopes = mono._inverse_columns(g)
+    try:
+        h = generalized_inverse(g)
+    except ConstantFunction:  # the constant inverse: one flat, no knot
+        h = None
+    xs, lefts, rights, slopes = ((), (), (), (ZERO,)) if h is None else (
+        h.xs, h.lefts, h.rights, h.slopes)
     dom = inverse_domain(g)
     ends = (dom.lo, *xs, dom.hi)
     # a flat's value is the left limit at its upper end, or the right limit

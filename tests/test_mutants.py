@@ -55,12 +55,16 @@ def test_strict_order_in_switch_hull_is_killed_by_the_plateau_test(monkeypatch):
 
 
 def test_density_for_quantile_density_is_killed_by_main_equiv(monkeypatch):
-    # _quantile_step returns the step class of g's own slopes in place of
-    # its inverse's: MAIN_EQUIV reads classify's quantile verdict, so it
-    # must still reach the quantile route
+    # _quantile_step reads g itself as its generalized inverse, so it returns
+    # the step class of g's own slopes: MAIN_EQUIV reads classify's quantile
+    # verdict, so it must still reach the quantile route.  A unimodal g's
+    # slopes rise, then fall, and classify refuses the verdicts it then gets
     assert run_law("MAIN_EQUIV", 200, GenConfig(seed=SEED)).passed
-    monkeypatch.setattr(unimodal, "inverse_slope_step", measure.step_of_slopes)
-    assert not run_law("MAIN_EQUIV", 200, GenConfig(seed=SEED)).passed
+    monkeypatch.setattr(unimodal, "generalized_inverse", lambda g: g)
+    report = run_law("MAIN_EQUIV", 200, GenConfig(seed=SEED))
+    assert not report.passed
+    assert report.failures[0]["got"] == (
+        "InternalInconsistency: unimodal but the quantile density is not quasi-convex")
 
 
 def _keeps_every_knot(domain, xs, jumps, slopes, anchor_x, anchor_value):
@@ -78,26 +82,31 @@ def test_generation_keeping_every_knot_is_killed_by_the_generator_oracle(monkeyp
         test_trusted.test_generated_instances_equal_public_rebuild()
 
 
-def test_generation_keeping_every_knot_is_killed_by_double_inv_alone(monkeypatch):
+def test_generation_keeping_every_knot_is_killed_by_double_inv_and_push_fwd(monkeypatch):
     # the golden verify case pins every law passing at this seed and n.  A
-    # removable knot changes no class, so the laws that compare classes,
-    # measures or verdicts all hold; only DOUBLE_INV compares g's columns
-    # with those of its canonical double inverse
+    # removable knot changes no class, so the laws that compare classes or
+    # verdicts all hold.  DOUBLE_INV compares g's columns with those of its
+    # canonical double inverse; PUSH_FWD compares g's associated measure,
+    # whose step of slopes, read off g's columns, keeps the knot, with a
+    # pushforward, whose cells are merged
     monkeypatch.setattr(monotone, "_assembled", _keeps_every_knot)
-    killed = [law for law in LAW_IDS if not run_law(law, 200, GenConfig(seed=SEED)).passed]
-    assert killed == ["DOUBLE_INV"]
+    reports = {law: run_law(law, 200, GenConfig(seed=SEED)) for law in LAW_IDS}
+    killed = [law for law, report in reports.items() if not report.passed]
+    assert killed == ["DOUBLE_INV", "PUSH_FWD"]
+    assert reports["PUSH_FWD"].failures[0]["note"] == (
+        "inverse pushes its uniform measure to the associated measure")
 
 
-def _slopes_under_the_inverse_slopes_key(monkeypatch):
-    # measure.step_of_slopes memoized under inverse_slope_step's key: of
-    # the two step classes, whichever a function asks for first, the other
-    # reads it back
+def _slopes_under_the_inverse_key(monkeypatch):
+    # measure.step_of_slopes memoized under generalized_inverse's key: of
+    # the step of g's slopes and g's inverse, whichever is asked for first,
+    # the other reads it back
     original, build = measure.step_of_slopes, measure.step_of_slopes.__wrapped__
 
-    def inverse_slope_step(g):  # the name _cached keys the table by
+    def generalized_inverse(g):  # the name _cached keys the table by
         return build(g)
 
-    mutant = monotone._cached(inverse_slope_step)
+    mutant = monotone._cached(generalized_inverse)
     for name, module in list(sys.modules.items()):
         if name.startswith("monoinv") and getattr(module, "step_of_slopes", None) is original:
             monkeypatch.setattr(module, "step_of_slopes", mutant)
@@ -105,19 +114,21 @@ def _slopes_under_the_inverse_slopes_key(monkeypatch):
 
 def test_table_under_another_tables_key_is_killed_by_the_tables_oracle(monkeypatch):
     test_oracles.test_tables_are_every_memoized_table_each_under_its_own_key()
-    _slopes_under_the_inverse_slopes_key(monkeypatch)
+    _slopes_under_the_inverse_key(monkeypatch)
     with pytest.raises(AssertionError):
         test_oracles.test_tables_are_every_memoized_table_each_under_its_own_key()
 
 
-def test_table_under_another_tables_key_is_killed_by_five_laws(monkeypatch):
+def test_table_under_another_tables_key_is_killed_by_seven_laws(monkeypatch):
     # the golden verify case pins every law passing at this seed and n.  The
-    # five read the inverse's slope step, through classify or
-    # inverse_rule_check; the others read step_of_slopes alone, which still
-    # gives its own table
-    _slopes_under_the_inverse_slopes_key(monkeypatch)
+    # seven ask one function for both its inverse and its step of slopes:
+    # classify and inverse_rule_check through the quantile density, the
+    # other two through the associated measure and the inverse.  The other
+    # five never ask one function for both
+    _slopes_under_the_inverse_key(monkeypatch)
     killed = [law for law in LAW_IDS if not run_law(law, 200, GenConfig(seed=SEED)).passed]
-    assert killed == ["INV_RULE", "QF_AC", "MAIN_EQUIV", "DECOMP", "GEN_LOCFIN"]
+    assert killed == ["PUSH_FWD", "CONT_EQUIV", "INV_RULE", "QF_AC", "MAIN_EQUIV", "DECOMP",
+                      "GEN_LOCFIN"]
 
 
 def _ties_dropped_from_the_sample_knots(monkeypatch):

@@ -1,7 +1,7 @@
 """Derived tables and objects are built a fixed number of times per command.
 
-Every PiecewiseMonotone builds its value bounds and its inverse's columns at
-most once, so the number of builds per classify / invert / qdensity depends
+Every PiecewiseMonotone builds its value bounds and its generalized inverse
+at most once, so the number of builds per classify / invert / qdensity depends
 on how many classes the command makes, not on how many points its input has.
 A table's builds are the calls of its builder, the __wrapped__ of the
 memoized table, which conftest.count_calls counts.
@@ -16,8 +16,9 @@ number of times per command; functions and measures keep their knots, atoms
 and density as columns, so the functions, measures and step classes a
 command makes, through the public constructors or the trusted path, are as
 many for 4k points as for 1k, and ingest checks its spec in one measure.
-The inverse's columns are built once per function, whichever of classify,
-generalized_inverse and quantile_density asks first.  The law generators
+The generalized inverse is built once per function, whichever of classify,
+the report's Q block and quantile_density asks first, and the step of its
+slopes is its columns, with no rational comparison.  The law generators
 build their instances without exactnum.as_q or the public checks.  Reports
 are written from the columns as they are formatted, each entry formatted
 once, so writing one holds little memory.  A file of plain decimals is read
@@ -55,7 +56,7 @@ def _gaussian_samples(path, n, seed):
 @pytest.mark.parametrize("command", ["classify", "invert", "qdensity"])
 def test_table_builds_do_not_grow_with_points(tmp_path, count_calls, command):
     builds = {table.__name__: count_calls(table, "__wrapped__")
-              for table in (monotone.value_bounds, monotone._inverse_columns)}
+              for table in (monotone.value_bounds, monotone.generalized_inverse)}
     per_size = {}
     for n in (1000, 4000):
         path = tmp_path / f"{n}.txt"
@@ -73,15 +74,14 @@ def test_table_builds_do_not_grow_with_points(tmp_path, count_calls, command):
     ("invert", monotone, "generalized_inverse", 1),
     ("classify", measure, "gen_inverse_abs_cont", 1),
     ("qdensity", measure, "gen_inverse_abs_cont", 1),
-    ("classify", measure, "inverse_slope_step", 1),
     ("classify", monotone, "extend_to_real_line", 1),
-    ("classify", monotone._inverse_columns, "__wrapped__", 1),
+    ("classify", monotone.generalized_inverse, "__wrapped__", 1),
     ("classify", monotone.jumps, "__wrapped__", 1),
     ("classify", monotone.flats, "__wrapped__", 1),
     ("classify", measure.step_of_slopes, "__wrapped__", 0),
     ("classify", measure.associated_measure, "__wrapped__", 1),
-    ("invert", monotone._inverse_columns, "__wrapped__", 1),
-    ("qdensity", monotone._inverse_columns, "__wrapped__", 1),
+    ("invert", monotone.generalized_inverse, "__wrapped__", 1),
+    ("qdensity", monotone.generalized_inverse, "__wrapped__", 1),
     ("classify", cli, "spec_to_measure", 0),
     ("invert", cli, "spec_to_measure", 0),
     ("qdensity", cli, "spec_to_measure", 0),
@@ -92,13 +92,39 @@ def test_table_builds_do_not_grow_with_points(tmp_path, count_calls, command):
     ("invert", monotone, "_knot_limits", 0),
     ("qdensity", monotone, "_knot_limits", 0),
 ])
-def test_each_derived_object_is_built_once(tmp_path, count_calls, command, owner, name, want):
+def test_each_derived_object_is_built_once(tmp_path, monkeypatch, count_calls, command, owner,
+                                           name, want):
+    # a table's row counts its builds on the command's sample function f: 0
+    # for the step of slopes, which f carries.  classify's quantile density
+    # is the step of the slopes of f's inverse, which also builds its jumps:
+    # those two tables are built once more, for the inverse
     path = tmp_path / "samples.txt"
     _gaussian_samples(path, 1000, seed=1000)
-    calls = count_calls(owner, name)
+    made, built = [], []  # the sample function; the functions the table is built for
+
+    def to_function(runs, anchor, make=cli.samples_to_function):
+        made.append(make(runs, anchor))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "samples_to_function", to_function)
+    if name == "__wrapped__":
+        def build(g, table_of=owner.__wrapped__):
+            built.append(g)
+            return table_of(g)
+
+        monkeypatch.setattr(owner, name, build)
+    else:
+        calls = count_calls(owner, name)
     result = CliRunner().invoke(cli.main, [command, "--samples", str(path)])
     assert result.exit_code in (0, 3), result.output
-    assert calls[0] == want
+    if name != "__wrapped__":
+        assert calls[0] == want
+        return
+    f = made[0]
+    others = [g for g in built if g is not f]
+    assert len(built) - len(others) == want
+    on_inverse = owner in (monotone.jumps, measure.step_of_slopes)
+    assert others == ([monotone.generalized_inverse(f)] if on_inverse else [])
 
 
 @settings(max_examples=200, deadline=None)
@@ -260,7 +286,7 @@ def test_fmt_ratio_calls_per_knot_do_not_grow(tmp_path, count_calls):
 def test_main_equiv_builds_one_inverse_table_per_function(count_calls):
     # classify, quantile_density and the materialized inverse of each
     # generated function share its table
-    calls = count_calls(monotone._inverse_columns, "__wrapped__")
+    calls = count_calls(monotone.generalized_inverse, "__wrapped__")
     result = CliRunner().invoke(cli.main, ["verify", "--law", "MAIN_EQUIV", "--n", "50",
                                            "--seed", "20260808"])
     assert result.exit_code == 0, result.output
@@ -345,6 +371,20 @@ def test_sample_measure_makes_no_rational_comparison(tmp_path, monkeypatch):
     calls = count_fraction_comparisons(monkeypatch.setattr)
     m = samples.samples_to_measure(runs)
     assert len(m.abs_density.knots) > 3000 and calls[0] == 0, calls[0]
+
+
+def test_inverse_step_of_a_sample_makes_no_rational_comparison(tmp_path, monkeypatch):
+    # a sample function has no flat between its values, so its inverse has
+    # no jump and no two equal neighbouring cells: the step of the inverse's
+    # slopes is its columns.  A cell merge would compare each neighbouring pair
+    monkeypatch.setattr(exactnum, "Q", fractions.Fraction)
+    path = tmp_path / "4000.txt"
+    _gaussian_samples(path, 4000, seed=4000)
+    runs = samples.read_samples(str(path), header=False)
+    h = monotone.generalized_inverse(samples.samples_to_function(runs, exactnum.rat(0)))
+    calls = count_fraction_comparisons(monkeypatch.setattr)
+    step = measure.step_of_slopes(h)
+    assert len(step.knots) > 3000 and calls[0] == 0, calls[0]
 
 
 # prints the comparisons laws.<argv[1]> makes on the distribution function
