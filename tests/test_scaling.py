@@ -45,7 +45,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoinv import cli, exactnum, laws, measure, monotone, samples
+from monoinv import cli, exactnum, laws, measure, monotone, samples, unimodal
 from monoinv.intervals import REAL_LINE, Interval
 
 def _gaussian_samples(path, n, seed):
@@ -74,6 +74,7 @@ def test_table_builds_do_not_grow_with_points(tmp_path, count_calls, command):
     ("invert", monotone, "generalized_inverse", 1),
     ("classify", measure, "gen_inverse_abs_cont", 1),
     ("qdensity", measure, "gen_inverse_abs_cont", 1),
+    ("classify", unimodal, "_quantile_step", 1),
     ("classify", monotone, "extend_to_real_line", 1),
     ("classify", monotone.generalized_inverse, "__wrapped__", 1),
     ("classify", monotone.jumps, "__wrapped__", 1),
