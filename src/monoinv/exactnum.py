@@ -8,7 +8,9 @@ All core arithmetic runs on one of two interchangeable number types:
 The backend is chosen once at import time.  Set ``MONOINV_BACKEND`` to
 ``compiled`` or ``pure`` to force one; ``auto`` (the default) prefers the
 compiled kernel when present.  Results are bit-identical either way; only
-speed differs (perfbench/run.py times both).
+speed differs (perfbench/run.py times both).  On the pure backend, rat builds
+the reduced Fraction of a pair of ints directly, without Fraction's generic
+constructor; its results are Fraction(num, den)'s, which is its test's oracle.
 
 The infinities NEG_INF and POS_INF live here too, beside the rational type.
 as_q refuses them: only an interval's end may be infinite.
@@ -18,6 +20,7 @@ import os
 import sys
 
 from fractions import Fraction
+from math import gcd
 
 from monoinv.errors import ParseError
 
@@ -83,8 +86,22 @@ NEG_INF = _Infinity(-1)
 POS_INF = _Infinity(1)
 
 
+_new = object.__new__
+
+
 def rat(num, den=1):
-    """Exact rational from integers (or another rational)."""
+    """Exact rational from integers (or another rational).
+
+    On the pure backend a pair of ints with den > 0 becomes the reduced
+    Fraction directly, as Fraction._from_coprime_ints does in CPython 3.12,
+    without Fraction's generic constructor; any other argument goes to
+    Q(num, den), which raises as it always did."""
+    if Q is Fraction and num.__class__ is int and den.__class__ is int and den > 0:
+        g = gcd(num, den)
+        x = _new(Fraction)
+        x._numerator = num // g
+        x._denominator = den // g
+        return x
     return Q(num, den)
 
 
@@ -95,7 +112,7 @@ def as_q(x):
     if x.__class__ is Q:
         return x
     if isinstance(x, (int, Fraction)):
-        return Q(x.numerator, x.denominator)
+        return rat(x.numerator, x.denominator)
     raise TypeError(f"not an exact rational: {x!r}; give an int or a Fraction")
 
 
@@ -157,6 +174,6 @@ def parse_ratio(text):
 
 
 def fmt_ratio(x):
-    """Canonical string form: 'p/q' in lowest terms, or 'p' for integers."""
-    n, d = x.numerator, x.denominator
-    return str(n) if d == 1 else f"{n}/{d}"
+    """Canonical string form: 'p/q' in lowest terms, or 'p' for integers,
+    which is how both backends' rationals print themselves."""
+    return str(x)

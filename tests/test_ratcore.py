@@ -1,8 +1,11 @@
 """The compiled rational kernel must agree with fractions.Fraction
-operation-for-operation; Fraction is the oracle.
+operation-for-operation; Fraction is the oracle.  exactnum.fmt_ratio prints
+either backend's rationals as their numerator and denominator read.
 
 The kernel is the one conftest.py's compiled_rat builds from the tracked
 _ratcore.c; the tests skip only when no C compiler is present."""
+
+import sys
 
 import pytest
 
@@ -10,6 +13,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from monoinv.exactnum import fmt_ratio
+from test_exactnum import int_digits
 
 
 @pytest.fixture(scope="module")
@@ -121,3 +127,32 @@ def test_kernel_refuses_what_fraction_accepts(Rat, operation):
     operation(Fraction)
     with pytest.raises(TypeError):
         operation(Rat)
+
+
+def pair_text(x):
+    """The text of x from its numerator and denominator: 'p', or 'p/q'."""
+    n, d = x.numerator, x.denominator
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+@given(pairs())
+def test_fmt_ratio_is_the_pair_text(Rat, p):
+    for Q in (Fraction, Rat):
+        for x in (Q(*p), Q(p[0]), Q(0), Q(-1)):
+            assert fmt_ratio(x) == pair_text(x)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+def test_fmt_ratio_of_a_long_numerator(Rat):
+    # past 4,300 digits it prints only with the limit lifted, as the CLI lifts
+    # it, and refuses as the pair text refuses otherwise
+    for Q in (Fraction, Rat):
+        for x in (Q(10**4400 + 1, 3), Q(-10**4400)):
+            with int_digits(0):
+                assert fmt_ratio(x) == pair_text(x)
+            with int_digits(4300):
+                with pytest.raises(ValueError) as want:
+                    pair_text(x)
+                with pytest.raises(ValueError) as got:
+                    fmt_ratio(x)
+            assert str(got.value) == str(want.value)

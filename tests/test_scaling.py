@@ -48,9 +48,9 @@ from hypothesis import strategies as st
 from monoinv import cli, exactnum, laws, measure, monotone, samples, unimodal
 from monoinv.intervals import REAL_LINE, Interval
 
-def _gaussian_samples(path, n, seed):
+def _gaussian_samples(path, n, seed, places=6):
     rng = random.Random(seed)
-    path.write_text("\n".join(f"{rng.gauss(0.0, 1.0):.6f}" for _ in range(n)) + "\n")
+    path.write_text("\n".join(f"{rng.gauss(0.0, 1.0):.{places}f}" for _ in range(n)) + "\n")
 
 
 @pytest.mark.parametrize("command", ["classify", "invert", "qdensity"])
@@ -386,6 +386,40 @@ def test_inverse_step_of_a_sample_makes_no_rational_comparison(tmp_path, monkeyp
     calls = count_fraction_comparisons(monkeypatch.setattr)
     step = measure.step_of_slopes(h)
     assert len(step.knots) > 3000 and calls[0] == 0, calls[0]
+
+
+def test_sample_function_and_inverse_make_no_fraction_by_its_constructor(tmp_path, monkeypatch):
+    # their rationals are reduced pairs of ints, which exactnum.rat makes
+    # without Fraction's generic constructor, and the anchor's shift is one
+    # such pair; Fraction arithmetic would construct its results
+    monkeypatch.setattr(exactnum, "Q", fractions.Fraction)
+    path = tmp_path / "4000.txt"
+    _gaussian_samples(path, 4000, seed=4000)
+    runs = samples.read_samples(str(path), header=False)
+    calls, construct = [0], fractions.Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls[0] += 1
+        return construct(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting))
+    h = monotone.generalized_inverse(samples.samples_to_function(runs, exactnum.rat(0)))
+    assert len(h.xs) > 3000 and calls[0] == 0, calls[0]
+
+
+def test_sample_measure_makes_a_rational_per_step_value_not_per_slope(tmp_path, count_calls):
+    # samples_to_measure makes a rational for each kept value, each tied
+    # value's mass and each value of its density step; a slope right of a
+    # tied value inside a run of equal gaps is no value of the step
+    path = tmp_path / "4000.txt"
+    _gaussian_samples(path, 4000, seed=4000, places=2)
+    runs = samples.read_samples(str(path), header=False)
+    calls = count_calls(exactnum, "rat")
+    m = samples.samples_to_measure(runs)
+    density, atoms = m.abs_density, len(m.atom_xs)
+    kept = len(set(density.knots) | set(m.atom_xs))
+    assert atoms > 4 * len(density.knots) > 0
+    assert calls[0] == kept + atoms + len(density.values) - 2, calls[0]
 
 
 # prints the comparisons laws.<argv[1]> makes on the distribution function
