@@ -107,23 +107,25 @@ def _degenerate(runs, allow_degenerate: bool) -> bool:
     return len(runs[0]) < 2
 
 
-def _knots(runs, every_slope=True) -> tuple:
+def _knots(runs) -> tuple:
     """(n1, keep, xs, slopes, step) for two or more distinct values: n - 1, the indices of the
     knots (the values tied or between two gaps that differ), the knots, the density den / ((n-1) g)
     of the gap g / den (g an integer, or a rational on the rational sort) right of each knot but
-    the last, between 0s, and the density step, knotted where the gaps differ.  Without
-    every_slope, the slopes are only the step's values: right of each knot of the step."""
+    the last, between 0s, and the density step, knotted where the gaps differ."""
     keys, counts, den = runs
     n1 = sum(counts) - 1
     gaps = [b - a for a, b in zip(keys, keys[1:])]
     bend = [True, *(a != b for a, b in zip(gaps, gaps[1:])), True]  # gaps differ either side
     keep = [k for k, b in enumerate(bend) if b or counts[k] > 1]
     xs = tuple(rat(keys[k], den) for k in keep)
-    left = [k for k in keep[:-1] if every_slope or bend[k]]  # the knots a slope is made right of
-    slopes = (ZERO, *(rat(den * gaps[k].denominator, n1 * gaps[k].numerator) for k in left), ZERO)
-    return n1, keep, xs, slopes, _trusted(
+    slopes = [ZERO]  # a tie between equal gaps has the slope of the knot before it
+    for k in keep[:-1]:
+        g = gaps[k]
+        slopes.append(rat(den * g.denominator, n1 * g.numerator) if bend[k] else slopes[-1])
+    slopes.append(ZERO)
+    return n1, keep, xs, tuple(slopes), _trusted(
         StepFunction, carrier=REAL_LINE, knots=tuple(x for x, k in zip(xs, keep) if bend[k]),
-        values=(ZERO, *(s for s, k in zip(slopes[1:-1], left) if bend[k]), ZERO))
+        values=(ZERO, *(s for s, k in zip(slopes[1:], keep) if bend[k])))
 
 
 def samples_to_measure(runs) -> PiecewiseMeasure:
@@ -133,7 +135,7 @@ def samples_to_measure(runs) -> PiecewiseMeasure:
     keys, counts, den = runs
     if len(keys) < 2:
         return PiecewiseMeasure(REAL_LINE, ((rat(keys[0], den), ONE),), ())
-    n1, keep, xs, _, step = _knots(runs, every_slope=False)
+    n1, keep, xs, _, step = _knots(runs)
     tied = [(x, rat(counts[k] - 1, n1)) for x, k in zip(xs, keep) if counts[k] > 1]
     return _measure(REAL_LINE, tuple(x for x, _ in tied), tuple(m for _, m in tied), step)
 
@@ -146,17 +148,13 @@ def samples_to_function(runs, anchor) -> PiecewiseMonotone:
     keys, counts, den = runs
     n1, keep, xs, slopes, step = _knots(runs)
     below = [0, *accumulate(counts)]  # below[k] samples lie below keys[k]
-    # F(anchor) = p/q unshifted: the right limit at the last value k at or below the anchor,
-    # a / b on the scale of the keys, plus the rise (a / b - k) / ((n-1) g) along the gap g
-    # right of k; one rational from integers, k and g being integers or rationals
-    a, b = anchor.numerator * den, anchor.denominator
-    i = bisect_right(keys, rat(a, b))
-    if 0 < i < len(keys):
-        k, g = keys[i - 1], keys[i] - keys[i - 1]
-        kn, kd, gn, gd = k.numerator, k.denominator, g.numerator, g.denominator
-        shift = rat((below[i] - 1) * kd * b * gn + (a * kd - b * kn) * gd, n1 * kd * b * gn)
-    else:
-        shift = rat(below[i] - 1, n1) if i else ZERO
+    # F(anchor) = p/q unshifted: the right limit at the last value at or
+    # below the anchor, plus the rise along the gap it lies in
+    at = anchor * den  # the anchor on the scale of the keys
+    i = bisect_right(keys, at)
+    shift = rat(below[i] - 1, n1) if i else ZERO
+    if 0 < i < len(keys) and keys[i - 1] != at:
+        shift += (at - keys[i - 1]) / (n1 * (keys[i] - keys[i - 1]))
     q = shift.denominator
     pn, d = shift.numerator * n1, n1 * q  # a limit S/(n-1) - p/q is (S q - p (n-1)) / d
     lefts = [rat(below[k] * q - pn, d) for k in keep]

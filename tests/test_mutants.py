@@ -141,8 +141,7 @@ def _ties_dropped_from_the_sample_knots(monkeypatch):
         def __getitem__(self, k):
             return 1
 
-    monkeypatch.setattr(samples, "_knots", lambda runs, **kwargs: knots(
-        (runs[0], Untied(runs[1]), runs[2]), **kwargs))
+    monkeypatch.setattr(samples, "_knots", lambda runs: knots((runs[0], Untied(runs[1]), runs[2])))
 
 
 @pytest.mark.parametrize("oracle", [

@@ -388,10 +388,11 @@ def test_inverse_step_of_a_sample_makes_no_rational_comparison(tmp_path, monkeyp
     assert len(step.knots) > 3000 and calls[0] == 0, calls[0]
 
 
-def test_sample_function_and_inverse_make_no_fraction_by_its_constructor(tmp_path, monkeypatch):
-    # their rationals are reduced pairs of ints, which exactnum.rat makes
-    # without Fraction's generic constructor, and the anchor's shift is one
-    # such pair; Fraction arithmetic would construct its results
+def test_sample_function_and_inverse_construct_no_fraction_per_knot(tmp_path, monkeypatch):
+    # their rationals per knot are reduced pairs of ints, which exactnum.rat
+    # makes without Fraction's generic constructor; only the anchor's shift,
+    # a few Fraction operations once per function, may construct (4 here and
+    # at 1k or 16k on Python 3.11; about 4 per knot before rat's direct build)
     monkeypatch.setattr(exactnum, "Q", fractions.Fraction)
     path = tmp_path / "4000.txt"
     _gaussian_samples(path, 4000, seed=4000)
@@ -404,7 +405,7 @@ def test_sample_function_and_inverse_make_no_fraction_by_its_constructor(tmp_pat
 
     monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting))
     h = monotone.generalized_inverse(samples.samples_to_function(runs, exactnum.rat(0)))
-    assert len(h.xs) > 3000 and calls[0] == 0, calls[0]
+    assert len(h.xs) > 3000 and calls[0] <= 8, calls[0]
 
 
 def test_sample_measure_makes_a_rational_per_step_value_not_per_slope(tmp_path, count_calls):
