@@ -8,9 +8,17 @@ All core arithmetic runs on one of two interchangeable number types:
 The backend is chosen once at import time.  Set ``MONOINV_BACKEND`` to
 ``compiled`` or ``pure`` to force one; ``auto`` (the default) prefers the
 compiled kernel when present.  Results are bit-identical either way; only
-speed differs (perfbench/run.py times both).  On the pure backend, rat builds
-the reduced Fraction of a pair of ints directly, without Fraction's generic
-constructor; its results are Fraction(num, den)'s, which is its test's oracle.
+speed differs (perfbench/run.py times both).
+
+On the pure backend, rat builds the reduced Fraction of a pair of ints
+directly, without Fraction's generic constructor, and the bulk helpers work a
+whole column in one loop: rats makes the rationals of many numerators over one
+denominator, reciprocal swaps the coprime parts of a positive rational with
+no gcd, and fmt_ratios yields the texts of a column from its two slots.  They
+write and read Fraction's private slots, a CPython detail decided once at
+import (_SLOTS); where Fraction has other slots they fall back to Q(num, den),
+1 / x and str.  Their results are those of Fraction(num, den), 1 / x and
+fmt_ratio, which are their tests' oracles.
 
 The infinities NEG_INF and POS_INF live here too, beside the rational type.
 as_q refuses them: only an interval's end may be infinite.
@@ -87,6 +95,8 @@ POS_INF = _Infinity(1)
 
 
 _new = object.__new__
+# the two slots that rat, rats and reciprocal fill and fmt_ratios reads
+_SLOTS = getattr(Fraction, "__slots__", None) == ("_numerator", "_denominator")
 
 
 def rat(num, den=1):
@@ -96,13 +106,44 @@ def rat(num, den=1):
     Fraction directly, as Fraction._from_coprime_ints does in CPython 3.12,
     without Fraction's generic constructor; any other argument goes to
     Q(num, den), which raises as it always did."""
-    if Q is Fraction and num.__class__ is int and den.__class__ is int and den > 0:
+    if _SLOTS and Q is Fraction and num.__class__ is int and den.__class__ is int and den > 0:
         g = gcd(num, den)
         x = _new(Fraction)
         x._numerator = num // g
         x._denominator = den // g
         return x
     return Q(num, den)
+
+
+def rats(nums, den) -> tuple:
+    """tuple(rat(num, den) for num in nums) in one loop: on the pure backend an
+    int num over an int den > 0 is built as rat builds it; anything else (the
+    rational sort's keys, Fractions over 1) goes to Q(num, den), as in rat."""
+    if not (_SLOTS and Q is Fraction and den.__class__ is int and den > 0):
+        return tuple(Q(num, den) for num in nums)
+    out = []
+    append = out.append
+    for num in nums:
+        if num.__class__ is int:
+            g = gcd(num, den)
+            x = _new(Fraction)
+            x._numerator = num // g
+            x._denominator = den // g
+            append(x)
+        else:
+            append(Q(num, den))
+    return tuple(out)
+
+
+def reciprocal(x):
+    """1 / x for a rational x > 0: its coprime numerator and denominator
+    swapped, with no gcd; a Fraction on the pure backend, else 1 / x."""
+    if _SLOTS and x.__class__ is Fraction:
+        y = _new(Fraction)
+        y._numerator = x._denominator
+        y._denominator = x._numerator
+        return y
+    return 1 / x
 
 
 def as_q(x):
@@ -177,3 +218,16 @@ def fmt_ratio(x):
     """Canonical string form: 'p/q' in lowest terms, or 'p' for integers,
     which is how both backends' rationals print themselves."""
     return str(x)
+
+
+def fmt_ratios(column):
+    """map(fmt_ratio, column) as one lazy iterator, for a column of the
+    backend's rationals: on the pure backend each text is made from the
+    Fraction's two slots, without a call of its __str__."""
+    return _fraction_texts(column) if _SLOTS and Q is Fraction else map(str, column)
+
+
+def _fraction_texts(column):
+    for x in column:
+        n, d = x._numerator, x._denominator
+        yield str(n) if d == 1 else f"{n}/{d}"

@@ -33,7 +33,7 @@ from monoinv.errors import (
     NonMonotone,
     UnorderedBreakpoints,
 )
-from monoinv.exactnum import ONE, ZERO, as_q, rat
+from monoinv.exactnum import ONE, ZERO, as_q, rat, reciprocal
 from monoinv.intervals import (
     EMPTY,
     NEG_INF,
@@ -408,21 +408,38 @@ def generalized_inverse(g: PiecewiseMonotone) -> PiecewiseMonotone:
     """
     lo, hi = g.domain.lo, g.domain.hi
     starts, ends, us, _ = _segment_columns(g)
-    at = set(jumps(g))
-    # (value where the piece starts, x there, x where it ends, slope); the
-    # reciprocal of s > 0 is made without the number type's reflected 1 / s
-    pieces = [(NEG_INF, lo, lo, ZERO)] if is_finite(lo) else []
-    for i, s in enumerate(g.slopes):  # segment i ends at knot i
-        if s:  # a truth test, not a rational comparison
-            pieces.append((us[i], starts[i], ends[i], rat(s.denominator, s.numerator)))
-        if i in at:
-            pieces.append((g.lefts[i], g.xs[i], g.xs[i], ZERO))
+    # the columns of the pieces: the value where each starts, the x there,
+    # the x where it ends, and its slope; a rise's is the reciprocal of g's
+    ts, x_starts, x_ends, slopes = ([NEG_INF], [lo], [lo], [ZERO]) if is_finite(lo) else (
+        [], [], [], [])
+    if at := set(jumps(g)):
+        for i, s in enumerate(g.slopes):  # segment i ends at knot i
+            if s:  # a truth test, not a rational comparison
+                ts.append(us[i])
+                x_starts.append(starts[i])
+                x_ends.append(ends[i])
+                slopes.append(reciprocal(s))
+            if i in at:
+                ts.append(g.lefts[i])
+                x_starts.append(g.xs[i])
+                x_ends.append(g.xs[i])
+                slopes.append(ZERO)
+    else:  # the pieces are g's rises
+        for u, a, b, s in zip(us, starts, ends, g.slopes):
+            if s:
+                ts.append(u)
+                x_starts.append(a)
+                x_ends.append(b)
+                slopes.append(reciprocal(s))
     if is_finite(hi):
-        pieces.append((value_bounds(g)[1], hi, hi, ZERO))
+        ts.append(value_bounds(g)[1])
+        x_starts.append(hi)
+        x_ends.append(hi)
+        slopes.append(ZERO)
     # neighbouring pieces meet at a knot: the left limit is the x where the
     # first ends, the right limit the x where the next starts
-    ts, x_starts, x_ends, slopes = zip(*pieces)
-    xs, lefts, rights = ts[1:], x_ends[:-1], x_starts[1:]
+    xs, lefts, rights = tuple(ts[1:]), tuple(x_ends[:-1]), tuple(x_starts[1:])
+    slopes = tuple(slopes)
     if not any(slopes) and lefts == rights:
         raise ConstantFunction("the generalized inverse would be constant")
 

@@ -17,7 +17,16 @@ from collections import Counter
 from itertools import accumulate
 
 from monoinv.errors import ParseError, SpecError
-from monoinv.exactnum import MAX_DIGITS, ONE, ZERO, fmt_ratio, parse_ratio_parts, rat
+from monoinv.exactnum import (
+    MAX_DIGITS,
+    ONE,
+    ZERO,
+    fmt_ratio,
+    fmt_ratios,
+    parse_ratio_parts,
+    rat,
+    rats,
+)
 from monoinv.intervals import REAL_LINE
 from monoinv.measure import PiecewiseMeasure, StepFunction, _measure, step_of_slopes
 from monoinv.monotone import PiecewiseMonotone, _trusted
@@ -117,7 +126,7 @@ def _knots(runs) -> tuple:
     gaps = [b - a for a, b in zip(keys, keys[1:])]
     bend = [True, *(a != b for a, b in zip(gaps, gaps[1:])), True]  # gaps differ either side
     keep = [k for k, b in enumerate(bend) if b or counts[k] > 1]
-    xs = tuple(rat(keys[k], den) for k in keep)
+    xs = rats(map(keys.__getitem__, keep), den)
     slopes = [ZERO]  # a tie between equal gaps has the slope of the knot before it
     for k in keep[:-1]:
         g = gaps[k]
@@ -136,8 +145,8 @@ def samples_to_measure(runs) -> PiecewiseMeasure:
     if len(keys) < 2:
         return PiecewiseMeasure(REAL_LINE, ((rat(keys[0], den), ONE),), ())
     n1, keep, xs, _, step = _knots(runs)
-    tied = [(x, rat(counts[k] - 1, n1)) for x, k in zip(xs, keep) if counts[k] > 1]
-    return _measure(REAL_LINE, tuple(x for x, _ in tied), tuple(m for _, m in tied), step)
+    tied = [(x, counts[k] - 1) for x, k in zip(xs, keep) if counts[k] > 1]
+    return _measure(REAL_LINE, tuple(x for x, _ in tied), rats([c for _, c in tied], n1), step)
 
 
 def samples_to_function(runs, anchor) -> PiecewiseMonotone:
@@ -157,25 +166,25 @@ def samples_to_function(runs, anchor) -> PiecewiseMonotone:
         shift += (at - keys[i - 1]) / (n1 * (keys[i] - keys[i - 1]))
     q = shift.denominator
     pn, d = shift.numerator * n1, n1 * q  # a limit S/(n-1) - p/q is (S q - p (n-1)) / d
-    lefts = [rat(below[k] * q - pn, d) for k in keep]
+    lefts = rats([below[k] * q - pn for k in keep], d)
     # an untied value is no jump: its two limits are one rational
     rights = [left if counts[k] == 1 else rat((below[k + 1] - 1) * q - pn, d)
               for k, left in zip(keep, lefts)]
     return _trusted(PiecewiseMonotone, domain=REAL_LINE, slopes=slopes, anchor=None, xs=xs,
-                    lefts=tuple(lefts), rights=tuple(rights), **{step_of_slopes.key: step})
+                    lefts=lefts, rights=tuple(rights), **{step_of_slopes.key: step})
 
 
 def samples_to_spec(runs) -> dict:
     """samples_to_measure as a spec document, one piece of mass 1/(n-1)
     per gap."""
     keys, counts, den = runs
-    text = [fmt_ratio(rat(k, den)) for k in keys]
+    text = list(fmt_ratios(rats(keys, den)))
     carrier = {"lo": "-inf", "hi": "inf"}
     if len(text) < 2:
         return {"carrier": carrier, "atoms": [{"x": text[0], "mass": "1"}], "uniform_pieces": []}
     n1 = sum(counts) - 1
     unit = fmt_ratio(rat(1, n1))
-    atoms = [{"x": t, "mass": fmt_ratio(rat(c - 1, n1))}
-             for t, c in zip(text, counts) if c > 1]
+    masses = fmt_ratios(rats([c - 1 for c in counts if c > 1], n1))
+    atoms = [{"x": t, "mass": next(masses)} for t, c in zip(text, counts) if c > 1]
     pieces = [{"a": a, "b": b, "mass": unit} for a, b in zip(text, text[1:])]
     return {"carrier": carrier, "atoms": atoms, "uniform_pieces": pieces}

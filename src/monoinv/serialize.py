@@ -7,8 +7,10 @@ never emitted as JSON floats, so serialized values round-trip bit-exactly.
 
 from __future__ import annotations
 
+from itertools import chain, compress, pairwise
+
 from monoinv.errors import CarrierMismatch, ParseError, SpecError
-from monoinv.exactnum import fmt_ratio, parse_ratio, shown
+from monoinv.exactnum import fmt_ratio, fmt_ratios, parse_ratio, shown
 from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, ClosedInterval, Interval, is_finite
 from monoinv.measure import PiecewiseMeasure, StepFunction
 from monoinv.monotone import PiecewiseMonotone
@@ -60,13 +62,15 @@ def _rows(keys, rows, lazy):
 
 
 def monotone_to_json(g: PiecewiseMonotone, lazy: bool = False) -> dict:
-    texts = map(fmt_ratio, g.lefts)  # as drawn; a limit object on both sides of a knot, once
+    # texts as drawn; a limit object on both sides of a knot, once
+    rights = fmt_ratios(right for left, right in zip(g.lefts, g.rights) if right is not left)
     out = {
         "domain": interval_to_json(g.domain),
         "breakpoints": _rows(("x", "left", "right"), (
-            (fmt_ratio(x), t, t if right is left else fmt_ratio(right))
-            for x, left, right, t in zip(g.xs, g.lefts, g.rights, texts)), lazy),
-        "slopes": _rows(None, map(fmt_ratio, g.slopes), lazy),
+            (x, t, t if right is left else next(rights))
+            for x, t, left, right in zip(fmt_ratios(g.xs), fmt_ratios(g.lefts), g.lefts, g.rights)),
+            lazy),
+        "slopes": _rows(None, fmt_ratios(g.slopes), lazy),
     }
     if g.anchor is not None:
         out["anchor"] = {"x": fmt_ratio(g.anchor[0]), "value": fmt_ratio(g.anchor[1])}
@@ -75,12 +79,11 @@ def monotone_to_json(g: PiecewiseMonotone, lazy: bool = False) -> dict:
 
 def _piece_rows(dens: StepFunction):
     """(a, b, density) of each nonzero cell; each knot bounds one (cells differ), formatted once."""
-    a, last = er_to_str(dens.carrier.lo), len(dens.knots)
-    for i, d in enumerate(dens.values):
-        b = fmt_ratio(dens.knots[i]) if i < last else er_to_str(dens.carrier.hi)
-        if d:
-            yield a, b, fmt_ratio(d)
-        a = b
+    nonzero = list(map(bool, dens.values))
+    ends = chain((er_to_str(dens.carrier.lo),), fmt_ratios(dens.knots),
+                 (er_to_str(dens.carrier.hi),))
+    return ((a, b, d) for (a, b), d in zip(compress(pairwise(ends), nonzero),
+                                           fmt_ratios(compress(dens.values, nonzero))))
 
 
 def measure_to_spec_json(m: PiecewiseMeasure, lazy: bool = False) -> dict:
@@ -93,15 +96,14 @@ def measure_to_spec_json(m: PiecewiseMeasure, lazy: bool = False) -> dict:
 
 
 def atoms_to_json(m: PiecewiseMeasure, lazy: bool = False) -> list | Rows:
-    return _rows(("x", "mass"), zip(map(fmt_ratio, m.atom_xs), map(fmt_ratio, m.atom_masses)),
-                 lazy)
+    return _rows(("x", "mass"), zip(fmt_ratios(m.atom_xs), fmt_ratios(m.atom_masses)), lazy)
 
 
 def step_to_json(f: StepFunction, lazy: bool = False) -> dict:
     return {
         "carrier": interval_to_json(f.carrier),
-        "knots": _rows(None, map(fmt_ratio, f.knots), lazy),
-        "values": _rows(None, map(fmt_ratio, f.values), lazy),
+        "knots": _rows(None, fmt_ratios(f.knots), lazy),
+        "values": _rows(None, fmt_ratios(f.values), lazy),
     }
 
 

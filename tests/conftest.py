@@ -73,20 +73,34 @@ def fixd(fixd_measure):
     return distribution_function(fixd_measure, -1)
 
 
+def _drawn(items, counter):
+    """items, counting each in counter as it is drawn."""
+    for item in items:
+        counter[0] += 1
+        yield item
+
+
 @pytest.fixture
 def count_calls(monkeypatch):
     """count_calls(owner, name) counts the calls of owner.name, in a
     one-element list: for a module, through every monoinv namespace that
     binds it; for a memoized table and the name "__wrapped__", the builds
-    of the table."""
+    of the table.  With items=True it counts the items of the results
+    instead: all of a tuple's at once, an iterator's as they are drawn."""
 
-    def install(owner, name):
+    def install(owner, name, items=False):
         original = getattr(owner, name)
         counter = [0]
 
         def counting(*args, **kwargs):
-            counter[0] += 1
-            return original(*args, **kwargs)
+            if not items:
+                counter[0] += 1
+                return original(*args, **kwargs)
+            result = original(*args, **kwargs)
+            if isinstance(result, tuple):
+                counter[0] += len(result)
+                return result
+            return _drawn(result, counter)
 
         monkeypatch.setattr(owner, name, counting)
         for mod_name, mod in list(sys.modules.items()):

@@ -1,10 +1,17 @@
-"""Exact construction, parsing and formatting, and the tracked kernel sources.
+"""Exact construction, parsing and formatting, and the package's sources.
 
 These need no compiled kernel; its operation-level tests are in
 test_ratcore.py.  On the pure backend rat builds a reduced Fraction from a
-pair of ints without Fraction's constructor: Fraction(num, den) is its oracle."""
+pair of ints without Fraction's constructor: Fraction(num, den) is its oracle.
+So it is for rats, which builds a column of them in one loop; 1 / x is
+reciprocal's oracle and fmt_ratio that of fmt_ratios.  Where Fraction has
+other slots than the two these write and read, all four take the generic
+routes, which must give the same results.  Every module must parse as the
+oldest Python that pyproject.toml declares."""
 
+import ast
 import contextlib
+import glob
 import os
 import re
 import sys
@@ -18,7 +25,16 @@ from hypothesis import strategies as st
 
 from monoinv import exactnum
 from monoinv.errors import ParseError
-from monoinv.exactnum import MAX_DIGITS, fmt_ratio, parse_ratio, parse_ratio_parts, rat
+from monoinv.exactnum import (
+    MAX_DIGITS,
+    fmt_ratio,
+    fmt_ratios,
+    parse_ratio,
+    parse_ratio_parts,
+    rat,
+    rats,
+    reciprocal,
+)
 
 KERNEL_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "monoinv")
 
@@ -145,6 +161,97 @@ def test_rat_falls_back_to_the_constructor(args):
     # which makes the value, or raises its error, as it always did
     with pure_backend():
         assert outcome(rat, *args) == outcome(Fraction, *args)
+
+
+def same_rationals(got, want) -> bool:
+    """Are got and want equal sequences of rationals, alike in type, value,
+    hash and repr?"""
+    with int_digits(0):
+        return (len(got) == len(want)
+                and all(type(a) is type(b) and a == b and hash(a) == hash(b)
+                        and repr(a) == repr(b) for a, b in zip(got, want)))
+
+
+POSITIVE = INTS.map(lambda n: abs(n) + 1)
+# a column of Fractions, drawn as the ints and (num, den) pairs of INTS that
+# column_of makes them of: Hypothesis cannot print a Fraction past the limit
+COLUMNS = st.lists(st.one_of(INTS, st.tuples(INTS, POSITIVE)), max_size=8)
+NEAR_LIMIT = [10**4300 + 1, -(10**4299), (10**4400 + 1, 3), (-1, 10**4400)]
+
+
+def column_of(entries) -> list:
+    return [Fraction(*e) if isinstance(e, tuple) else Fraction(e) for e in entries]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+@given(nums=st.lists(INTS, max_size=8), den=POSITIVE)
+@example(nums=[0, -6, 6, 3 * 10**4400], den=3)
+@example(nums=[], den=1)
+def test_rats_is_fraction_per_numerator(nums, den):
+    with pure_backend():
+        got = rats(nums, den)
+        keys = rats([Fraction(n, den) for n in nums], 1)  # the rational sort's keys
+    assert type(got) is tuple
+    assert same_rationals(got, tuple(Fraction(n, den) for n in nums))
+    assert same_rationals(keys, got)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+@given(num=POSITIVE, den=POSITIVE)
+@example(num=1, den=1)
+@example(num=10**4400 + 1, den=7)
+def test_reciprocal_is_one_over(num, den):
+    x = Fraction(num, den)
+    with pure_backend():
+        assert same_rationals([reciprocal(x)], [1 / x])
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+@given(entries=COLUMNS)
+@example(entries=[0, (0, 1), 1, -1, (-3, 4)])
+@example(entries=[(1, 2), *NEAR_LIMIT])
+def test_fmt_ratios_is_fmt_ratio_per_entry(entries):
+    # past 4,300 digits the texts are made only with the limit lifted, and
+    # otherwise the column is refused with fmt_ratio's ValueError
+    column = column_of(entries)
+    with pure_backend():
+        for limit in (0, 4300):
+            with int_digits(limit):
+                assert (outcome(lambda: list(fmt_ratios(column)))
+                        == outcome(lambda: [fmt_ratio(x) for x in column]))
+
+
+def test_without_fractions_two_slots_the_generic_routes_give_the_same_results():
+    # _SLOTS is decided once at import; where Fraction has other slots,
+    # nothing builds a Fraction bare or reads its slots
+    assert exactnum._SLOTS
+    column = [Fraction(-6, 4), Fraction(0), Fraction(5), Fraction(10**4400 + 1, 3)]
+
+    def results():
+        return {"rat": [rat(-6, 4), rat(7)], "rats": rats([0, -6, 7, 3 * 10**4400], 12),
+                "keys": rats(column, 1), "reciprocal": [reciprocal(Fraction(6, 35))],
+                "parse_ratio": [parse_ratio("-0.50")], "as_q": [exactnum.as_q(3)]}
+
+    with pure_backend(), int_digits(0):
+        want_texts = [str(x) for x in column]
+        fast, fast_texts = results(), list(fmt_ratios(column))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactnum, "_SLOTS", False)
+            mp.setattr(exactnum, "_new", None)
+            mp.setattr(exactnum, "_fraction_texts", None)
+            generic, generic_texts = results(), list(fmt_ratios(column))
+    assert generic_texts == fast_texts == want_texts
+    for name, values in fast.items():
+        assert same_rationals(generic[name], values), name
+
+
+def test_every_module_parses_as_python_3_10():
+    # pyproject.toml declares Python >= 3.10; syntax of a later Python fails here
+    sources = glob.glob(os.path.join(KERNEL_DIR, "*.py"))
+    assert len(sources) >= 10
+    for path in sources:
+        with open(path, encoding="utf-8") as fh:
+            ast.parse(fh.read(), filename=path, feature_version=(3, 10))
 
 
 def test_as_q_converts_through_rat():

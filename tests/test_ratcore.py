@@ -1,6 +1,8 @@
 """The compiled rational kernel must agree with fractions.Fraction
 operation-for-operation; Fraction is the oracle.  exactnum.fmt_ratio prints
-either backend's rationals as their numerator and denominator read.
+either backend's rationals as their numerator and denominator read, and
+exactnum's bulk helpers (rats, reciprocal, fmt_ratios) give on either
+backend what the number type's constructor, 1 / x and fmt_ratio give.
 
 The kernel is the one conftest.py's compiled_rat builds from the tracked
 _ratcore.c; the tests skip only when no C compiler is present."""
@@ -14,8 +16,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoinv.exactnum import fmt_ratio
-from test_exactnum import int_digits
+from monoinv import exactnum
+from monoinv.exactnum import fmt_ratio, fmt_ratios, rats, reciprocal
+from test_exactnum import int_digits, same_rationals
 
 
 @pytest.fixture(scope="module")
@@ -145,14 +148,34 @@ def test_fmt_ratio_is_the_pair_text(Rat, p):
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
 def test_fmt_ratio_of_a_long_numerator(Rat):
     # past 4,300 digits it prints only with the limit lifted, as the CLI lifts
-    # it, and refuses as the pair text refuses otherwise
+    # it, and refuses as the pair text refuses otherwise; so does fmt_ratios
     for Q in (Fraction, Rat):
         for x in (Q(10**4400 + 1, 3), Q(-10**4400)):
-            with int_digits(0):
-                assert fmt_ratio(x) == pair_text(x)
-            with int_digits(4300):
-                with pytest.raises(ValueError) as want:
-                    pair_text(x)
-                with pytest.raises(ValueError) as got:
-                    fmt_ratio(x)
-            assert str(got.value) == str(want.value)
+            for texts in (fmt_ratio, lambda x: next(fmt_ratios([x]))):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(exactnum, "Q", Q)
+                    with int_digits(0):
+                        assert texts(x) == pair_text(x)
+                    with int_digits(4300):
+                        with pytest.raises(ValueError) as want:
+                            pair_text(x)
+                        with pytest.raises(ValueError) as got:
+                            texts(x)
+                assert str(got.value) == str(want.value)
+
+
+@given(nums=st.lists(ints, max_size=8), den=nonzero.map(abs))
+def test_bulk_helpers_match_the_number_type(Rat, nums, den):
+    # rats makes Q(num, den) per numerator, also from keys over 1; the
+    # reciprocal of each positive one is 1 / x, and the texts are fmt_ratio's
+    for Q in (Fraction, Rat):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactnum, "Q", Q)
+            column = rats(nums, den)
+            keys = rats([Q(n, den) for n in nums], 1)
+            positive = [x for x in column if x > 0]
+            assert same_rationals(column, [Q(n, den) for n in nums])
+            assert same_rationals(keys, column)
+            assert column == tuple(Fraction(n, den) for n in nums)
+            assert same_rationals([reciprocal(x) for x in positive], [1 / x for x in positive])
+            assert list(fmt_ratios(column)) == [fmt_ratio(x) for x in column]

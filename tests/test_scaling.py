@@ -21,11 +21,13 @@ the report's Q block and quantile_density asks first, and the step of its
 slopes is its columns, with no rational comparison.  The law generators
 build their instances without exactnum.as_q or the public checks.  Reports
 are written from the columns as they are formatted, each entry formatted
-once, so writing one holds little memory.  A file of plain decimals is read
-without a parse per line, a sample function carries its density step, a
-sample measure is built without comparing two rationals, and absolute
-continuity of Lebesgue measure on one interval against a sample's measure
-makes logarithmically many comparisons.
+once, so writing one holds little memory; a text is made by fmt_ratio or
+drawn from fmt_ratios, which formats a column.  A file of plain decimals is
+read without a parse per line, a sample function carries its density step, a
+sample measure is built without comparing two rationals, a sample's inverse
+makes no rational from integers, and absolute continuity of Lebesgue measure
+on one interval against a sample's measure makes logarithmically many
+comparisons.
 """
 
 import dataclasses
@@ -272,15 +274,17 @@ def test_fmt_ratio_calls_per_knot_do_not_grow(tmp_path, count_calls):
     # density: the echo's bounds and densities, the decomposition's knots
     # and values, the quantile density's knots and values.  Each entry is
     # formatted once; a bound shared by two echo pieces is not formatted twice.
+    # A text is made by fmt_ratio, or drawn from fmt_ratios, which prints a column
     calls, per_knot = count_calls(exactnum, "fmt_ratio"), {}
+    drawn = count_calls(exactnum, "fmt_ratios", items=True)
     for n in (1000, 4000):
         path = tmp_path / f"{n}.txt"
         _gaussian_samples(path, n, seed=n)
-        calls[0] = 0
+        calls[0] = drawn[0] = 0
         result = CliRunner().invoke(cli.main, ["classify", "--samples", str(path)])
         assert result.exit_code == 3, result.output
         knots = len(json.loads(result.stdout)["decomposition"]["abs_density"]["knots"])
-        per_knot[n] = round(calls[0] / knots)
+        per_knot[n] = round((calls[0] + drawn[0]) / knots)
     assert per_knot[1000] == per_knot[4000] == 6
 
 
@@ -408,6 +412,13 @@ def test_sample_function_and_inverse_construct_no_fraction_per_knot(tmp_path, mo
     assert len(h.xs) > 3000 and calls[0] <= 8, calls[0]
 
 
+def count_rationals(count_calls):
+    """From now on, count the rationals exactnum.rat and exactnum.rats make:
+    a function returning the count."""
+    calls, made = count_calls(exactnum, "rat"), count_calls(exactnum, "rats", items=True)
+    return lambda: calls[0] + made[0]
+
+
 def test_sample_measure_makes_a_rational_per_step_value_not_per_slope(tmp_path, count_calls):
     # samples_to_measure makes a rational for each kept value, each tied
     # value's mass and each value of its density step; a slope right of a
@@ -415,12 +426,24 @@ def test_sample_measure_makes_a_rational_per_step_value_not_per_slope(tmp_path, 
     path = tmp_path / "4000.txt"
     _gaussian_samples(path, 4000, seed=4000, places=2)
     runs = samples.read_samples(str(path), header=False)
-    calls = count_calls(exactnum, "rat")
+    rationals = count_rationals(count_calls)
     m = samples.samples_to_measure(runs)
     density, atoms = m.abs_density, len(m.atom_xs)
     kept = len(set(density.knots) | set(m.atom_xs))
     assert atoms > 4 * len(density.knots) > 0
-    assert calls[0] == kept + atoms + len(density.values) - 2, calls[0]
+    assert rationals() == kept + atoms + len(density.values) - 2, rationals()
+
+
+def test_sample_inverse_makes_no_rational_from_integers(tmp_path, count_calls):
+    # each slope of the inverse is the reciprocal of one of F's, its two
+    # coprime parts swapped: no rational is made from a pair of ints
+    path = tmp_path / "4000.txt"
+    _gaussian_samples(path, 4000, seed=4000)
+    f = samples.samples_to_function(samples.read_samples(str(path), header=False),
+                                    exactnum.rat(0))
+    rationals = count_rationals(count_calls)
+    h = monotone.generalized_inverse(f)
+    assert len(h.slopes) > 3000 and rationals() == 0, rationals()
 
 
 # prints the comparisons laws.<argv[1]> makes on the distribution function

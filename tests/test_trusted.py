@@ -17,7 +17,9 @@ function's own columns otherwise.  The oracle rebuilds each result through
 the public constructors (monotone.validate, rebuild_measure, rebuild_step),
 fed from the columns, which raise on invalid data and canonicalise: a
 result equal to its rebuild, down to the types of its numbers, is valid
-and canonical.
+and canonical.  The generated instances' inverses meet every case that
+generalized_inverse tells apart: g with jumps and without, a finite end of
+g's domain on either side, and an inverse of one segment.
 
 The public PiecewiseMeasure constructor turns its pieces into the cells of
 a step class; a second oracle holds the nonzero cells of that class to a
@@ -57,6 +59,7 @@ from monoinv.monotone import (
     generalized_inverse,
     inverse_domain,
     inverse_mass_interval,
+    jumps,
     mass_interval,
     validate,
 )
@@ -206,10 +209,31 @@ def test_trusted_builders_equal_public_rebuild(g):
         assert same_as_public(obj), (name, obj)
 
 
+def inverse_branches(g) -> set:
+    """The cases of g that generalized_inverse tells apart in building its inverse."""
+    branches = {"with jumps" if jumps(g) else "without jumps"}
+    if is_finite(g.domain.lo):
+        branches.add("finite lo")
+    if is_finite(g.domain.hi):
+        branches.add("finite hi")
+    if not generalized_inverse(g).xs:
+        branches.add("lone segment")
+    return branches
+
+
 def test_generated_instances_equal_public_rebuild():
+    # their inverses too, built in each case generalized_inverse tells apart
     assert 5 <= sum(random.Random(seed).random() < 0.04 for seed in GENERATED_SEEDS)
+    branches = set()
     for g in generated():
         assert same_as_public(g), g
+        try:
+            h = generalized_inverse(g)
+        except ConstantFunction:
+            continue
+        assert same_as_public(h), g
+        branches |= inverse_branches(g)
+    assert branches == {"with jumps", "without jumps", "finite lo", "finite hi", "lone segment"}
 
 
 @oracle_settings
