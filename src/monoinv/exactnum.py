@@ -16,8 +16,8 @@ whole column in one loop: rats makes the rationals of many numerators over one
 denominator, reciprocal swaps the coprime parts of a positive rational with
 no gcd, and fmt_ratios yields the texts of a column from its two slots.  They
 write and read Fraction's private slots, a CPython detail decided once at
-import (_SLOTS); where Fraction has other slots they fall back to Q(num, den),
-1 / x and str.  Their results are those of Fraction(num, den), 1 / x and
+import (_SLOTTED); where Fraction has other slots they fall back to
+Q(num, den), 1 / x and str.  Their results are those of Fraction(num, den), 1 / x and
 fmt_ratio, which are their tests' oracles.
 
 The infinities NEG_INF and POS_INF live here too, beside the rational type.
@@ -95,8 +95,11 @@ POS_INF = _Infinity(1)
 
 
 _new = object.__new__
-# the two slots that rat, rats and reciprocal fill and fmt_ratios reads
-_SLOTS = getattr(Fraction, "__slots__", None) == ("_numerator", "_denominator")
+# Fraction when it has the two slots that rat, rats and reciprocal fill and
+# fmt_ratios reads, else None: each of them takes its direct route only for
+# this class (Q is _SLOTTED on the pure backend), so this is the one guard
+_SLOTTED = (Fraction if getattr(Fraction, "__slots__", None) == ("_numerator", "_denominator")
+            else None)
 
 
 def rat(num, den=1):
@@ -106,7 +109,7 @@ def rat(num, den=1):
     Fraction directly, as Fraction._from_coprime_ints does in CPython 3.12,
     without Fraction's generic constructor; any other argument goes to
     Q(num, den), which raises as it always did."""
-    if _SLOTS and Q is Fraction and num.__class__ is int and den.__class__ is int and den > 0:
+    if Q is _SLOTTED and num.__class__ is int and den.__class__ is int and den > 0:
         g = gcd(num, den)
         x = _new(Fraction)
         x._numerator = num // g
@@ -119,7 +122,7 @@ def rats(nums, den) -> tuple:
     """tuple(rat(num, den) for num in nums) in one loop: on the pure backend an
     int num over an int den > 0 is built as rat builds it; anything else (the
     rational sort's keys, Fractions over 1) goes to Q(num, den), as in rat."""
-    if not (_SLOTS and Q is Fraction and den.__class__ is int and den > 0):
+    if not (Q is _SLOTTED and den.__class__ is int and den > 0):
         return tuple(Q(num, den) for num in nums)
     out = []
     append = out.append
@@ -138,7 +141,7 @@ def rats(nums, den) -> tuple:
 def reciprocal(x):
     """1 / x for a rational x > 0: its coprime numerator and denominator
     swapped, with no gcd; a Fraction on the pure backend, else 1 / x."""
-    if _SLOTS and x.__class__ is Fraction:
+    if x.__class__ is _SLOTTED:
         y = _new(Fraction)
         y._numerator = x._denominator
         y._denominator = x._numerator
@@ -224,7 +227,7 @@ def fmt_ratios(column):
     """map(fmt_ratio, column) as one lazy iterator, for a column of the
     backend's rationals: on the pure backend each text is made from the
     Fraction's two slots, without a call of its __str__."""
-    return _fraction_texts(column) if _SLOTS and Q is Fraction else map(str, column)
+    return _fraction_texts(column) if Q is _SLOTTED else map(str, column)
 
 
 def _fraction_texts(column):

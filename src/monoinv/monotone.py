@@ -412,25 +412,18 @@ def generalized_inverse(g: PiecewiseMonotone) -> PiecewiseMonotone:
     # the x where it ends, and its slope; a rise's is the reciprocal of g's
     ts, x_starts, x_ends, slopes = ([NEG_INF], [lo], [lo], [ZERO]) if is_finite(lo) else (
         [], [], [], [])
-    if at := set(jumps(g)):
-        for i, s in enumerate(g.slopes):  # segment i ends at knot i
-            if s:  # a truth test, not a rational comparison
-                ts.append(us[i])
-                x_starts.append(starts[i])
-                x_ends.append(ends[i])
-                slopes.append(reciprocal(s))
-            if i in at:
-                ts.append(g.lefts[i])
-                x_starts.append(g.xs[i])
-                x_ends.append(g.xs[i])
-                slopes.append(ZERO)
-    else:  # the pieces are g's rises
-        for u, a, b, s in zip(us, starts, ends, g.slopes):
-            if s:
-                ts.append(u)
-                x_starts.append(a)
-                x_ends.append(b)
-                slopes.append(reciprocal(s))
+    at = set(jumps(g))
+    for i, (u, a, b, s) in enumerate(zip(us, starts, ends, g.slopes)):  # segment i ends at knot i
+        if s:  # a truth test, not a rational comparison
+            ts.append(u)
+            x_starts.append(a)
+            x_ends.append(b)
+            slopes.append(reciprocal(s))
+        if i in at:
+            ts.append(g.lefts[i])
+            x_starts.append(g.xs[i])
+            x_ends.append(g.xs[i])
+            slopes.append(ZERO)
     if is_finite(hi):
         ts.append(value_bounds(g)[1])
         x_starts.append(hi)

@@ -184,7 +184,7 @@ def samples_to_spec(runs) -> dict:
         return {"carrier": carrier, "atoms": [{"x": text[0], "mass": "1"}], "uniform_pieces": []}
     n1 = sum(counts) - 1
     unit = fmt_ratio(rat(1, n1))
-    masses = fmt_ratios(rats([c - 1 for c in counts if c > 1], n1))
-    atoms = [{"x": t, "mass": next(masses)} for t, c in zip(text, counts) if c > 1]
+    atoms = [{"x": t, "mass": fmt_ratio(rat(c - 1, n1))}
+             for t, c in zip(text, counts) if c > 1]
     pieces = [{"a": a, "b": b, "mass": unit} for a, b in zip(text, text[1:])]
     return {"carrier": carrier, "atoms": atoms, "uniform_pieces": pieces}

@@ -7,8 +7,6 @@ never emitted as JSON floats, so serialized values round-trip bit-exactly.
 
 from __future__ import annotations
 
-from itertools import chain, compress, pairwise
-
 from monoinv.errors import CarrierMismatch, ParseError, SpecError
 from monoinv.exactnum import fmt_ratio, fmt_ratios, parse_ratio, shown
 from monoinv.intervals import NEG_INF, POS_INF, REAL_LINE, ClosedInterval, Interval, is_finite
@@ -62,12 +60,11 @@ def _rows(keys, rows, lazy):
 
 
 def monotone_to_json(g: PiecewiseMonotone, lazy: bool = False) -> dict:
-    # texts as drawn; a limit object on both sides of a knot, once
-    rights = fmt_ratios(right for left, right in zip(g.lefts, g.rights) if right is not left)
     out = {
         "domain": interval_to_json(g.domain),
+        # as drawn; a limit object on both sides of a knot, once
         "breakpoints": _rows(("x", "left", "right"), (
-            (x, t, t if right is left else next(rights))
+            (x, t, t if right is left else fmt_ratio(right))
             for x, t, left, right in zip(fmt_ratios(g.xs), fmt_ratios(g.lefts), g.lefts, g.rights)),
             lazy),
         "slopes": _rows(None, fmt_ratios(g.slopes), lazy),
@@ -79,11 +76,13 @@ def monotone_to_json(g: PiecewiseMonotone, lazy: bool = False) -> dict:
 
 def _piece_rows(dens: StepFunction):
     """(a, b, density) of each nonzero cell; each knot bounds one (cells differ), formatted once."""
-    nonzero = list(map(bool, dens.values))
-    ends = chain((er_to_str(dens.carrier.lo),), fmt_ratios(dens.knots),
-                 (er_to_str(dens.carrier.hi),))
-    return ((a, b, d) for (a, b), d in zip(compress(pairwise(ends), nonzero),
-                                           fmt_ratios(compress(dens.values, nonzero))))
+    knot_texts = fmt_ratios(dens.knots)
+    a, last = er_to_str(dens.carrier.lo), len(dens.knots)
+    for i, d in enumerate(dens.values):
+        b = next(knot_texts) if i < last else er_to_str(dens.carrier.hi)
+        if d:
+            yield a, b, fmt_ratio(d)
+        a = b
 
 
 def measure_to_spec_json(m: PiecewiseMeasure, lazy: bool = False) -> dict:

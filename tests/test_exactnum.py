@@ -222,9 +222,9 @@ def test_fmt_ratios_is_fmt_ratio_per_entry(entries):
 
 
 def test_without_fractions_two_slots_the_generic_routes_give_the_same_results():
-    # _SLOTS is decided once at import; where Fraction has other slots,
+    # _SLOTTED is decided once at import; where Fraction has other slots,
     # nothing builds a Fraction bare or reads its slots
-    assert exactnum._SLOTS
+    assert exactnum._SLOTTED is Fraction
     column = [Fraction(-6, 4), Fraction(0), Fraction(5), Fraction(10**4400 + 1, 3)]
 
     def results():
@@ -236,7 +236,7 @@ def test_without_fractions_two_slots_the_generic_routes_give_the_same_results():
         want_texts = [str(x) for x in column]
         fast, fast_texts = results(), list(fmt_ratios(column))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exactnum, "_SLOTS", False)
+            mp.setattr(exactnum, "_SLOTTED", None)
             mp.setattr(exactnum, "_new", None)
             mp.setattr(exactnum, "_fraction_texts", None)
             generic, generic_texts = results(), list(fmt_ratios(column))
